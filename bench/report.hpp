@@ -20,6 +20,12 @@
 
 namespace rdmamon::bench {
 
+/// The process's start, taken during static initialisation (before
+/// main), so wall_ms covers the whole run however late a bench builds its
+/// report.
+inline const std::chrono::steady_clock::time_point kProcessStart =
+    std::chrono::steady_clock::now();
+
 /// Builder + writer for one bench's BENCH_<name>.json. The document root
 /// is an insertion-ordered JSON object; `results` is the conventional
 /// per-configuration array. write() targets the current directory unless
@@ -30,9 +36,7 @@ class JsonReport {
   /// renamed conventional fields) so trajectory tooling can dispatch.
   static constexpr int kSchemaVersion = 2;
 
-  explicit JsonReport(std::string name)
-      : name_(std::move(name)),
-        started_(std::chrono::steady_clock::now()) {
+  explicit JsonReport(std::string name) : name_(std::move(name)) {
     root_ = util::JsonValue::object();
     root_["name"] = name_;
     root_["schema_version"] = kSchemaVersion;
@@ -72,7 +76,8 @@ class JsonReport {
   bool write() {
     using namespace std::chrono;
     root_["wall_ms"] = static_cast<double>(
-        duration_cast<microseconds>(steady_clock::now() - started_).count()) /
+        duration_cast<microseconds>(steady_clock::now() - kProcessStart)
+            .count()) /
         1000.0;
     root_["generated_unix_ms"] = static_cast<std::int64_t>(
         duration_cast<milliseconds>(system_clock::now().time_since_epoch())
@@ -92,7 +97,6 @@ class JsonReport {
 
  private:
   std::string name_;
-  std::chrono::steady_clock::time_point started_;
   util::JsonValue root_;
 };
 

@@ -2,13 +2,14 @@
 // cluster with a mid-run back-end crash, then dump the dashboard the
 // registry assembled — fetch outcome counters and latency percentiles per
 // backend, NIC/socket traffic, balancer health transitions and dispatch
-// totals, fault events as spans — plus the Prometheus and JSON exports,
+// totals — plus the Prometheus and JSON exports and the flight-recorder
+// dump that holds the run's events (read it with tools/flightdump.py),
 // and finally read the front end's own telemetry through a one-sided
 // RDMA READ (the monitoring plane monitoring itself).
 #include <iostream>
 
 #include "fault/fault.hpp"
-#include "monitor/meta.hpp"
+#include "monitor/publisher.hpp"
 #include "net/verbs.hpp"
 #include "os/node.hpp"
 #include "sim/simulation.hpp"
@@ -43,10 +44,11 @@ int main() {
   // Self-monitoring: the front end publishes its own snapshot into a
   // registered MR, refreshed every 50 ms (RDMA-Async applied to the
   // monitor itself).
-  monitor::TelemetrySelfMonitor meta(bed.fabric(), bed.frontend(), reg);
+  monitor::MrPublisher<telemetry::Snapshot> meta(
+      bed.fabric(), bed.frontend(), monitor::snapshot_producer(reg));
 
   // Crash backend0 for the middle of the run so health transitions and
-  // fault spans show up in the dump.
+  // fault events show up in the dumps.
   fault::FaultPlan plan;
   plan.crash_for(bed.backend(0).id, sim::TimePoint{sim::msec(400).ns},
                  sim::msec(300));
@@ -73,8 +75,8 @@ int main() {
 
   simu.run_for(sim::seconds(1));
 
-  // 1. The human dashboard: grouped metrics + most recent spans.
-  telemetry::print_dashboard(std::cout, reg.snapshot(), &reg.spans());
+  // 1. The human dashboard: grouped metrics.
+  telemetry::print_dashboard(std::cout, reg.snapshot());
 
   // 2. Machine exports (what a scrape-file consumer would read).
   const telemetry::Snapshot snap = reg.snapshot();
@@ -90,9 +92,9 @@ int main() {
 
   telemetry::write_file("telemetry_snapshot.json",
                         telemetry::to_json(snap).dump(2) + "\n");
-  telemetry::write_file("telemetry_spans.json",
-                        telemetry::spans_to_json(reg.spans()).dump(2) + "\n");
-  std::cout << "\nwrote telemetry_snapshot.json and telemetry_spans.json\n";
+  telemetry::write_file("telemetry_flight.json",
+                        reg.recorder().dump("dashboard").dump(2) + "\n");
+  std::cout << "\nwrote telemetry_snapshot.json and telemetry_flight.json\n";
 
   // 3. The meta-monitoring read-back.
   std::cout << "\n--- self-monitoring: front-end snapshot via RDMA READ ---\n";

@@ -273,8 +273,6 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
           // members again: rejoin and take our shard back.
           ++rejoins_;
           mem.join(id_, "recovered");
-          telemetry::span_event(reg_, "cluster", "membership",
-                                node_->name() + ": rejoined");
           telemetry::fr_record(fr_, "rejoin", id_);
         }
       } else {
@@ -289,10 +287,6 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
         ++evictions_;
         telemetry::add(m_evict_);
         telemetry::fr_record(fr_, "evict", peer, read_ok ? 1 : 0);
-        telemetry::span_event(
-            reg_, "cluster", "membership",
-            node_->name() + ": evicting " + fp.node().name() +
-                (read_ok ? " (stale view)" : " (unreachable)"));
         mem.leave(peer, read_ok ? "stale view" : "unreachable");
       }
     }

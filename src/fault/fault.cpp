@@ -171,20 +171,16 @@ void FaultInjector::apply(const FaultEvent& e) {
   }
   ++injected_;
   log_.push_back(e);
-  const bool is_storm =
-      e.kind == FaultKind::StormStart || e.kind == FaultKind::StormStop;
-  const std::string subject = is_storm ? "storm" + std::to_string(e.storm)
-                                       : "node" + std::to_string(e.node);
   telemetry::Registry* reg = telemetry::Registry::of(fabric_->simu());
   if (reg != nullptr) {
+    const bool is_storm =
+        e.kind == FaultKind::StormStart || e.kind == FaultKind::StormStop;
     reg->counter("fault.injected", telemetry::Labels{{"kind", to_string(e.kind)}})
         .inc();
-    // Annotated, timestamped record in the span stream so fault windows
-    // can be correlated with fetch/dispatch behaviour.
-    telemetry::span_event(reg, "fault", to_string(e.kind), subject);
-    // Flight-record the fault, and on a crash dump a post-mortem: the
-    // merged rings show exactly what the monitoring plane was doing in
-    // the lead-up to the kill.
+    // Flight-record the fault (so fault windows line up with the
+    // fetch/dispatch events around them), and on a crash dump a
+    // post-mortem: the merged rings show exactly what the monitoring
+    // plane was doing in the lead-up to the kill.
     reg->recorder()
         .ring("fault", 128)
         ->record(to_string(e.kind), is_storm ? e.storm : e.node,

@@ -111,14 +111,11 @@ void LoadBalancer::record_fetch(std::size_t i, bool ok) {
                      : h.state == BackendHealth::Suspect
                          ? m_to_suspect_
                          : m_to_dead_);
-      // Timestamped transition record in the span stream.
-      telemetry::span_event(reg_, "lb", "health",
-                            channels_[i]->backend().node().name() + ": " +
-                                to_string(before) + " -> " +
-                                to_string(h.state));
     }
+    // "lb" ring: a = back end, b = the new state, x = the state it left.
     telemetry::fr_record(fr_, "health", static_cast<std::int64_t>(i),
-                         static_cast<std::int64_t>(h.state));
+                         static_cast<std::int64_t>(h.state),
+                         static_cast<double>(before));
     for (const auto& cb : health_cbs_) cb(static_cast<int>(i), h.state);
   }
 }
@@ -154,15 +151,10 @@ void LoadBalancer::reset_health(std::size_t i) {
   const BackendHealth before = h.state;
   h = Health{};
   if (before != BackendHealth::Healthy) {
-    if (reg_ != nullptr) {
-      telemetry::add(m_to_healthy_);
-      telemetry::span_event(reg_, "lb", "health",
-                            channels_[i]->backend().node().name() +
-                                ": reset " + to_string(before) +
-                                " -> healthy (shard takeover)");
-    }
-    telemetry::fr_record(fr_, "health", static_cast<std::int64_t>(i),
-                         static_cast<std::int64_t>(BackendHealth::Healthy));
+    if (reg_ != nullptr) telemetry::add(m_to_healthy_);
+    telemetry::fr_record(fr_, "health.reset", static_cast<std::int64_t>(i),
+                         static_cast<std::int64_t>(BackendHealth::Healthy),
+                         static_cast<double>(before));
     for (const auto& cb : health_cbs_) {
       cb(static_cast<int>(i), BackendHealth::Healthy);
     }
@@ -278,8 +270,6 @@ std::vector<std::size_t> LoadBalancer::poll_targets(
 
 void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
   // Join every monitor to the scatter engine's shared completion channel.
-  // Harmless for Sequential mode: the blocking fetch path demuxes by
-  // wr_id off the same CQ.
   for (auto& ch : channels_) scatter_.add(ch->frontend());
   if (verbs_.cq_mod_count > 1) {
     scatter_.cq().bind_moderation(frontend.simu(), verbs_.cq_mod_count,
@@ -393,12 +383,9 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
 
 os::Program LoadBalancer::poller_body(os::SimThread& self,
                                       sim::Duration granularity) {
-  // One poll round every `granularity`. Scatter mode issues the round's
-  // fetches concurrently, so per-backend staleness tracks the slowest
-  // single fetch instead of the sum; Sequential keeps the paper's
-  // original sweep, where a slow (loaded socket scheme) or dead back end
-  // delays every later one — a real effect we deliberately keep
-  // available for comparison.
+  // One poll round every `granularity`. The round's fetches go out
+  // concurrently through the scatter engine, so per-backend staleness
+  // tracks the slowest single fetch instead of the sum.
   // Dead back ends still get probed — a fetch succeeding again is the
   // failure detector's only recovery signal — but only on the
   // dead-probe cadence, so a corpse does not cost a fetch_timeout per
@@ -416,20 +403,11 @@ os::Program LoadBalancer::poller_body(os::SimThread& self,
                              static_cast<std::int64_t>(scanned)};
       }
     }
-    if (poll_mode_ == PollMode::Scatter) {
-      co_await scatter_.round(self, targets, round_buf_);
-      for (std::size_t i : targets) {
-        apply_sample(i, round_buf_[i]);
-        if (adaptive_ && round_buf_[i].ok) {
-          adaptive_->on_pull_sample(i, round_buf_[i].info);
-        }
-      }
-    } else {
-      for (std::size_t i : targets) {
-        monitor::MonitorSample s;
-        co_await channels_[i]->frontend().fetch(self, s);
-        apply_sample(i, s);
-        if (adaptive_ && s.ok) adaptive_->on_pull_sample(i, s.info);
+    co_await scatter_.round(self, targets, round_buf_);
+    for (std::size_t i : targets) {
+      apply_sample(i, round_buf_[i]);
+      if (adaptive_ && round_buf_[i].ok) {
+        adaptive_->on_pull_sample(i, round_buf_[i].info);
       }
     }
     for (const auto& cb : round_cbs_) cb(targets);

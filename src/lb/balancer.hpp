@@ -86,22 +86,6 @@ struct HealthConfig {
   int dead_probe_every = 8;
 };
 
-/// How the poller refreshes the back-end samples each round.
-enum class PollMode {
-  /// Scatter-gather: all fetches of a round issued concurrently through
-  /// the ScatterFetcher (RDMA: one batched multi-READ post; sockets: one
-  /// in-flight request per connection). Per-backend staleness is
-  /// independent of N.
-  Scatter,
-  /// Legacy sequential sweep: one blocking fetch after another, so a slow
-  /// or dead back end delays every later one (round time grows O(N)).
-  Sequential,
-};
-
-inline const char* to_string(PollMode m) {
-  return m == PollMode::Scatter ? "scatter" : "sequential";
-}
-
 /// Configuration of the push/adaptive refresh strategy (enable_push).
 struct PushPollConfig {
   monitor::MonitorStrategy strategy = monitor::MonitorStrategy::Push;
@@ -159,10 +143,6 @@ class LoadBalancer {
 
   /// Replaces the failure-detector thresholds (before or after start).
   void set_health_config(HealthConfig hc) { health_cfg_ = hc; }
-
-  /// Selects the poll strategy (default Scatter). Call before start().
-  void set_poll_mode(PollMode m) { poll_mode_ = m; }
-  PollMode poll_mode() const { return poll_mode_; }
 
   /// Verbs-layer tuning for the scatter engine's completion channel:
   /// cq_mod_count/period moderate consumer wakeups on the shared CQ (the
@@ -354,7 +334,6 @@ class LoadBalancer {
 
   WeightConfig weights_;
   HealthConfig health_cfg_;
-  PollMode poll_mode_ = PollMode::Scatter;
   net::VerbsTuning verbs_;  ///< CQ moderation for the scatter channel
   std::function<bool(std::size_t)> poll_filter_;  ///< shard ownership
   std::vector<std::function<void(const std::vector<std::size_t>&)>>

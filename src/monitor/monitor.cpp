@@ -8,6 +8,13 @@ namespace rdmamon::monitor {
 
 namespace {
 
+/// Flight-record kinds of a finished fetch and of one of its attempts,
+/// indexed by the outcome's FetchError (None = ok).
+constexpr const char* kFetchKind[] = {"fetch.ok", "fetch.timeout",
+                                      "fetch.transport"};
+constexpr const char* kAttemptKind[] = {"attempt.ok", "attempt.timeout",
+                                        "attempt.transport"};
+
 /// Load-calculating thread (Fig 1a / 2a, steps 1-4): read /proc, copy the
 /// result to the shared location, sleep T, repeat.
 os::Program calc_thread_body(os::SimThread& self, os::Node* node,
@@ -124,6 +131,7 @@ void FrontendMonitor::resolve_metrics() {
   metrics_resolved_ = true;
   reg_ = telemetry::Registry::of(frontend_->simu());
   if (reg_ == nullptr) return;
+  fr_ = reg_->recorder().ring("monitor." + frontend_->name());
   telemetry::Labels by_chan{{"scheme", to_string(scheme())},
                             {"backend", backend_->node().name()}};
   m_latency_ = &reg_->histogram("monitor.fetch.latency_ns", by_chan);
@@ -163,8 +171,10 @@ os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
   out.requested_at = simu.now();
   const MonitorConfig& cfg = backend_->config();
   if (!metrics_resolved_) resolve_metrics();
-  const telemetry::SpanId fetch_span =
-      telemetry::span_begin(reg_, "monitor", "fetch");
+  // The fetch and each of its attempts become one "monitor.<fe>" ring
+  // record when they finish: a = back-end node, b = this fetch's key
+  // (shared by its attempts), x = duration in ns.
+  const auto key = static_cast<std::int64_t>(++fetches_);
   sim::Duration backoff = cfg.retry_backoff;
   for (int attempt = 0;; ++attempt) {
     out.attempts = attempt + 1;
@@ -174,20 +184,21 @@ os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
             : sim::TimePoint{std::numeric_limits<std::int64_t>::max()};
     out.ok = false;
     FetchOp op;
-    // Each bounded attempt is a child span cause-linked to the fetch.
-    const telemetry::SpanId attempt_span =
-        telemetry::span_begin(reg_, "monitor", "attempt", fetch_span);
+    const sim::TimePoint attempt_at = simu.now();
     co_await issue(self, op, deadline);
     co_await await_resolution(self, op, out);
-    telemetry::span_end(reg_, attempt_span,
-                        out.ok ? "ok" : to_string(out.error));
+    telemetry::fr_record(fr_, kAttemptKind[static_cast<int>(out.error)],
+                         backend_node_id(), key,
+                         static_cast<double>((simu.now() - attempt_at).ns));
     if (out.ok || attempt >= cfg.fetch_retries) break;
     telemetry::add(m_backoff_waits_);
     co_await os::SleepFor{backoff};
     backoff = backoff * 2;
   }
   out.retrieved_at = simu.now();
-  telemetry::span_end(reg_, fetch_span, out.ok ? "ok" : to_string(out.error));
+  telemetry::fr_record(fr_, kFetchKind[static_cast<int>(out.error)],
+                       backend_node_id(), key,
+                       static_cast<double>(out.latency().ns));
   record_sample(out);
 }
 

@@ -238,6 +238,8 @@ class FrontendMonitor {
   telemetry::Counter* m_transport_ = nullptr;
   telemetry::Counter* m_retries_ = nullptr;
   telemetry::Counter* m_backoff_waits_ = nullptr;
+  telemetry::FlightRing* fr_ = nullptr;  ///< "monitor.<fe>" ring
+  std::uint64_t fetches_ = 0;  ///< blocking fetches started (record keys)
 };
 
 /// Convenience bundle: wires a complete monitoring channel (connection for

@@ -15,10 +15,12 @@ sim::TimePoint attempt_deadline(const MonitorConfig& cfg,
 
 }  // namespace
 
-void ScatterFetcher::resolve_metrics(sim::Simulation& simu) {
+void ScatterFetcher::resolve_metrics(os::Node& frontend) {
   metrics_resolved_ = true;
+  sim::Simulation& simu = frontend.simu();
   reg_ = telemetry::Registry::of(simu);
   if (reg_ == nullptr) return;
+  fr_ = reg_->recorder().ring("monitor." + frontend.name());
   m_rounds_ = &reg_->counter("scatter.rounds");
   auto outcome = [&](const char* result) -> telemetry::Counter& {
     return reg_->counter("scatter.outcome",
@@ -70,9 +72,9 @@ os::Program ScatterFetcher::round(os::SimThread& self,
 
   sim::Simulation& simu = self.node().simu();
   if (out.size() < targets_.size()) out.resize(targets_.size());
-  if (!metrics_resolved_) resolve_metrics(simu);
-  const telemetry::SpanId round_span =
-      telemetry::span_begin(reg_, "scatter", "round");
+  if (!metrics_resolved_) resolve_metrics(self.node());
+  const sim::TimePoint round_at = simu.now();
+  std::int64_t failed = 0;
   telemetry::add(m_rounds_);
   telemetry::observe(m_round_slots_, static_cast<double>(which.size()));
 
@@ -89,8 +91,9 @@ os::Program ScatterFetcher::round(os::SimThread& self,
   }
 
   // Telemetry: one slot reached its verdict (ok or exhausted).
-  auto slot_done = [this](const Slot& s) {
+  auto slot_done = [this, &failed](const Slot& s) {
     s.mon->record_sample(*s.out);
+    if (!s.out->ok) ++failed;
     telemetry::add(s.out->ok
                        ? m_ok_
                        : (s.out->error == FetchError::Timeout ? m_timeout_
@@ -193,7 +196,11 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     }
     timer.cancel();
   }
-  telemetry::span_end(reg_, round_span);
+  // One "monitor.<fe>" ring record per round: a = slots, b = slots that
+  // ended failed, x = the round's duration in ns.
+  telemetry::fr_record(fr_, "round", static_cast<std::int64_t>(which.size()),
+                       failed,
+                       static_cast<double>((simu.now() - round_at).ns));
 }
 
 os::Program ScatterFetcher::round_all(os::SimThread& self,

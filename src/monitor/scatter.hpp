@@ -49,7 +49,7 @@ class ScatterFetcher {
  private:
   /// Caches instrument pointers and binds the CQ collector on the first
   /// round (no-op without a registry).
-  void resolve_metrics(sim::Simulation& simu);
+  void resolve_metrics(os::Node& frontend);
 
   std::vector<FrontendMonitor*> targets_;
   net::CompletionQueue cq_;  ///< shared completion channel (+ wait queue)
@@ -64,6 +64,7 @@ class ScatterFetcher {
   telemetry::HistogramMetric* m_wave_width_ = nullptr;
   telemetry::HistogramMetric* m_retries_ = nullptr;
   telemetry::ScopedCollector collector_;  ///< exports the shared CQ counters
+  telemetry::FlightRing* fr_ = nullptr;   ///< "monitor.<fe>" ring
 };
 
 }  // namespace rdmamon::monitor

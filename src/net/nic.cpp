@@ -11,7 +11,8 @@ Nic::Nic(Fabric& fabric, os::Node& node) : fabric_(fabric), node_(node) {
   }
   if (fabric.config().qos.enabled) {
     arbiter_ = std::make_unique<TenantArbiter>(
-        fabric.simu(), fabric.config().qos, fabric.config().bandwidth_bps);
+        fabric.simu(), fabric.config().qos, fabric.config().bandwidth_bps,
+        "qos." + node.name());
   }
   // Snapshot-time export of the NIC's always-on introspection counters;
   // a no-op bind when no registry is installed.

@@ -4,11 +4,17 @@
 #include <cmath>
 #include <limits>
 
+#include "telemetry/registry.hpp"
+
 namespace rdmamon::net {
 
 TenantArbiter::TenantArbiter(sim::Simulation& simu, const QosConfig& cfg,
-                             double engine_bps)
-    : simu_(simu), cfg_(cfg), engine_bps_(engine_bps) {}
+                             double engine_bps, std::string_view ring_name)
+    : simu_(simu), cfg_(cfg), engine_bps_(engine_bps) {
+  if (telemetry::Registry* reg = telemetry::Registry::of(simu)) {
+    fr_ = reg->recorder().ring(ring_name);
+  }
+}
 
 TenantArbiter::TenantState& TenantArbiter::state_of(TenantId t) {
   auto it = ts_.find(t);
@@ -39,23 +45,6 @@ void TenantArbiter::refill(TenantState& st, sim::TimePoint now) {
   st.last_refill = now;
 }
 
-void TenantArbiter::note(std::uint64_t seq, TenantId t, std::size_t bytes,
-                         const char* verdict) {
-  ++decisions_;
-  if (trace_lines_ >= cfg_.trace_limit) return;
-  ++trace_lines_;
-  trace_ += std::to_string(seq);
-  trace_ += " t=";
-  trace_ += std::to_string(simu_.now().ns);
-  trace_ += " tenant=";
-  trace_ += std::to_string(t);
-  trace_ += " bytes=";
-  trace_ += std::to_string(bytes);
-  trace_ += ' ';
-  trace_ += verdict;
-  trace_ += '\n';
-}
-
 bool TenantArbiter::submit(TenantId tenant, std::size_t bytes,
                           std::function<void()> grant) {
   TenantState& st = state_of(tenant);
@@ -63,7 +52,9 @@ bool TenantArbiter::submit(TenantId tenant, std::size_t bytes,
   const std::uint64_t seq = seq_++;
   if (st.q.size() >= st.cap) {
     ++st.stats.dropped;
-    note(seq, tenant, bytes, "drop");
+    telemetry::fr_record(fr_, "qos.drop", tenant,
+                         static_cast<std::int64_t>(seq),
+                         static_cast<double>(bytes));
     return false;
   }
   Op op;
@@ -127,7 +118,9 @@ void TenantArbiter::pump() {
     ++best->stats.admitted;
     best->stats.admitted_bytes += op.bytes;
     if (now > op.enqueued) ++best->stats.deferred;
-    note(op.seq, best_id, op.bytes, "admit");
+    telemetry::fr_record(fr_, "qos.admit", best_id,
+                         static_cast<std::int64_t>(op.seq),
+                         static_cast<double>(op.bytes));
     // Occupy the tx engine for the op's serialisation; the op's own
     // downstream latency is charged by the NIC as before, so an
     // uncontended post sees zero added delay.

@@ -29,11 +29,15 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+
+namespace rdmamon::telemetry {
+class FlightRing;
+}
 
 namespace rdmamon::net {
 
@@ -66,9 +70,6 @@ struct QosConfig {
   bool enabled = false;
   double default_weight = 1.0;
   std::size_t default_queue_cap = 1024;
-  /// Decision-trace retention (admit/defer/drop lines kept for the
-  /// determinism checks); older decisions are only counted.
-  std::size_t trace_limit = 4096;
   std::vector<TenantQosSpec> tenants;
 
   const TenantQosSpec* find(TenantId t) const {
@@ -83,6 +84,9 @@ struct QosConfig {
 /// footprint plus a continuation; the continuation runs (synchronously
 /// when uncontended) once the op wins arbitration. The tx engine then
 /// stays occupied for bytes/engine_bps before the next op is picked.
+/// With a telemetry registry installed, every decision lands in the
+/// flight ring `ring_name` as "qos.admit" / "qos.drop" (a = tenant,
+/// b = the op's submission sequence number, x = its wire bytes).
 class TenantArbiter {
  public:
   /// Per-tenant accounting, exported as net.qos.* gauges by the NIC.
@@ -99,7 +103,7 @@ class TenantArbiter {
   };
 
   TenantArbiter(sim::Simulation& simu, const QosConfig& cfg,
-                double engine_bps);
+                double engine_bps, std::string_view ring_name = "qos");
 
   /// Submits one op of `bytes` wire footprint for `tenant`. Returns false
   /// when the tenant's queue is full — the op is dropped and `grant` is
@@ -111,12 +115,6 @@ class TenantArbiter {
   Stats stats(TenantId t) const;
   /// Tenants that have submitted at least one op, ascending.
   std::vector<TenantId> tenants() const;
-
-  /// Total admit/defer/drop decisions taken.
-  std::uint64_t decisions() const { return decisions_; }
-  /// The bounded decision trace: one "seq at tenant bytes verdict" line
-  /// per decision, byte-identical across same-seed runs.
-  const std::string& trace() const { return trace_; }
 
  private:
   struct Op {
@@ -141,8 +139,6 @@ class TenantArbiter {
   TenantState& state_of(TenantId t);
   void refill(TenantState& st, sim::TimePoint now);
   void pump();
-  void note(std::uint64_t seq, TenantId t, std::size_t bytes,
-            const char* verdict);
 
   sim::Simulation& simu_;
   QosConfig cfg_;
@@ -153,9 +149,7 @@ class TenantArbiter {
   double vtime_ = 0.0;  ///< SFQ virtual time (start tag in service)
   bool busy_ = false;
   std::uint64_t seq_ = 0;
-  std::uint64_t decisions_ = 0;
-  std::string trace_;
-  std::size_t trace_lines_ = 0;
+  telemetry::FlightRing* fr_ = nullptr;  ///< decision ring (registry only)
   sim::EventHandle timer_;
   bool timer_armed_ = false;
   sim::TimePoint timer_at_{};

@@ -188,27 +188,6 @@ util::JsonValue to_json(const Snapshot& snap) {
   return doc;
 }
 
-util::JsonValue spans_to_json(const SpanTracer& spans) {
-  util::JsonValue arr = util::JsonValue::array();
-  for (const Span& s : spans.finished()) {
-    util::JsonValue j = util::JsonValue::object();
-    j["id"] = s.id;
-    if (s.cause != 0) j["cause"] = s.cause;
-    j["component"] = s.component;
-    j["name"] = s.name;
-    j["begin_ns"] = static_cast<std::int64_t>(s.begin.ns);
-    j["end_ns"] = static_cast<std::int64_t>(s.end.ns);
-    j["outcome"] = s.outcome;
-    if (!s.notes.empty()) {
-      util::JsonValue& notes = j["notes"];
-      notes = util::JsonValue::array();
-      for (const std::string& n : s.notes) notes.push_back(n);
-    }
-    arr.push_back(std::move(j));
-  }
-  return arr;
-}
-
 bool write_file(const std::string& path, const std::string& text) {
   std::ofstream os(path, std::ios::trunc);
   if (!os) return false;
@@ -216,8 +195,7 @@ bool write_file(const std::string& path, const std::string& text) {
   return static_cast<bool>(os);
 }
 
-void print_dashboard(std::ostream& os, const Snapshot& snap,
-                     const SpanTracer* spans, std::size_t max_spans) {
+void print_dashboard(std::ostream& os, const Snapshot& snap) {
   os << "-- telemetry @ t=" << sim::to_string(snap.at) << " ("
      << snap.entries.size() << " instruments) --\n";
   // Group into sections by the name's first '.'-component. Entries are
@@ -250,20 +228,6 @@ void print_dashboard(std::ostream& os, const Snapshot& snap,
              << " p50=" << num(e.hist.p50) << " p99=" << num(e.hist.p99);
           break;
       }
-      os << '\n';
-    }
-  }
-  if (spans != nullptr && !spans->finished().empty()) {
-    os << "  -- last spans --\n";
-    const auto& fin = spans->finished();
-    const std::size_t n = std::min(max_spans, fin.size());
-    for (std::size_t i = fin.size() - n; i < fin.size(); ++i) {
-      const Span& s = fin[i];
-      os << "  #" << s.id;
-      if (s.cause != 0) os << "<-#" << s.cause;
-      os << " " << s.component << "/" << s.name << " " << s.outcome << " "
-         << sim::to_string(s.duration());
-      for (const std::string& note : s.notes) os << " {" << note << "}";
       os << '\n';
     }
   }

@@ -1,6 +1,7 @@
 // Snapshot export: Prometheus-style text exposition and a JSON document
-// (via util::JsonValue), plus a span dump. Pure functions of a Snapshot,
-// so exports are as deterministic as the run that produced them.
+// (via util::JsonValue). Pure functions of a Snapshot, so exports are as
+// deterministic as the run that produced them. Events have one export
+// path of their own: FlightRecorder::dump (telemetry/recorder.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -21,18 +22,12 @@ std::string to_prometheus(const Snapshot& snap);
 /// JSON document: {"at_ns": ..., "metrics": [{name, labels, kind, ...}]}.
 util::JsonValue to_json(const Snapshot& snap);
 
-/// JSON array of finished spans (id, cause, component, name, begin/end ns,
-/// outcome, notes), oldest first.
-util::JsonValue spans_to_json(const SpanTracer& spans);
-
 /// Writes `text` to `path`, returning false (and leaving a partial file
 /// possibly behind) on I/O failure.
 bool write_file(const std::string& path, const std::string& text);
 
-/// Human-oriented dashboard: metrics grouped by name with aligned values,
-/// plus the most recent spans — what the examples print.
-void print_dashboard(std::ostream& os, const Snapshot& snap,
-                     const SpanTracer* spans = nullptr,
-                     std::size_t max_spans = 12);
+/// Human-oriented dashboard: metrics grouped by name with aligned values
+/// — what the examples print.
+void print_dashboard(std::ostream& os, const Snapshot& snap);
 
 }  // namespace rdmamon::telemetry

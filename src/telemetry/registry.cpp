@@ -42,7 +42,6 @@ Registry::~Registry() {
 void Registry::install(sim::Simulation& simu) {
   simu_ = &simu;
   simu.set_telemetry(this);
-  spans_.bind_clock([s = &simu] { return s->now(); });
   recorder_.bind_clock([s = &simu] { return s->now(); });
 }
 

@@ -1,6 +1,6 @@
 // The telemetry plane's metrics registry: labelled counters, gauges and
 // log-bucketed histograms (reusing sim::Histogram / sim::OnlineStats),
-// plus the span tracer, bound to one simulation run.
+// plus the flight recorder, bound to one simulation run.
 //
 // Design constraints, in order:
 //
@@ -39,7 +39,6 @@
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 #include "telemetry/recorder.hpp"
-#include "telemetry/span.hpp"
 
 #ifndef RDMAMON_TELEMETRY_ENABLED
 #define RDMAMON_TELEMETRY_ENABLED 1
@@ -173,10 +172,6 @@ class Registry {
   std::uint64_t add_collector(std::function<void(Registry&)> fn);
   void remove_collector(std::uint64_t id);
 
-  /// The span tracer sharing this registry's clock.
-  SpanTracer& spans() { return spans_; }
-  const SpanTracer& spans() const { return spans_; }
-
   /// The always-on flight recorder sharing this registry's clock.
   /// Components cache FlightRing pointers from it at wiring time.
   FlightRecorder& recorder() { return recorder_; }
@@ -212,7 +207,6 @@ class Registry {
   std::vector<std::pair<std::uint64_t, std::function<void(Registry&)>>>
       collectors_;
   std::uint64_t next_collector_id_ = 1;
-  SpanTracer spans_;
   FlightRecorder recorder_;
   SloEngine* slo_ = nullptr;
 };
@@ -273,46 +267,6 @@ inline void observe(HistogramMetric* h, double v) noexcept {
 
 inline void observe(HistogramMetric* h, sim::Duration d) noexcept {
   observe(h, static_cast<double>(d.ns));
-}
-
-// --- span helpers (null-registry tolerant) ---------------------------------
-
-inline SpanId span_begin(Registry* r, std::string_view component,
-                         std::string_view name, SpanId cause = {}) {
-  if constexpr (kEnabled) {
-    return r ? r->spans().begin(component, name, cause) : SpanId{};
-  } else {
-    (void)r;
-    (void)component;
-    (void)name;
-    (void)cause;
-    return SpanId{};
-  }
-}
-
-inline void span_end(Registry* r, SpanId id, std::string_view outcome = "ok") {
-  if constexpr (kEnabled) {
-    if (r && id) r->spans().end(id, outcome);
-  } else {
-    (void)r;
-    (void)id;
-    (void)outcome;
-  }
-}
-
-/// Instantaneous annotated span (fault events, health transitions).
-inline void span_event(Registry* r, std::string_view component,
-                       std::string_view name, std::string note,
-                       SpanId cause = {}) {
-  if constexpr (kEnabled) {
-    if (r) r->spans().event(component, name, std::move(note), cause);
-  } else {
-    (void)r;
-    (void)component;
-    (void)name;
-    (void)note;
-    (void)cause;
-  }
 }
 
 }  // namespace rdmamon::telemetry

@@ -121,9 +121,6 @@ void SloEngine::transition(Stream& s, sim::TimePoint at) {
     }
     s.edge_counter->inc();
     if (next == AlarmState::Breach) s.breach_counter->inc();
-    span_event(reg_, "slo", "alarm",
-               s.spec.name + ":" + to_string(rec.from) + "->" +
-                   to_string(rec.to));
   }
   fr_record_at(fr_, at, "alarm", s.index, static_cast<std::int64_t>(next),
                s.consumed);

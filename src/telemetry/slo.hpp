@@ -108,9 +108,9 @@ class SloEngine {
   }
 
   /// Attaches this engine to `reg`: clock from the registry, alarm edges
-  /// mirrored to the registry's flight recorder + span tracer + an
-  /// "slo.edges" counter, Breach edges trigger recorder post-mortems,
-  /// and components wired afterwards find the engine via Registry::slo().
+  /// mirrored to the registry's flight recorder + an "slo.edges" counter,
+  /// Breach edges trigger recorder post-mortems, and components wired
+  /// afterwards find the engine via Registry::slo().
   void install(Registry& reg);
 
   Stream* add(SloSpec spec);

@@ -49,7 +49,6 @@ ClusterTestbed::ClusterTestbed(sim::Simulation& simu, ClusterConfig cfg)
           *fabric_, fe, node, mcfg, std::move(ctx)));
     }
     lb_->set_verbs_tuning(cfg_.verbs);
-    lb_->set_poll_mode(cfg_.lb_poll_mode);
     lb_->start(fe, cfg_.lb_granularity);
   } else {
     // Scale-out testbed: M front ends over one shared back-end set. The
@@ -68,7 +67,6 @@ ClusterTestbed::ClusterTestbed(sim::Simulation& simu, ClusterConfig cfg)
       cluster::FrontendPlane& fp = plane_->add_frontend(
           fe, lb::WeightConfig::for_scheme(cfg_.scheme));
       fp.balancer().set_health_config(cfg_.health);
-      fp.balancer().set_poll_mode(cfg_.lb_poll_mode);
       lb::DispatcherConfig dcfg;
       dcfg.telemetry_instance = fe.name();
       dispatchers_.push_back(

@@ -52,9 +52,6 @@ struct ClusterConfig {
   sim::Duration retry_backoff = sim::msec(2);
   /// Failure-detector thresholds of the balancer's health tracking.
   lb::HealthConfig health{};
-  /// Poll strategy of the balancer's refresh loop (scatter by default;
-  /// Sequential reproduces the original O(N) sweep).
-  lb::PollMode lb_poll_mode = lb::PollMode::Scatter;
   /// Verbs fast-path tuning of the monitoring channels (signal-every-k,
   /// inflight windows, shared contexts, CQ moderation). Applied in both
   /// single-front-end and scale-out mode; the defaults keep the

@@ -1,11 +1,13 @@
 // Determinism pins: the whole stack — RUBiS workload, monitoring,
 // dispatch, telemetry, and the multi-front-end scale-out plane — is a
 // pure function of its seed. Two runs at the same seed must export
-// byte-identical telemetry snapshots AND span traces; a different seed
-// must diverge (the equality check is not vacuous). This is the
-// regression net under every golden-trace and bench comparison: if it
-// breaks, someone introduced wall-clock, address-ordering, or unseeded
-// randomness into the simulated path.
+// byte-identical telemetry snapshots AND flight-recorder dumps (every
+// event of the run: verbs posts and completions, scatter-round records,
+// health edges, alarms); a different seed must diverge (the equality
+// check is not vacuous). This is the regression net under every
+// golden-trace and bench comparison: if it breaks, someone introduced
+// wall-clock, address-ordering, or unseeded randomness into the
+// simulated path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,7 +27,7 @@ using sim::seconds;
 
 struct TraceDump {
   std::string metrics;
-  std::string spans;
+  std::string flight;
   std::string alarms;
 };
 
@@ -62,15 +64,22 @@ TraceDump run_rubis(std::uint64_t seed, int frontends) {
   simu.run_for(seconds(1));
 
   return {telemetry::to_json(reg.snapshot()).dump(2),
-          telemetry::spans_to_json(reg.spans()).dump(2),
+          reg.recorder().dump("determinism").dump(2),
           slo.log_json().dump(2)};
+}
+
+/// The dump comparison is not vacuous: it holds the scatter engine's
+/// round records and the NICs' READ posts, not just a header.
+void expect_rich_dump(const std::string& flight) {
+  EXPECT_NE(flight.find("\"kind\": \"round\""), std::string::npos);
+  EXPECT_NE(flight.find("\"kind\": \"read.post\""), std::string::npos);
 }
 
 TEST(Determinism, SameSeedSameTelemetryAndSpans) {
   const TraceDump a = run_rubis(42, 1);
   const TraceDump b = run_rubis(42, 1);
   EXPECT_EQ(a.metrics, b.metrics);
-  EXPECT_EQ(a.spans, b.spans);
+  EXPECT_EQ(a.flight, b.flight);
   // The alarm log slides its windows on the simulated clock, so it must
   // replay byte-for-byte too — and non-vacuously (edges fired).
   EXPECT_EQ(a.alarms, b.alarms);
@@ -78,7 +87,7 @@ TEST(Determinism, SameSeedSameTelemetryAndSpans) {
   // Sanity: the run actually produced telemetry worth comparing.
   EXPECT_NE(a.metrics.find("lb.pick"), std::string::npos);
   EXPECT_NE(a.metrics.find("web.response"), std::string::npos);
-  EXPECT_GT(a.spans.size(), 2u);
+  expect_rich_dump(a.flight);
 }
 
 TEST(Determinism, DifferentSeedDiverges) {
@@ -93,9 +102,10 @@ TEST(Determinism, ScaleOutPlaneIsDeterministicToo) {
   const TraceDump a = run_rubis(7, 4);
   const TraceDump b = run_rubis(7, 4);
   EXPECT_EQ(a.metrics, b.metrics);
-  EXPECT_EQ(a.spans, b.spans);
+  EXPECT_EQ(a.flight, b.flight);
   EXPECT_EQ(a.alarms, b.alarms);
   EXPECT_NE(a.metrics.find("cluster.ring.owned"), std::string::npos);
+  expect_rich_dump(a.flight);
 }
 
 TEST(Determinism, ScaleOutDivergesAcrossSeeds) {

@@ -7,8 +7,9 @@
 //  - weighted fairness: backlogged tenants split admissions in weight
 //    proportion over a window;
 //  - intra-tenant FIFO: arbitration never reorders one tenant's ops;
-//  - determinism: the same seeded submission schedule yields a
-//    byte-identical decision trace, a different seed does not;
+//  - determinism: the same seeded submission schedule yields
+//    byte-identical decision records in the arbiter's flight ring, a
+//    different seed does not;
 //  - token-bucket cap: admitted bytes by time T never exceed
 //    burst + rate*T (+ one op of slack);
 //  - queue cap: floods beyond the cap drop, and the counters reconcile
@@ -24,6 +25,7 @@
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
+#include "telemetry/registry.hpp"
 
 namespace rdmamon {
 namespace {
@@ -114,7 +116,7 @@ TEST(QosProperty, NoIntraTenantReordering) {
 
 /// One seeded submission schedule against a rate-capped tenant (so the
 /// trace contains defers, not just back-to-back admits); returns the
-/// arbiter's decision trace.
+/// arbiter's decision records from its flight ring, one line each.
 std::string run_trace_scenario(std::uint64_t seed) {
   net::QosConfig cfg = enabled_config();
   net::TenantQosSpec capped;
@@ -124,6 +126,8 @@ std::string run_trace_scenario(std::uint64_t seed) {
   cfg.tenants.push_back(capped);
 
   sim::Simulation simu;
+  telemetry::Registry reg;
+  reg.install(simu);
   net::TenantArbiter arb(simu, cfg, 1e8);
   sim::Rng rng(seed);
   for (int k = 0; k < 60; ++k) {
@@ -134,10 +138,19 @@ std::string run_trace_scenario(std::uint64_t seed) {
     simu.at(at, [&arb, t, bytes] { arb.submit(t, bytes, [] {}); });
   }
   simu.run_for(msec(100));
-  return arb.trace();
+  std::string trace;
+  const telemetry::FlightRing* ring = reg.recorder().ring("qos");
+  for (const telemetry::FlightEvent& e : ring->events()) {
+    trace += std::to_string(e.at.ns) + ' ' + e.kind + " tenant=" +
+             std::to_string(e.a) + " seq=" + std::to_string(e.b) +
+             " bytes=" + std::to_string(static_cast<std::int64_t>(e.x)) +
+             '\n';
+  }
+  return trace;
 }
 
 TEST(QosProperty, DecisionTraceIsSeedDeterministic) {
+  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "telemetry off";
   const std::string a = run_trace_scenario(5);
   const std::string b = run_trace_scenario(5);
   const std::string c = run_trace_scenario(6);

@@ -2,8 +2,8 @@
 // stale-completion handling, batched multi-READ posting, the
 // issue/complete split on FrontendMonitor, and the ScatterFetcher round
 // engine. The load-bearing property is PARITY: a scatter round must reach
-// the same per-backend verdicts (ok/error/attempts, health transitions)
-// as the sequential sweep — only the calendar time may differ.
+// the same per-backend verdicts (ok/error/attempts) as blocking fetch()es
+// run one after another — only the calendar time may differ.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,6 +19,7 @@
 #include "net/verbs.hpp"
 #include "os/node.hpp"
 #include "sim/simulation.hpp"
+#include "telemetry/registry.hpp"
 #include "web/cluster.hpp"
 
 namespace rdmamon {
@@ -354,15 +355,16 @@ TEST(ScatterRound, FastPathVerdictsMatchDedicatedUnderCrash) {
 struct LbEnv {
   static constexpr int kBackends = 3;
   sim::Simulation simu;
+  telemetry::Registry reg;  ///< installed first: the "lb" ring is read
   net::Fabric fabric{simu, {}};
   os::Node frontend{simu, {.name = "frontend"}};
   std::vector<std::unique_ptr<os::Node>> backends;
   lb::LoadBalancer lb{lb::WeightConfig::for_scheme(Scheme::RdmaSync)};
 
-  LbEnv(Scheme scheme, lb::PollMode mode, lb::HealthConfig hc = {}) {
+  explicit LbEnv(Scheme scheme, lb::HealthConfig hc = {}) {
+    reg.install(simu);
     fabric.attach(frontend);
     lb.set_health_config(hc);
-    lb.set_poll_mode(mode);
     for (int i = 0; i < kBackends; ++i) {
       os::NodeConfig cfg;
       cfg.name = "backend" + std::to_string(i);
@@ -375,33 +377,46 @@ struct LbEnv {
   }
 };
 
-TEST(PollModeParity, HealthTransitionsMatchAcrossModes) {
-  // Crash -> recover one back end; both poll modes must walk the same
-  // health transition sequence for every back end.
-  auto run = [](lb::PollMode mode) {
-    LbEnv env(Scheme::RdmaSync, mode);
-    std::vector<std::string> trace;
-    env.lb.on_health_change([&](int b, lb::BackendHealth h) {
-      trace.push_back(std::to_string(b) + ":" + lb::to_string(h));
-    });
-    const int victim_node = env.backends[1]->id;
-    env.simu.at(sim::TimePoint{msec(50).ns},
-                [&] { env.fabric.inject_crash(victim_node); });
-    env.simu.at(sim::TimePoint{msec(400).ns},
-                [&] { env.fabric.inject_recover(victim_node); });
-    env.simu.run_for(seconds(1));
-    trace.push_back("final:" +
-                    std::string(lb::to_string(env.lb.health_of(1))));
-    return trace;
-  };
-  const auto scatter = run(lb::PollMode::Scatter);
-  const auto sequential = run(lb::PollMode::Sequential);
-  EXPECT_EQ(scatter, sequential);
-  ASSERT_GE(scatter.size(), 4u);
-  EXPECT_EQ(scatter[0], "1:suspect");
-  EXPECT_EQ(scatter[1], "1:dead");
-  EXPECT_EQ(scatter[2], "1:healthy");
-  EXPECT_EQ(scatter.back(), "final:healthy");
+TEST(ScatterPoller, CrashRecoverWalksHealthLadder) {
+  // Crash -> recover one back end: the poller walks it down the ladder
+  // and back, and leaves every other back end alone.
+  LbEnv env(Scheme::RdmaSync);
+  std::vector<std::string> trace;
+  env.lb.on_health_change([&](int b, lb::BackendHealth h) {
+    trace.push_back(std::to_string(b) + ":" + lb::to_string(h));
+  });
+  const int victim_node = env.backends[1]->id;
+  env.simu.at(sim::TimePoint{msec(50).ns},
+              [&] { env.fabric.inject_crash(victim_node); });
+  env.simu.at(sim::TimePoint{msec(400).ns},
+              [&] { env.fabric.inject_recover(victim_node); });
+  env.simu.run_for(seconds(1));
+  trace.push_back("final:" + std::string(lb::to_string(env.lb.health_of(1))));
+  EXPECT_EQ(trace, (std::vector<std::string>{"1:suspect", "1:dead",
+                                             "1:healthy", "final:healthy"}));
+}
+
+TEST(HealthRing, EdgesAndTakeoverResetRecordBackendAndBothStates) {
+  // The "lb" flight ring alone must tell the story: which back end, the
+  // state it left and the state it entered — for detector edges and for
+  // the scale-out takeover reset, which has a kind of its own.
+  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "telemetry off";
+  LbEnv env(Scheme::RdmaSync);
+  env.fabric.inject_crash(env.backends[2]->id);
+  env.simu.run_for(msec(200));
+  ASSERT_EQ(env.lb.health_of(2), lb::BackendHealth::Dead);
+  env.lb.reset_health(2);  // shard takeover: a clean detector
+  std::vector<std::string> walk;
+  for (const telemetry::FlightEvent& e :
+       env.reg.recorder().ring("lb")->events()) {
+    const auto from = static_cast<lb::BackendHealth>(e.x);
+    const auto to = static_cast<lb::BackendHealth>(e.b);
+    walk.push_back(std::string(e.kind) + " " + std::to_string(e.a) + " " +
+                   lb::to_string(from) + "->" + lb::to_string(to));
+  }
+  EXPECT_EQ(walk, (std::vector<std::string>{
+                      "health 2 healthy->suspect", "health 2 suspect->dead",
+                      "health.reset 2 dead->healthy"}));
 }
 
 TEST(DeadProbeCadence, DeadBackendIsProbedEveryNthRoundOnly) {
@@ -410,7 +425,7 @@ TEST(DeadProbeCadence, DeadBackendIsProbedEveryNthRoundOnly) {
   auto failures_in_window = [](int dead_probe_every) {
     lb::HealthConfig hc;
     hc.dead_probe_every = dead_probe_every;
-    LbEnv env(Scheme::RdmaSync, lb::PollMode::Scatter, hc);
+    LbEnv env(Scheme::RdmaSync, hc);
     env.fabric.inject_crash(env.backends[1]->id);
     env.simu.run_for(msec(200));  // long past detection
     const std::uint64_t at_dead = env.lb.fetch_failures();
@@ -434,7 +449,6 @@ TEST(Determinism, ScatterClusterRunWithRandomFaultPlanReplaysExactly) {
     web::ClusterConfig cfg;
     cfg.backends = 3;
     cfg.scheme = scheme;
-    cfg.lb_poll_mode = lb::PollMode::Scatter;
     cfg.fetch_timeout = msec(10);
     cfg.fetch_retries = 1;
     cfg.retry_backoff = msec(2);

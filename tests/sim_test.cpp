@@ -9,7 +9,6 @@
 #include "sim/simulation.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
 namespace rdmamon::sim {
 namespace {
@@ -349,64 +348,6 @@ TEST(Stats, TimeSeriesAggregates) {
   EXPECT_DOUBLE_EQ(ts.value_mean(), 4.0);
   EXPECT_DOUBLE_EQ(ts.value_max(), 6.0);
   EXPECT_EQ(ts.size(), 2u);
-}
-
-TEST(Trace, RoutesThroughSinkWithTimestamp) {
-  Simulation s;
-  Tracer tr;
-  std::vector<std::string> lines;
-  tr.enable(
-      TraceLevel::Info, [&](const std::string& l) { lines.push_back(l); },
-      [&] { return s.now(); });
-  tr.debug("x", "hidden");  // below level
-  tr.info("net", "packet sent");
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("[net]"), std::string::npos);
-  EXPECT_NE(lines[0].find("packet sent"), std::string::npos);
-  tr.disable();
-  tr.warn("net", "dropped");
-  EXPECT_EQ(lines.size(), 1u);
-}
-
-TEST(Trace, LazyOverloadSkipsMessageConstructionWhenSuppressed) {
-  Simulation s;
-  Tracer tr;
-  std::vector<std::string> lines;
-  int built = 0;
-  auto make = [&] {
-    ++built;
-    return std::string("expensive message");
-  };
-
-  // Disabled tracer: the callable must never run.
-  tr.debug("net", make);
-  EXPECT_EQ(built, 0);
-
-  tr.enable(
-      TraceLevel::Info, [&](const std::string& l) { lines.push_back(l); },
-      [&] { return s.now(); });
-  tr.debug("net", make);  // below level: still not built
-  EXPECT_EQ(built, 0);
-  tr.info("net", make);  // emitted: built exactly once
-  EXPECT_EQ(built, 1);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("expensive message"), std::string::npos);
-  tr.warn("net", make);  // warn >= info: emitted too
-  EXPECT_EQ(built, 2);
-  EXPECT_EQ(lines.size(), 2u);
-}
-
-TEST(Trace, WouldEmitRequiresLevelAndSink) {
-  Simulation s;
-  Tracer tr;
-  EXPECT_FALSE(tr.would_emit(TraceLevel::Warn));  // no sink, level Off
-  tr.enable(
-      TraceLevel::Warn, [](const std::string&) {},
-      [&] { return s.now(); });
-  EXPECT_FALSE(tr.would_emit(TraceLevel::Info));
-  EXPECT_TRUE(tr.would_emit(TraceLevel::Warn));
-  tr.disable();
-  EXPECT_FALSE(tr.would_emit(TraceLevel::Warn));
 }
 
 }  // namespace

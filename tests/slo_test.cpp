@@ -3,8 +3,8 @@
 // Covers the freshness plane end to end: bounded flight rings and their
 // merged time-ordered dumps, edge-triggered alarm semantics (one record
 // per transition, deterministic budget refill on the simulated clock,
-// byte-identical logs), probe polling, the timer, the AlarmMonitor MR
-// publication — and the acceptance scenario: kill a push publisher's
+// byte-identical logs), probe polling, the timer, MR-published alarms
+// — and the acceptance scenario: kill a push publisher's
 // node, watch "lb.view_age" breach within one window, read the alarm
 // from another node with a one-sided RDMA READ, and validate the
 // post-mortem flight dump it left behind.
@@ -21,7 +21,7 @@
 
 #include "fault/fault.hpp"
 #include "lb/balancer.hpp"
-#include "monitor/alarm.hpp"
+#include "monitor/publisher.hpp"
 #include "monitor/inbox.hpp"
 #include "monitor/monitor.hpp"
 #include "net/fabric.hpp"
@@ -37,6 +37,7 @@ namespace {
 
 using sim::msec;
 using sim::seconds;
+using telemetry::AlarmRecord;
 using telemetry::AlarmState;
 using telemetry::AlarmView;
 using telemetry::FlightRecorder;
@@ -301,7 +302,7 @@ TEST(SloEngine, TimerEvaluatesOnSimulatedClock) {
   eng.disarm_timer();
 }
 
-// --- AlarmMonitor: the MR-published alarm ------------------------------------
+// --- AlarmMonitor: the MR-published alarm (monitor::MrPublisher) ----------
 
 TEST(AlarmMonitor, AlarmReadableViaOneSidedRead) {
   sim::Simulation simu;
@@ -319,9 +320,11 @@ TEST(AlarmMonitor, AlarmReadableViaOneSidedRead) {
   os::Node fe(simu, {.name = "frontend"}), reader(simu, {.name = "reader"});
   fabric.attach(fe);
   fabric.attach(reader);
-  monitor::AlarmMonitorConfig acfg;
+  monitor::PublisherConfig acfg = monitor::kAlarmPublish;
   acfg.period = msec(10);
-  monitor::AlarmMonitor alarms(fabric, fe, eng, acfg);
+  monitor::MrPublisher<AlarmView> alarms(fabric, fe,
+                                         [&eng] { return eng.view(); }, acfg);
+  eng.on_edge([&alarms](const AlarmRecord&) { alarms.publish_now(); });
 
   bool got = false;
   AlarmView remote;
@@ -360,10 +363,12 @@ TEST(AlarmMonitor, EdgeRepublishesWithoutWaitingForPeriod) {
   net::Fabric fabric(simu, {});
   os::Node fe(simu, {.name = "frontend"});
   fabric.attach(fe);
-  monitor::AlarmMonitorConfig acfg;
+  monitor::PublisherConfig acfg = monitor::kAlarmPublish;
   acfg.period = seconds(10);  // heartbeat far beyond the run: only the
                               // edge hook can refresh the slot in time
-  monitor::AlarmMonitor alarms(fabric, fe, eng, acfg);
+  monitor::MrPublisher<AlarmView> alarms(fabric, fe,
+                                         [&eng] { return eng.view(); }, acfg);
+  eng.on_edge([&alarms](const AlarmRecord&) { alarms.publish_now(); });
 
   simu.at(tp(50), [&] {
     eng.observe(s, 500.0, simu.now());
@@ -431,7 +436,9 @@ TEST(FreshnessAlarm, DeadPublisherBreachesSloAndLeavesFlightDump) {
     pubs.back()->start();
   }
   lb.start(fe, msec(50));
-  monitor::AlarmMonitor alarms(fabric, fe, slo);
+  monitor::MrPublisher<AlarmView> alarms(
+      fabric, fe, [&slo] { return slo.view(); }, monitor::kAlarmPublish);
+  slo.on_edge([&alarms](const AlarmRecord&) { alarms.publish_now(); });
 
   // The breach instant, captured at the edge.
   sim::TimePoint breach_at{-1};

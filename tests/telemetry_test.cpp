@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "monitor/meta.hpp"
 #include "monitor/monitor.hpp"
+#include "monitor/publisher.hpp"
 #include "monitor/scatter.hpp"
 #include "net/fabric.hpp"
 #include "net/verbs.hpp"
@@ -17,7 +17,6 @@
 #include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/span.hpp"
 
 // Global allocation counter for the disabled-path no-allocation proof.
 // gtest itself allocates, so tests bracket exactly the code under test.
@@ -174,84 +173,6 @@ TEST(Registry, OfReturnsInstalledRegistryOrNull) {
   }
 }
 
-TEST(Spans, NestingAndCauseLinking) {
-  Registry reg;
-  SpanTracer& tr = reg.spans();
-  const SpanId fetch = tr.begin("monitor", "fetch");
-  const SpanId attempt1 = tr.begin("monitor", "attempt", fetch);
-  tr.end(attempt1, "timeout");
-  const SpanId attempt2 = tr.begin("monitor", "attempt", fetch);
-  tr.note(attempt2, "retry after backoff");
-  tr.end(attempt2, "ok");
-  tr.end(fetch, "ok");
-
-  EXPECT_EQ(tr.open_count(), 0u);
-  ASSERT_EQ(tr.finished().size(), 3u);
-  const Span* a1 = tr.find_finished(attempt1);
-  const Span* a2 = tr.find_finished(attempt2);
-  const Span* f = tr.find_finished(fetch);
-  ASSERT_NE(a1, nullptr);
-  ASSERT_NE(a2, nullptr);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(a1->cause, fetch.id);
-  EXPECT_EQ(a2->cause, fetch.id);
-  EXPECT_EQ(f->cause, 0u);
-  EXPECT_EQ(a1->outcome, "timeout");
-  EXPECT_EQ(a2->outcome, "ok");
-  ASSERT_EQ(a2->notes.size(), 1u);
-  EXPECT_EQ(a2->notes[0], "retry after backoff");
-}
-
-TEST(Spans, BoundedRingDropsOldestFinished) {
-  SpanTracer tr;
-  tr.set_capacity(4);
-  std::vector<SpanId> ids;
-  for (int i = 0; i < 10; ++i) {
-    const SpanId s = tr.begin("x", "s" + std::to_string(i));
-    tr.end(s);
-    ids.push_back(s);
-  }
-  EXPECT_EQ(tr.finished().size(), 4u);
-  EXPECT_EQ(tr.started(), 10u);
-  EXPECT_EQ(tr.dropped(), 6u);
-  EXPECT_EQ(tr.find_finished(ids.front()), nullptr);  // evicted
-  EXPECT_NE(tr.find_finished(ids.back()), nullptr);
-  EXPECT_EQ(tr.finished().front().name, "s6");
-}
-
-TEST(Spans, EndOfUnknownIdIsNoop) {
-  SpanTracer tr;
-  tr.end(SpanId{9999});      // never started
-  tr.note(SpanId{9999}, "x");
-  EXPECT_EQ(tr.finished().size(), 0u);
-  EXPECT_FALSE(SpanId{});
-  EXPECT_TRUE(SpanId{1});
-}
-
-TEST(Spans, EventIsInstantAnnotatedSpan) {
-  Registry reg;
-  const SpanId e = reg.spans().event("fault", "crash", "node2 down");
-  const Span* s = reg.spans().find_finished(e);
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->begin.ns, s->end.ns);
-  ASSERT_EQ(s->notes.size(), 1u);
-  EXPECT_EQ(s->notes[0], "node2 down");
-}
-
-TEST(Spans, MirrorsEndsToSimTracer) {
-  Registry reg;
-  sim::Tracer tracer;
-  std::vector<std::string> lines;
-  tracer.enable(
-      sim::TraceLevel::Debug, [&](const std::string& l) { lines.push_back(l); },
-      [] { return sim::TimePoint{}; });
-  reg.spans().mirror_to(&tracer);
-  const SpanId s = reg.spans().begin("monitor", "fetch");
-  reg.spans().end(s, "ok");
-  ASSERT_FALSE(lines.empty());
-  EXPECT_NE(lines.back().find("fetch"), std::string::npos);
-}
-
 TEST(RecordHelpers, NullTolerant) {
   // The hot-path helpers must accept null instrument pointers (registry
   // absent) without crashing.
@@ -260,9 +181,6 @@ TEST(RecordHelpers, NullTolerant) {
   set(nullptr, 1.0);
   observe(static_cast<HistogramMetric*>(nullptr), 2.0);
   observe(static_cast<HistogramMetric*>(nullptr), sim::usec(3));
-  EXPECT_FALSE(span_begin(nullptr, "c", "n"));
-  span_end(nullptr, SpanId{1});
-  span_event(nullptr, "c", "n", "note");
 }
 
 TEST(RecordHelpers, DisabledPathDoesNotAllocate) {
@@ -273,13 +191,13 @@ TEST(RecordHelpers, DisabledPathDoesNotAllocate) {
   Counter* c = nullptr;
   Gauge* g = nullptr;
   HistogramMetric* h = nullptr;
-  Registry* r = nullptr;
+  FlightRing* r = nullptr;
   const std::uint64_t before = g_allocs;
   for (int i = 0; i < 1000; ++i) {
     add(c);
     set(g, static_cast<double>(i));
     observe(h, static_cast<double>(i));
-    span_end(r, SpanId{}, "ok");
+    fr_record(r, "kind", i);
   }
   EXPECT_EQ(g_allocs, before);
   static_assert(kEnabled == (RDMAMON_TELEMETRY_ENABLED != 0),
@@ -313,16 +231,15 @@ TEST(Export, JsonRoundTripsThroughDump) {
   EXPECT_NE(text.find("\"metrics\""), std::string::npos);
 }
 
-TEST(Export, DashboardPrintsGroupedMetricsAndSpans) {
+TEST(Export, DashboardPrintsGroupedMetrics) {
   Registry reg;
   reg.counter("net.verbs.posts", Labels{{"node", "fe"}}).inc(3);
-  const SpanId s = reg.spans().begin("monitor", "fetch");
-  reg.spans().end(s, "ok");
   std::ostringstream os;
-  print_dashboard(os, reg.snapshot(), &reg.spans());
+  print_dashboard(os, reg.snapshot());
   const std::string out = os.str();
+  EXPECT_NE(out.find("[net]"), std::string::npos);
   EXPECT_NE(out.find("net.verbs.posts"), std::string::npos);
-  EXPECT_NE(out.find("monitor/fetch"), std::string::npos);
+  EXPECT_NE(out.find("{node=fe} 3"), std::string::npos);
 }
 
 TEST(Export, DashboardSectionsAreSortedAndStable) {
@@ -332,7 +249,7 @@ TEST(Export, DashboardSectionsAreSortedAndStable) {
   reg.gauge("net.up").set(1);                                // [net]
   reg.counter("lb.pick", Labels{{"backend", "b0"}}).inc(2);  // [lb]
   std::ostringstream os;
-  print_dashboard(os, reg.snapshot(), nullptr);
+  print_dashboard(os, reg.snapshot());
   const std::string out = os.str();
   const std::size_t body = out.find("  [");
   ASSERT_NE(body, std::string::npos);
@@ -344,7 +261,7 @@ TEST(Export, DashboardSectionsAreSortedAndStable) {
   EXPECT_EQ(out.substr(body), expected);
   // Deterministic: a second render is byte-identical.
   std::ostringstream os2;
-  print_dashboard(os2, reg.snapshot(), nullptr);
+  print_dashboard(os2, reg.snapshot());
   EXPECT_EQ(os.str(), os2.str());
 }
 
@@ -472,11 +389,13 @@ TEST(Integration, MonitorRunPopulatesRegistry) {
   mcfg.scheme = monitor::Scheme::RdmaSync;
   monitor::MonitorChannel chan(fabric, fe, be, mcfg);
   int okay = 0;
+  std::vector<std::int64_t> latency_ns;
   fe.spawn("mon", [&](os::SimThread& self) -> os::Program {
     for (int i = 0; i < 20; ++i) {
       monitor::MonitorSample s;
       co_await chan.frontend().fetch(self, s);
       if (s.ok) ++okay;
+      latency_ns.push_back(s.latency().ns);
       co_await os::SleepFor{sim::msec(10)};
     }
   });
@@ -495,9 +414,30 @@ TEST(Integration, MonitorRunPopulatesRegistry) {
   EXPECT_GT(lat->hist.p50, 0.0);
   // Verbs-layer instruments appeared too.
   EXPECT_NE(snap.find("net.nic.rdma_posted", "node=fe"), nullptr);
-  // Fetch spans were recorded and closed.
-  EXPECT_GT(reg.spans().finished().size(), 0u);
-  EXPECT_EQ(reg.spans().open_count(), 0u);
+  // Every finished fetch left one "fetch.*" record in the front end's
+  // ring, keyed 1..20, with its latency as the duration; each key's
+  // attempts precede it and sum to no more than the fetch.
+  const FlightRing* ring = reg.recorder().ring("monitor.fe");
+  std::vector<std::int64_t> keys;
+  std::map<std::int64_t, double> attempt_ns;
+  for (const FlightEvent& e : ring->events()) {
+    EXPECT_EQ(e.a, be.id) << e.kind;
+    const std::string kind = e.kind;
+    if (kind.starts_with("attempt.")) {
+      attempt_ns[e.b] += e.x;
+      continue;
+    }
+    ASSERT_TRUE(kind.starts_with("fetch.")) << kind;
+    keys.push_back(e.b);
+    const std::size_t n = keys.size();
+    EXPECT_EQ(e.b, static_cast<std::int64_t>(n));
+    ASSERT_LE(n, latency_ns.size());
+    EXPECT_DOUBLE_EQ(e.x, static_cast<double>(latency_ns[n - 1]));
+    EXPECT_GT(attempt_ns[e.b], 0.0);
+    EXPECT_LE(attempt_ns[e.b], e.x);
+  }
+  EXPECT_EQ(keys.size(), 20u);
+  EXPECT_EQ(attempt_ns.size(), keys.size());
 }
 
 TEST(Integration, IdenticalRunsYieldIdenticalExports) {
@@ -589,7 +529,7 @@ TEST(Integration, VerbsFastPathCountersExportDeterministically) {
     out.retired = value("scatter.cq.unsignaled_retired", "");
     out.prom = to_prometheus(snap);
     std::ostringstream os;
-    print_dashboard(os, snap, nullptr);
+    print_dashboard(os, snap);
     out.dash = os.str();
     return out;
   };
@@ -631,9 +571,10 @@ TEST(Meta, SelfMonitorServesSnapshotThroughOneSidedRead) {
   fabric.attach(reader);
 
   reg.counter("monitor.fetch.retries").inc(5);  // something to observe
-  monitor::SelfMonitorConfig scfg;
+  monitor::PublisherConfig scfg;
   scfg.period = sim::msec(10);
-  monitor::TelemetrySelfMonitor meta(fabric, fe, reg, scfg);
+  monitor::MrPublisher<Snapshot> meta(fabric, fe,
+                                      monitor::snapshot_producer(reg), scfg);
 
   bool got = false;
   Snapshot remote;
@@ -667,9 +608,10 @@ TEST(Meta, StopFreezesPublishedSnapshot) {
   net::Fabric fabric(simu, {});
   os::Node fe(simu, {.name = "frontend"});
   fabric.attach(fe);
-  monitor::SelfMonitorConfig scfg;
+  monitor::PublisherConfig scfg;
   scfg.period = sim::msec(10);
-  monitor::TelemetrySelfMonitor meta(fabric, fe, reg, scfg);
+  monitor::MrPublisher<Snapshot> meta(fabric, fe,
+                                      monitor::snapshot_producer(reg), scfg);
   simu.run_for(sim::msec(45));
   const std::uint64_t before = meta.published();
   EXPECT_GE(before, 3u);

@@ -19,7 +19,7 @@ import sys
 
 # AlarmState / BackendHealth enum orders mirror the C++ definitions.
 ALARM_STATES = {0: "ok", 1: "breach-warn", 2: "breach"}
-HEALTH_STATES = {0: "healthy", 1: "degraded", 2: "dead"}
+HEALTH_STATES = {0: "healthy", 1: "suspect", 2: "dead"}
 
 
 def us(ns):
@@ -30,6 +30,11 @@ def ms(ns):
     return f"{ns / 1e6:.3f}ms"
 
 
+def health(a, b, x, note=""):
+    return (f"backend{a} {HEALTH_STATES.get(int(x), x)} -> "
+            f"{HEALTH_STATES.get(b, b)}{note}")
+
+
 # kind -> callable(a, b, x) -> human string. a/b are ints, x is a float;
 # all default to 0 (the dump omits zero fields to stay small).
 DECODERS = {
@@ -38,13 +43,27 @@ DECODERS = {
     "read.comp": lambda a, b, x: f"RDMA READ completion status={a} wr={b} rtt={us(x)}",
     "write.post": lambda a, b, x: f"RDMA WRITE posted -> node{a} wr={b} len={int(x)}B",
     "write.comp": lambda a, b, x: f"RDMA WRITE completion status={a} wr={b} rtt={us(x)}",
-    # monitor ring (push-inbox seqlock scans)
+    # qos ring (per-NIC tenant arbiter decisions; b = submission seq)
+    "qos.admit": lambda a, b, x: f"tenant{a} op#{b} admitted ({int(x)}B)",
+    "qos.drop": lambda a, b, x: f"tenant{a} op#{b} DROPPED at queue cap ({int(x)}B)",
+    # inbox ring (push-inbox seqlock scans)
     "scan.fresh": lambda a, b, x: f"slot{a} fresh image seq={b} age={us(x)}",
     "scan.heartbeat": lambda a, b, x: f"slot{a} heartbeat seq={b} age={us(x)}",
     "scan.torn": lambda a, b, x: f"slot{a} torn image seq={b} (skipped)",
     "scan.regressed": lambda a, b, x: f"slot{a} regressed seq={b} (dropped)",
-    # lb ring (health ladder + adaptive mode switches)
-    "health": lambda a, b, x: f"backend{a} -> {HEALTH_STATES.get(b, b)}",
+    # monitor ring (blocking fetches, their attempts, scatter rounds; a
+    # fetch and its attempts share the key b)
+    "fetch.ok": lambda a, b, x: f"fetch#{b} node{a} ok in {us(x)}",
+    "fetch.timeout": lambda a, b, x: f"fetch#{b} node{a} TIMED OUT after {us(x)}",
+    "fetch.transport": lambda a, b, x: f"fetch#{b} node{a} transport error after {us(x)}",
+    "attempt.ok": lambda a, b, x: f"  attempt of fetch#{b} node{a} ok in {us(x)}",
+    "attempt.timeout": lambda a, b, x: f"  attempt of fetch#{b} node{a} timed out after {us(x)}",
+    "attempt.transport": lambda a, b, x: f"  attempt of fetch#{b} node{a} transport error after {us(x)}",
+    "round": lambda a, b, x: f"scatter round: {a} slots, {b} failed, took {us(x)}",
+    # lb ring (health ladder + takeover resets + adaptive mode switches;
+    # a = backend index, b = new state, x = the state it left)
+    "health": health,
+    "health.reset": lambda a, b, x: health(a, b, x, " (shard takeover reset)"),
     "mode": lambda a, b, x: f"backend{a} -> {'push' if b else 'pull'}",
     # slo ring (alarm edges; a = SLO registration index)
     "alarm": lambda a, b, x: f"slo#{a} -> {ALARM_STATES.get(b, b)} consumed={x:.2f}",
@@ -55,7 +74,9 @@ DECODERS = {
     "unfreeze": lambda a, b, x: f"node{a} unfrozen",
     "link-degrade": lambda a, b, x: f"node{a} link degraded",
     "link-restore": lambda a, b, x: f"node{a} link restored",
-    # cluster ring (scale-out membership)
+    "storm-start": lambda a, b, x: f"storm{a} started",
+    "storm-stop": lambda a, b, x: f"storm{a} stopped",
+    # gossip ring (scale-out membership, per front end)
     "rejoin": lambda a, b, x: f"frontend{a} rejoined membership",
     "evict": lambda a, b, x: f"peer{a} evicted ({'stale view' if b else 'unreachable'})",
     "stale-mark": lambda a, b, x: f"backend{a} staleness strike (unmonitored past bound)",
