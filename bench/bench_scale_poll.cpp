@@ -220,20 +220,14 @@ StrategyCell run_strategy(monitor::MonitorStrategy strat, int n,
         });
   }
 
-  monitor::PushConfig pushcfg;  // defaults: 5ms check, 100ms heartbeat
   std::unique_ptr<monitor::PushInbox> inbox;
   std::vector<std::unique_ptr<monitor::PushPublisher>> pubs;
   if (strat != monitor::MonitorStrategy::Pull) {
-    inbox = std::make_unique<monitor::PushInbox>(fabric, frontend, n,
-                                                 pushcfg.slot_bytes);
-    lb::PushPollConfig pcfg;
-    pcfg.strategy = strat;
-    pcfg.adaptive.push_heartbeat = pushcfg.max_interval;
-    pcfg.adaptive.change_threshold = pushcfg.change_threshold;
-    lb.enable_push(*inbox, pcfg);
+    inbox = std::make_unique<monitor::PushInbox>(fabric, frontend, n);
+    lb.enable_push(*inbox, {strat});
     for (int i = 0; i < n; ++i) {
       pubs.push_back(std::make_unique<monitor::PushPublisher>(
-          fabric, *backends[static_cast<std::size_t>(i)], pushcfg));
+          fabric, *backends[static_cast<std::size_t>(i)]));
       pubs.back()->target(frontend.id, inbox->mr_key(), i);
     }
     lb.on_mode_change([&pubs](std::size_t b, monitor::FetchMode m) {

@@ -4,6 +4,7 @@
 #   ./ci.sh            # tier-1 verify (build + ctest, minus LABELS slow)
 #   ./ci.sh sanitize   # ASan/UBSan build + FULL ctest incl. slow (slower)
 #   ./ci.sh bench      # quick benches + BENCH_*.json checks + golden traces
+#                      # + the repo benchmark's checks (perfbench)
 #   ./ci.sh perf       # Release build, DES-kernel perf smoke (bench_engine)
 #   ./ci.sh slo        # freshness plane only: ctest -L slo + bench_freshness
 #
@@ -46,6 +47,10 @@ elif [[ "${1:-}" == "bench" ]]; then
   # Golden-trace replays (ctest LABELS slow): quick fig3/fig5/scale_poll/
   # verbs/qos pinned against tests/golden/*.json.
   ctest --test-dir build -L slow --output-on-failure -j "$jobs"
+  # The repo benchmark's checks (BENCHMARK.json), short: builds perfbench
+  # against this tree and exits 1 on a request/fetch conservation failure,
+  # differing same-seed outputs, or a dispatch made on no view.
+  python3 perfbench/run.py --seconds 1
 elif [[ "${1:-}" == "slo" ]]; then
   # Freshness-plane smoke: the staleness SLO / flight recorder / alarm-MR
   # surface (ctest LABELS slo) plus the information-age bench. Fast enough

@@ -21,8 +21,9 @@ void FrontendPlane::rejoin(const std::string& reason) {
 }
 
 void FrontendPlane::stall() {
-  if (lb_.poller_thread() != nullptr) node_->sched().kill(lb_.poller_thread());
+  lb_.stall();
   if (gossip_thread_ != nullptr) node_->sched().kill(gossip_thread_);
+  gossip_thread_ = nullptr;
 }
 
 int FrontendPlane::owned_count() const {
@@ -38,23 +39,40 @@ sim::Duration FrontendPlane::max_peer_view_age() const {
   sim::Duration worst{0};
   for (int b = 0; b < plane_->backend_count(); ++b) {
     if (plane_->membership().owner_of(b) == id_) continue;
-    const sim::Duration age = now - last_seen_[static_cast<std::size_t>(b)];
-    if (age.ns > worst.ns) worst = age;
+    worst = std::max(worst, now - lb_.view(b).evidence_at);
   }
   return worst;
+}
+
+std::vector<std::uint64_t> FrontendPlane::poll_counts() const {
+  std::vector<std::uint64_t> polls;
+  for (int b = 0; b < lb_.backends(); ++b) {
+    polls.push_back(lb_.view(b).refreshes);
+  }
+  return polls;
+}
+
+ShardView FrontendPlane::view() const {
+  ShardView v;
+  v.frontend = id_;
+  v.round = round_;
+  v.membership_epoch = plane_->membership().epoch();
+  v.published_at = published_at_;
+  v.entries.reserve(static_cast<std::size_t>(plane_->backend_count()));
+  for (int b = 0; b < plane_->backend_count(); ++b) {
+    if (plane_->membership().owner_of(b) == id_) {
+      v.entries.emplace_back(b, lb_.view(b));
+    }
+  }
+  return v;
 }
 
 void FrontendPlane::wire(sim::Duration granularity) {
   const int n = plane_->backend_count();
   const sim::TimePoint now = node_->simu().now();
-  view_.frontend = id_;
-  view_.entries.resize(static_cast<std::size_t>(n));
-  polls_.assign(static_cast<std::size_t>(n), 0);
-  last_seen_.assign(static_cast<std::size_t>(n), now);
   last_strike_.assign(static_cast<std::size_t>(n), now);
   owned_by_.assign(static_cast<std::size_t>(n), -1);
-  last_round_end_ = now;
-  last_local_ok_ = now;
+  published_at_ = now;
 
   // One channel per back end against the SHARED BackendMonitor: the
   // back end runs one daemon set however many front ends watch it.
@@ -80,24 +98,22 @@ void FrontendPlane::wire(sim::Duration granularity) {
     // One inbox slot per back end, addressed by back-end index — every
     // front end registers the full N slots so a shard can migrate to it
     // without re-registration, only publisher retargeting.
-    inbox_ = std::make_unique<monitor::PushInbox>(
-        plane_->fabric(), *node_, n, plane_->config().publisher.slot_bytes);
+    inbox_ = std::make_unique<monitor::PushInbox>(plane_->fabric(), *node_, n);
     lb_.enable_push(*inbox_, plane_->config().push);
     lb_.on_mode_change([this](std::size_t b, monitor::FetchMode m) {
       plane_->on_owner_mode(static_cast<int>(b), id_, m);
     });
   }
-  lb_.on_round(
-      [this](const std::vector<std::size_t>& targets) { on_round(targets); });
+  lb_.on_round([this](const std::vector<std::size_t>&) { on_round(); });
 
-  // The published view: a registered region whose reader callback
-  // samples view_ at the DMA service instant — TelemetrySelfMonitor's
-  // publish pattern with the shard view as payload. No publisher thread
-  // is needed because on_round() refreshes view_ in place; a host whose
-  // poller stalls stops refreshing while its NIC keeps serving, which
-  // is exactly the stale-view signal peers key on.
+  // The published view: a registered region whose reader callback builds
+  // the ShardView from the balancer's records at the DMA service instant.
+  // No publisher thread and no copy: a host whose monitoring threads
+  // stall stops moving published_at and the records' evidence while its
+  // NIC keeps serving, which is exactly the stale-view signal peers key
+  // on.
   view_mr_ = plane_->fabric().nic(node_->id).register_mr(
-      plane_->config().view_bytes, [this] { return std::any(view_); });
+      plane_->config().view_bytes, [this] { return std::any(view()); });
 
   // One QP per peer front end, completing into our own gossip CQ.
   peer_qps_.resize(static_cast<std::size_t>(plane_->frontend_count()));
@@ -113,7 +129,6 @@ void FrontendPlane::wire(sim::Duration granularity) {
   for (int b = 0; b < n; ++b) {
     owned_by_[static_cast<std::size_t>(b)] = plane_->membership().owner_of(b);
   }
-  view_.membership_epoch = plane_->membership().epoch();
 
   reg_ = telemetry::Registry::of(node_->simu());
   if (reg_ != nullptr) {
@@ -148,28 +163,9 @@ void FrontendPlane::wire(sim::Duration granularity) {
       "gossip", [this](os::SimThread& t) { return gossip_body(t); });
 }
 
-void FrontendPlane::on_round(const std::vector<std::size_t>& targets) {
-  const sim::TimePoint now = node_->simu().now();
-  for (std::size_t i : targets) {
-    ++polls_[i];
-    ViewEntry& e = view_.entries[i];
-    e.sample = lb_.last_sample(static_cast<int>(i));
-    e.health = lb_.health_of(static_cast<int>(i));
-    e.sampled_at = now;
-    e.valid = true;
-    last_seen_[i] = now;
-    last_strike_[i] = now;
-    // A sample retrieved since the previous round ended is proof this
-    // round reached its back end — the connectivity signal the
-    // self-isolation guard keys on.
-    if (e.sample.ok && e.sample.retrieved_at > last_round_end_) {
-      last_local_ok_ = now;
-    }
-  }
-  last_round_end_ = now;
-  view_.round += 1;
-  view_.published_at = now;
-  view_.membership_epoch = plane_->membership().epoch();
+void FrontendPlane::on_round() {
+  ++round_;
+  published_at_ = node_->simu().now();
 }
 
 void FrontendPlane::on_membership_change() {
@@ -184,51 +180,49 @@ void FrontendPlane::on_membership_change() {
       last_strike_[i] = node_->simu().now();
       ++takeovers_;
     }
-    if (owner != id_ && owned_by_[i] == id_) {
-      view_.entries[i].valid = false;  // stop vouching for a lost shard
-    }
     owned_by_[i] = owner;
   }
-  view_.membership_epoch = plane_->membership().epoch();
 }
 
 bool FrontendPlane::may_evict() const {
-  // Evicting a peer is trustworthy only while our own shard polls are
+  // Evicting a peer is trustworthy only while our own shard refreshes are
   // landing: if nothing is reachable, WE are the isolated one. The
-  // evidence must be fresher than the gossip detection window
-  // ((peer_dead_after - 1) periods): a front end whose own network just
-  // died must lose eviction rights BEFORE its failure streak against an
-  // innocent peer can mature, else two partitioned front ends at M=2
-  // evict each other (split-brain). An empty shard (possible but
-  // vanishingly rare with 64 vnodes) has no local signal, so it is
-  // allowed to report — someone must, and a partitioned empty-shard
-  // front end can do no harm to polling anyway.
-  if (owned_count() == 0) return true;
+  // evidence — the latest successful local refresh, a poll or a consumed
+  // push, of a back end we own — must be fresher than the gossip
+  // detection window ((peer_dead_after - 1) periods): a front end whose
+  // own network just died must lose eviction rights BEFORE its failure
+  // streak against an innocent peer can mature, else two partitioned
+  // front ends at M=2 evict each other (split-brain). An empty shard
+  // (possible but vanishingly rare with 64 vnodes) has no local signal,
+  // so it is allowed to report — someone must, and a partitioned
+  // empty-shard front end can do no harm to polling anyway.
+  bool owns_any = false;
+  sim::TimePoint last_local_ok{};
+  for (int b = 0; b < plane_->backend_count(); ++b) {
+    if (plane_->membership().owner_of(b) != id_) continue;
+    owns_any = true;
+    const lb::BackendView& v = lb_.view(b);
+    if (v.source != lb::ViewSource::Gossip) {
+      last_local_ok = std::max(last_local_ok, v.sample.retrieved_at);
+    }
+  }
+  if (!owns_any) return true;
   const ScaleOutConfig& cfg = plane_->config();
   const std::int64_t guard =
       std::min((cfg.peer_dead_after - 1) * cfg.gossip_period.ns,
                cfg.staleness_bound.ns);
-  const sim::Duration since = node_->simu().now() - last_local_ok_;
+  const sim::Duration since = node_->simu().now() - last_local_ok;
   return since.ns < guard;
 }
 
 void FrontendPlane::process_view(const ShardView& v) {
-  reconfig::FrontendMembership& mem = plane_->membership();
-  for (std::size_t i = 0; i < v.entries.size() && i < last_seen_.size();
-       ++i) {
-    const ViewEntry& e = v.entries[i];
-    if (!e.valid) continue;
-    if (mem.owner_of(static_cast<int>(i)) == id_) continue;  // ours: local wins
-    if (e.sampled_at.ns <= last_seen_[i].ns) continue;  // already ingested
-    last_seen_[i] = e.sampled_at;
-    last_strike_[i] = e.sampled_at;
-    if (e.health == lb::BackendHealth::Healthy && e.sample.ok) {
-      lb_.ingest_peer_sample(i, e.sample);
-    } else {
-      // The owner observed failures; mirror one strike per fresh view so
-      // our detector converges toward the owner's verdict.
-      lb_.note_stale(i);
-    }
+  const reconfig::FrontendMembership& mem = plane_->membership();
+  for (const auto& [b, rec] : v.entries) {
+    // Only a back end's current owner vouches for it (membership is
+    // shared), and only evidence newer than ours is news.
+    if (mem.owner_of(b) != v.frontend) continue;
+    if (rec.evidence_at <= lb_.view(b).evidence_at) continue;
+    lb_.ingest_peer(static_cast<std::size_t>(b), rec);
   }
 }
 
@@ -254,7 +248,7 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
           completed && c.status == net::WcStatus::Success;
       bool fresh = false;
       if (read_ok) {
-        const auto v = std::any_cast<ShardView>(c.data);
+        const auto& v = std::any_cast<const ShardView&>(c.data);
         ++gossip_ok_;
         telemetry::add(m_gossip_ok_);
         process_view(v);
@@ -294,11 +288,11 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
     // us recently takes one strike per bound elapsed — the "no back end
     // unmonitored past the bound" guarantee's enforcement point.
     const sim::TimePoint now = simu.now();
-    for (std::size_t i = 0; i < last_seen_.size(); ++i) {
-      if (mem.owner_of(static_cast<int>(i)) == id_) continue;
+    for (std::size_t i = 0; i < last_strike_.size(); ++i) {
+      const int b = static_cast<int>(i);
+      if (mem.owner_of(b) == id_) continue;
       const sim::TimePoint basis =
-          last_strike_[i].ns > last_seen_[i].ns ? last_strike_[i]
-                                                : last_seen_[i];
+          std::max(last_strike_[i], lb_.view(b).evidence_at);
       if ((now - basis).ns > cfg.staleness_bound.ns) {
         last_strike_[i] = now;
         ++stale_marks_;
@@ -347,8 +341,8 @@ void ScaleOutPlane::start(sim::Duration granularity) {
   for (auto& fp : frontends_) fp->wire(granularity);
   if (push_enabled()) {
     for (auto& bm : backend_monitors_) {
-      publishers_.push_back(std::make_unique<monitor::PushPublisher>(
-          *fabric_, bm->node(), cfg_.publisher));
+      publishers_.push_back(
+          std::make_unique<monitor::PushPublisher>(*fabric_, bm->node()));
     }
     retarget_publishers();
     for (auto& p : publishers_) p->start();

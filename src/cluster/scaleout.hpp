@@ -2,11 +2,13 @@
 // back-end set. Polling responsibility is partitioned by the consistent
 // hash ring (cluster/ring) through reconfig::FrontendMembership, so each
 // back end is polled by exactly ONE owner; every front end still sees
-// all N back ends because each owner publishes its shard's load view
-// into a registered MR that peers RDMA-READ one-sided — the same
-// publish pattern as monitor::TelemetrySelfMonitor, with a ShardView as
-// the "load information". The gossip READs cost the publisher no CPU,
-// so the view stays readable even off a saturated or frozen owner.
+// all N back ends because each owner publishes its shard's records into
+// a registered MR that peers RDMA-READ one-sided. The MR's reader builds
+// the ShardView from the balancer's own per-back-end records at the DMA
+// instant — there is no second copy to keep fresh, so whatever refreshed
+// a record (wire poll, pushed WRITE, verification READ) reaches peers.
+// The gossip READs cost the publisher no CPU, so the view stays readable
+// even off a saturated or frozen owner.
 //
 // Failure handling composes three existing mechanisms:
 //  - a peer whose view READs error-complete (crashed host) or whose
@@ -18,15 +20,16 @@
 //    one-sided ops bypass the host CPU at both ends — a frozen front
 //    end keeps monitoring unimpaired under the RDMA schemes (the
 //    paper's core claim), so "the owner died" means inject_crash;
-//  - a peer-view entry older than the staleness bound counts a strike
-//    against that BACK END through LoadBalancer::note_stale, feeding
-//    the existing HealthConfig Suspect/Dead thresholds;
+//  - a back end whose record's evidence is older than the staleness
+//    bound counts a strike against that BACK END through
+//    LoadBalancer::note_stale, feeding the Suspect/Dead ladder;
 //  - a front end that takes over a shard resets the detector of its new
 //    back ends (LoadBalancer::reset_health) so dead-probe throttling
 //    cannot delay the takeover polls.
 //
 // Self-isolation guard: a front end only evicts peers while its OWN
-// shard polls are succeeding (or it owns nothing) — if everything looks
+// shard refreshes (polls or consumed pushes) are succeeding (or it owns
+// nothing) — if everything looks
 // dead, the sane conclusion is that WE are the partitioned one, so we
 // hold our tongue until connectivity proves otherwise. A front end that
 // finds itself evicted rejoins on its first successful peer read.
@@ -35,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/ring.hpp"
@@ -49,33 +53,19 @@
 
 namespace rdmamon::cluster {
 
-/// One back end's entry in a front end's published shard view.
-struct ViewEntry {
-  monitor::MonitorSample sample;  ///< owner's last good sample
-  lb::BackendHealth health = lb::BackendHealth::Healthy;
-  sim::TimePoint sampled_at{};  ///< when the owner last polled it
-  bool valid = false;           ///< covered by the publisher's shard
-};
-
-/// What one front end publishes through its registered view MR. Peers
-/// sample it at the DMA instant (MemoryRegion reader callback), so a
-/// publisher whose poller has stalled keeps serving its last content —
-/// published_at stops advancing, which is what peers key on.
+/// What one front end publishes through its registered view MR, built
+/// at the DMA instant (MemoryRegion reader callback). A publisher whose
+/// poller has stalled keeps serving — published_at stops advancing,
+/// which is what peers key on.
 struct ShardView {
   int frontend = -1;
-  std::uint64_t round = 0;  ///< poll rounds folded into this view
+  std::uint64_t round = 0;  ///< poll rounds the publisher has finished
   std::uint64_t membership_epoch = 0;
-  sim::TimePoint published_at{};
-  std::vector<ViewEntry> entries;  ///< size N; valid marks owned ones
+  sim::TimePoint published_at{};  ///< end of the publisher's last round
+  /// (back-end index, balancer record) of every back end the publisher
+  /// owns at the DMA instant.
+  std::vector<std::pair<int, lb::BackendView>> entries;
 };
-
-/// PushPollConfig whose strategy is Pull (enable_push's own default is
-/// Push, which is right for direct users but not for the plane default).
-inline lb::PushPollConfig pull_only_push_config() {
-  lb::PushPollConfig p;
-  p.strategy = monitor::MonitorStrategy::Pull;
-  return p;
-}
 
 struct ScaleOutConfig {
   /// Gossip period: each front end READs every peer's view this often.
@@ -108,9 +98,7 @@ struct ScaleOutConfig {
   /// byte-identical to before push existed. Push/Adaptive gives every
   /// front end an N-slot inbox and every back end one publisher aimed at
   /// its CURRENT ring owner's inbox (slot index = back-end index).
-  lb::PushPollConfig push = pull_only_push_config();
-  /// Publisher trigger tuning, shared by all back ends.
-  monitor::PushConfig publisher;
+  lb::PushPollConfig push;
 };
 
 class ScaleOutPlane;
@@ -129,8 +117,8 @@ class FrontendPlane {
   os::Node& node() { return *node_; }
   int id() const { return id_; }
 
-  /// The view peers READ (also the MR's logical content right now).
-  const ShardView& view() const { return view_; }
+  /// The view peers READ: the MR's content if it were read right now.
+  ShardView view() const;
   net::MrKey view_mr_key() const { return view_mr_; }
 
   /// This front end's push inbox (null under strategy Pull).
@@ -145,23 +133,26 @@ class FrontendPlane {
   /// Re-enters after a graceful leave().
   void rejoin(const std::string& reason = "rejoin");
 
-  /// Kills this front end's poller and gossip threads in place: the
-  /// host stays attached and its NIC keeps DMA-serving the view MR, but
-  /// published_at stops advancing. Models a hung monitoring process
-  /// (SIGSTOP, livelock) — which inject_freeze cannot express, since a
-  /// frozen node's threads keep being scheduled — and is the trigger
-  /// for the peers' stale-view eviction path.
+  /// Kills this front end's monitoring threads in place (poller, inbox
+  /// scanner, gossip): the host stays attached and its NIC keeps
+  /// DMA-serving the view MR, but neither published_at nor any record's
+  /// evidence advances. Models a hung monitoring process (SIGSTOP,
+  /// livelock) — which inject_freeze cannot express, since a frozen
+  /// node's threads keep being scheduled — and is the trigger for the
+  /// peers' stale-view eviction path.
   void stall();
 
   /// Back ends this front end currently owns on the ring.
   int owned_count() const;
-  /// Oldest "last seen" of any back end owned by OTHER members (how far
-  /// behind this front end's picture of foreign shards is). Zero when
-  /// every back end is ours.
+  /// Oldest evidence instant of any back end owned by OTHER members (how
+  /// far behind this front end's picture of foreign shards is). Zero
+  /// when every back end is ours.
   sim::Duration max_peer_view_age() const;
 
   // --- counters (for tests and the scale bench) ---------------------------
-  const std::vector<std::uint64_t>& poll_counts() const { return polls_; }
+  /// Local refreshes per back end: the poll rounds that targeted it plus,
+  /// under push, the pushes consumed from its inbox slot.
+  std::vector<std::uint64_t> poll_counts() const;
   std::uint64_t gossip_reads_ok() const { return gossip_ok_; }
   std::uint64_t gossip_reads_failed() const { return gossip_fail_; }
   std::uint64_t stale_marks() const { return stale_marks_; }
@@ -174,7 +165,7 @@ class FrontendPlane {
 
   /// Called by ScaleOutPlane::start: channels, filter, view MR, gossip.
   void wire(sim::Duration granularity);
-  void on_round(const std::vector<std::size_t>& targets);
+  void on_round();
   void on_membership_change();
   os::Program gossip_body(os::SimThread& self);
   void process_view(const ShardView& v);
@@ -186,21 +177,18 @@ class FrontendPlane {
   lb::LoadBalancer lb_;
   bool wants_membership_ = true;  ///< false after a graceful leave()
 
-  ShardView view_;
+  std::uint64_t round_ = 0;         ///< ShardView::round
+  sim::TimePoint published_at_{};  ///< ShardView::published_at
   net::MrKey view_mr_{};
   std::unique_ptr<monitor::PushInbox> inbox_;  ///< strategy != Pull only
-  sim::TimePoint last_round_end_{};  ///< previous poll round's finish
-  sim::TimePoint last_local_ok_{};   ///< last successful OWN-shard fetch
 
   os::SimThread* gossip_thread_ = nullptr;
   net::CompletionQueue gossip_cq_;
   std::vector<std::unique_ptr<net::QueuePair>> peer_qps_;  ///< by peer id
   std::vector<int> peer_fail_;            ///< consecutive bad view reads
   std::vector<int> owned_by_;             ///< last seen owner per back end
-  std::vector<sim::TimePoint> last_seen_;  ///< per back end, any source
-  std::vector<sim::TimePoint> last_strike_;
+  std::vector<sim::TimePoint> last_strike_;  ///< latest staleness strike
 
-  std::vector<std::uint64_t> polls_;
   std::uint64_t gossip_ok_ = 0;
   std::uint64_t gossip_fail_ = 0;
   std::uint64_t stale_marks_ = 0;

@@ -5,6 +5,23 @@
 
 namespace rdmamon::lb {
 
+namespace {
+/// Inbox silence that triggers a verification READ for a push-mode back
+/// end: the publisher's heartbeat plus transport and scheduling slack, so
+/// healthy back ends are not needlessly verified. Shorter silence is
+/// neutral — it neither feeds nor resets the failure detector.
+constexpr sim::Duration kPushSilenceBound =
+    monitor::PushPublisher::kHeartbeat + sim::msec(50);
+/// Front-end CPU cost of scanning one inbox slot (a local memory read
+/// plus the seqlock checks; no doorbell, no wire).
+constexpr sim::Duration kScanCost = sim::nsec(150);
+/// Cadence of the dedicated inbox scanner thread. The scan is a local
+/// memory sweep, so it runs far faster than the wire poll rounds: a
+/// pushed change reaches the view within ~kScanPeriod instead of waiting
+/// out the poll granularity — the push scheme's freshness advantage.
+constexpr sim::Duration kScanPeriod = sim::msec(5);
+}  // namespace
+
 double load_index(const os::LoadSnapshot& info, const WeightConfig& w) {
   const double net =
       std::min(info.net_rate / w.net_capacity_bps, 1.0);
@@ -28,10 +45,8 @@ double load_index(const os::LoadSnapshot& info, const WeightConfig& w) {
 void LoadBalancer::add_backend(
     std::unique_ptr<monitor::MonitorChannel> channel) {
   channels_.push_back(std::move(channel));
-  samples_.emplace_back();
-  health_.emplace_back();
+  views_.emplace_back();
   wrr_credit_.push_back(0.0);
-  view_src_.push_back(ViewSource::Pull);
   lineage_.emplace_back();
 }
 
@@ -69,64 +84,70 @@ LoadBalancer::LineageCell& LoadBalancer::lineage_cell(std::size_t i,
 }
 
 sim::Duration LoadBalancer::view_age(std::size_t i) const {
-  if (simu_ == nullptr || !samples_[i].ok) return sim::Duration{-1};
-  return simu_->now() - samples_[i].info.computed_at;
+  if (simu_ == nullptr || !views_[i].sample.ok) return sim::Duration{-1};
+  return simu_->now() - views_[i].sample.info.computed_at;
 }
 
 int LoadBalancer::alive_backends() const {
   int n = 0;
-  for (const Health& h : health_) {
-    if (h.state != BackendHealth::Dead) ++n;
+  for (const BackendView& v : views_) {
+    if (v.health != BackendHealth::Dead) ++n;
   }
   return n;
 }
 
 void LoadBalancer::record_fetch(std::size_t i, bool ok) {
-  Health& h = health_[i];
-  const BackendHealth before = h.state;
+  BackendView& v = views_[i];
+  const BackendHealth before = v.health;
   if (ok) {
-    h.fail_streak = 0;
-    ++h.success_streak;
+    v.fail_streak = 0;
+    ++v.success_streak;
     // A Suspect recovers on the first good fetch; a Dead back end must
-    // prove itself for readmit_after fetches (flap damping).
-    if (h.state == BackendHealth::Suspect ||
-        (h.state == BackendHealth::Dead &&
-         h.success_streak >= health_cfg_.readmit_after)) {
-      h.state = BackendHealth::Healthy;
+    // prove itself for kReadmitAfter fetches (flap damping).
+    if (v.health == BackendHealth::Suspect ||
+        (v.health == BackendHealth::Dead &&
+         v.success_streak >= kReadmitAfter)) {
+      v.health = BackendHealth::Healthy;
     }
   } else {
     ++fetch_failures_;
-    h.success_streak = 0;
-    ++h.fail_streak;
-    if (h.fail_streak >= health_cfg_.dead_after) {
-      h.state = BackendHealth::Dead;
-    } else if (h.state == BackendHealth::Healthy &&
-               h.fail_streak >= health_cfg_.suspect_after) {
-      h.state = BackendHealth::Suspect;
+    v.success_streak = 0;
+    ++v.fail_streak;
+    if (v.fail_streak >= kDeadAfter) {
+      v.health = BackendHealth::Dead;
+    } else if (v.health == BackendHealth::Healthy &&
+               v.fail_streak >= kSuspectAfter) {
+      v.health = BackendHealth::Suspect;
     }
   }
-  if (h.state != before) {
+  if (v.health != before) {
     if (reg_ != nullptr) {
-      telemetry::add(h.state == BackendHealth::Healthy ? m_to_healthy_
-                     : h.state == BackendHealth::Suspect
+      telemetry::add(v.health == BackendHealth::Healthy ? m_to_healthy_
+                     : v.health == BackendHealth::Suspect
                          ? m_to_suspect_
                          : m_to_dead_);
     }
     // "lb" ring: a = back end, b = the new state, x = the state it left.
     telemetry::fr_record(fr_, "health", static_cast<std::int64_t>(i),
-                         static_cast<std::int64_t>(h.state),
+                         static_cast<std::int64_t>(v.health),
                          static_cast<double>(before));
-    for (const auto& cb : health_cbs_) cb(static_cast<int>(i), h.state);
+    for (const auto& cb : health_cbs_) cb(static_cast<int>(i), v.health);
   }
 }
 
 void LoadBalancer::apply_sample(std::size_t i,
                                 const monitor::MonitorSample& s,
-                                bool local, ViewSource src) {
+                                ViewSource src) {
   record_fetch(i, s.ok);
+  BackendView& v = views_[i];
+  const bool local = src != ViewSource::Gossip;
+  if (local) {
+    v.evidence_at = simu_->now();
+    ++v.refreshes;
+  }
   if (s.ok) {
-    samples_[i] = s;
-    view_src_[i] = src;
+    v.sample = s;
+    v.source = src;
     // The fetch-latency statistic measures THIS front end's monitoring
     // path; a gossiped sample rode a peer's fetch plus a view READ, so
     // folding its latency in would pollute the metric.
@@ -139,17 +160,21 @@ void LoadBalancer::apply_sample(std::size_t i,
   }
 }
 
-void LoadBalancer::ingest_peer_sample(std::size_t i,
-                                      const monitor::MonitorSample& s) {
-  apply_sample(i, s, /*local=*/false, ViewSource::Gossip);
+void LoadBalancer::ingest_peer(std::size_t i, const BackendView& owner) {
+  if (owner.health == BackendHealth::Healthy && owner.sample.ok) {
+    apply_sample(i, owner.sample, ViewSource::Gossip);
+  } else {
+    note_stale(i);
+  }
+  views_[i].evidence_at = owner.evidence_at;
 }
 
-void LoadBalancer::note_stale(std::size_t i) { record_fetch(i, false); }
-
 void LoadBalancer::reset_health(std::size_t i) {
-  Health& h = health_[i];
-  const BackendHealth before = h.state;
-  h = Health{};
+  BackendView& v = views_[i];
+  const BackendHealth before = v.health;
+  v.health = BackendHealth::Healthy;
+  v.fail_streak = 0;
+  v.success_streak = 0;
   if (before != BackendHealth::Healthy) {
     if (reg_ != nullptr) telemetry::add(m_to_healthy_);
     telemetry::fr_record(fr_, "health.reset", static_cast<std::int64_t>(i),
@@ -166,18 +191,17 @@ void LoadBalancer::enable_push(monitor::PushInbox& inbox,
   assert(inbox.slots() >= backends() &&
          "inbox needs one slot per registered back end");
   push_inbox_ = &inbox;
-  push_cfg_ = cfg;
+  strategy_ = cfg.strategy;
 }
 
 monitor::FetchMode LoadBalancer::fetch_mode(std::size_t i) const {
-  if (push_inbox_ == nullptr ||
-      push_cfg_.strategy == monitor::MonitorStrategy::Pull) {
+  if (push_inbox_ == nullptr || strategy_ == monitor::MonitorStrategy::Pull) {
     return monitor::FetchMode::Pull;
   }
-  if (push_cfg_.strategy == monitor::MonitorStrategy::Push) {
+  if (strategy_ == monitor::MonitorStrategy::Push) {
     return monitor::FetchMode::Push;
   }
-  return adaptive_ ? adaptive_->mode(i) : push_cfg_.adaptive.initial;
+  return adaptive_ ? adaptive_->mode(i) : monitor::FetchMode::Pull;
 }
 
 std::size_t LoadBalancer::push_prepass(std::vector<std::size_t>& targets,
@@ -207,7 +231,7 @@ std::size_t LoadBalancer::push_prepass(std::vector<std::size_t>& targets,
     // outcome drive the ladder — push silence alone never kills a back
     // end (it could be a torn slot or a lost single write).
     if (now - push_inbox_->last_fresh(static_cast<int>(i)) >=
-        push_cfg_.silence_bound) {
+        kPushSilenceBound) {
       ++push_verifications_;
       if (reg_ != nullptr) telemetry::add(m_push_verify_);
       pulls.push_back(i);
@@ -220,18 +244,17 @@ std::size_t LoadBalancer::push_prepass(std::vector<std::size_t>& targets,
 void LoadBalancer::consume_push_fresh(std::size_t i,
                                       const monitor::MonitorSample& s,
                                       bool heartbeat) {
-  ++push_fresh_;
-  if (adaptive_) adaptive_->on_push_fresh(i, heartbeat, s.staleness());
+  if (adaptive_) adaptive_->on_push_fresh(i, heartbeat);
   if (reg_ != nullptr) {
     telemetry::add(m_push_fresh_);
     telemetry::observe(m_push_staleness_, s.staleness());
   }
-  apply_sample(i, s, /*local=*/true, ViewSource::Push);
+  apply_sample(i, s, ViewSource::Push);
 }
 
 os::Program LoadBalancer::scanner_body(os::SimThread& self) {
   for (;;) {
-    co_await os::SleepFor{push_cfg_.scan_period};
+    co_await os::SleepFor{kScanPeriod};
     std::size_t scanned = 0;
     for (std::size_t i = 0; i < channels_.size(); ++i) {
       if (poll_filter_ && !poll_filter_(i)) continue;  // not our shard
@@ -245,8 +268,7 @@ os::Program LoadBalancer::scanner_body(os::SimThread& self) {
       }
     }
     if (scanned > 0) {
-      co_await os::Compute{push_cfg_.scan_cost *
-                           static_cast<std::int64_t>(scanned)};
+      co_await os::Compute{kScanCost * static_cast<std::int64_t>(scanned)};
     }
   }
   (void)self;
@@ -254,14 +276,12 @@ os::Program LoadBalancer::scanner_body(os::SimThread& self) {
 
 std::vector<std::size_t> LoadBalancer::poll_targets(
     std::uint64_t round) const {
-  const int every = health_cfg_.dead_probe_every;
-  const bool probe_dead =
-      every <= 1 || round % static_cast<std::uint64_t>(every) == 0;
+  const bool probe_dead = round % kDeadProbeEvery == 0;
   std::vector<std::size_t> targets;
   targets.reserve(channels_.size());
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     if (poll_filter_ && !poll_filter_(i)) continue;  // not our shard
-    if (probe_dead || health_[i].state != BackendHealth::Dead) {
+    if (probe_dead || views_[i].health != BackendHealth::Dead) {
       targets.push_back(i);
     }
   }
@@ -276,12 +296,11 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
                                   verbs_.cq_mod_period);
   }
   if (push_inbox_ != nullptr &&
-      push_cfg_.strategy == monitor::MonitorStrategy::Adaptive) {
+      strategy_ == monitor::MonitorStrategy::Adaptive) {
     // The pull side of the controller's cost model is by definition this
     // balancer's own poll cadence.
-    push_cfg_.adaptive.pull_period = granularity;
-    adaptive_ = std::make_unique<monitor::AdaptiveController>(
-        push_cfg_.adaptive, backends());
+    adaptive_ = std::make_unique<monitor::AdaptiveController>(granularity,
+                                                              backends());
     for (auto& cb : mode_cbs_) adaptive_->on_switch(cb);
     // Flight-record every mode switch (fr_ is resolved below, before the
     // simulation runs; the callback reads it at fire time).
@@ -291,6 +310,7 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
     });
   }
   simu_ = &frontend.simu();
+  for (BackendView& v : views_) v.evidence_at = simu_->now();
   reg_ = telemetry::Registry::of(frontend.simu());
   if (reg_ != nullptr) {
     // When several balancers share one registry (scale-out plane), each
@@ -373,11 +393,16 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
       frontend.spawn("lb-poller", [this, granularity](os::SimThread& t) {
         return poller_body(t, granularity);
       });
-  if (push_inbox_ != nullptr &&
-      push_cfg_.strategy != monitor::MonitorStrategy::Pull &&
-      push_cfg_.scan_period.ns > 0) {
+  if (push_inbox_ != nullptr && strategy_ != monitor::MonitorStrategy::Pull) {
     scanner_thread_ = frontend.spawn(
         "lb-scanner", [this](os::SimThread& t) { return scanner_body(t); });
+  }
+}
+
+void LoadBalancer::stall() {
+  for (os::SimThread** t : {&poller_thread_, &scanner_thread_}) {
+    if (*t != nullptr) (*t)->node().sched().kill(*t);
+    *t = nullptr;
   }
 }
 
@@ -399,13 +424,12 @@ os::Program LoadBalancer::poller_body(os::SimThread& self,
     if (push_inbox_ != nullptr) {
       const std::size_t scanned = push_prepass(targets, simu.now());
       if (scanned > 0) {
-        co_await os::Compute{push_cfg_.scan_cost *
-                             static_cast<std::int64_t>(scanned)};
+        co_await os::Compute{kScanCost * static_cast<std::int64_t>(scanned)};
       }
     }
     co_await scatter_.round(self, targets, round_buf_);
     for (std::size_t i : targets) {
-      apply_sample(i, round_buf_[i]);
+      apply_sample(i, round_buf_[i], ViewSource::Pull);
       if (adaptive_ && round_buf_[i].ok) {
         adaptive_->on_pull_sample(i, round_buf_[i].info);
       }
@@ -478,12 +502,12 @@ int LoadBalancer::pick() {
     rec.backend = winner;
     rec.weight = winner_w;
     rec.reason = reason;
-    if (samples_[wi].ok) {
-      rec.view_age = rec.at - samples_[wi].info.computed_at;
-      rec.via = source_label(wi, view_src_[wi]);
+    const BackendView& v = views_[wi];
+    if (v.sample.ok) {
+      rec.view_age = rec.at - v.sample.info.computed_at;
+      rec.via = source_label(wi, v.source);
       if (reg_ != nullptr) {
-        telemetry::observe(lineage_cell(wi, view_src_[wi]).dispatch,
-                           rec.view_age);
+        telemetry::observe(lineage_cell(wi, v.source).dispatch, rec.view_age);
       }
       if (slo_ != nullptr && s_view_age_ != nullptr) {
         slo_->observe(s_view_age_, static_cast<double>(rec.view_age.ns),
@@ -497,7 +521,7 @@ int LoadBalancer::pick() {
 }
 
 double LoadBalancer::index_of(int backend) const {
-  const auto& s = samples_[static_cast<std::size_t>(backend)];
+  const monitor::MonitorSample& s = last_sample(backend);
   if (!s.ok) return 0.0;  // no data yet: assume idle
   return load_index(s.info, weights_);
 }

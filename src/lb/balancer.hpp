@@ -62,8 +62,8 @@ double load_index(const os::LoadSnapshot& info, const WeightConfig& w);
 /// fetch outcomes (the only signal the front end has).
 enum class BackendHealth {
   Healthy,  ///< fetches succeeding
-  Suspect,  ///< >= suspect_after consecutive failures; still dispatched
-  Dead,     ///< >= dead_after consecutive failures; out of rotation
+  Suspect,  ///< >= kSuspectAfter consecutive failures; still dispatched
+  Dead,     ///< >= kDeadAfter consecutive failures; out of rotation
 };
 
 inline const char* to_string(BackendHealth h) {
@@ -76,38 +76,42 @@ inline const char* to_string(BackendHealth h) {
 }
 
 /// Thresholds of the consecutive-failure detector.
-struct HealthConfig {
-  int suspect_after = 1;  ///< consecutive failures before Suspect
-  int dead_after = 3;     ///< consecutive failures before Dead
-  int readmit_after = 2;  ///< consecutive successes to re-admit a Dead one
-  /// A Dead back end is probed only every this many poll rounds: each
-  /// probe costs a full fetch_timeout, so probing every round would let
-  /// one dead server slow the whole poll loop. <= 1 probes every round.
-  int dead_probe_every = 8;
+inline constexpr int kSuspectAfter = 1;  ///< consecutive failures before Suspect
+inline constexpr int kDeadAfter = 3;     ///< consecutive failures before Dead
+inline constexpr int kReadmitAfter = 2;  ///< successes to re-admit a Dead one
+/// A Dead back end is probed only every this many poll rounds: each
+/// probe costs a full fetch_timeout, so probing every round would let
+/// one dead server slow the whole poll loop.
+inline constexpr int kDeadProbeEvery = 8;
+
+/// Which refresh path produced a back end's current sample — the
+/// "scheme" dimension of the lineage histograms ("push"/"gossip", or
+/// the channel's wire scheme name for pull).
+enum class ViewSource : std::uint8_t { Pull = 0, Push = 1, Gossip = 2 };
+
+/// Everything one front end knows about one back end. The balancer
+/// keeps exactly one per back end: poll rounds, push scans and gossip
+/// all write it, pick() reads it, and the scale-out plane publishes it
+/// to peers as is.
+struct BackendView {
+  monitor::MonitorSample sample;  ///< last good sample (!ok before any)
+  ViewSource source = ViewSource::Pull;  ///< path that produced `sample`
+  BackendHealth health = BackendHealth::Healthy;
+  int fail_streak = 0;
+  int success_streak = 0;
+  /// Instant of the latest evidence about the back end: every local
+  /// resolution (poll outcome, consumed push, verification READ; ok or
+  /// failed), or the owner's instant for a gossiped record. Staleness
+  /// strikes do not move it.
+  sim::TimePoint evidence_at{};
+  /// Local resolutions so far: poll outcomes, consumed pushes and
+  /// verification READs, ok or failed.
+  std::uint64_t refreshes = 0;
 };
 
-/// Configuration of the push/adaptive refresh strategy (enable_push).
+/// Refresh strategy of a push-capable balancer (enable_push).
 struct PushPollConfig {
-  monitor::MonitorStrategy strategy = monitor::MonitorStrategy::Push;
-  /// Inbox silence that triggers a verification READ for a push-mode back
-  /// end: must exceed the publisher's max_interval (heartbeat) plus
-  /// transport and scheduling slack, or healthy back ends get needlessly
-  /// verified. Silence shorter than this is neutral — it neither feeds
-  /// nor resets the failure detector.
-  sim::Duration silence_bound = sim::msec(150);
-  /// Front-end CPU cost of scanning one inbox slot (a local memory read
-  /// plus the seqlock checks; no doorbell, no wire).
-  sim::Duration scan_cost = sim::nsec(150);
-  /// Cadence of the dedicated inbox scanner thread. The scan is a local
-  /// memory sweep, so it can run far faster than the wire poll rounds —
-  /// this is where the push scheme's freshness advantage comes from: a
-  /// pushed change reaches the view within ~scan_period instead of
-  /// waiting out the poll granularity. Zero disables the thread (slots
-  /// are then consumed only by the per-round pre-pass).
-  sim::Duration scan_period = sim::msec(5);
-  /// Controller tuning; used only when strategy == Adaptive. pull_period
-  /// is overridden with the balancer's granularity at start().
-  monitor::AdaptiveConfig adaptive;
+  monitor::MonitorStrategy strategy = monitor::MonitorStrategy::Pull;
 };
 
 /// One dispatch decision, kept in a bounded ring for post-mortems: who
@@ -141,23 +145,19 @@ class LoadBalancer {
   /// Registers a back end via its monitoring channel.
   void add_backend(std::unique_ptr<monitor::MonitorChannel> channel);
 
-  /// Replaces the failure-detector thresholds (before or after start).
-  void set_health_config(HealthConfig hc) { health_cfg_ = hc; }
-
   /// Verbs-layer tuning for the scatter engine's completion channel:
   /// cq_mod_count/period moderate consumer wakeups on the shared CQ (the
   /// signal-every-k and context-sharing halves live with the channels —
   /// see net::make_context_pool). Call before start(); the defaults keep
   /// the historical one-notify-per-completion behaviour.
   void set_verbs_tuning(net::VerbsTuning t) { verbs_ = t; }
-  const net::VerbsTuning& verbs_tuning() const { return verbs_; }
 
   // --- push / adaptive strategy (monitor/inbox.hpp) ------------------------
   /// Enables the push-based refresh path: back end i's publisher targets
   /// slot i of `inbox` (which must have >= backends() slots and belong to
   /// the front-end node passed to start()). Push-mode back ends are
   /// refreshed by scanning their slot; a slot silent beyond
-  /// cfg.silence_bound falls back to a verification READ through the
+  /// kPushSilenceBound falls back to a verification READ through the
   /// back end's normal channel, and only that fetch's outcome drives the
   /// health ladder. Strategy Adaptive instantiates the per-backend
   /// controller at start(). Call after add_backend, before start();
@@ -181,10 +181,8 @@ class LoadBalancer {
   const monitor::AdaptiveController* adaptive() const {
     return adaptive_.get();
   }
-  monitor::PushInbox* push_inbox() { return push_inbox_; }
 
-  /// Fresh inbox images applied / verification READs triggered by silence.
-  std::uint64_t push_fresh() const { return push_fresh_; }
+  /// Verification READs triggered by inbox silence.
   std::uint64_t push_verifications() const { return push_verifications_; }
 
   // --- scale-out hooks (src/cluster) ---------------------------------------
@@ -192,7 +190,7 @@ class LoadBalancer {
   /// scale-out plane's shard ownership filter. Re-evaluated every round,
   /// so a ring rebalance takes effect at the next poll with no rewiring.
   /// Back ends filtered out keep their samples/health state; feed them
-  /// through ingest_peer_sample / note_stale instead.
+  /// through ingest_peer / note_stale instead.
   void set_poll_filter(std::function<bool(std::size_t)> f) {
     poll_filter_ = std::move(f);
   }
@@ -203,17 +201,19 @@ class LoadBalancer {
     round_cbs_.push_back(std::move(cb));
   }
 
-  /// Merges a sample another front-end's poller retrieved (gossiped via a
-  /// peer-view READ) as if this balancer had fetched it: updates the
-  /// load sample and drives the same Healthy/Suspect/Dead detector.
-  /// Only the local fetch-latency statistic is left untouched.
-  void ingest_peer_sample(std::size_t i, const monitor::MonitorSample& s);
+  /// Merges the record a peer owner published for back end `i`: a
+  /// healthy owner's sample is applied as if this balancer had fetched
+  /// it (only the local fetch-latency statistic is left untouched); an
+  /// owner that observed failures mirrors one strike, so this detector
+  /// converges toward the owner's verdict. Either way the record's
+  /// evidence instant becomes the owner's.
+  void ingest_peer(std::size_t i, const BackendView& owner);
 
-  /// Counts one staleness strike against back end `i`: the peer-view
-  /// entry covering it exceeded the staleness bound, which is a
-  /// monitoring failure exactly like a timed-out fetch, and feeds the
-  /// same consecutive-failure HealthConfig thresholds.
-  void note_stale(std::size_t i);
+  /// Counts one staleness strike against back end `i`: nobody has shown
+  /// this front end fresh evidence about it within the staleness bound,
+  /// which is a monitoring failure exactly like a timed-out fetch. The
+  /// evidence instant stays where it was.
+  void note_stale(std::size_t i) { record_fetch(i, false); }
 
   /// Resets back end `i`'s failure detector to Healthy (zeroed streaks),
   /// firing health callbacks if the state changes. Used on shard
@@ -231,9 +231,9 @@ class LoadBalancer {
   /// Spawns the front-end poller thread. Call once after add_backend.
   void start(os::Node& frontend, sim::Duration granularity);
 
-  /// The poller spawned by start() (null before). The scale-out plane's
-  /// stall() kills it to model a hung monitoring process.
-  os::SimThread* poller_thread() { return poller_thread_; }
+  /// Kills the poller and the inbox scanner in place: a hung monitoring
+  /// process. The records keep their last content and evidence instants.
+  void stall();
 
   /// Picks the next back end by smooth weighted round-robin over
   /// per-server weights w_i = max(floor, 1 - load_index_i), the WebSphere
@@ -245,15 +245,16 @@ class LoadBalancer {
 
   int backends() const { return static_cast<int>(channels_.size()); }
   double index_of(int backend) const;
+  const BackendView& view(int backend) const {
+    return views_[static_cast<std::size_t>(backend)];
+  }
   const monitor::MonitorSample& last_sample(int backend) const {
-    return samples_[static_cast<std::size_t>(backend)];
+    return view(backend).sample;
   }
   const WeightConfig& weights() const { return weights_; }
 
   // --- failure detection ---------------------------------------------------
-  BackendHealth health_of(int backend) const {
-    return health_[static_cast<std::size_t>(backend)].state;
-  }
+  BackendHealth health_of(int backend) const { return view(backend).health; }
   /// Back ends currently in rotation (not Dead).
   int alive_backends() const;
   /// Total failed fetches seen by the poller.
@@ -263,7 +264,6 @@ class LoadBalancer {
   void on_health_change(std::function<void(int, BackendHealth)> cb) {
     health_cbs_.push_back(std::move(cb));
   }
-  const HealthConfig& health_config() const { return health_cfg_; }
 
   /// Mean observed refresh latency (monitoring fetch) per back end.
   const sim::OnlineStats& fetch_latency_ns() const { return fetch_lat_; }
@@ -288,16 +288,6 @@ class LoadBalancer {
   sim::Duration view_age(std::size_t i) const;
 
  private:
-  struct Health {
-    BackendHealth state = BackendHealth::Healthy;
-    int fail_streak = 0;
-    int success_streak = 0;
-  };
-
-  /// Which refresh path produced a back end's current view — the
-  /// "scheme" dimension of the lineage histograms ("push"/"gossip", or
-  /// the channel's wire scheme name for pull).
-  enum class ViewSource : std::uint8_t { Pull = 0, Push = 1, Gossip = 2 };
   static constexpr std::size_t kViewSources = 3;
 
   /// Lazily-resolved per-{backend, source} lineage instruments.
@@ -316,24 +306,25 @@ class LoadBalancer {
   /// charged by the caller).
   std::size_t push_prepass(std::vector<std::size_t>& targets,
                            sim::TimePoint now);
-  /// Dedicated inbox scanner (push_cfg_.scan_period > 0): sweeps every
-  /// push-mode slot far more often than the wire polls run, so pushed
-  /// changes reach the view at memory-read latency. Verification and the
-  /// failure ladder stay with the per-round pre-pass.
+  /// Dedicated inbox scanner: sweeps every push-mode slot far more often
+  /// than the wire polls run, so pushed changes reach the view at
+  /// memory-read latency. Verification and the failure ladder stay with
+  /// the per-round pre-pass.
   os::Program scanner_body(os::SimThread& self);
   /// Consumes one Fresh scan result: counters, adaptive evidence,
   /// telemetry, then apply_sample. Shared by pre-pass and scanner.
   void consume_push_fresh(std::size_t i, const monitor::MonitorSample& s,
                           bool heartbeat);
   void record_fetch(std::size_t i, bool ok);
+  /// Applies one resolution of back end `i`: drives the ladder, keeps an
+  /// ok sample, and (for a local source) stamps the evidence instant.
   void apply_sample(std::size_t i, const monitor::MonitorSample& s,
-                    bool local = true, ViewSource src = ViewSource::Pull);
+                    ViewSource src);
   /// Targets of poll round `round`: every live back end, plus the Dead
   /// ones on the dead-probe cadence.
   std::vector<std::size_t> poll_targets(std::uint64_t round) const;
 
   WeightConfig weights_;
-  HealthConfig health_cfg_;
   net::VerbsTuning verbs_;  ///< CQ moderation for the scatter channel
   std::function<bool(std::size_t)> poll_filter_;  ///< shard ownership
   std::vector<std::function<void(const std::vector<std::size_t>&)>>
@@ -342,8 +333,7 @@ class LoadBalancer {
   os::SimThread* poller_thread_ = nullptr;
   os::SimThread* scanner_thread_ = nullptr;
   std::vector<std::unique_ptr<monitor::MonitorChannel>> channels_;
-  std::vector<monitor::MonitorSample> samples_;
-  std::vector<Health> health_;
+  std::vector<BackendView> views_;  ///< one record per back end
   std::vector<double> wrr_credit_;  // smooth weighted-RR state
   std::vector<std::function<void(int, BackendHealth)>> health_cbs_;
   std::uint64_t fetch_failures_ = 0;
@@ -352,18 +342,16 @@ class LoadBalancer {
   std::vector<monitor::MonitorSample> round_buf_;
   // Push / adaptive strategy state (enable_push).
   monitor::PushInbox* push_inbox_ = nullptr;  ///< not owned
-  PushPollConfig push_cfg_;
+  monitor::MonitorStrategy strategy_ = monitor::MonitorStrategy::Pull;
   std::unique_ptr<monitor::AdaptiveController> adaptive_;
   std::vector<std::function<void(std::size_t, monitor::FetchMode)>> mode_cbs_;
-  std::uint64_t push_fresh_ = 0;
   std::uint64_t push_verifications_ = 0;
-  // Information-age lineage (tentpole of the freshness plane): per-view
-  // provenance, per-{backend, source} age histograms, the dispatch ring,
-  // and the SLO streams fed from pick(). The SloEngine (when one is
-  // installed on the registry) must outlive this balancer — probes are
-  // removed in the destructor.
-  sim::Simulation* simu_ = nullptr;  ///< bound at start(); clock for pick()
-  std::vector<ViewSource> view_src_;  ///< provenance of samples_[i]
+  // Information-age lineage (tentpole of the freshness plane): per-
+  // {backend, source} age histograms, the dispatch ring, and the SLO
+  // streams fed from pick(). The SloEngine (when one is installed on the
+  // registry) must outlive this balancer — probes are removed in the
+  // destructor.
+  sim::Simulation* simu_ = nullptr;  ///< bound at start(); the view clock
   std::vector<std::array<LineageCell, kViewSources>> lineage_;
   std::deque<DispatchRecord> dispatch_log_;
   std::size_t dispatch_log_cap_ = 256;

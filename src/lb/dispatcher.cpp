@@ -65,7 +65,7 @@ std::size_t Dispatcher::fail_pending_to(int backend) {
 
 net::Socket& Dispatcher::add_client(os::Node& client_node) {
   net::Connection& conn = fabric_->connect(client_node, *frontend_);
-  frontend_->spawn("disp-fwd" + std::to_string(pending_.size()),
+  frontend_->spawn("disp-fwd" + std::to_string(++clients_),
                    [this, sock = &conn.end_b()](os::SimThread& t) {
                      return forwarder_body(t, sock);
                    });

@@ -81,6 +81,7 @@ class Dispatcher {
   AdmissionController* admission_ = nullptr;
 
   std::vector<net::Socket*> backend_socks_;
+  std::size_t clients_ = 0;  ///< forwarders spawned (numbers their names)
   std::unordered_map<std::uint64_t, PendingEntry> pending_;  // id -> route
   std::vector<std::uint64_t> per_backend_;
   std::uint64_t forwarded_ = 0;

@@ -17,38 +17,33 @@ const char* to_string(MonitorStrategy s) {
   return "?";
 }
 
-AdaptiveController::AdaptiveController(AdaptiveConfig cfg, int backends)
-    : cfg_(cfg), st_(static_cast<std::size_t>(backends)) {
-  for (State& s : st_) {
-    s.mode = cfg_.initial;
-    s.candidate = cfg_.initial;
-  }
-}
+AdaptiveController::AdaptiveController(sim::Duration pull_period,
+                                       int backends)
+    : pull_period_(pull_period), st_(static_cast<std::size_t>(backends)) {}
 
 void AdaptiveController::on_pull_sample(std::size_t i,
                                         const os::LoadSnapshot& info) {
   State& s = st_[i];
   ++s.pull_samples;
-  if (s.has_prev && change_delta(info, s.prev) >= cfg_.change_threshold) {
+  if (s.has_prev &&
+      change_delta(info, s.prev) >= PushPublisher::kChangeThreshold) {
     ++s.pull_changes;
   }
   s.prev = info;
   s.has_prev = true;
 }
 
-void AdaptiveController::on_push_fresh(std::size_t i, bool heartbeat,
-                                       sim::Duration staleness) {
+void AdaptiveController::on_push_fresh(std::size_t i, bool heartbeat) {
   State& s = st_[i];
   if (heartbeat) {
     ++s.push_heartbeats;
   } else {
     ++s.push_fresh;
   }
-  if (staleness > s.worst_staleness) s.worst_staleness = staleness;
 }
 
 double AdaptiveController::est_pull_bps() const {
-  return static_cast<double>(cfg_.pull_bytes) / cfg_.pull_period.seconds();
+  return static_cast<double>(kPullBytes) / pull_period_.seconds();
 }
 
 void AdaptiveController::decide(std::size_t i, sim::TimePoint now,
@@ -65,21 +60,15 @@ void AdaptiveController::decide(std::size_t i, sim::TimePoint now,
     chi = static_cast<double>(s.pull_changes) / epoch_sec;
   }
   const double push_bps =
-      static_cast<double>(cfg_.push_bytes) *
-      (chi + 1.0 / cfg_.push_heartbeat.seconds());
+      static_cast<double>(kPushBytes) *
+      (chi + 1.0 / PushPublisher::kHeartbeat.seconds());
   const double pull_bps = est_pull_bps();
   s.est_push_bps = push_bps;
 
   FetchMode desired = s.mode;
-  if (push_bps * cfg_.hysteresis < pull_bps) {
+  if (push_bps * kHysteresis < pull_bps) {
     desired = FetchMode::Push;
-  } else if (pull_bps * cfg_.hysteresis < push_bps) {
-    desired = FetchMode::Pull;
-  }
-  // Staleness veto: push whose pipeline lags the SLO is wrong no matter
-  // how cheap it is.
-  if (cfg_.staleness_slo.ns > 0 && s.mode == FetchMode::Push &&
-      s.worst_staleness > cfg_.staleness_slo) {
+  } else if (pull_bps * kHysteresis < push_bps) {
     desired = FetchMode::Pull;
   }
 
@@ -90,8 +79,8 @@ void AdaptiveController::decide(std::size_t i, sim::TimePoint now,
       s.candidate = desired;
       s.candidate_epochs = 1;
     }
-    const bool dwelt = s.switches == 0 || now - s.last_switch >= cfg_.min_dwell;
-    if (s.candidate_epochs >= cfg_.dwell_epochs && dwelt) {
+    const bool dwelt = s.switches == 0 || now - s.last_switch >= kMinDwell;
+    if (s.candidate_epochs >= kDwellEpochs && dwelt) {
       s.mode = desired;
       s.last_switch = now;
       ++s.switches;
@@ -109,7 +98,6 @@ void AdaptiveController::decide(std::size_t i, sim::TimePoint now,
   s.pull_changes = 0;
   s.push_fresh = 0;
   s.push_heartbeats = 0;
-  s.worst_staleness = sim::Duration{};
 }
 
 void AdaptiveController::tick(sim::TimePoint now) {
@@ -118,7 +106,7 @@ void AdaptiveController::tick(sim::TimePoint now) {
     epoch_start_ = now;
     return;
   }
-  if (now - epoch_start_ < cfg_.epoch) return;
+  if (now - epoch_start_ < kEpoch) return;
   const double epoch_sec = (now - epoch_start_).seconds();
   for (std::size_t i = 0; i < st_.size(); ++i) decide(i, now, epoch_sec);
   epoch_start_ = now;

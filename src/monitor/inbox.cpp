@@ -24,11 +24,9 @@ double change_delta(const os::LoadSnapshot& a, const os::LoadSnapshot& b) {
 
 // --- PushInbox ----------------------------------------------------------------
 
-PushInbox::PushInbox(net::Fabric& fabric, os::Node& frontend, int slots,
-                     std::size_t slot_bytes)
+PushInbox::PushInbox(net::Fabric& fabric, os::Node& frontend, int slots)
     : frontend_(&frontend),
       nic_(&fabric.nic(frontend.id)),
-      slot_bytes_(slot_bytes),
       slots_(static_cast<std::size_t>(slots)),
       consumed_(static_cast<std::size_t>(slots), 0),
       last_fresh_(static_cast<std::size_t>(slots),
@@ -36,7 +34,7 @@ PushInbox::PushInbox(net::Fabric& fabric, os::Node& frontend, int slots,
   // One region for all N slots; the writer overwrites the addressed slot
   // blindly (raw-memory WRITE semantics — no validation at the target).
   key_ = nic_->register_mr(
-      slot_bytes_ * static_cast<std::size_t>(slots),
+      kSlotBytes * static_cast<std::size_t>(slots),
       /*reader=*/nullptr,
       /*remote_writable=*/true, [this](const std::any& v) {
         const auto& w = std::any_cast<const InboxWrite&>(v);
@@ -112,9 +110,8 @@ void PushInbox::deregister() {
 
 // --- PushPublisher ------------------------------------------------------------
 
-PushPublisher::PushPublisher(net::Fabric& fabric, os::Node& backend,
-                             PushConfig cfg)
-    : fabric_(&fabric), backend_(&backend), cfg_(cfg) {}
+PushPublisher::PushPublisher(net::Fabric& fabric, os::Node& backend)
+    : fabric_(&fabric), backend_(&backend) {}
 
 void PushPublisher::target(int frontend_node, net::MrKey inbox_key,
                            int slot) {
@@ -158,7 +155,7 @@ void PushPublisher::stop() {
 os::Program PushPublisher::body(os::SimThread& self) {
   sim::Simulation& simu = backend_->simu();
   for (;;) {
-    co_await os::SleepFor{cfg_.check_period};
+    co_await os::SleepFor{kCheckPeriod};
     // Reap completions first (free, like any CQ poll). An error clears
     // the change baseline: whatever we thought the front end knows, it
     // may not, so the next decision pushes unconditionally — the push
@@ -180,12 +177,12 @@ os::Program PushPublisher::body(os::SimThread& self) {
     const os::LoadSnapshot snap = backend_->procfs().snapshot();
     const sim::TimePoint now = simu.now();
     const bool heartbeat_due =
-        !has_pushed_ || now - last_push_ >= cfg_.max_interval;
+        !has_pushed_ || now - last_push_ >= kHeartbeat;
     const bool changed =
         !has_baseline_ ||
-        change_delta(snap, baseline_) >= cfg_.change_threshold;
+        change_delta(snap, baseline_) >= kChangeThreshold;
     const bool min_ok =
-        !has_pushed_ || now - last_push_ >= cfg_.min_interval;
+        !has_pushed_ || now - last_push_ >= kMinInterval;
     const bool change_push = changed && min_ok;
     if (!change_push && !heartbeat_due) continue;
     ++seq_;
@@ -197,7 +194,7 @@ os::Program PushPublisher::body(os::SimThread& self) {
     image.seq_check = seq_;
     co_await os::Compute{net::kDoorbellCost};
     qp_->post_write(inbox_key_, std::any(InboxWrite{slot_, image}),
-                    cfg_.slot_bytes, cq_.alloc_wr_id());
+                    PushInbox::kSlotBytes, cq_.alloc_wr_id());
     in_flight_ = true;
     has_pushed_ = true;
     last_push_ = now;

@@ -45,7 +45,7 @@ struct InboxSlot {
   std::uint64_t seq = 0;  ///< seqlock head stamp
   os::LoadSnapshot info;
   sim::TimePoint pushed_at{};  ///< back-end clock at WRITE post
-  bool heartbeat = false;      ///< pushed by the max_interval timer, not a change
+  bool heartbeat = false;      ///< pushed by the heartbeat timer, not a change
   std::uint64_t seq_check = 0; ///< seqlock tail stamp; == seq when untorn
 };
 
@@ -61,12 +61,13 @@ struct InboxWrite {
 /// scanning discipline (seqlock check + consumed-sequence tracking).
 class PushInbox {
  public:
-  PushInbox(net::Fabric& fabric, os::Node& frontend, int slots,
-            std::size_t slot_bytes = 256);
+  /// Slot image size on the wire (the WRITE's payload).
+  static constexpr std::size_t kSlotBytes = 256;
+
+  PushInbox(net::Fabric& fabric, os::Node& frontend, int slots);
 
   net::MrKey mr_key() const { return key_; }
   int slots() const { return static_cast<int>(slots_.size()); }
-  std::size_t slot_bytes() const { return slot_bytes_; }
   os::Node& node() { return *frontend_; }
 
   /// What one scan of a slot observed.
@@ -116,7 +117,6 @@ class PushInbox {
   os::Node* frontend_;
   net::Nic* nic_;
   net::MrKey key_{};
-  std::size_t slot_bytes_;
   bool deregistered_ = false;
   std::vector<InboxSlot> slots_;
   std::vector<std::uint64_t> consumed_;   ///< last consumed seq per slot
@@ -131,24 +131,9 @@ class PushInbox {
   telemetry::FlightRing* fr_ = nullptr;
 };
 
-/// Push-trigger tuning (back-end side).
-struct PushConfig {
-  /// How often the publisher daemon wakes to sample /proc and decide.
-  sim::Duration check_period = sim::msec(5);
-  /// Floor between change-triggered pushes (burst damping).
-  sim::Duration min_interval = sim::msec(5);
-  /// Heartbeat ceiling: a push goes out at least this often even with no
-  /// change, so inbox silence is a bounded-delay death signal.
-  sim::Duration max_interval = sim::msec(100);
-  /// change_delta() vs the last pushed snapshot that triggers a push.
-  double change_threshold = 0.05;
-  /// Slot image size on the wire.
-  std::size_t slot_bytes = 256;
-};
-
-/// Back-end side: a daemon that samples /proc every check_period and
+/// Back-end side: a daemon that samples /proc every kCheckPeriod and
 /// RDMA-WRITEs the snapshot into its inbox slot when it moved by more than
-/// change_threshold (rate-limited by min_interval) or the max_interval
+/// kChangeThreshold (rate-limited by kMinInterval) or the kHeartbeat
 /// heartbeat is due. At most one WRITE in flight, so sequence numbers
 /// arrive in order on the in-order RC fabric.
 ///
@@ -161,7 +146,17 @@ struct PushConfig {
 /// retargeting installs the new inbox.
 class PushPublisher {
  public:
-  PushPublisher(net::Fabric& fabric, os::Node& backend, PushConfig cfg);
+  /// How often the daemon wakes to sample /proc and decide.
+  static constexpr sim::Duration kCheckPeriod = sim::msec(5);
+  /// Floor between change-triggered pushes (burst damping).
+  static constexpr sim::Duration kMinInterval = sim::msec(5);
+  /// Heartbeat ceiling: a push goes out at least this often even with no
+  /// change, so inbox silence is a bounded-delay death signal.
+  static constexpr sim::Duration kHeartbeat = sim::msec(100);
+  /// change_delta() vs the last pushed snapshot that triggers a push.
+  static constexpr double kChangeThreshold = 0.05;
+
+  PushPublisher(net::Fabric& fabric, os::Node& backend);
 
   /// Points this publisher at `slot` of the inbox keyed `inbox_key` on
   /// `frontend_node`. May be called again later (shard migration): the
@@ -188,7 +183,6 @@ class PushPublisher {
   bool paused() const { return paused_; }
 
   os::Node& node() { return *backend_; }
-  const PushConfig& config() const { return cfg_; }
   int slot() const { return slot_; }
 
   // --- introspection --------------------------------------------------------
@@ -203,7 +197,6 @@ class PushPublisher {
 
   net::Fabric* fabric_;
   os::Node* backend_;
-  PushConfig cfg_;
   net::CompletionQueue cq_;
   std::optional<net::QueuePair> qp_;
   int target_node_ = -1;

@@ -24,7 +24,6 @@ ClusterTestbed::ClusterTestbed(sim::Simulation& simu, ClusterConfig cfg)
 
     lb_ = std::make_unique<lb::LoadBalancer>(
         lb::WeightConfig::for_scheme(cfg_.scheme));
-    lb_->set_health_config(cfg_.health);
     dispatchers_.push_back(
         std::make_unique<lb::Dispatcher>(*fabric_, fe, *lb_));
     // A back end declared Dead immediately rejects its pending requests so
@@ -66,7 +65,6 @@ ClusterTestbed::ClusterTestbed(sim::Simulation& simu, ClusterConfig cfg)
       fabric_->attach(fe);
       cluster::FrontendPlane& fp = plane_->add_frontend(
           fe, lb::WeightConfig::for_scheme(cfg_.scheme));
-      fp.balancer().set_health_config(cfg_.health);
       lb::DispatcherConfig dcfg;
       dcfg.telemetry_instance = fe.name();
       dispatchers_.push_back(

@@ -50,8 +50,6 @@ struct ClusterConfig {
   sim::Duration fetch_timeout = sim::msec(200);
   int fetch_retries = 2;
   sim::Duration retry_backoff = sim::msec(2);
-  /// Failure-detector thresholds of the balancer's health tracking.
-  lb::HealthConfig health{};
   /// Verbs fast-path tuning of the monitoring channels (signal-every-k,
   /// inflight windows, shared contexts, CQ moderation). Applied in both
   /// single-front-end and scale-out mode; the defaults keep the

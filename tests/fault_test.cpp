@@ -340,7 +340,7 @@ TEST(HealthDetector, DeadBackendLeavesRotationAndReturns) {
   EXPECT_EQ(env.lb.health_of(victim), lb::BackendHealth::Dead);
   EXPECT_EQ(env.lb.alive_backends(), LbEnv::kBackends - 1);
   EXPECT_GE(env.lb.fetch_failures(),
-            static_cast<std::uint64_t>(env.lb.health_config().dead_after));
+            static_cast<std::uint64_t>(lb::kDeadAfter));
   for (int i = 0; i < 100; ++i) EXPECT_NE(env.lb.pick(), victim);
 
   env.fabric.inject_recover(victim_node);
@@ -441,8 +441,9 @@ TEST(Failover, PendingRequestsAreRejectedAndRoutingResumesAfterRecovery) {
 
 /// Fast scale-out cadences mirroring scaleout_test.cpp: 10 ms polling
 /// and gossip, so eviction (3 failed reads) matures in ~45 ms.
-web::ClusterConfig scaleout_cfg(int frontends, int backends,
-                                sim::Duration staleness) {
+web::ClusterConfig scaleout_cfg(
+    int frontends, int backends, sim::Duration staleness,
+    monitor::MonitorStrategy strategy = monitor::MonitorStrategy::Pull) {
   web::ClusterConfig cfg;
   cfg.frontends = frontends;
   cfg.backends = backends;
@@ -455,12 +456,18 @@ web::ClusterConfig scaleout_cfg(int frontends, int backends,
   cfg.scaleout.gossip_period = msec(10);
   cfg.scaleout.read_timeout = msec(5);
   cfg.scaleout.staleness_bound = staleness;
+  cfg.scaleout.push.strategy = strategy;
   return cfg;
 }
 
-TEST(ScaleOutFault, OwnerCrashEvictsAndSurvivorTakesOver) {
+/// The eviction contract must hold however the owners refresh their
+/// shards: wire polls, pushed WRITEs, or the adaptive mix of both.
+class ScaleOutFaultP
+    : public ::testing::TestWithParam<monitor::MonitorStrategy> {};
+
+TEST_P(ScaleOutFaultP, OwnerCrashEvictsAndSurvivorTakesOver) {
   sim::Simulation simu;
-  web::ClusterTestbed bed(simu, scaleout_cfg(2, 8, msec(60)));
+  web::ClusterTestbed bed(simu, scaleout_cfg(2, 8, msec(60), GetParam()));
   cluster::ScaleOutPlane& plane = *bed.plane();
   simu.at(sim::TimePoint{msec(200).ns},
           [&] { bed.fabric().inject_crash(plane.frontend(0).node().id); });
@@ -517,7 +524,7 @@ TEST(ScaleOutFault, FrozenFrontendKeepsMonitoringOverRdma) {
   // no host CPU at either end, so a FROZEN front end (inbound socket
   // packets parked at ingress) keeps polling its shard, keeps serving
   // its view MR, and keeps reading peers — nothing degrades, nobody is
-  // evicted. Contrast ScaleOutFault.OwnerCrash*: death is a crash.
+  // evicted. Contrast ScaleOutFaultP.OwnerCrash*: death is a crash.
   sim::Simulation simu;
   web::ClusterTestbed bed(simu, scaleout_cfg(2, 8, msec(60)));
   cluster::ScaleOutPlane& plane = *bed.plane();
@@ -547,14 +554,14 @@ TEST(ScaleOutFault, FrozenFrontendKeepsMonitoringOverRdma) {
   }
 }
 
-TEST(ScaleOutFault, StalledPollerIsEvictedOnStaleView) {
+TEST_P(ScaleOutFaultP, StalledPollerIsEvictedOnStaleView) {
   // A hung monitoring PROCESS on a live host: the NIC keeps DMA-serving
   // the view MR (peer READs succeed), but published_at stops advancing.
   // Peers must detect staleness — first per back end (note_stale
   // strikes from the sweep), then of the publisher itself (stale-view
   // fail streak -> eviction) — and take the shard over.
   sim::Simulation simu;
-  web::ClusterTestbed bed(simu, scaleout_cfg(2, 8, msec(60)));
+  web::ClusterTestbed bed(simu, scaleout_cfg(2, 8, msec(60), GetParam()));
   cluster::ScaleOutPlane& plane = *bed.plane();
   ASSERT_GT(plane.frontend(0).owned_count(), 0);
   simu.run_for(msec(200));
@@ -581,6 +588,15 @@ TEST(ScaleOutFault, StalledPollerIsEvictedOnStaleView) {
               lb::BackendHealth::Healthy);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, ScaleOutFaultP,
+    ::testing::Values(monitor::MonitorStrategy::Pull,
+                      monitor::MonitorStrategy::Push,
+                      monitor::MonitorStrategy::Adaptive),
+    [](const auto& info) {
+      return std::string(monitor::to_string(info.param));
+    });
 
 TEST(ScaleOutFault, RandomFrontendCrashPlanKeepsEveryBackendMonitored) {
   // The headline guarantee under a randomized fault plan: staggered

@@ -86,16 +86,11 @@ struct ConformanceEnv {
       transitions[static_cast<std::size_t>(b)].push_back(lb::to_string(h));
     });
     if (strategy != MonitorStrategy::Pull) {
-      monitor::PushConfig pushcfg;
-      inbox = std::make_unique<monitor::PushInbox>(fabric, frontend, n,
-                                                   pushcfg.slot_bytes);
-      lb::PushPollConfig pcfg;
-      pcfg.strategy = strategy;
-      pcfg.adaptive.push_heartbeat = pushcfg.max_interval;
-      lb.enable_push(*inbox, pcfg);
+      inbox = std::make_unique<monitor::PushInbox>(fabric, frontend, n);
+      lb.enable_push(*inbox, {strategy});
       for (int i = 0; i < n; ++i) {
         pubs.push_back(std::make_unique<monitor::PushPublisher>(
-            fabric, *backends[static_cast<std::size_t>(i)], pushcfg));
+            fabric, *backends[static_cast<std::size_t>(i)]));
         pubs.back()->target(frontend.id, inbox->mr_key(), i);
       }
       lb.on_mode_change([this](std::size_t b, FetchMode m) {

@@ -10,7 +10,7 @@
 //  2. The adaptive controller. Mode decisions must be a pure function of
 //     the event trace (determinism — two controllers fed the same events
 //     agree switch for switch) and flap-free by construction (per-backend
-//     switch count bounded by min_dwell) under random traces.
+//     switch count bounded by kMinDwell) under random traces.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,7 +27,6 @@
 namespace rdmamon {
 namespace {
 
-using monitor::AdaptiveConfig;
 using monitor::AdaptiveController;
 using monitor::FetchMode;
 using monitor::InboxSlot;
@@ -167,6 +166,9 @@ TEST(SeqlockProperty, SlotsAreIndependent) {
 
 // --- 2. adaptive controller properties ---------------------------------------
 
+/// The poll granularity the controllers' pull cost is computed from.
+constexpr sim::Duration kPullPeriod = msec(50);
+
 /// One randomly generated controller event. Times are explicit so the
 /// same trace can be replayed into any number of controllers.
 struct TraceEvent {
@@ -175,7 +177,6 @@ struct TraceEvent {
   std::size_t backend;
   os::LoadSnapshot info;       // PullSample
   bool heartbeat = false;      // PushFresh
-  sim::Duration staleness{};   // PushFresh
 };
 
 /// Random but replayable trace: per-backend events every few ms over the
@@ -184,19 +185,19 @@ struct TraceEvent {
 /// is the cheap mode) and BUSY phases (load jumps, change pushes: χ high,
 /// pull is), so a working controller provably flips modes both ways.
 std::vector<TraceEvent> random_trace(std::uint64_t seed,
-                                     const AdaptiveConfig& cfg, int backends,
+                                     int backends,
                                      sim::Duration horizon) {
   sim::Rng rng(seed);
   std::vector<TraceEvent> trace;
   sim::TimePoint now{};
-  sim::TimePoint next_tick = now + cfg.epoch;
+  sim::TimePoint next_tick = now + AdaptiveController::kEpoch;
   const sim::TimePoint end = now + horizon;
   const std::int64_t phase_ns = seconds(2).ns;
   while (now < end) {
     now += msec(1 + rng.uniform_int(0, 9));
     while (next_tick <= now) {
-      trace.push_back({TraceEvent::Tick, next_tick, 0, {}, false, {}});
-      next_tick += cfg.epoch;
+      trace.push_back({TraceEvent::Tick, next_tick, 0, {}, false});
+      next_tick += AdaptiveController::kEpoch;
     }
     const bool busy = (now.ns / phase_ns) % 2 == 1;
     TraceEvent e;
@@ -210,7 +211,6 @@ std::vector<TraceEvent> random_trace(std::uint64_t seed,
     } else {
       e.kind = TraceEvent::PushFresh;
       e.heartbeat = !busy;
-      e.staleness = msec(rng.uniform_int(1, 40));
     }
     trace.push_back(e);
   }
@@ -226,7 +226,7 @@ SwitchLog replay(AdaptiveController& ctl, const std::vector<TraceEvent>& t) {
     switch (e.kind) {
       case TraceEvent::PullSample: ctl.on_pull_sample(e.backend, e.info); break;
       case TraceEvent::PushFresh:
-        ctl.on_push_fresh(e.backend, e.heartbeat, e.staleness);
+        ctl.on_push_fresh(e.backend, e.heartbeat);
         break;
       case TraceEvent::Tick: ctl.tick(e.at); break;
     }
@@ -238,11 +238,10 @@ TEST(AdaptiveProperty, DecisionsAreDeterministic) {
   // Two controllers, same config, same event trace: identical switch
   // sequences, switch for switch. Decisions must depend on nothing but
   // the trace (no wall clock, no global state).
-  AdaptiveConfig cfg;
   for (const std::uint64_t seed : {11ull, 22ull, 33ull, 44ull}) {
-    const auto trace = random_trace(seed, cfg, 4, seconds(10));
-    AdaptiveController a(cfg, 4);
-    AdaptiveController b(cfg, 4);
+    const auto trace = random_trace(seed, 4, seconds(10));
+    AdaptiveController a(kPullPeriod, 4);
+    AdaptiveController b(kPullPeriod, 4);
     const SwitchLog la = replay(a, trace);
     const SwitchLog lb = replay(b, trace);
     EXPECT_EQ(la, lb) << "seed " << seed;
@@ -258,16 +257,16 @@ TEST(AdaptiveProperty, DecisionsAreDeterministic) {
 }
 
 TEST(AdaptiveProperty, SwitchRateIsBoundedByMinDwell) {
-  // The hard flap bound: min_dwell is a floor between one backend's
+  // The hard flap bound: kMinDwell is a floor between one backend's
   // switches, so over a horizon H a backend can switch at most
-  // 1 + H/min_dwell times — whatever the trace does.
-  AdaptiveConfig cfg;
+  // 1 + H/kMinDwell times — whatever the trace does.
   const sim::Duration horizon = seconds(10);
-  const std::uint64_t bound =
-      1 + static_cast<std::uint64_t>(horizon.ns / cfg.min_dwell.ns);
+  const std::uint64_t bound = 1 + static_cast<std::uint64_t>(
+                                      horizon.ns /
+                                      AdaptiveController::kMinDwell.ns);
   for (const std::uint64_t seed : {7ull, 77ull, 777ull}) {
-    const auto trace = random_trace(seed, cfg, 4, horizon);
-    AdaptiveController ctl(cfg, 4);
+    const auto trace = random_trace(seed, 4, horizon);
+    AdaptiveController ctl(kPullPeriod, 4);
     replay(ctl, trace);
     for (std::size_t i = 0; i < 4; ++i) {
       EXPECT_LE(ctl.switches(i), bound)
@@ -279,9 +278,8 @@ TEST(AdaptiveProperty, SwitchRateIsBoundedByMinDwell) {
 TEST(AdaptiveProperty, AdversarialTraceCannotForceFlapping) {
   // Worst-case input: χ alternating between zero and huge every single
   // epoch, i.e. the trace a naive controller would chase. The dwell
-  // filter must hold the switch count at the min_dwell bound.
-  AdaptiveConfig cfg;
-  AdaptiveController ctl(cfg, 1);
+  // filter must hold the switch count at the kMinDwell bound.
+  AdaptiveController ctl(kPullPeriod, 1);
   sim::TimePoint now{};
   const sim::Duration horizon = seconds(10);
   os::LoadSnapshot quiet;      // identical samples: zero change rate
@@ -289,24 +287,25 @@ TEST(AdaptiveProperty, AdversarialTraceCannotForceFlapping) {
   int runq = 0;
   const sim::TimePoint end = now + horizon;
   while (now < end) {
-    now += cfg.epoch;
+    now += AdaptiveController::kEpoch;
     if (busy_epoch) {
       // Many threshold-crossing pull samples / change pushes this epoch.
       for (int k = 0; k < 10; ++k) {
         os::LoadSnapshot s;
         s.nr_running = (runq = (runq + 4) % 8);
         ctl.on_pull_sample(0, s);
-        ctl.on_push_fresh(0, /*heartbeat=*/false, msec(5));
+        ctl.on_push_fresh(0, /*heartbeat=*/false);
       }
     } else {
       ctl.on_pull_sample(0, quiet);
-      ctl.on_push_fresh(0, /*heartbeat=*/true, msec(5));
+      ctl.on_push_fresh(0, /*heartbeat=*/true);
     }
     busy_epoch = !busy_epoch;
     ctl.tick(now);
   }
-  const std::uint64_t bound =
-      1 + static_cast<std::uint64_t>(horizon.ns / cfg.min_dwell.ns);
+  const std::uint64_t bound = 1 + static_cast<std::uint64_t>(
+                                      horizon.ns /
+                                      AdaptiveController::kMinDwell.ns);
   EXPECT_LE(ctl.switches(0), bound);
 }
 

@@ -5,11 +5,13 @@
 // (owner crash mid-round, staleness strikes) live in fault_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
 
 #include "cluster/scaleout.hpp"
+#include "monitor/adaptive.hpp"
 #include "monitor/scheme.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
@@ -154,6 +156,66 @@ TEST(ScaleOut, ExportsRingOwnershipAndPeerViewAgeGauges) {
   EXPECT_NE(json.find("frontend=frontend0"), std::string::npos);
   EXPECT_NE(json.find("frontend=frontend1"), std::string::npos);
 }
+
+// --- the fault-free contract under every refresh strategy --------------------
+
+class ScaleOutP : public ::testing::TestWithParam<monitor::MonitorStrategy> {};
+
+TEST_P(ScaleOutP, FaultFreeRunMarksNothingAndKeepsPeerViewsFresh) {
+  // A healthy cluster under RUBiS load: however an owner refreshes its
+  // shard (wire polls, pushed WRITEs, or the adaptive mix), its peers
+  // must see that freshness through gossip. No front end ever holds a
+  // back end Suspect or Dead, no staleness strike is counted, and no
+  // foreign back end's view ages past the staleness bound.
+  sim::Simulation simu;
+  web::ClusterConfig cfg = scale_cfg(3, 12);
+  cfg.scaleout.staleness_bound = msec(200);
+  cfg.scaleout.push.strategy = GetParam();
+  web::ClusterTestbed bed(simu, cfg);
+  bed.add_clients(1, web::make_rubis_generator());
+  cluster::ScaleOutPlane& plane = *bed.plane();
+
+  std::vector<std::string> transitions;
+  for (int m = 0; m < plane.frontend_count(); ++m) {
+    plane.frontend(m).balancer().on_health_change(
+        [&transitions, m](int b, lb::BackendHealth h) {
+          transitions.push_back("frontend " + std::to_string(m) +
+                                " backend " + std::to_string(b) + " -> " +
+                                lb::to_string(h));
+        });
+  }
+  sim::Duration worst_age{0};
+  for (int k = 1; k <= 200; ++k) {
+    simu.at(sim::TimePoint{} + msec(10) * k, [&plane, &worst_age] {
+      for (int m = 0; m < plane.frontend_count(); ++m) {
+        worst_age = std::max(worst_age, plane.frontend(m).max_peer_view_age());
+      }
+    });
+  }
+  simu.run_for(seconds(2));
+
+  EXPECT_TRUE(transitions.empty())
+      << transitions.size() << " health transitions, first: "
+      << transitions.front();
+  for (int m = 0; m < plane.frontend_count(); ++m) {
+    cluster::FrontendPlane& fp = plane.frontend(m);
+    EXPECT_EQ(fp.stale_marks(), 0u) << "frontend " << m;
+    for (int b = 0; b < plane.backend_count(); ++b) {
+      EXPECT_EQ(fp.balancer().health_of(b), lb::BackendHealth::Healthy)
+          << "frontend " << m << " backend " << b;
+    }
+  }
+  EXPECT_LT(worst_age.ns, cfg.scaleout.staleness_bound.ns);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, ScaleOutP,
+    ::testing::Values(monitor::MonitorStrategy::Pull,
+                      monitor::MonitorStrategy::Push,
+                      monitor::MonitorStrategy::Adaptive),
+    [](const auto& info) {
+      return std::string(monitor::to_string(info.param));
+    });
 
 TEST(ScaleOut, SingleFrontendConfigUsesTheClassicTestbed) {
   sim::Simulation simu;

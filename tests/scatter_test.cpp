@@ -361,10 +361,9 @@ struct LbEnv {
   std::vector<std::unique_ptr<os::Node>> backends;
   lb::LoadBalancer lb{lb::WeightConfig::for_scheme(Scheme::RdmaSync)};
 
-  explicit LbEnv(Scheme scheme, lb::HealthConfig hc = {}) {
+  explicit LbEnv(Scheme scheme) {
     reg.install(simu);
     fabric.attach(frontend);
-    lb.set_health_config(hc);
     for (int i = 0; i < kBackends; ++i) {
       os::NodeConfig cfg;
       cfg.name = "backend" + std::to_string(i);
@@ -420,25 +419,18 @@ TEST(HealthRing, EdgesAndTakeoverResetRecordBackendAndBothStates) {
 }
 
 TEST(DeadProbeCadence, DeadBackendIsProbedEveryNthRoundOnly) {
-  // Once Dead, the victim is fetched only every dead_probe_every rounds,
-  // so failures accrue ~8x slower than with per-round probing.
-  auto failures_in_window = [](int dead_probe_every) {
-    lb::HealthConfig hc;
-    hc.dead_probe_every = dead_probe_every;
-    LbEnv env(Scheme::RdmaSync, hc);
-    env.fabric.inject_crash(env.backends[1]->id);
-    env.simu.run_for(msec(200));  // long past detection
-    const std::uint64_t at_dead = env.lb.fetch_failures();
-    EXPECT_EQ(env.lb.health_of(1), lb::BackendHealth::Dead);
-    env.simu.run_for(msec(400));
-    return env.lb.fetch_failures() - at_dead;
-  };
-  const std::uint64_t slow = failures_in_window(8);
-  const std::uint64_t fast = failures_in_window(1);
+  // Once Dead, the victim is fetched only every kDeadProbeEvery (8)
+  // rounds instead of every round.
+  LbEnv env(Scheme::RdmaSync);
+  env.fabric.inject_crash(env.backends[1]->id);
+  env.simu.run_for(msec(200));  // long past detection
+  const std::uint64_t at_dead = env.lb.fetch_failures();
+  EXPECT_EQ(env.lb.health_of(1), lb::BackendHealth::Dead);
+  env.simu.run_for(msec(400));
+  const std::uint64_t failures = env.lb.fetch_failures() - at_dead;
   // ~40 rounds fit the window at 10ms granularity; cadence 8 probes ~5x.
-  EXPECT_GE(slow, 2u);
-  EXPECT_LE(slow, 8u);
-  EXPECT_GE(fast, 3 * slow);
+  EXPECT_GE(failures, 2u);
+  EXPECT_LE(failures, 8u);
 }
 
 TEST(Determinism, ScatterClusterRunWithRandomFaultPlanReplaysExactly) {

@@ -423,15 +423,12 @@ TEST(FreshnessAlarm, DeadPublisherBreachesSloAndLeavesFlightDump) {
     lb.add_backend(std::make_unique<monitor::MonitorChannel>(
         fabric, fe, *backends.back(), mcfg));
   }
-  monitor::PushConfig pushcfg;
-  monitor::PushInbox inbox(fabric, fe, n, pushcfg.slot_bytes);
-  lb::PushPollConfig pcfg;
-  pcfg.strategy = monitor::MonitorStrategy::Push;
-  lb.enable_push(inbox, pcfg);
+  monitor::PushInbox inbox(fabric, fe, n);
+  lb.enable_push(inbox, {monitor::MonitorStrategy::Push});
   std::vector<std::unique_ptr<monitor::PushPublisher>> pubs;
   for (int i = 0; i < n; ++i) {
     pubs.push_back(std::make_unique<monitor::PushPublisher>(
-        fabric, *backends[static_cast<std::size_t>(i)], pushcfg));
+        fabric, *backends[static_cast<std::size_t>(i)]));
     pubs.back()->target(fe.id, inbox.mr_key(), i);
     pubs.back()->start();
   }
