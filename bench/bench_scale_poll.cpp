@@ -136,7 +136,7 @@ ScaleCell run_scale_round(int n, bool shared_ctx, int rounds) {
         fabric, frontend, *backends.back(), mcfg, std::move(ctx)));
   }
   for (auto& ch : channels) scatter.add(ch->frontend());
-  scatter.cq().bind_moderation(simu, vt.cq_mod_count, vt.cq_mod_period);
+  scatter.cq().bind_moderation(simu, vt.cq_mod_count, net::kCqModPeriod);
 
   ScaleCell cell;
   frontend.spawn("poller", [&](os::SimThread& self) -> os::Program {

@@ -103,8 +103,8 @@ CqModCell run_cq_mod(int k, std::size_t depth, std::uint64_t ops) {
       // defers past-depth posts internally), then reap until all retire.
       for (std::uint64_t op = 0; op < ops; ++op) {
         co_await os::Compute{net::kDoorbellCost};
-        cl.qp->post_read(mr, kLen, cl.cq->alloc_wr_id(),
-                         /*force_signal=*/false);
+        cl.qp->post({.rkey = mr, .len = kLen, .wr_id = cl.cq->alloc_wr_id()},
+                    /*force_signal=*/false);
       }
       std::uint64_t retired = 0;
       while (retired < ops) {
@@ -188,8 +188,9 @@ QpcCell run_qpc(int n, int pool, std::size_t cache_entries, int rounds) {
       batch.clear();
       for (int i = 0; i < n; ++i) {
         batch.push_back({qps[static_cast<std::size_t>(i)].get(),
-                         mrs[static_cast<std::size_t>(i)], 64,
-                         cq.alloc_wr_id()});
+                         {.rkey = mrs[static_cast<std::size_t>(i)],
+                          .len = 64,
+                          .wr_id = cq.alloc_wr_id()}});
       }
       const sim::TimePoint t0 = simu.now();
       co_await net::post_read_batch(self, batch);

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# Local CI entry point — the same steps .github/workflows/ci.yml runs, for
-# machines without a GitHub runner. Usage:
+# The one copy of every CI lane: each .github/workflows/ci.yml job installs
+# the toolchain and runs one of these. Usage:
 #   ./ci.sh            # tier-1 verify (build + ctest, minus LABELS slow)
 #   ./ci.sh sanitize   # ASan/UBSan build + FULL ctest incl. slow (slower)
 #   ./ci.sh bench      # quick benches + BENCH_*.json checks + golden traces
 #                      # + the repo benchmark's checks (perfbench)
 #   ./ci.sh perf       # Release build, DES-kernel perf smoke (bench_engine)
 #   ./ci.sh slo        # freshness plane only: ctest -L slo + bench_freshness
+#
+# Flight-recorder post-mortems (crash dumps, SLO breach dumps) land in
+# <build dir>/flight-dumps; on a red run they are the first thing to read
+# (tools/flightdump.py). Bench reports land in bench-results/.
 #
 # Tests carrying ctest LABELS slow (golden-trace bench replays) are kept
 # out of tier-1 to hold its wall-clock; they run in the sanitize and
@@ -19,6 +23,8 @@ jobs=$(nproc 2>/dev/null || echo 2)
 if [[ "${1:-}" == "sanitize" ]]; then
   cmake -B build-asan -S . -DRDMAMON_SANITIZE=address,undefined
   cmake --build build-asan -j "$jobs"
+  mkdir -p build-asan/flight-dumps
+  export RDMAMON_FLIGHT_DIR="$PWD/build-asan/flight-dumps"
   ctest --test-dir build-asan --output-on-failure -j "$jobs"
   # Cross-scheme conformance contract, named so a sanitizer hit in the
   # push/adaptive paths is attributed to the suite that guards them.
@@ -27,23 +33,23 @@ if [[ "${1:-}" == "sanitize" ]]; then
   # named for the same reason.
   ctest --test-dir build-asan -L qos --output-on-failure -j "$jobs"
 elif [[ "${1:-}" == "bench" ]]; then
+  benches=(fig3_latency scale_poll fault_resilience scale_frontends verbs qos
+           freshness)
   cmake -B build -S .
-  cmake --build build -j "$jobs" --target \
-    bench_fig3_latency bench_fig5_accuracy bench_scale_poll \
-    bench_fault_resilience bench_scale_frontends bench_engine bench_verbs \
-    bench_qos
+  # bench_fig5_accuracy is built for its golden-trace replay below.
+  cmake --build build -j "$jobs" --target bench_fig5_accuracy \
+    "${benches[@]/#/bench_}"
   mkdir -p bench-results
-  for b in fig3_latency scale_poll fault_resilience scale_frontends engine \
-           verbs qos; do
+  for b in "${benches[@]}"; do
     RDMAMON_BENCH_DIR=bench-results ./build/bench/bench_$b --quick
     python3 -m json.tool "bench-results/BENCH_$b.json" > /dev/null
     echo "BENCH_$b.json: valid"
   done
-  # Headline acceptance checks (one copy, shared with ci.yml): fig3
-  # telemetry delta, scale-out flatness, push/pull/adaptive, scatter and
-  # verbs fast-path scaling, multi-tenant QoS both directions.
+  # Headline acceptance checks: fig3 telemetry delta, scale-out flatness,
+  # push/pull/adaptive, scatter and verbs fast-path scaling, multi-tenant
+  # QoS both directions, information-age freshness.
   python3 tools/check_bench.py bench-results fig3_latency scale_frontends \
-    scale_poll verbs qos
+    scale_poll verbs qos freshness
   # Golden-trace replays (ctest LABELS slow): quick fig3/fig5/scale_poll/
   # verbs/qos pinned against tests/golden/*.json.
   ctest --test-dir build -L slow --output-on-failure -j "$jobs"
@@ -58,7 +64,7 @@ elif [[ "${1:-}" == "slo" ]]; then
   cmake -B build -S .
   cmake --build build -j "$jobs" --target test_slo bench_freshness
   mkdir -p build/flight-dumps bench-results
-  RDMAMON_FLIGHT_DIR=build/flight-dumps \
+  RDMAMON_FLIGHT_DIR="$PWD/build/flight-dumps" \
     ctest --test-dir build -L slo --output-on-failure -j "$jobs"
   RDMAMON_BENCH_DIR=bench-results ./build/bench/bench_freshness --quick
   python3 tools/check_bench.py bench-results freshness
@@ -75,11 +81,9 @@ elif [[ "${1:-}" == "perf" ]]; then
 else
   cmake -B build -S .
   cmake --build build -j "$jobs"
-  # Flight-recorder post-mortems (crash dumps, SLO breach dumps) land here;
-  # on a red run the dumps are the first thing to read (tools/flightdump.py).
   mkdir -p build/flight-dumps
-  RDMAMON_FLIGHT_DIR=build/flight-dumps \
-    ctest --test-dir build --output-on-failure -j "$jobs" -LE slow
+  export RDMAMON_FLIGHT_DIR="$PWD/build/flight-dumps"
+  ctest --test-dir build --output-on-failure -j "$jobs" -LE slow
   # Cross-scheme conformance contract, named for an explicit pass line.
   ctest --test-dir build -L conformance --output-on-failure -j "$jobs"
 fi

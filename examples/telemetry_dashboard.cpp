@@ -65,8 +65,8 @@ int main() {
     net::CompletionQueue cq;
     net::QueuePair qp{bed.fabric().nic(reader.id), meta.node_id(), cq};
     net::Completion c;
-    co_await net::rdma_read_sync(self, qp, meta.mr_key(),
-                                 meta.config().slot_bytes, c);
+    co_await net::rdma_sync(
+        self, qp, {.rkey = meta.mr_key(), .len = meta.config().slot_bytes}, c);
     if (c.status == net::WcStatus::Success) {
       remote = std::any_cast<telemetry::Snapshot>(c.data);
       remote_ok = true;

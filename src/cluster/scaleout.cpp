@@ -239,13 +239,14 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
       FrontendPlane& fp = plane_->frontend(peer);
       net::QueuePair& qp = *peer_qps_[static_cast<std::size_t>(peer)];
       net::Completion c;
-      bool completed = false;
-      co_await net::rdma_read_sync_until(
-          self, qp, fp.view_mr_key(), cfg.view_bytes,
-          gossip_cq_.alloc_wr_id(), simu.now() + cfg.read_timeout, c,
-          completed);
+      bool timed_out = false;
+      co_await net::rdma_sync(self, qp,
+                              {.rkey = fp.view_mr_key(),
+                               .len = cfg.view_bytes,
+                               .wr_id = gossip_cq_.alloc_wr_id()},
+                              c, simu.now() + cfg.read_timeout, &timed_out);
       const bool read_ok =
-          completed && c.status == net::WcStatus::Success;
+          !timed_out && c.status == net::WcStatus::Success;
       bool fresh = false;
       if (read_ok) {
         const auto& v = std::any_cast<const ShardView&>(c.data);

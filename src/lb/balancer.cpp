@@ -293,7 +293,7 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
   for (auto& ch : channels_) scatter_.add(ch->frontend());
   if (verbs_.cq_mod_count > 1) {
     scatter_.cq().bind_moderation(frontend.simu(), verbs_.cq_mod_count,
-                                  verbs_.cq_mod_period);
+                                  net::kCqModPeriod);
   }
   if (push_inbox_ != nullptr &&
       strategy_ == monitor::MonitorStrategy::Adaptive) {

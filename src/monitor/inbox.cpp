@@ -193,8 +193,11 @@ os::Program PushPublisher::body(os::SimThread& self) {
     image.heartbeat = !change_push;
     image.seq_check = seq_;
     co_await os::Compute{net::kDoorbellCost};
-    qp_->post_write(inbox_key_, std::any(InboxWrite{slot_, image}),
-                    PushInbox::kSlotBytes, cq_.alloc_wr_id());
+    qp_->post({.verb = net::Verb::Write,
+               .rkey = inbox_key_,
+               .len = PushInbox::kSlotBytes,
+               .wr_id = cq_.alloc_wr_id(),
+               .value = InboxWrite{slot_, image}});
     in_flight_ = true;
     has_pushed_ = true;
     last_push_ = now;

@@ -2,7 +2,6 @@
 
 #include <any>
 #include <cassert>
-#include <limits>
 
 namespace rdmamon::monitor {
 
@@ -179,9 +178,8 @@ os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
   for (int attempt = 0;; ++attempt) {
     out.attempts = attempt + 1;
     const sim::TimePoint deadline =
-        cfg.fetch_timeout.ns > 0
-            ? simu.now() + cfg.fetch_timeout
-            : sim::TimePoint{std::numeric_limits<std::int64_t>::max()};
+        cfg.fetch_timeout.ns > 0 ? simu.now() + cfg.fetch_timeout
+                                 : sim::kNever;
     out.ok = false;
     FetchOp op;
     const sim::TimePoint attempt_at = simu.now();
@@ -209,7 +207,9 @@ os::Program FrontendMonitor::issue(os::SimThread& self, FetchOp& op,
   if (qp_) {
     op.wr_id = cq_->alloc_wr_id();
     co_await os::Compute{net::kDoorbellCost};
-    qp_->post_read(backend_->mr_key(), cfg.reply_bytes, op.wr_id);
+    qp_->post({.rkey = backend_->mr_key(),
+               .len = cfg.reply_bytes,
+               .wr_id = op.wr_id});
   } else {
     // The monitoring protocol carries no sequence numbers, so a reply to
     // an abandoned earlier request may still be queued: flush before
@@ -224,8 +224,10 @@ net::ReadBatchEntry FrontendMonitor::prepare_read(FetchOp& op,
   assert(qp_.has_value() && "prepare_read is RDMA-only");
   op.deadline = deadline;
   op.wr_id = cq_->alloc_wr_id();
-  return net::ReadBatchEntry{&*qp_, backend_->mr_key(),
-                             backend_->config().reply_bytes, op.wr_id};
+  return net::ReadBatchEntry{&*qp_,
+                             {.rkey = backend_->mr_key(),
+                              .len = backend_->config().reply_bytes,
+                              .wr_id = op.wr_id}};
 }
 
 FrontendMonitor::OpStatus FrontendMonitor::peek(const FetchOp& op) const {
@@ -291,7 +293,7 @@ os::Program FrontendMonitor::await_resolution(os::SimThread& self,
   // The deadline is a timer that spuriously wakes the completion waiter;
   // the re-peek then notices the expired clock (the documented wait-queue
   // discipline). A resolution already queued wins even past the deadline,
-  // matching recv_until / rdma_read_sync_until. This armed-then-cancelled
+  // matching recv_until / rdma_sync. This armed-then-cancelled
   // guard is the kernel's hottest cancel pattern (bench_engine's
   // schedule_cancel mix); the wheel unlinks it in O(1) with no tombstone.
   sim::EventHandle timer;

@@ -29,8 +29,8 @@
 // Readers on other nodes:
 //
 //   net::QueuePair qp{fabric.nic(reader.id), pub.node_id(), cq};
-//   co_await net::rdma_read_sync(self, qp, pub.mr_key(),
-//                                pub.config().slot_bytes, c);
+//   co_await net::rdma_sync(
+//       self, qp, {.rkey = pub.mr_key(), .len = pub.config().slot_bytes}, c);
 //   auto value = std::any_cast<T>(c.data);
 #pragma once
 

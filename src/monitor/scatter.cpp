@@ -1,16 +1,12 @@
 #include "monitor/scatter.hpp"
 
-#include <limits>
-
 namespace rdmamon::monitor {
 
 namespace {
 
-constexpr sim::TimePoint kNever{std::numeric_limits<std::int64_t>::max()};
-
 sim::TimePoint attempt_deadline(const MonitorConfig& cfg,
                                 sim::TimePoint now) {
-  return cfg.fetch_timeout.ns > 0 ? now + cfg.fetch_timeout : kNever;
+  return cfg.fetch_timeout.ns > 0 ? now + cfg.fetch_timeout : sim::kNever;
 }
 
 }  // namespace
@@ -143,7 +139,7 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     // Gather wave: reap whatever resolved, time out whatever expired.
     bool all_done = true;
     bool any_issue = false;
-    sim::TimePoint next_wake = kNever;
+    sim::TimePoint next_wake = sim::kNever;
     for (Slot& s : slots) {
       if (s.state == State::Wait) {
         const FrontendMonitor::OpStatus st = s.mon->peek(s.op);
@@ -188,7 +184,7 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     // and cancelled once per wave; both ends are O(1) on the near-future
     // wheel, so wide rounds do not tax the event queue.
     sim::EventHandle timer;
-    if (next_wake.ns != kNever.ns && simu.now() < next_wake) {
+    if (next_wake != sim::kNever && simu.now() < next_wake) {
       timer = simu.at(next_wake, [this] { cq_.wait_queue().notify_all(); });
     }
     if (simu.now() < next_wake) {

@@ -50,7 +50,7 @@ void Fabric::ship(Message msg) {
   if (sample_link_drop(msg.src_node, msg.dst_node)) return;
   // Propagation through the non-blocking switch (plus degradation).
   const sim::Duration lat =
-      cfg_.prop_latency + link_extra(msg.src_node, msg.dst_node);
+      kPropLatency + link_extra(msg.src_node, msg.dst_node);
   simu_.after(lat, [this, msg = std::move(msg)] {
     NodeFaultState& f = fault_at(msg.dst_node);
     if (f.crashed) return;  // died while the packet was in flight

@@ -22,37 +22,19 @@ namespace rdmamon::net {
 class Nic;
 class Connection;
 
+/// One-way propagation (wire + switch) latency.
+inline constexpr sim::Duration kPropLatency = sim::usec(1);
+
 /// Interconnect timing/behaviour knobs. Defaults approximate a 4x IB fabric
 /// of the paper's era: ~1.25 GB/s links, microsecond-scale switch+wire
-/// latency, RDMA READ service a few microseconds.
+/// latency (kPropLatency), RDMA READ service a few microseconds.
 struct FabricConfig {
-  /// One-way propagation (wire + switch) latency.
-  sim::Duration prop_latency = sim::usec(1);
-
   /// Link bandwidth in bytes/second (serialisation on the TX link).
   double bandwidth_bps = 1.25e9;
 
-  /// Target-NIC DMA engine: fixed service cost per RDMA op...
+  /// Target-NIC DMA engine: fixed service cost per RDMA op (plus a
+  /// per-byte cost of reading/writing host memory, see net/nic.cpp).
   sim::Duration rdma_dma_base = sim::usec(3);
-  /// ...plus per-byte cost of reading/writing host memory.
-  double rdma_dma_per_byte_ns = 0.8;
-
-  /// User-space cost of posting a work request (doorbell write).
-  sim::Duration rdma_post_cost = sim::nsec(300);
-
-  /// Socket path kernel costs (IPoIB-era protocol stack).
-  sim::Duration socket_send_cost = sim::usec(8);
-  sim::Duration socket_recv_cost = sim::usec(4);
-  /// Per-byte copy cost for socket send/recv.
-  double socket_copy_per_byte_ns = 0.2;
-
-  /// Size of the RDMA READ request packet on the wire.
-  std::size_t rdma_request_bytes = 32;
-
-  /// RC transport failure budget: an op whose packet is lost or whose
-  /// target is dead error-completes (RetryExceeded) after this long —
-  /// retry_cnt x local ACK timeout collapsed into one figure.
-  sim::Duration rdma_retry_timeout = sim::msec(4);
 
   /// Bounded NIC connection-context cache (QP contexts at the initiator,
   /// MR entries at the target — the HCA's ICM cache, see net/qpcache.hpp).
@@ -60,12 +42,8 @@ struct FabricConfig {
   /// accounting): the historical behaviour, and the default so existing
   /// experiments replay byte-identically. Set to the on-chip entry count
   /// to model RDMAvisor-style context thrash at high connection fan-out.
+  /// A miss costs kCtxMissPenalty (net/qpcache.hpp).
   std::size_t nic_ctx_cache_entries = 0;
-  /// Cost of fetching one evicted context from host memory on a miss.
-  /// QP-context fetches serialise on the NIC's single fetch engine (the
-  /// thrash is a queueing collapse, not just an additive tax); MR fetches
-  /// stall the already-serialised DMA engine.
-  sim::Duration nic_ctx_miss_penalty = sim::nsec(450);
 
   /// Per-tenant fabric QoS (token-bucket rate caps + weighted fair
   /// queueing at every NIC's one-sided tx path; see net/qos.hpp).
@@ -76,12 +54,8 @@ struct FabricConfig {
   /// Seed of the link-loss sampling stream (runs replay bit-for-bit).
   std::uint64_t fault_seed = 0x8d0fb18a12c5e3a7ull;
 
-  /// CPU that takes NetRx interrupts (-1 = round robin). The paper-era
-  /// default routes the HCA's interrupts to the second CPU.
-  int rx_irq_cpu = 1;
-
   sim::Duration wire_delay(std::size_t bytes) const {
-    return prop_latency +
+    return kPropLatency +
            sim::nsec(static_cast<std::int64_t>(
                static_cast<double>(bytes) / bandwidth_bps * 1e9));
   }

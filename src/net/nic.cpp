@@ -1,8 +1,40 @@
 #include "net/nic.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace rdmamon::net {
+
+namespace {
+
+/// CPU that takes NetRx interrupts: the paper-era HCA routes them to the
+/// second CPU (the only CPU of a uniprocessor).
+constexpr int kRxIrqCpu = 1;
+
+/// Size of a one-sided request packet, and of a WRITE's ack, on the wire.
+constexpr std::size_t kRequestBytes = 32;
+/// Target-NIC DMA engine: per-byte cost of reading/writing host memory
+/// (on top of FabricConfig::rdma_dma_base per op).
+constexpr double kDmaPerByteNs = 0.8;
+/// RC transport failure budget: an op whose packet is lost or whose target
+/// is dead error-completes (RetryExceeded) after this long — retry_cnt x
+/// local ACK timeout collapsed into one figure.
+constexpr sim::Duration kRetryTimeout = sim::msec(4);
+
+constexpr const char* kPostKind[] = {"read.post", "write.post"};
+constexpr const char* kCompKind[] = {"read.comp", "write.comp"};
+
+/// The opcode's two wire legs: a READ's request is bare and its response
+/// carries the data; a WRITE's request carries the payload and its
+/// response is a bare ack.
+std::size_t request_bytes(const WorkRequest& wr) {
+  return kRequestBytes + (wr.verb == Verb::Write ? wr.len : 0);
+}
+std::size_t response_bytes(const WorkRequest& wr) {
+  return wr.verb == Verb::Read ? wr.len : kRequestBytes;
+}
+
+}  // namespace
 
 Nic::Nic(Fabric& fabric, os::Node& node) : fabric_(fabric), node_(node) {
   if (fabric.config().nic_ctx_cache_entries > 0) {
@@ -75,21 +107,13 @@ void Nic::tx(Message msg) {
   simu.at(tx_busy_, [this, msg = std::move(msg)] { fabric_.ship(msg); });
 }
 
-int Nic::pick_rx_cpu() {
-  const int fixed = fabric_.config().rx_irq_cpu;
-  const int ncpus = node_.config().cpus;
-  if (fixed >= 0 && fixed < ncpus) return fixed;
-  rr_cpu_ = (rr_cpu_ + 1) % ncpus;
-  return rr_cpu_;
-}
-
 void Nic::rx(Message msg) {
   ++rx_packets_;
   sim::Simulation& simu = fabric_.simu();
   node_.stats().on_net_bytes(msg.bytes, simu.now());
-  const int cpu = pick_rx_cpu();
-  os::IrqController& irq = node_.irq();
   const os::NodeConfig& ncfg = node_.config();
+  const int cpu = std::min(kRxIrqCpu, ncfg.cpus - 1);
+  os::IrqController& irq = node_.irq();
   // Keep-up heuristic: protocol processing runs inline in IRQ context
   // while the receive path is keeping up (short HW queue, empty softirq
   // backlog); otherwise only the ack runs in the handler and the packet is
@@ -114,24 +138,6 @@ void Nic::rx(Message msg) {
 }
 
 // --- one-sided ------------------------------------------------------------------
-
-namespace {
-
-/// Transport-level failure: the RC state machine retransmits until the
-/// retry budget is spent, then flushes the WR with RetryExceeded. The
-/// initiator always gets a completion — nothing hangs on a dead peer.
-void fail_after_retries(Fabric& fabric, Completion c,
-                        std::function<void(Completion)> done) {
-  c.status = WcStatus::RetryExceeded;
-  fabric.simu().after(fabric.config().rdma_retry_timeout,
-                      [&fabric, c = std::move(c),
-                       done = std::move(done)]() mutable {
-                        c.completed = fabric.simu().now();
-                        done(std::move(c));
-                      });
-}
-
-}  // namespace
 
 MrKey Nic::register_mr(std::size_t bytes, std::function<std::any()> reader,
                        bool remote_writable,
@@ -164,7 +170,7 @@ sim::Duration Nic::charge_qpc(std::uint64_t ctx_id, TenantId tenant) {
   sim::Simulation& simu = fabric_.simu();
   const sim::TimePoint start =
       ctx_fetch_busy_ > simu.now() ? ctx_fetch_busy_ : simu.now();
-  ctx_fetch_busy_ = start + fabric_.config().nic_ctx_miss_penalty;
+  ctx_fetch_busy_ = start + kCtxMissPenalty;
   return ctx_fetch_busy_ - simu.now();
 }
 
@@ -178,57 +184,44 @@ sim::Duration Nic::charge_mr(std::uint32_t rkey) {
   if (ctx_cache_->access(kMrKeyBit | rkey, owner)) return sim::Duration{};
   // MR entry miss stalls the (already serialised) DMA engine while the
   // entry is fetched; the caller adds this to the service time.
-  return fabric_.config().nic_ctx_miss_penalty;
+  return kCtxMissPenalty;
 }
 
-void Nic::rdma_read(int target_node, MrKey rkey, std::size_t len,
-                    std::uint64_t wr_id,
-                    std::function<void(Completion)> done,
-                    std::uint64_t ctx_id, TenantId tenant) {
+void Nic::post(int target_node, WorkRequest wr, Done done,
+               std::uint64_t ctx_id, TenantId tenant) {
   ++rdma_posted_;
-  if (fr_ != nullptr) {
-    // Flight-record the post and wrap `done` so every completion path
-    // (success, retry-exceeded, invalid key) lands exactly one event with
-    // the completion's own timestamp.
-    fr_->record("read.post", target_node, static_cast<std::int64_t>(wr_id),
-                static_cast<double>(len));
-    done = [fr = fr_, done = std::move(done)](Completion c) mutable {
-      fr->record_at(c.completed, "read.comp", static_cast<std::int64_t>(c.status),
-                    static_cast<std::int64_t>(c.wr_id),
-                    static_cast<double>((c.completed - c.posted).ns));
-      done(std::move(c));
-    };
-  }
-  sim::Simulation& simu = fabric_.simu();
-  const FabricConfig& cfg = fabric_.config();
-  rdma_wire_bytes_ += cfg.rdma_request_bytes + len;
+  telemetry::fr_record(fr_, kPostKind[static_cast<std::size_t>(wr.verb)],
+                       target_node, static_cast<std::int64_t>(wr.wr_id),
+                       static_cast<double>(wr.len));
+  // Charged at post time: retried-and-failed ops consumed the fabric too.
+  const std::size_t footprint = request_bytes(wr) + response_bytes(wr);
+  rdma_wire_bytes_ += footprint;
   Completion c;
-  c.wr_id = wr_id;
-  c.posted = simu.now();
+  c.wr_id = wr.wr_id;
+  c.verb = wr.verb;
+  c.posted = fabric_.simu().now();
   if (arbiter_ != nullptr) {
     // Fabric QoS: the op's full wire footprint passes the per-tenant
     // token bucket + WFQ arbiter before the wire logic runs. A queue-cap
     // refusal drops the WR; the RC layer error-completes it exactly like
     // a retry-budget exhaustion.
-    const std::size_t footprint = cfg.rdma_request_bytes + len;
-    Completion drop = c;
     if (!arbiter_->submit(
             tenant, footprint,
-            [this, target_node, rkey, len, c, done, ctx_id, tenant]() mutable {
-              start_read(target_node, rkey, len, std::move(c), std::move(done),
-                         ctx_id, tenant);
+            [this, target_node, wr = std::move(wr), c, done, ctx_id,
+             tenant]() mutable {
+              start(target_node, std::move(wr), std::move(c),
+                    std::move(done), ctx_id, tenant);
             })) {
-      fail_after_retries(fabric_, std::move(drop), std::move(done));
+      fail_after_retries(std::move(c), std::move(done));
     }
     return;
   }
-  start_read(target_node, rkey, len, std::move(c), std::move(done), ctx_id,
-             tenant);
+  start(target_node, std::move(wr), std::move(c), std::move(done), ctx_id,
+        tenant);
 }
 
-void Nic::start_read(int target_node, MrKey rkey, std::size_t len,
-                     Completion c, std::function<void(Completion)> done,
-                     std::uint64_t ctx_id, TenantId tenant) {
+void Nic::start(int target_node, WorkRequest wr, Completion c, Done done,
+                std::uint64_t ctx_id, TenantId tenant) {
   sim::Simulation& simu = fabric_.simu();
   const FabricConfig& cfg = fabric_.config();
   // Dead host at EITHER end or lost request packet: the op can never
@@ -238,7 +231,7 @@ void Nic::start_read(int target_node, MrKey rkey, std::size_t len,
   if (fabric_.fault_state(node_id()).crashed ||
       fabric_.fault_state(target_node).crashed ||
       fabric_.sample_link_drop(node_id(), target_node)) {
-    fail_after_retries(fabric_, std::move(c), std::move(done));
+    fail_after_retries(std::move(c), std::move(done));
     return;
   }
   // QP-context cache touch at the initiator: an evicted context delays
@@ -246,19 +239,17 @@ void Nic::start_read(int target_node, MrKey rkey, std::size_t len,
   // wire. Zero with the default unbounded cache.
   const sim::Duration qpc_delay = charge_qpc(ctx_id, tenant);
   // Request packet to the target NIC.
-  const sim::Duration req = qpc_delay +
-                            cfg.wire_delay(cfg.rdma_request_bytes) +
+  const sim::Duration req = qpc_delay + cfg.wire_delay(request_bytes(wr)) +
                             fabric_.link_extra(node_id(), target_node);
   Nic& target = fabric_.nic(target_node);
-  simu.after(req, [&target, this, rkey, len, c,
+  simu.after(req, [&target, this, wr = std::move(wr), c,
                    done = std::move(done)]() mutable {
     sim::Simulation& s = fabric_.simu();
-    const FabricConfig& fc = fabric_.config();
     if (fabric_.fault_state(target.node_id()).crashed) {
       // Died while the request was in flight. NOTE: a *frozen* target
       // still serves the read — the DMA engine needs no host CPU, the
       // property the paper's RDMA-Sync scheme exploits.
-      fail_after_retries(fabric_, std::move(c), std::move(done));
+      fail_after_retries(std::move(c), std::move(done));
       return;
     }
     // DMA engine serialisation at the target NIC (an MR-entry cache miss
@@ -266,145 +257,65 @@ void Nic::start_read(int target_node, MrKey rkey, std::size_t len,
     const sim::TimePoint start =
         target.dma_busy_ > s.now() ? target.dma_busy_ : s.now();
     const sim::Duration service =
-        target.charge_mr(rkey.key) + fc.rdma_dma_base +
-        sim::nsec(static_cast<std::int64_t>(
-            static_cast<double>(len) * fc.rdma_dma_per_byte_ns));
+        target.charge_mr(wr.rkey.key) + fabric_.config().rdma_dma_base +
+        sim::nsec(static_cast<std::int64_t>(static_cast<double>(wr.len) *
+                                            kDmaPerByteNs));
     target.dma_busy_ = start + service;
-    s.at(target.dma_busy_, [&target, this, rkey, len, c,
+    s.at(target.dma_busy_, [&target, this, wr = std::move(wr), c,
                             done = std::move(done)]() mutable {
       ++target.rdma_served_;
       // Resolve the rkey only now: a region deregistered while the request
       // was on the wire (or queued behind the DMA engine) must fail with
-      // InvalidKey, exactly like a write — never read through a stale entry.
-      auto it = target.regions_.find(rkey.key);
+      // InvalidKey — never touch a stale entry.
+      auto it = target.regions_.find(wr.rkey.key);
       if (it == target.regions_.end()) {
         c.status = WcStatus::InvalidKey;
-      } else if (it->second.reader) {
+      } else if (wr.verb == Verb::Read) {
         // THE key semantic: the content is sampled at the DMA instant.
-        c.data = it->second.reader();
-      }
-      // Response back to the initiator (may die on a lossy return path,
-      // or find either host dead meanwhile).
-      if (fabric_.fault_state(target.node_id()).crashed ||
-          fabric_.fault_state(node_id()).crashed ||
-          fabric_.sample_link_drop(target.node_id(), node_id())) {
-        fail_after_retries(fabric_, std::move(c), std::move(done));
-        return;
-      }
-      const sim::Duration resp =
-          fabric_.config().wire_delay(len) +
-          fabric_.link_extra(target.node_id(), node_id());
-      fabric_.simu().after(resp, [this, c = std::move(c),
-                                  done = std::move(done)]() mutable {
-        c.completed = fabric_.simu().now();
-        done(std::move(c));
-      });
-    });
-  });
-}
-
-void Nic::rdma_write(int target_node, MrKey rkey, std::any value,
-                     std::size_t len, std::uint64_t wr_id,
-                     std::function<void(Completion)> done,
-                     std::uint64_t ctx_id, TenantId tenant) {
-  ++rdma_posted_;
-  if (fr_ != nullptr) {
-    fr_->record("write.post", target_node, static_cast<std::int64_t>(wr_id),
-                static_cast<double>(len));
-    done = [fr = fr_, done = std::move(done)](Completion c) mutable {
-      fr->record_at(c.completed, "write.comp",
-                    static_cast<std::int64_t>(c.status),
-                    static_cast<std::int64_t>(c.wr_id),
-                    static_cast<double>((c.completed - c.posted).ns));
-      done(std::move(c));
-    };
-  }
-  sim::Simulation& simu = fabric_.simu();
-  const FabricConfig& cfg = fabric_.config();
-  rdma_wire_bytes_ += 2 * cfg.rdma_request_bytes + len;
-  Completion c;
-  c.wr_id = wr_id;
-  c.posted = simu.now();
-  if (arbiter_ != nullptr) {
-    const std::size_t footprint = 2 * cfg.rdma_request_bytes + len;
-    Completion drop = c;
-    if (!arbiter_->submit(
-            tenant, footprint,
-            [this, target_node, rkey, value, len, c, done, ctx_id,
-             tenant]() mutable {
-              start_write(target_node, rkey, std::move(value), len,
-                          std::move(c), std::move(done), ctx_id, tenant);
-            })) {
-      fail_after_retries(fabric_, std::move(drop), std::move(done));
-    }
-    return;
-  }
-  start_write(target_node, rkey, std::move(value), len, std::move(c),
-              std::move(done), ctx_id, tenant);
-}
-
-void Nic::start_write(int target_node, MrKey rkey, std::any value,
-                      std::size_t len, Completion c,
-                      std::function<void(Completion)> done,
-                      std::uint64_t ctx_id, TenantId tenant) {
-  sim::Simulation& simu = fabric_.simu();
-  const FabricConfig& cfg = fabric_.config();
-  if (fabric_.fault_state(node_id()).crashed ||
-      fabric_.fault_state(target_node).crashed ||
-      fabric_.sample_link_drop(node_id(), target_node)) {
-    fail_after_retries(fabric_, std::move(c), std::move(done));
-    return;
-  }
-  // Write carries the payload with the request.
-  const sim::Duration req = charge_qpc(ctx_id, tenant) +
-                            cfg.wire_delay(cfg.rdma_request_bytes + len) +
-                            fabric_.link_extra(node_id(), target_node);
-  Nic& target = fabric_.nic(target_node);
-  simu.after(req, [&target, this, rkey, len, c, value = std::move(value),
-                   done = std::move(done)]() mutable {
-    sim::Simulation& s = fabric_.simu();
-    const FabricConfig& fc = fabric_.config();
-    if (fabric_.fault_state(target.node_id()).crashed) {
-      fail_after_retries(fabric_, std::move(c), std::move(done));
-      return;
-    }
-    const sim::TimePoint start =
-        target.dma_busy_ > s.now() ? target.dma_busy_ : s.now();
-    const sim::Duration service =
-        target.charge_mr(rkey.key) + fc.rdma_dma_base +
-        sim::nsec(static_cast<std::int64_t>(
-            static_cast<double>(len) * fc.rdma_dma_per_byte_ns));
-    target.dma_busy_ = start + service;
-    s.at(target.dma_busy_, [&target, this, rkey, c, value = std::move(value),
-                            done = std::move(done)]() mutable {
-      ++target.rdma_served_;
-      auto it = target.regions_.find(rkey.key);
-      if (it == target.regions_.end()) {
-        c.status = WcStatus::InvalidKey;
+        if (it->second.reader) c.data = it->second.reader();
       } else if (!it->second.remote_writable) {
         // Read-only exposure: the paper's defence for exporting kernel
         // memory. The write is discarded.
         c.status = WcStatus::ProtectionError;
       } else if (it->second.writer) {
-        it->second.writer(value);
+        it->second.writer(wr.value);
       }
-      // Ack back to the initiator (small).
+      // Response back to the initiator — a READ's data, a WRITE's ack
+      // (may die on a lossy return path, or find either host dead
+      // meanwhile).
       if (fabric_.fault_state(target.node_id()).crashed ||
           fabric_.fault_state(node_id()).crashed ||
           fabric_.sample_link_drop(target.node_id(), node_id())) {
-        fail_after_retries(fabric_, std::move(c), std::move(done));
+        fail_after_retries(std::move(c), std::move(done));
         return;
       }
       const sim::Duration resp =
-          fabric_.config().wire_delay(fabric_.config().rdma_request_bytes) +
+          fabric_.config().wire_delay(response_bytes(wr)) +
           fabric_.link_extra(target.node_id(), node_id());
       fabric_.simu().after(resp, [this, c = std::move(c),
                                   done = std::move(done)]() mutable {
-        c.completed = fabric_.simu().now();
-        done(std::move(c));
+        finish(std::move(c), done);
       });
     });
   });
+}
+
+void Nic::fail_after_retries(Completion c, Done done) {
+  c.status = WcStatus::RetryExceeded;
+  fabric_.simu().after(kRetryTimeout, [this, c = std::move(c),
+                                       done = std::move(done)]() mutable {
+    finish(std::move(c), done);
+  });
+}
+
+void Nic::finish(Completion c, const Done& done) {
+  c.completed = fabric_.simu().now();
+  telemetry::fr_record_at(fr_, c.completed,
+                          kCompKind[static_cast<std::size_t>(c.verb)],
+                          static_cast<std::int64_t>(c.status),
+                          static_cast<std::int64_t>(c.wr_id),
+                          static_cast<double>((c.completed - c.posted).ns));
+  done(std::move(c));
 }
 
 }  // namespace rdmamon::net

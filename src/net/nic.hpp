@@ -58,29 +58,26 @@ class Nic {
   /// key was unknown (double-dereg is a caller bug but must not crash).
   bool deregister_mr(MrKey key);
 
-  /// Initiator-side one-sided READ: request packet to the target NIC, DMA
+  using Done = std::function<void(Completion)>;
+
+  /// Initiator-side one-sided op: request packet to the target NIC, DMA
   /// service there (no target CPU), response back, then `done` runs at the
-  /// initiator with the completion. `ctx_id` names the posting QpContext
-  /// for the context-cache model (0 = uncontexted, never charged); with a
-  /// bounded cache configured, a QP-context miss delays the request by the
-  /// fetch penalty, serialised on the NIC's single fetch engine, and an MR
-  /// miss at the target stalls its DMA engine by the same penalty.
+  /// initiator with the completion. A READ samples the region's reader at
+  /// the DMA instant; a WRITE applies `wr.value` through its writer, and is
+  /// rejected with ProtectionError when the region is not remote_writable.
+  /// `ctx_id` names the posting QpContext for the context-cache model (0 =
+  /// uncontexted, never charged); with a bounded cache configured, a
+  /// QP-context miss delays the request by the fetch penalty, serialised
+  /// on the NIC's single fetch engine, and an MR miss at the target stalls
+  /// its DMA engine by the same penalty.
   ///
   /// `tenant` tags the WR for fabric QoS: with FabricConfig::qos enabled
   /// the op passes this NIC's per-tenant token-bucket + WFQ arbiter
   /// before reaching the wire (and may be DROPPED at the tenant's queue
   /// cap, error-completing with RetryExceeded). With QoS disabled the
   /// tag is inert and the path is byte-identical to history.
-  void rdma_read(int target_node, MrKey rkey, std::size_t len,
-                 std::uint64_t wr_id, std::function<void(Completion)> done,
-                 std::uint64_t ctx_id = 0, TenantId tenant = 0);
-
-  /// Initiator-side one-sided WRITE. Rejected with ProtectionError when the
-  /// target region is not remote_writable.
-  void rdma_write(int target_node, MrKey rkey, std::any value,
-                  std::size_t len, std::uint64_t wr_id,
-                  std::function<void(Completion)> done,
-                  std::uint64_t ctx_id = 0, TenantId tenant = 0);
+  void post(int target_node, WorkRequest wr, Done done,
+            std::uint64_t ctx_id = 0, TenantId tenant = 0);
 
   /// Allocates a NIC-unique QpContext identity (context-cache key space).
   std::uint64_t alloc_ctx_id() { return next_ctx_id_++; }
@@ -137,19 +134,18 @@ class Nic {
   /// add to the DMA service time (the DMA engine already serialises).
   sim::Duration charge_mr(std::uint32_t rkey);
 
-  /// The wire half of rdma_read/rdma_write, entered directly (QoS off)
-  /// or as the arbiter's grant continuation (QoS on): fault checks,
-  /// context-cache charge, request leg, target DMA, response leg.
-  void start_read(int target_node, MrKey rkey, std::size_t len, Completion c,
-                  std::function<void(Completion)> done, std::uint64_t ctx_id,
-                  TenantId tenant);
-  void start_write(int target_node, MrKey rkey, std::any value,
-                   std::size_t len, Completion c,
-                   std::function<void(Completion)> done, std::uint64_t ctx_id,
-                   TenantId tenant);
-
-  /// CPU chosen for the next NetRx interrupt (config fixed or round-robin).
-  int pick_rx_cpu();
+  /// The wire half of post(), entered directly (QoS off) or as the
+  /// arbiter's grant continuation (QoS on): fault checks, context-cache
+  /// charge, request leg, target DMA, response leg.
+  void start(int target_node, WorkRequest wr, Completion c, Done done,
+             std::uint64_t ctx_id, TenantId tenant);
+  /// Transport-level failure: the RC state machine retransmits until the
+  /// retry budget is spent, then flushes the WR with RetryExceeded. The
+  /// initiator always gets a completion — nothing hangs on a dead peer.
+  void fail_after_retries(Completion c, Done done);
+  /// The one completion point of every op: stamps `completed`, records
+  /// read.comp / write.comp, hands the completion to `done`.
+  void finish(Completion c, const Done& done);
 
   Fabric& fabric_;
   os::Node& node_;
@@ -163,7 +159,6 @@ class Nic {
   std::unique_ptr<NicCtxCache> ctx_cache_;
   /// Per-tenant QoS arbiter; null when FabricConfig::qos is disabled.
   std::unique_ptr<TenantArbiter> arbiter_;
-  int rr_cpu_ = 0;
   std::uint64_t tx_packets_ = 0;
   std::uint64_t rx_packets_ = 0;
   std::uint64_t rx_deferred_ = 0;

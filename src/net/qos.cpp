@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "telemetry/registry.hpp"
 
@@ -77,7 +76,7 @@ void TenantArbiter::pump() {
   const sim::TimePoint now = simu_.now();
   TenantState* best = nullptr;
   TenantId best_id = 0;
-  sim::TimePoint earliest{std::numeric_limits<std::int64_t>::max()};
+  sim::TimePoint earliest = sim::kNever;
   bool any_queued = false;
   for (auto& [id, st] : ts_) {
     if (st.q.empty()) continue;

@@ -21,8 +21,15 @@
 #include <unordered_map>
 
 #include "net/qos.hpp"
+#include "sim/time.hpp"
 
 namespace rdmamon::net {
+
+/// Cost of fetching one evicted context from host memory on a miss.
+/// QP-context fetches serialise on the NIC's single fetch engine (the
+/// thrash is a queueing collapse, not just an additive tax); MR fetches
+/// stall the already-serialised DMA engine.
+inline constexpr sim::Duration kCtxMissPenalty = sim::nsec(450);
 
 /// LRU set of context keys with hit/miss/eviction accounting. Keys are an
 /// opaque 64-bit space; net::Nic namespaces QP contexts and MR entries

@@ -9,9 +9,15 @@ namespace rdmamon::net {
 
 namespace {
 
-sim::Duration copy_cost(const FabricConfig& cfg, std::size_t bytes) {
-  return sim::nsec(static_cast<std::int64_t>(
-      static_cast<double>(bytes) * cfg.socket_copy_per_byte_ns));
+/// Socket path kernel costs (IPoIB-era protocol stack), plus a per-byte
+/// copy cost for send/recv.
+constexpr sim::Duration kSendCost = sim::usec(8);
+constexpr sim::Duration kRecvCost = sim::usec(4);
+constexpr double kCopyPerByteNs = 0.2;
+
+sim::Duration copy_cost(std::size_t bytes) {
+  return sim::nsec(static_cast<std::int64_t>(static_cast<double>(bytes) *
+                                             kCopyPerByteNs));
 }
 
 }  // namespace
@@ -34,9 +40,8 @@ os::Program Socket::send(os::SimThread& self, std::size_t bytes,
   if (!metrics_resolved_) resolve_metrics();
   telemetry::add(tx_msgs_);
   telemetry::add(tx_bytes_, bytes);
-  const FabricConfig& cfg = fabric_->config();
   // Syscall trap + protocol + copy, charged as system time.
-  co_await os::ComputeKernel{cfg.socket_send_cost + copy_cost(cfg, bytes)};
+  co_await os::ComputeKernel{kSendCost + copy_cost(bytes)};
   Message m;
   m.src_node = local_->id;
   m.dst_node = remote_node_;
@@ -63,9 +68,7 @@ os::Program Socket::recv(os::SimThread& self, Message& out) {
   while (rx_.empty()) co_await os::WaitOn{&rx_wq_};
   out = std::move(rx_.front());
   rx_.pop_front();
-  const FabricConfig& cfg = fabric_->config();
-  co_await os::ComputeKernel{cfg.socket_recv_cost +
-                             copy_cost(cfg, out.bytes)};
+  co_await os::ComputeKernel{kRecvCost + copy_cost(out.bytes)};
   (void)self;
 }
 
@@ -88,9 +91,7 @@ os::Program Socket::recv_until(os::SimThread& self, Message& out,
   if (rx_.empty()) co_return;
   out = std::move(rx_.front());
   rx_.pop_front();
-  const FabricConfig& cfg = fabric_->config();
-  co_await os::ComputeKernel{cfg.socket_recv_cost +
-                             copy_cost(cfg, out.bytes)};
+  co_await os::ComputeKernel{kRecvCost + copy_cost(out.bytes)};
   ok = true;
   (void)self;
 }
@@ -99,9 +100,7 @@ os::Program Socket::recv_ready(os::SimThread& self, Message& out) {
   assert(!rx_.empty() && "recv_ready requires has_data()");
   out = std::move(rx_.front());
   rx_.pop_front();
-  const FabricConfig& cfg = fabric_->config();
-  co_await os::ComputeKernel{cfg.socket_recv_cost +
-                             copy_cost(cfg, out.bytes)};
+  co_await os::ComputeKernel{kRecvCost + copy_cost(out.bytes)};
   (void)self;
 }
 

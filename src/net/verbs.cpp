@@ -37,18 +37,6 @@ void CompletionQueue::bind_moderation(sim::Simulation& simu, int count,
   mod_period_ = period;
 }
 
-void CompletionQueue::push(Completion c) {
-  ++pushed_;
-  if (forgotten_.erase(c.wr_id) > 0) {
-    ++stale_dropped_;  // abandoned WR: drop on arrival
-    return;
-  }
-  const bool urgent = c.status != WcStatus::Success;
-  ++cqes_signaled_;
-  q_.push_back(std::move(c));
-  note_surfaced(urgent);
-}
-
 void CompletionQueue::deliver(std::uint64_t ctx, std::uint64_t seq,
                               bool signaled, Completion c) {
   ++pushed_;
@@ -185,34 +173,9 @@ QpContext::QpContext(Nic& local, int signal_every, std::size_t send_depth)
       signal_every_(signal_every < 1 ? 1 : signal_every),
       send_depth_(send_depth) {}
 
-void QpContext::post_read(int target_node, MrKey rkey, std::size_t len,
-                          std::uint64_t wr_id, CompletionQueue& cq,
-                          bool force_signal) {
-  Pending p;
-  p.target = target_node;
-  p.rkey = rkey;
-  p.len = len;
-  p.wr_id = wr_id;
-  p.cq = &cq;
-  p.force_signal = force_signal;
-  submit(std::move(p));
-}
-
-void QpContext::post_write(int target_node, MrKey rkey, std::any value,
-                           std::size_t len, std::uint64_t wr_id,
-                           CompletionQueue& cq) {
-  Pending p;
-  p.is_write = true;
-  p.target = target_node;
-  p.rkey = rkey;
-  p.len = len;
-  p.wr_id = wr_id;
-  p.cq = &cq;
-  p.value = std::move(value);
-  submit(std::move(p));
-}
-
-void QpContext::submit(Pending p) {
+void QpContext::post(int target_node, WorkRequest wr, CompletionQueue& cq,
+                     bool force_signal) {
+  Pending p{target_node, std::move(wr), &cq, force_signal};
   if (send_depth_ > 0 && inflight_ >= send_depth_) {
     // Window full: the post waits in FIFO order for a completion to free
     // a slot — bounded send queues instead of unbounded NIC state.
@@ -226,7 +189,8 @@ void QpContext::submit(Pending p) {
 void QpContext::launch(Pending p) {
   ++inflight_;
   const std::uint64_t seq = seq_++;
-  const bool signaled = p.is_write || p.force_signal || signal_every_ <= 1 ||
+  const bool signaled = p.wr.verb == Verb::Write || p.force_signal ||
+                        signal_every_ <= 1 ||
                         ((seq + 1) % static_cast<std::uint64_t>(
                                          signal_every_) == 0);
   if (!signaled) {
@@ -247,13 +211,7 @@ void QpContext::launch(Pending p) {
     }
     cq->deliver(self->ctx_id_, seq, signaled, std::move(c));
   };
-  if (p.is_write) {
-    local_->rdma_write(p.target, p.rkey, std::move(p.value), p.len, p.wr_id,
-                       std::move(done), ctx_id_, tenant_);
-  } else {
-    local_->rdma_read(p.target, p.rkey, p.len, p.wr_id, std::move(done),
-                      ctx_id_, tenant_);
-  }
+  local_->post(p.target, std::move(p.wr), std::move(done), ctx_id_, tenant_);
 }
 
 // --- QueuePair ----------------------------------------------------------------
@@ -264,21 +222,8 @@ QueuePair::QueuePair(Nic& local, int remote_node, CompletionQueue& cq,
       cq_(&cq),
       ctx_(ctx ? std::move(ctx) : std::make_shared<QpContext>(local)) {}
 
-void QueuePair::post_read(MrKey rkey, std::size_t len, std::uint64_t wr_id,
-                          bool force_signal) {
-  ctx_->post_read(remote_node_, rkey, len, wr_id, *cq_, force_signal);
-}
-
-void QueuePair::post_read_batch(const std::vector<ReadWr>& wrs) {
-  for (std::size_t i = 0; i < wrs.size(); ++i) {
-    post_read(wrs[i].rkey, wrs[i].len, wrs[i].wr_id,
-              /*force_signal=*/i + 1 == wrs.size());
-  }
-}
-
-void QueuePair::post_write(MrKey rkey, std::any value, std::size_t len,
-                           std::uint64_t wr_id) {
-  ctx_->post_write(remote_node_, rkey, std::move(value), len, wr_id, *cq_);
+void QueuePair::post(WorkRequest wr, bool force_signal) {
+  ctx_->post(remote_node_, std::move(wr), *cq_, force_signal);
 }
 
 std::vector<std::shared_ptr<QpContext>> make_context_pool(
@@ -311,65 +256,41 @@ os::Program post_read_batch(os::SimThread& self,
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const ReadBatchEntry& e = batch[i];
-    e.qp->post_read(e.rkey, e.len, e.wr_id,
-                    /*force_signal=*/last[&e.qp->context()] == i);
+    e.qp->post(e.wr, /*force_signal=*/last[&e.qp->context()] == i);
   }
 }
 
-os::Program rdma_read_sync(os::SimThread& self, QueuePair& qp, MrKey rkey,
-                           std::size_t len, Completion& out) {
+os::Program rdma_sync(os::SimThread& self, QueuePair& qp, WorkRequest wr,
+                      Completion& out, sim::TimePoint deadline,
+                      bool* timed_out) {
+  if (timed_out != nullptr) *timed_out = false;
   // Doorbell: a cheap user-space MMIO write.
   co_await os::Compute{kDoorbellCost};
   count_doorbell(self, 1);
-  qp.post_read(rkey, len, /*wr_id=*/0);
-  CompletionQueue& cq = qp.cq();
-  while (cq.empty()) co_await os::WaitOn{&cq.wait_queue()};
-  out = cq.pop();
-}
-
-os::Program rdma_read_sync_until(os::SimThread& self, QueuePair& qp,
-                                 MrKey rkey, std::size_t len,
-                                 std::uint64_t wr_id, sim::TimePoint deadline,
-                                 Completion& out, bool& ok) {
-  ok = false;
-  co_await os::Compute{kDoorbellCost};
-  count_doorbell(self, 1);
-  qp.post_read(rkey, len, wr_id);
+  const std::uint64_t wr_id = wr.wr_id;
+  qp.post(std::move(wr));
   CompletionQueue& cq = qp.cq();
   sim::Simulation& simu = self.node().simu();
-  // The deadline is modelled as a timer that spuriously wakes the CQ
+  // A finite deadline is modelled as a timer that spuriously wakes the CQ
   // waiter; the waiter re-checks the clock (the documented wait-queue
   // discipline), so no scheduler surgery is needed. On the common path
-  // the READ completes first and the cancel below unlinks the
-  // wheel-resident timer in O(1), recycling its pool slot — arming a
-  // guard per post costs no allocation and leaves no tombstone behind.
+  // the WR completes first and the cancel below unlinks the wheel-resident
+  // timer in O(1), recycling its pool slot — arming a guard per post
+  // costs no allocation and leaves no tombstone behind.
   sim::EventHandle timer;
-  if (simu.now() < deadline) {
+  if (deadline != sim::kNever && simu.now() < deadline) {
     timer = simu.at(deadline, [&cq] { cq.wait_queue().notify_all(); });
   }
   for (;;) {
-    if (cq.try_pop(wr_id, out)) {
-      ok = true;
-      break;
-    }
+    if (cq.try_pop(wr_id, out)) break;
     if (simu.now() >= deadline) {
       cq.forget(wr_id);  // the CQ discards the late completion on arrival
+      if (timed_out != nullptr) *timed_out = true;
       break;
     }
     co_await os::WaitOn{&cq.wait_queue()};
   }
   timer.cancel();
-}
-
-os::Program rdma_write_sync(os::SimThread& self, QueuePair& qp, MrKey rkey,
-                            std::any value, std::size_t len,
-                            Completion& out) {
-  co_await os::Compute{kDoorbellCost};
-  count_doorbell(self, 1);
-  qp.post_write(rkey, std::move(value), len, /*wr_id=*/0);
-  CompletionQueue& cq = qp.cq();
-  while (cq.empty()) co_await os::WaitOn{&cq.wait_queue()};
-  out = cq.pop();
 }
 
 }  // namespace rdmamon::net

@@ -66,15 +66,31 @@ struct VerbsTuning {
   /// over this many QpContexts instead of each owning one. 0 = dedicated.
   int shared_contexts = 0;
   /// CQ notification moderation: wake the consumer only per this many
-  /// surfaced completions (1 = immediate)...
+  /// surfaced completions (1 = immediate), or kCqModPeriod after the first
+  /// held notification.
   int cq_mod_count = 1;
-  /// ...or when this much time passed since the first held notification.
-  sim::Duration cq_mod_period = sim::usec(16);
 };
+
+/// Moderation flush period: a partial batch of held CQ notifications
+/// wakes the consumer this long after the first of them.
+inline constexpr sim::Duration kCqModPeriod = sim::usec(16);
 
 /// Remote key naming a registered memory region on some node's NIC.
 struct MrKey {
   std::uint32_t key = 0;
+};
+
+/// One-sided opcode (ibv_wr_opcode).
+enum class Verb : std::uint8_t { Read, Write };
+
+/// One work request (ibv_send_wr): the single record every post carries
+/// from QueuePair::post down to the NIC. `value` is a WRITE's payload.
+struct WorkRequest {
+  Verb verb = Verb::Read;
+  MrKey rkey;
+  std::size_t len = 0;
+  std::uint64_t wr_id = 0;
+  std::any value{};
 };
 
 /// Registered memory region. `reader` snapshots the region's logical
@@ -101,7 +117,8 @@ enum class WcStatus {
 struct Completion {
   std::uint64_t wr_id = 0;
   WcStatus status = WcStatus::Success;
-  std::any data;              ///< READ: the fetched snapshot
+  Verb verb = Verb::Read;     ///< the completed WR's opcode (ibv_wc.opcode)
+  std::any data{};            ///< READ: the fetched snapshot
   sim::TimePoint posted{};    ///< when the WR was posted
   sim::TimePoint completed{}; ///< when the completion arrived
 };
@@ -132,16 +149,12 @@ class CompletionQueue {
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
 
-  /// Context-free delivery (always signaled). Kept for direct users; the
-  /// QueuePair path goes through deliver().
-  void push(Completion c);
-
   /// Delivery from a QpContext: `seq` is the WR's per-context post
   /// sequence, `signaled` whether it carries a CQE.
   void deliver(std::uint64_t ctx, std::uint64_t seq, bool signaled,
                Completion c);
 
-  /// Enables notification moderation (VerbsTuning::cq_mod_*): wait-queue
+  /// Enables notification moderation (VerbsTuning::cq_mod_count): wait-queue
   /// wakeups are batched per `count` surfaced completions, with a timer
   /// flushing a partial batch after `period`. Errors flush immediately.
   /// Call before completions flow; `simu` drives the flush timer.
@@ -248,16 +261,12 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
   explicit QpContext(Nic& local, int signal_every = 1,
                      std::size_t send_depth = 0);
 
-  /// Posts a READ through this context to `target_node`, completing into
+  /// Posts `wr` through this context to `target_node`, completing into
   /// `cq`. `force_signal` overrides the every-k policy (chain closers,
-  /// solitary posts a consumer synchronously waits on).
-  void post_read(int target_node, MrKey rkey, std::size_t len,
-                 std::uint64_t wr_id, CompletionQueue& cq, bool force_signal);
-
-  /// Posts a WRITE. Writes are always signaled (the publishers that use
-  /// them are completion-driven) but share the inflight window.
-  void post_write(int target_node, MrKey rkey, std::any value,
-                  std::size_t len, std::uint64_t wr_id, CompletionQueue& cq);
+  /// solitary posts a consumer synchronously waits on). WRITEs are always
+  /// signaled (the publishers that use them are completion-driven).
+  void post(int target_node, WorkRequest wr, CompletionQueue& cq,
+            bool force_signal);
 
   /// NIC context-cache identity (nonzero; allocated by the local NIC).
   std::uint64_t ctx_id() const { return ctx_id_; }
@@ -279,17 +288,12 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
 
  private:
   struct Pending {
-    bool is_write = false;
     int target = -1;
-    MrKey rkey;
-    std::size_t len = 0;
-    std::uint64_t wr_id = 0;
+    WorkRequest wr;
     CompletionQueue* cq = nullptr;
     bool force_signal = true;
-    std::any value;  ///< writes only
   };
 
-  void submit(Pending p);
   void launch(Pending p);
 
   Nic* local_;
@@ -304,13 +308,6 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
   std::uint64_t deferred_total_ = 0;
 };
 
-/// One work request of a multi-READ post (see QueuePair::post_read_batch).
-struct ReadWr {
-  MrKey rkey;
-  std::size_t len = 0;
-  std::uint64_t wr_id = 0;
-};
-
 /// Reliable-connected queue pair from a local NIC to a remote node. Posts
 /// flow through its QpContext — a private one by default, or a shared one
 /// passed at construction (DCT-style multiplexing; the context's NIC must
@@ -320,24 +317,13 @@ class QueuePair {
   QueuePair(Nic& local, int remote_node, CompletionQueue& cq,
             std::shared_ptr<QpContext> ctx = nullptr);
 
-  /// Posts a one-sided READ of `len` bytes from the remote region `rkey`.
-  /// Completion (with the sampled data) lands in the CQ. `force_signal`
-  /// defaults true: a solitary post must carry its own CQE or a waiting
-  /// consumer would hang; batched posts pass false and let the context's
-  /// signal-every-k policy decide (the batch closer is forced).
-  void post_read(MrKey rkey, std::size_t len, std::uint64_t wr_id,
-                 bool force_signal = true);
-
-  /// Posts a chain of READs as one work-request list: every WR is handed
-  /// to the NIC back-to-back and the caller pays a single doorbell cost
-  /// for the whole chain (charged by the posting subprogram, not here).
-  /// The chain's last WR is force-signaled; the rest follow the context's
-  /// signaling policy.
-  void post_read_batch(const std::vector<ReadWr>& wrs);
-
-  /// Posts a one-sided WRITE of `value` to the remote region `rkey`.
-  void post_write(MrKey rkey, std::any value, std::size_t len,
-                  std::uint64_t wr_id);
+  /// Posts a one-sided READ or WRITE against the remote region `wr.rkey`.
+  /// The completion (a READ's with the sampled data) lands in the CQ.
+  /// `force_signal` defaults true: a solitary post must carry its own CQE
+  /// or a waiting consumer would hang; batched posts pass false and let
+  /// the context's signal-every-k policy decide (the batch closer is
+  /// forced).
+  void post(WorkRequest wr, bool force_signal = true);
 
   /// Re-points this QP's completions at another CQ (e.g. an engine's
   /// shared CQ). Must not be called with WRs in flight.
@@ -371,9 +357,7 @@ std::vector<std::shared_ptr<QpContext>> make_context_pool(
 /// drain all their completions.
 struct ReadBatchEntry {
   QueuePair* qp = nullptr;
-  MrKey rkey;
-  std::size_t len = 0;
-  std::uint64_t wr_id = 0;
+  WorkRequest wr;
 };
 
 /// Subprogram: posts every READ in `batch` back-to-back, charging ONE
@@ -386,25 +370,16 @@ struct ReadBatchEntry {
 os::Program post_read_batch(os::SimThread& self,
                             const std::vector<ReadBatchEntry>& batch);
 
-/// Subprogram: pays the WR post cost, posts a READ and blocks until its
-/// completion arrives, storing it in `out`. The canonical front-end
-/// monitoring primitive.
-os::Program rdma_read_sync(os::SimThread& self, QueuePair& qp, MrKey rkey,
-                           std::size_t len, Completion& out);
-
-/// Subprogram: same for WRITE (used by tests and the reconfiguration
-/// example; completes with ProtectionError on read-only regions).
-os::Program rdma_write_sync(os::SimThread& self, QueuePair& qp, MrKey rkey,
-                            std::any value, std::size_t len, Completion& out);
-
-/// Deadline-aware variant of rdma_read_sync: posts the READ with `wr_id`
-/// and waits for ITS completion until `deadline`. On timeout `ok` stays
-/// false and the WR is abandoned via CompletionQueue::forget — the CQ
-/// drops its completion (the fabric always produces one, possibly
-/// RetryExceeded) whenever it lands.
-os::Program rdma_read_sync_until(os::SimThread& self, QueuePair& qp,
-                                 MrKey rkey, std::size_t len,
-                                 std::uint64_t wr_id, sim::TimePoint deadline,
-                                 Completion& out, bool& ok);
+/// Subprogram: pays the doorbell, posts `wr` and blocks until ITS
+/// completion (matched by wr_id) arrives, storing it in `out`. The
+/// canonical front-end monitoring primitive for a READ; a WRITE to a
+/// read-only region completes with ProtectionError. With a finite
+/// `deadline` the wait gives up at that instant: the WR is abandoned via
+/// CompletionQueue::forget — the CQ drops its completion (the fabric
+/// always produces one, possibly RetryExceeded) whenever it lands — and
+/// `*timed_out` (when given) is set.
+os::Program rdma_sync(os::SimThread& self, QueuePair& qp, WorkRequest wr,
+                      Completion& out, sim::TimePoint deadline = sim::kNever,
+                      bool* timed_out = nullptr);
 
 }  // namespace rdmamon::net

@@ -118,9 +118,13 @@ os::Program ReconfigManager::manager_body(os::SimThread& self) {
               fabric_->nic(frontend_->id),
               regions_[static_cast<std::size_t>(pick)]->node().id, cq_);
           net::Completion c;
-          co_await net::rdma_write_sync(
-              self, qp, regions_[static_cast<std::size_t>(pick)]->mr_key(),
-              std::any(static_cast<int>(hot)), sizeof(int), c);
+          co_await net::rdma_sync(
+              self, qp,
+              {.verb = net::Verb::Write,
+               .rkey = regions_[static_cast<std::size_t>(pick)]->mr_key(),
+               .len = sizeof(int),
+               .value = static_cast<int>(hot)},
+              c);
           if (c.status == net::WcStatus::Success) {
             ++reconfigs_;
             last_reconfig_ = simu.now();

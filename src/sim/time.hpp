@@ -5,6 +5,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace rdmamon::sim {
@@ -51,6 +52,9 @@ struct TimePoint {
   constexpr double seconds() const { return static_cast<double>(ns) / 1e9; }
   constexpr double millis() const { return static_cast<double>(ns) / 1e6; }
 };
+
+/// The instant no clock reaches: an unbounded deadline.
+inline constexpr TimePoint kNever{std::numeric_limits<std::int64_t>::max()};
 
 /// Duration factories. `sim::msec(50)` reads like the paper's "T = 50 ms".
 constexpr Duration nsec(std::int64_t v) { return {v}; }

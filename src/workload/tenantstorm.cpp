@@ -116,8 +116,9 @@ void TenantStorm::post_one(int idx, std::size_t& rr) {
     pool.push_back(mr);
   }
   const std::uint64_t wr_id = cq_.alloc_wr_id();
-  ctxs_[static_cast<std::size_t>(idx)]->post_read(tgt.node, mr, cfg_.op_bytes,
-                                                  wr_id, cq_, true);
+  ctxs_[static_cast<std::size_t>(idx)]->post(
+      tgt.node, {.rkey = mr, .len = cfg_.op_bytes, .wr_id = wr_id}, cq_,
+      /*force_signal=*/true);
   ++posted_;
   ++outstanding_;
 }

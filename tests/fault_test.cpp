@@ -232,7 +232,7 @@ TEST(VerbsFault, CrashBeforeUnsignaledWrsErrorCompletesEveryOne) {
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 4; ++i) ids.push_back(cq.alloc_wr_id());
   for (const std::uint64_t id : ids) {
-    qp.post_read(key, 64, id, /*force_signal=*/false);
+    qp.post({.rkey = key, .len = 64, .wr_id = id}, /*force_signal=*/false);
   }
   env.simu.run_for(seconds(1));
   net::Completion c;
@@ -256,12 +256,12 @@ TEST(VerbsFault, CrashBetweenUnsignaledWrAndCloserStillReleasesIt) {
                                               /*signal_every=*/16);
   net::QueuePair qp(env.fabric.nic(0), env.backend.id, cq, ctx);
   const std::uint64_t a = cq.alloc_wr_id();
-  qp.post_read(key, 64, a, /*force_signal=*/false);
+  qp.post({.rkey = key, .len = 64, .wr_id = a}, /*force_signal=*/false);
   env.simu.run_for(msec(5));
   ASSERT_EQ(cq.shadowed(), 1u);  // A is held awaiting a closer
   env.fabric.inject_crash(env.backend.id);
   const std::uint64_t b = cq.alloc_wr_id();
-  qp.post_read(key, 64, b, /*force_signal=*/true);
+  qp.post({.rkey = key, .len = 64, .wr_id = b}, /*force_signal=*/true);
   env.simu.run_for(seconds(1));
   net::Completion c;
   ASSERT_TRUE(cq.try_pop(a, c));
@@ -284,12 +284,12 @@ TEST(VerbsFault, ForgottenUnsignaledWrsNeverSurfaceAfterCrash) {
                                               /*signal_every=*/16);
   net::QueuePair qp(env.fabric.nic(0), env.backend.id, cq, ctx);
   const std::uint64_t a = cq.alloc_wr_id();
-  qp.post_read(key, 64, a, /*force_signal=*/false);
+  qp.post({.rkey = key, .len = 64, .wr_id = a}, /*force_signal=*/false);
   env.simu.run_for(msec(5));
   ASSERT_EQ(cq.shadowed(), 1u);
   env.fabric.inject_crash(env.backend.id);
   const std::uint64_t b = cq.alloc_wr_id();
-  qp.post_read(key, 64, b, /*force_signal=*/false);
+  qp.post({.rkey = key, .len = 64, .wr_id = b}, /*force_signal=*/false);
   cq.forget(a);  // shadowed: reclaimed immediately
   cq.forget(b);  // in flight: dropped on arrival
   EXPECT_EQ(cq.shadowed(), 0u);

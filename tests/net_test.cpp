@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -11,6 +13,7 @@
 #include "net/verbs.hpp"
 #include "os/node.hpp"
 #include "sim/simulation.hpp"
+#include "telemetry/registry.hpp"
 
 namespace rdmamon::net {
 namespace {
@@ -135,7 +138,7 @@ TEST(Rdma, ReadReturnsValueAtDmaInstant) {
   std::int64_t latency = -1;
   env.a.spawn("reader", [&](SimThread& self) -> Program {
     const sim::TimePoint t0 = env.simu.now();
-    co_await rdma_read_sync(self, qp, key, 128, out);
+    co_await rdma_sync(self, qp, {.rkey = key, .len = 128}, out);
     latency = (env.simu.now() - t0).ns;
   });
   env.simu.run_for(msec(10));
@@ -158,7 +161,7 @@ TEST(Rdma, ReadSamplesCurrentNotStaleValue) {
   Completion out;
   env.a.spawn("reader", [&](SimThread& self) -> Program {
     co_await SleepFor{msec(10)};
-    co_await rdma_read_sync(self, qp, key, 64, out);
+    co_await rdma_sync(self, qp, {.rkey = key, .len = 64}, out);
   });
   env.simu.run_for(msec(20));
   EXPECT_EQ(std::any_cast<int>(out.data), 42);
@@ -174,7 +177,9 @@ TEST(Rdma, WriteToReadOnlyRegionFailsWithProtectionError) {
   QueuePair qp(env.fabric.nic(0), 1, cq);
   Completion out;
   env.a.spawn("writer", [&](SimThread& self) -> Program {
-    co_await rdma_write_sync(self, qp, key, std::any(99), 64, out);
+    co_await rdma_sync(
+        self, qp, {.verb = Verb::Write, .rkey = key, .len = 64, .value = 99},
+        out);
   });
   env.simu.run_for(msec(10));
   EXPECT_EQ(out.status, WcStatus::ProtectionError);
@@ -192,7 +197,9 @@ TEST(Rdma, WriteToWritableRegionApplies) {
   QueuePair qp(env.fabric.nic(0), 1, cq);
   Completion out;
   env.a.spawn("writer", [&](SimThread& self) -> Program {
-    co_await rdma_write_sync(self, qp, key, std::any(99), 64, out);
+    co_await rdma_sync(
+        self, qp, {.verb = Verb::Write, .rkey = key, .len = 64, .value = 99},
+        out);
   });
   env.simu.run_for(msec(10));
   EXPECT_EQ(out.status, WcStatus::Success);
@@ -213,7 +220,8 @@ TEST(Rdma, WriteCompletesInvalidKeyWhenTargetMrDereggedMidFlight) {
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   const std::uint64_t wr = cq.alloc_wr_id();
-  qp.post_write(key, std::any(99), 64, wr);
+  qp.post(
+      {.verb = Verb::Write, .rkey = key, .len = 64, .wr_id = wr, .value = 99});
   ASSERT_TRUE(env.fabric.nic(1).deregister_mr(key));  // before the DMA lands
   env.simu.run_for(msec(10));
   Completion out;
@@ -236,7 +244,8 @@ TEST(Rdma, ForgottenWriteCompletionIsDroppedAsStale) {
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   const std::uint64_t wr = cq.alloc_wr_id();
-  qp.post_write(key, std::any(42), 64, wr);
+  qp.post(
+      {.verb = Verb::Write, .rkey = key, .len = 64, .wr_id = wr, .value = 42});
   cq.forget(wr);  // abandon before the completion arrives
   env.simu.run_for(msec(10));
   Completion out;
@@ -259,14 +268,16 @@ TEST(Rdma, ForgetAfterDeliveryIsNotStale) {
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   const std::uint64_t w1 = cq.alloc_wr_id();
-  qp.post_write(key, std::any(1), 64, w1);
+  qp.post(
+      {.verb = Verb::Write, .rkey = key, .len = 64, .wr_id = w1, .value = 1});
   env.simu.run_for(msec(5));
   Completion out;
   ASSERT_TRUE(cq.try_pop(w1, out));
   EXPECT_EQ(out.status, WcStatus::Success);
   cq.forget(w1);  // late forget of an already-delivered WR: harmless
   const std::uint64_t w2 = cq.alloc_wr_id();
-  qp.post_write(key, std::any(2), 64, w2);
+  qp.post(
+      {.verb = Verb::Write, .rkey = key, .len = 64, .wr_id = w2, .value = 2});
   env.simu.run_for(msec(5));
   ASSERT_TRUE(cq.try_pop(w2, out));  // w2 must still be delivered
   EXPECT_EQ(out.status, WcStatus::Success);
@@ -279,10 +290,78 @@ TEST(Rdma, InvalidKeyCompletesWithError) {
   QueuePair qp(env.fabric.nic(0), 1, cq);
   Completion out;
   env.a.spawn("reader", [&](SimThread& self) -> Program {
-    co_await rdma_read_sync(self, qp, MrKey{9999}, 64, out);
+    co_await rdma_sync(self, qp, {.rkey = MrKey{9999}, .len = 64}, out);
   });
   env.simu.run_for(msec(10));
   EXPECT_EQ(out.status, WcStatus::InvalidKey);
+}
+
+TEST(Rdma, EveryCompletionPathRecordsOneCompEventAtItsInstant) {
+  // Nic::finish is the one completion point of both opcodes: whichever
+  // way an op ends, the initiator's ring gets exactly one read.comp or
+  // write.comp with a = the status, stamped at the completion instant.
+  if constexpr (!telemetry::kEnabled) {
+    GTEST_SKIP() << "flight recorder compiled out";
+  }
+  sim::Simulation simu;
+  telemetry::Registry reg;
+  reg.install(simu);
+  Fabric fabric(simu, {});
+  os::Node a(simu, {.name = "a"}), b(simu, {.name = "b"}),
+      dead(simu, {.name = "dead"});
+  fabric.attach(a);
+  fabric.attach(b);
+  fabric.attach(dead);
+  const MrKey ro = fabric.nic(b.id).register_mr(64, [] { return std::any(1); });
+  const MrKey rw = fabric.nic(b.id).register_mr(
+      64, [] { return std::any(1); }, /*remote_writable=*/true,
+      [](const std::any&) {});
+  fabric.inject_crash(dead.id);
+  struct Case {
+    Verb verb;
+    int target;
+    MrKey rkey;
+    WcStatus want;
+  };
+  const Case cases[] = {
+      {Verb::Read, b.id, ro, WcStatus::Success},
+      {Verb::Read, b.id, MrKey{999}, WcStatus::InvalidKey},
+      {Verb::Read, dead.id, ro, WcStatus::RetryExceeded},
+      {Verb::Write, b.id, rw, WcStatus::Success},
+      {Verb::Write, b.id, MrKey{999}, WcStatus::InvalidKey},
+      {Verb::Write, b.id, ro, WcStatus::ProtectionError},
+      {Verb::Write, dead.id, rw, WcStatus::RetryExceeded},
+  };
+  std::vector<Completion> got;
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& k = cases[i];
+    fabric.nic(a.id).post(
+        k.target, {.verb = k.verb, .rkey = k.rkey, .len = 64, .wr_id = i,
+                   .value = 7},
+        [&got](Completion c) { got.push_back(std::move(c)); });
+  }
+  simu.run_for(msec(10));
+  ASSERT_EQ(got.size(), std::size(cases));
+  const std::vector<telemetry::FlightEvent> events =
+      reg.recorder().ring("net.a")->events();
+  for (const Completion& c : got) {
+    const Case& k = cases[c.wr_id];
+    EXPECT_EQ(c.verb, k.verb) << "wr " << c.wr_id;
+    EXPECT_EQ(c.status, k.want) << "wr " << c.wr_id;
+    const std::string_view comp =
+        k.verb == Verb::Read ? "read.comp" : "write.comp";
+    int records = 0;
+    for (const telemetry::FlightEvent& e : events) {
+      if (std::string_view(e.kind) != comp ||
+          e.b != static_cast<std::int64_t>(c.wr_id)) {
+        continue;
+      }
+      ++records;
+      EXPECT_EQ(e.a, static_cast<std::int64_t>(c.status)) << "wr " << c.wr_id;
+      EXPECT_EQ(e.at, c.completed) << "wr " << c.wr_id;
+    }
+    EXPECT_EQ(records, 1) << "wr " << c.wr_id;
+  }
 }
 
 TEST(Rdma, LatencyUnaffectedByTargetCpuLoad) {
@@ -305,7 +384,7 @@ TEST(Rdma, LatencyUnaffectedByTargetCpuLoad) {
         co_await SleepFor{msec(10)};
         Completion out;
         const sim::TimePoint t0 = env.simu.now();
-        co_await rdma_read_sync(self, qp, key, 128, out);
+        co_await rdma_sync(self, qp, {.rkey = key, .len = 128}, out);
         total += (env.simu.now() - t0).seconds();
         ++n;
       }
@@ -372,7 +451,7 @@ TEST(SelectiveSignaling, UnsignaledSuccessesRetireViaTheCloser) {
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 8; ++i) ids.push_back(cq.alloc_wr_id());
   for (const std::uint64_t id : ids) {
-    qp.post_read(key, 64, id, /*force_signal=*/false);
+    qp.post({.rkey = key, .len = 64, .wr_id = id}, /*force_signal=*/false);
   }
   env.simu.run_for(msec(10));
   ASSERT_EQ(cq.size(), 8u);
@@ -398,7 +477,8 @@ TEST(SelectiveSignaling, UnsignaledErrorSurfacesImmediately) {
                                          /*signal_every=*/8);
   QueuePair qp(env.fabric.nic(0), 1, cq, ctx);
   const std::uint64_t wr = cq.alloc_wr_id();
-  qp.post_read(MrKey{4242}, 64, wr, /*force_signal=*/false);  // bad rkey
+  qp.post({.rkey = MrKey{4242}, .len = 64, .wr_id = wr},  // bad rkey
+          /*force_signal=*/false);
   env.simu.run_for(msec(10));
   Completion c;
   ASSERT_TRUE(cq.try_pop(wr, c));  // no closer was ever posted
@@ -418,7 +498,7 @@ TEST(SelectiveSignaling, ForgetReclaimsAShadowedUnsignaledWr) {
                                          /*signal_every=*/16);
   QueuePair qp(env.fabric.nic(0), 1, cq, ctx);
   const std::uint64_t wr = cq.alloc_wr_id();
-  qp.post_read(key, 64, wr, /*force_signal=*/false);
+  qp.post({.rkey = key, .len = 64, .wr_id = wr}, /*force_signal=*/false);
   env.simu.run_for(msec(5));  // success landed: shadowed, no CQE
   EXPECT_EQ(cq.shadowed(), 1u);
   EXPECT_TRUE(cq.empty());
@@ -426,7 +506,7 @@ TEST(SelectiveSignaling, ForgetReclaimsAShadowedUnsignaledWr) {
   EXPECT_EQ(cq.shadowed(), 0u);  // reclaimed now
   EXPECT_EQ(cq.stale_dropped(), 1u);
   const std::uint64_t closer = cq.alloc_wr_id();
-  qp.post_read(key, 64, closer, /*force_signal=*/true);
+  qp.post({.rkey = key, .len = 64, .wr_id = closer}, /*force_signal=*/true);
   env.simu.run_for(msec(5));
   Completion c;
   EXPECT_FALSE(cq.try_pop(wr, c));  // the forgotten WR never surfaces
@@ -445,7 +525,9 @@ TEST(InflightWindow, PostsBeyondTheWindowDeferAndDrain) {
   QueuePair qp(env.fabric.nic(0), 1, cq, ctx);
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 6; ++i) ids.push_back(cq.alloc_wr_id());
-  for (const std::uint64_t id : ids) qp.post_read(key, 64, id);
+  for (const std::uint64_t id : ids) {
+    qp.post({.rkey = key, .len = 64, .wr_id = id});
+  }
   EXPECT_EQ(ctx->inflight(), 2u);  // window full, the rest queued
   EXPECT_EQ(ctx->deferred_pending(), 4u);
   env.simu.run_for(msec(10));
@@ -479,7 +561,9 @@ TEST(CqModeration, BatchesNotificationsPerCount) {
       }
     }
   });
-  for (int i = 0; i < 8; ++i) qp.post_read(key, 64, cq.alloc_wr_id());
+  for (int i = 0; i < 8; ++i) {
+    qp.post({.rkey = key, .len = 64, .wr_id = cq.alloc_wr_id()});
+  }
   env.simu.run_for(msec(20));
   EXPECT_EQ(wakeups, 2);
   EXPECT_EQ(cq.notifies(), 2u);
@@ -499,7 +583,9 @@ TEST(CqModeration, PeriodTimerFlushesAPartialBatch) {
     co_await os::WaitOn{&cq.wait_queue()};
     woke = true;
   });
-  for (int i = 0; i < 3; ++i) qp.post_read(key, 64, cq.alloc_wr_id());
+  for (int i = 0; i < 3; ++i) {
+    qp.post({.rkey = key, .len = 64, .wr_id = cq.alloc_wr_id()});
+  }
   env.simu.run_for(msec(10));
   EXPECT_TRUE(woke);
   EXPECT_EQ(cq.size(), 3u);
@@ -530,7 +616,9 @@ TEST(NicCtxCache, UnboundedByDefaultCountsNothing) {
   MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
-  for (int i = 0; i < 4; ++i) qp.post_read(key, 64, cq.alloc_wr_id());
+  for (int i = 0; i < 4; ++i) {
+    qp.post({.rkey = key, .len = 64, .wr_id = cq.alloc_wr_id()});
+  }
   env.simu.run_for(msec(10));
   for (const int n : {0, 1}) {
     EXPECT_EQ(env.fabric.nic(n).qpc_hits(), 0u);
@@ -551,8 +639,8 @@ TEST(NicCtxCache, AlternatingDedicatedContextsThrashABoundedCache) {
   QueuePair qp1(env.fabric.nic(0), 1, cq);
   QueuePair qp2(env.fabric.nic(0), 1, cq);
   for (int i = 0; i < 4; ++i) {
-    qp1.post_read(key, 64, cq.alloc_wr_id());
-    qp2.post_read(key, 64, cq.alloc_wr_id());
+    qp1.post({.rkey = key, .len = 64, .wr_id = cq.alloc_wr_id()});
+    qp2.post({.rkey = key, .len = 64, .wr_id = cq.alloc_wr_id()});
   }
   env.simu.run_for(msec(10));
   EXPECT_EQ(env.fabric.nic(0).qpc_misses(), 8u);
@@ -575,8 +663,8 @@ TEST(NicCtxCache, SharedContextTurnsThrashIntoHits) {
   QueuePair qp1(env.fabric.nic(0), 1, cq, ctx);
   QueuePair qp2(env.fabric.nic(0), 1, cq, ctx);
   for (int i = 0; i < 4; ++i) {
-    qp1.post_read(key, 64, cq.alloc_wr_id());
-    qp2.post_read(key, 64, cq.alloc_wr_id());
+    qp1.post({.rkey = key, .len = 64, .wr_id = cq.alloc_wr_id()});
+    qp2.post({.rkey = key, .len = 64, .wr_id = cq.alloc_wr_id()});
   }
   env.simu.run_for(msec(10));
   EXPECT_EQ(env.fabric.nic(0).qpc_misses(), 1u);
@@ -599,7 +687,7 @@ TEST(NicCtxCache, MissPenaltyDelaysTheRead) {
     env.a.spawn("reader", [&](SimThread& self) -> Program {
       Completion out;
       const sim::TimePoint t0 = env.simu.now();
-      co_await rdma_read_sync(self, qp, key, 64, out);
+      co_await rdma_sync(self, qp, {.rkey = key, .len = 64}, out);
       latency = (env.simu.now() - t0).ns;
     });
     env.simu.run_for(msec(10));
@@ -608,7 +696,7 @@ TEST(NicCtxCache, MissPenaltyDelaysTheRead) {
   const std::int64_t unbounded = measure(0);
   const std::int64_t bounded = measure(64);
   ASSERT_GT(unbounded, 0);
-  EXPECT_EQ(bounded - unbounded, 2 * FabricConfig{}.nic_ctx_miss_penalty.ns);
+  EXPECT_EQ(bounded - unbounded, 2 * kCtxMissPenalty.ns);
 }
 
 TEST(Nic, TxSerializesAtLinkBandwidth) {

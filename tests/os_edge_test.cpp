@@ -186,7 +186,9 @@ TEST(NetEdge, MultipleOutstandingRdmaReadsAllComplete) {
   net::CompletionQueue cq;
   net::QueuePair qp(fabric.nic(0), 1, cq);
   // Post 8 reads back-to-back without waiting (pipelined).
-  for (std::uint64_t i = 0; i < 8; ++i) qp.post_read(key, 64, i);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    qp.post({.rkey = key, .len = 64, .wr_id = i});
+  }
   simu.run_for(msec(1));
   EXPECT_EQ(cq.size(), 8u);
   std::vector<bool> seen(8, false);
@@ -210,7 +212,9 @@ TEST(NetEdge, DmaEngineSerializesConcurrentReads) {
   net::CompletionQueue cq;
   net::QueuePair qp(fabric.nic(0), 1, cq);
   std::vector<std::int64_t> completion_times;
-  for (std::uint64_t i = 0; i < 4; ++i) qp.post_read(key, 64, i);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    qp.post({.rkey = key, .len = 64, .wr_id = i});
+  }
   while (completion_times.size() < 4) {
     simu.run_for(usec(1));
     while (!cq.empty()) {

@@ -170,7 +170,7 @@ TEST(RdmaProperties, ReadLatencyGrowsMonotonicallyWithSize) {
     for (std::size_t len : {64u, 1024u, 16384u, 262144u}) {
       net::Completion c;
       const sim::TimePoint t0 = simu.now();
-      co_await net::rdma_read_sync(self, qp, key, len, c);
+      co_await net::rdma_sync(self, qp, {.rkey = key, .len = len}, c);
       latencies.push_back((simu.now() - t0).micros());
     }
   });

@@ -50,9 +50,12 @@ TEST(RoleRegion, RemoteWriteFlipsRoleAndNotifies) {
                     cq);
   net::Completion out;
   env.frontend.spawn("writer", [&](os::SimThread& self) -> os::Program {
-    co_await net::rdma_write_sync(
-        self, qp, region.mr_key(),
-        std::any(static_cast<int>(Role::ServiceB)), sizeof(int), out);
+    co_await net::rdma_sync(self, qp,
+                            {.verb = net::Verb::Write,
+                             .rkey = region.mr_key(),
+                             .len = sizeof(int),
+                             .value = static_cast<int>(Role::ServiceB)},
+                            out);
   });
   env.simu.run_for(msec(10));
   EXPECT_EQ(out.status, net::WcStatus::Success);

@@ -57,9 +57,9 @@ TEST(CompletionQueue, AllocWrIdIsUniqueAndMonotonic) {
 
 TEST(CompletionQueue, TryPopFiltersByWrIdLeavingOthersQueued) {
   net::CompletionQueue cq;
-  cq.push({.wr_id = 1});
-  cq.push({.wr_id = 2});
-  cq.push({.wr_id = 3});
+  cq.deliver(/*ctx=*/0, /*seq=*/0, /*signaled=*/true, {.wr_id = 1});
+  cq.deliver(/*ctx=*/0, /*seq=*/1, /*signaled=*/true, {.wr_id = 2});
+  cq.deliver(/*ctx=*/0, /*seq=*/2, /*signaled=*/true, {.wr_id = 3});
   net::Completion c;
   ASSERT_TRUE(cq.try_pop(2, c));
   EXPECT_EQ(c.wr_id, 2u);
@@ -72,7 +72,7 @@ TEST(CompletionQueue, TryPopFiltersByWrIdLeavingOthersQueued) {
 
 TEST(CompletionQueue, ForgetDropsQueuedCompletionImmediately) {
   net::CompletionQueue cq;
-  cq.push({.wr_id = 7});
+  cq.deliver(/*ctx=*/0, /*seq=*/0, /*signaled=*/true, {.wr_id = 7});
   cq.forget(7);
   EXPECT_TRUE(cq.empty());
   net::Completion c;
@@ -82,11 +82,12 @@ TEST(CompletionQueue, ForgetDropsQueuedCompletionImmediately) {
 TEST(CompletionQueue, ForgetDropsInFlightCompletionOnArrival) {
   net::CompletionQueue cq;
   cq.forget(9);
-  cq.push({.wr_id = 9});  // the late completion of an abandoned WR
+  // The late completion of an abandoned WR.
+  cq.deliver(/*ctx=*/0, /*seq=*/0, /*signaled=*/true, {.wr_id = 9});
   EXPECT_TRUE(cq.empty());
   // The filter is one-shot: a later WR reusing nothing — a fresh id —
   // still lands, and so would a (never-issued) reuse of 9.
-  cq.push({.wr_id = 9});
+  cq.deliver(/*ctx=*/0, /*seq=*/1, /*signaled=*/true, {.wr_id = 9});
   EXPECT_EQ(cq.size(), 1u);
 }
 
@@ -118,18 +119,18 @@ TEST(PostReadBatch, OneQpChainCompletesEveryWr) {
   RdmaEnv env(1);
   net::CompletionQueue cq;
   net::QueuePair qp(env.fabric.nic(env.frontend.id), env.backends[0]->id, cq);
-  std::vector<net::ReadWr> wrs;
+  std::vector<net::ReadBatchEntry> batch;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    wrs.push_back({env.keys[0], 256, cq.alloc_wr_id()});
+    batch.push_back(
+        {&qp, {.rkey = env.keys[0], .len = 256, .wr_id = cq.alloc_wr_id()}});
   }
   env.frontend.spawn("poster", [&](SimThread& self) -> Program {
-    co_await os::Compute{net::kDoorbellCost};
-    qp.post_read_batch(wrs);
+    co_await net::post_read_batch(self, batch);
   });
   env.simu.run_for(msec(10));
   ASSERT_EQ(cq.size(), 4u);
-  for (const net::ReadWr& wr : wrs) {
-    const net::Completion* c = cq.find(wr.wr_id);
+  for (const net::ReadBatchEntry& e : batch) {
+    const net::Completion* c = cq.find(e.wr.wr_id);
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->status, net::WcStatus::Success);
   }
@@ -143,7 +144,9 @@ TEST(PostReadBatch, CrossQpBatchSharesOneCqAndOneDoorbell) {
   for (int i = 0; i < 3; ++i) {
     qps.push_back(std::make_unique<net::QueuePair>(
         env.fabric.nic(env.frontend.id), env.backends[i]->id, cq));
-    batch.push_back({qps.back().get(), env.keys[i], 256, cq.alloc_wr_id()});
+    batch.push_back({qps.back().get(),
+                     {.rkey = env.keys[i], .len = 256,
+                      .wr_id = cq.alloc_wr_id()}});
   }
   sim::Duration issue_time{};
   env.frontend.spawn("poster", [&](SimThread& self) -> Program {
@@ -156,8 +159,8 @@ TEST(PostReadBatch, CrossQpBatchSharesOneCqAndOneDoorbell) {
   EXPECT_LT(issue_time.ns, 3 * net::kDoorbellCost.ns);
   ASSERT_EQ(cq.size(), 3u);
   for (const net::ReadBatchEntry& e : batch) {
-    ASSERT_NE(cq.find(e.wr_id), nullptr);
-    EXPECT_EQ(cq.find(e.wr_id)->status, net::WcStatus::Success);
+    ASSERT_NE(cq.find(e.wr.wr_id), nullptr);
+    EXPECT_EQ(cq.find(e.wr.wr_id)->status, net::WcStatus::Success);
   }
 }
 
@@ -327,7 +330,7 @@ TEST(ScatterRound, FastPathVerdictsMatchDedicatedUnderCrash) {
     monitor::ScatterFetcher scatter;
     for (auto& ch : channels) scatter.add(ch->frontend());
     if (fast) {
-      scatter.cq().bind_moderation(simu, vt.cq_mod_count, vt.cq_mod_period);
+      scatter.cq().bind_moderation(simu, vt.cq_mod_count, net::kCqModPeriod);
     }
     fabric.inject_crash(backends[1]->id);
     fabric.inject_crash(backends[4]->id);

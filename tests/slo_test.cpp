@@ -333,8 +333,9 @@ TEST(AlarmMonitor, AlarmReadableViaOneSidedRead) {
     net::CompletionQueue cq;
     net::QueuePair qp{fabric.nic(reader.id), alarms.node_id(), cq};
     net::Completion c;
-    co_await net::rdma_read_sync(self, qp, alarms.mr_key(),
-                                 alarms.config().slot_bytes, c);
+    co_await net::rdma_sync(
+        self, qp,
+        {.rkey = alarms.mr_key(), .len = alarms.config().slot_bytes}, c);
     if (c.status == net::WcStatus::Success) {
       remote = std::any_cast<AlarmView>(c.data);
       got = true;
@@ -461,8 +462,9 @@ TEST(FreshnessAlarm, DeadPublisherBreachesSloAndLeavesFlightDump) {
     net::CompletionQueue cq;
     net::QueuePair qp{fabric.nic(reader.id), alarms.node_id(), cq};
     net::Completion c;
-    co_await net::rdma_read_sync(self, qp, alarms.mr_key(),
-                                 alarms.config().slot_bytes, c);
+    co_await net::rdma_sync(
+        self, qp,
+        {.rkey = alarms.mr_key(), .len = alarms.config().slot_bytes}, c);
     if (c.status == net::WcStatus::Success) {
       remote = std::any_cast<AlarmView>(c.data);
       got = true;
