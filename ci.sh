@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The one copy of every CI lane: each .github/workflows/ci.yml job installs
 # the toolchain and runs one of these. Usage:
-#   ./ci.sh            # tier-1 verify (build + ctest, minus LABELS slow)
+#   ./ci.sh            # tier-1 verify (warning-free build + ctest, minus
+#                      # LABELS slow)
 #   ./ci.sh sanitize   # ASan/UBSan build + FULL ctest incl. slow (slower)
 #   ./ci.sh bench      # quick benches + BENCH_*.json checks + golden traces
 #                      # + the repo benchmark's checks (perfbench)
@@ -79,7 +80,8 @@ elif [[ "${1:-}" == "perf" ]]; then
   RDMAMON_BENCH_DIR=bench-results ./build-release/bench/bench_engine --quick
   python3 tools/check_bench.py bench-results engine
 else
-  cmake -B build -S .
+  # Warnings are errors here, so the tree stays warning-free.
+  cmake -B build -S . -DRDMAMON_WERROR=ON
   cmake --build build -j "$jobs"
   mkdir -p build/flight-dumps
   export RDMAMON_FLIGHT_DIR="$PWD/build/flight-dumps"

@@ -4,6 +4,13 @@
 
 namespace rdmamon::cluster {
 
+namespace {
+/// Virtual nodes per member. More vnodes = better spread, larger (still
+/// tiny) ring; 64 keeps max shard within ~1.5x of N/M for the cluster
+/// sizes we sweep.
+constexpr int kVnodes = 64;
+}  // namespace
+
 std::uint64_t HashRing::mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -23,7 +30,7 @@ bool HashRing::add(int member) {
   if (contains(member)) return false;
   members_.insert(std::lower_bound(members_.begin(), members_.end(), member),
                   member);
-  for (int r = 0; r < cfg_.vnodes; ++r) {
+  for (int r = 0; r < kVnodes; ++r) {
     const std::pair<std::uint64_t, int> pt{point_hash(member, r), member};
     points_.insert(std::lower_bound(points_.begin(), points_.end(), pt), pt);
   }

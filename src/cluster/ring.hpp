@@ -1,8 +1,8 @@
 // Consistent-hash ring partitioning polling responsibility across M
-// front-ends. Each member contributes `vnodes` points on a 64-bit ring;
-// a backend is owned by the member whose point follows the backend's key
-// clockwise. The classic guarantees hold and are pinned by property
-// tests (tests/ring_test.cpp):
+// front-ends. Each member contributes kVnodes (ring.cpp) virtual-node
+// points on a 64-bit ring; a backend is owned by the member whose point
+// follows the backend's key clockwise. The classic guarantees hold and
+// are pinned by property tests (tests/ring_test.cpp):
 //
 //  - partition: every backend is owned by exactly one live member;
 //  - spread: with enough virtual nodes, shard sizes stay within a small
@@ -11,7 +11,7 @@
 //    keys adjacent to that member's points — everything else keeps its
 //    owner, so a front-end join/leave re-homes one shard, not the world.
 //
-// Everything is a pure function of (salt, vnodes, membership): no RNG,
+// Everything is a pure function of (salt, membership): no RNG,
 // no clock, so two rings built by different front-ends from the same
 // membership agree on every owner — the property the scale-out plane's
 // "each backend polled by exactly one owner" claim rests on.
@@ -24,10 +24,6 @@
 namespace rdmamon::cluster {
 
 struct RingConfig {
-  /// Virtual nodes per member. More vnodes = better spread, larger
-  /// (still tiny) ring; 64 keeps max shard within ~1.5x of N/M for the
-  /// cluster sizes we sweep.
-  int vnodes = 64;
   /// Hash-stream salt: lets disjoint rings in one process disagree.
   std::uint64_t salt = 0x7c5f3a1e9b4d2c81ull;
 };

@@ -6,6 +6,13 @@
 
 namespace rdmamon::cluster {
 
+namespace {
+/// Consecutive failed/stale view reads before a peer is evicted.
+constexpr int kPeerDeadAfter = 3;
+/// Wire size of the view region (charged per gossip READ).
+constexpr std::size_t kViewBytes = 4096;
+}  // namespace
+
 FrontendPlane::FrontendPlane(ScaleOutPlane& plane, os::Node& node, int id,
                              lb::WeightConfig weights)
     : plane_(&plane), node_(&node), id_(id), lb_(weights) {}
@@ -113,7 +120,7 @@ void FrontendPlane::wire(sim::Duration granularity) {
   // NIC keeps serving, which is exactly the stale-view signal peers key
   // on.
   view_mr_ = plane_->fabric().nic(node_->id).register_mr(
-      plane_->config().view_bytes, [this] { return std::any(view()); });
+      kViewBytes, [this] { return std::any(view()); });
 
   // One QP per peer front end, completing into our own gossip CQ.
   peer_qps_.resize(static_cast<std::size_t>(plane_->frontend_count()));
@@ -189,7 +196,7 @@ bool FrontendPlane::may_evict() const {
   // landing: if nothing is reachable, WE are the isolated one. The
   // evidence — the latest successful local refresh, a poll or a consumed
   // push, of a back end we own — must be fresher than the gossip
-  // detection window ((peer_dead_after - 1) periods): a front end whose
+  // detection window ((kPeerDeadAfter - 1) periods): a front end whose
   // own network just died must lose eviction rights BEFORE its failure
   // streak against an innocent peer can mature, else two partitioned
   // front ends at M=2 evict each other (split-brain). An empty shard
@@ -209,7 +216,7 @@ bool FrontendPlane::may_evict() const {
   if (!owns_any) return true;
   const ScaleOutConfig& cfg = plane_->config();
   const std::int64_t guard =
-      std::min((cfg.peer_dead_after - 1) * cfg.gossip_period.ns,
+      std::min((kPeerDeadAfter - 1) * cfg.gossip_period.ns,
                cfg.staleness_bound.ns);
   const sim::Duration since = node_->simu().now() - last_local_ok;
   return since.ns < guard;
@@ -242,7 +249,7 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
       bool timed_out = false;
       co_await net::rdma_sync(self, qp,
                               {.rkey = fp.view_mr_key(),
-                               .len = cfg.view_bytes,
+                               .len = kViewBytes,
                                .wr_id = gossip_cq_.alloc_wr_id()},
                               c, simu.now() + cfg.read_timeout, &timed_out);
       const bool read_ok =
@@ -276,7 +283,7 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
       }
       std::size_t pi = static_cast<std::size_t>(peer);
       peer_fail_[pi] = fresh ? 0 : peer_fail_[pi] + 1;
-      if (peer_fail_[pi] >= cfg.peer_dead_after && may_evict() &&
+      if (peer_fail_[pi] >= kPeerDeadAfter && may_evict() &&
           mem.is_member(id_)) {
         peer_fail_[pi] = 0;
         ++evictions_;

@@ -69,6 +69,11 @@ struct ShardView {
 
 struct ScaleOutConfig {
   /// Gossip period: each front end READs every peer's view this often.
+  /// A peer is evicted after kPeerDeadAfter (scaleout.cpp) failed or stale
+  /// view reads in a row, and (kPeerDeadAfter - 1) gossip periods is the
+  /// freshness an evictor's own-shard evidence must show (may_evict);
+  /// keep the balancer's poll round shorter than that window or no front
+  /// end can ever evict.
   sim::Duration gossip_period = sim::msec(25);
   /// Deadline of one peer-view READ.
   sim::Duration read_timeout = sim::msec(10);
@@ -76,14 +81,6 @@ struct ScaleOutConfig {
   /// strike per bound elapsed; a peer whose published view is older than
   /// this counts as failed even when the READ itself succeeds.
   sim::Duration staleness_bound = sim::msec(200);
-  /// Consecutive failed/stale view reads before a peer is evicted.
-  /// (peer_dead_after - 1) * gossip_period is also the freshness an
-  /// evictor's own-shard evidence must show (FrontendPlane::may_evict);
-  /// keep the balancer's poll round shorter than that window or no
-  /// front end can ever evict.
-  int peer_dead_after = 3;
-  /// Wire size of the view region (charged per gossip READ).
-  std::size_t view_bytes = 4096;
   RingConfig ring;
 
   /// Verbs-layer tuning applied to every front end's monitoring channels

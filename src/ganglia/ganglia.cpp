@@ -4,6 +4,11 @@
 
 namespace rdmamon::ganglia {
 
+namespace {
+/// Size of one metric update packet on the wire.
+constexpr std::size_t kMetricPacketBytes = 128;
+}  // namespace
+
 GmondDaemon::GmondDaemon(net::Fabric& fabric, os::Node& node,
                          GangliaConfig cfg)
     : fabric_(&fabric), node_(&node), cfg_(cfg) {
@@ -71,7 +76,7 @@ os::Program GmondDaemon::gossip_body(os::SimThread& self) {
     if (!peers_.empty()) {
       net::Socket* peer = peers_[next_peer % peers_.size()];
       ++next_peer;
-      co_await peer->send(self, cfg_.metric_packet_bytes, pkt);
+      co_await peer->send(self, kMetricPacketBytes, pkt);
     }
   }
 }

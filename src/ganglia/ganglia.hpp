@@ -21,8 +21,6 @@ namespace rdmamon::ganglia {
 struct GangliaConfig {
   /// gmond's own coarse collection period (CPU/mem/... of its host).
   sim::Duration collect_period = sim::seconds(5);
-  /// Size of one metric update packet on the wire.
-  std::size_t metric_packet_bytes = 128;
 };
 
 struct MetricValue {

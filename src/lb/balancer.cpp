@@ -23,14 +23,13 @@ constexpr sim::Duration kScanPeriod = sim::msec(5);
 }  // namespace
 
 double load_index(const os::LoadSnapshot& info, const WeightConfig& w) {
-  const double net =
-      std::min(info.net_rate / w.net_capacity_bps, 1.0);
+  const double net = std::min(info.net_rate / monitor::kNetCapacityBps, 1.0);
   const double conn = std::min(
-      static_cast<double>(info.connections) / w.conn_capacity, 1.0);
+      static_cast<double>(info.connections) / monitor::kConnCapacity, 1.0);
   const double runq = std::min(
-      static_cast<double>(info.nr_running) / w.runq_capacity, 1.0);
-  double idx = w.w_cpu * info.cpu_load + w.w_mem * info.mem_load +
-               w.w_net * net + w.w_conn * conn + w.w_runq * runq;
+      static_cast<double>(info.nr_running) / monitor::kRunqCapacity, 1.0);
+  double idx = kWCpu * info.cpu_load + kWMem * info.mem_load + kWNet * net +
+               kWConn * conn + kWRunq * runq;
   if (w.irq_penalty > 0.0) {
     // Ordinary traffic keeps a pending interrupt or two in flight on a
     // busy server; pressure beyond that indicates hidden load (deferred
@@ -458,7 +457,7 @@ int LoadBalancer::pick() {
   double winner_w = 0.0;
   bool any_ok = false;
   for (int i = 0; i < n; ++i) {
-    if (in_rotation(i) && index_of(i) < weights_.overload_cutoff) {
+    if (in_rotation(i) && index_of(i) < kOverloadCutoff) {
       any_ok = true;
       break;
     }
@@ -470,7 +469,7 @@ int LoadBalancer::pick() {
     double w;
     if (!in_rotation(i)) {
       w = 0.0;
-    } else if (any_ok && idx >= weights_.overload_cutoff) {
+    } else if (any_ok && idx >= kOverloadCutoff) {
       w = 0.0;
     } else if (health_of(i) == BackendHealth::Suspect) {
       w = kFloor;

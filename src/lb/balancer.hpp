@@ -24,28 +24,27 @@
 
 namespace rdmamon::lb {
 
-/// Weights of the combined load index.
+/// Weights of the combined load index. Each component is first scaled
+/// to [0,1] by the capacities in monitor/inbox.hpp.
+inline constexpr double kWCpu = 0.30;
+inline constexpr double kWMem = 0.10;
+inline constexpr double kWNet = 0.10;
+inline constexpr double kWConn = 0.10;
+/// Weight of the instantaneous run-queue length (nr_running). This is
+/// the fastest-moving component of the index — the signal whose
+/// staleness separates the schemes (the utilisation EMA is smoothed by
+/// construction, run-queue length is not).
+inline constexpr double kWRunq = 0.50;
+
+/// A server whose index reaches this is treated as overloaded and gets
+/// zero weight (unless every server is overloaded) — the WebSphere
+/// behaviour of taking a hot server out of rotation entirely.
+inline constexpr double kOverloadCutoff = 0.75;
+
+/// The scheme-dependent part of the load index.
 struct WeightConfig {
-  double w_cpu = 0.30;
-  double w_mem = 0.10;
-  double w_net = 0.10;
-  double w_conn = 0.10;
-  /// Weight of the instantaneous run-queue length (nr_running). This is
-  /// the fastest-moving component of the index — the signal whose
-  /// staleness separates the schemes (the utilisation EMA is smoothed by
-  /// construction, run-queue length is not).
-  double w_runq = 0.50;
   /// Added per pending interrupt (e-RDMA-Sync only; 0 elsewhere).
   double irq_penalty = 0.0;
-  /// Normalisers.
-  double net_capacity_bps = 1.25e9;
-  int conn_capacity = 128;
-  int runq_capacity = 8;  ///< runnable threads considered "saturated"
-
-  /// A server whose index reaches this is treated as overloaded and gets
-  /// zero weight (unless every server is overloaded) — the WebSphere
-  /// behaviour of taking a hot server out of rotation entirely.
-  double overload_cutoff = 0.75;
 
   /// Defaults for a scheme: e-RDMA-Sync turns the IRQ term on.
   static WeightConfig for_scheme(monitor::Scheme s) {
@@ -251,7 +250,6 @@ class LoadBalancer {
   const monitor::MonitorSample& last_sample(int backend) const {
     return view(backend).sample;
   }
-  const WeightConfig& weights() const { return weights_; }
 
   // --- failure detection ---------------------------------------------------
   BackendHealth health_of(int backend) const { return view(backend).health; }

@@ -4,6 +4,11 @@
 
 namespace rdmamon::lb {
 
+namespace {
+/// CPU spent routing one request (parse + table ops).
+constexpr sim::Duration kDispatchCpu = sim::usec(15);
+}  // namespace
+
 Dispatcher::Dispatcher(net::Fabric& fabric, os::Node& frontend,
                        LoadBalancer& lb, DispatcherConfig cfg)
     : fabric_(&fabric), frontend_(&frontend), lb_(&lb), cfg_(cfg) {
@@ -78,7 +83,7 @@ os::Program Dispatcher::forwarder_body(os::SimThread& self,
     net::Message m;
     co_await from_client->recv(self, m);
     web::Request req = std::any_cast<web::Request>(m.payload);
-    co_await os::Compute{cfg_.dispatch_cpu};
+    co_await os::Compute{kDispatchCpu};
     const int backend = lb_->pick();
     if (admission_ != nullptr &&
         !admission_->admit(lb_->index_of(backend))) {

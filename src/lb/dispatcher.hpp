@@ -19,8 +19,6 @@
 namespace rdmamon::lb {
 
 struct DispatcherConfig {
-  /// CPU spent routing one request (parse + table ops).
-  sim::Duration dispatch_cpu = sim::usec(15);
   /// When non-empty, the exported lb.dispatch.* gauges carry a
   /// {frontend=<name>} label, keeping M dispatchers on one registry
   /// apart (scale-out plane). Empty keeps the historical unlabelled

@@ -20,6 +20,9 @@
 #include <functional>
 #include <vector>
 
+#include "monitor/inbox.hpp"
+#include "monitor/monitor.hpp"
+#include "net/nic.hpp"
 #include "os/procfs.hpp"
 #include "sim/time.hpp"
 
@@ -48,10 +51,13 @@ class AdaptiveController {
   static constexpr int kDwellEpochs = 2;
   /// Floor between switches of one backend (the hard flap bound).
   static constexpr sim::Duration kMinDwell = sim::msec(500);
-  /// Wire bytes of one pull fetch (request + reply) and one push WRITE
-  /// (request+payload + ack) — the cost model's per-op constants.
-  static constexpr std::size_t kPullBytes = 32 + 256;
-  static constexpr std::size_t kPushBytes = 32 + 256 + 32;
+  /// Wire bytes of one pull fetch (a READ of the load record) and one
+  /// push WRITE (an inbox slot image) — the cost model's per-op
+  /// constants, priced exactly as the NIC charges them.
+  static constexpr std::size_t kPullBytes =
+      net::rdma_footprint(net::Verb::Read, kLoadReplyBytes);
+  static constexpr std::size_t kPushBytes =
+      net::rdma_footprint(net::Verb::Write, PushInbox::kSlotBytes);
 
   /// `pull_period` is the balancer's poll granularity (the pull cost
   /// denominator). The push side's heartbeat and change threshold are the

@@ -6,15 +6,10 @@
 namespace rdmamon::monitor {
 
 double change_delta(const os::LoadSnapshot& a, const os::LoadSnapshot& b) {
-  // Same capacities the balancer's load index normalises with: a delta of
-  // 0.05 here moves the index by at most ~0.05 — the threshold is in
-  // "index units" on both sides of the wire.
-  constexpr double kNetCapacity = 1.25e9;
-  constexpr double kConnCapacity = 128.0;
-  constexpr double kRunqCapacity = 8.0;
+  // A delta of 0.05 here moves the index by at most ~0.05.
   double d = std::abs(a.cpu_load - b.cpu_load);
   d = std::max(d, std::abs(a.mem_load - b.mem_load));
-  d = std::max(d, std::abs(a.net_rate - b.net_rate) / kNetCapacity);
+  d = std::max(d, std::abs(a.net_rate - b.net_rate) / kNetCapacityBps);
   d = std::max(d, std::abs(static_cast<double>(a.connections - b.connections)) /
                       kConnCapacity);
   d = std::max(d, std::abs(static_cast<double>(a.nr_running - b.nr_running)) /

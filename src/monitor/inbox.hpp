@@ -32,12 +32,20 @@
 
 namespace rdmamon::monitor {
 
+/// Capacities that scale the load components to [0,1]: the balancer's
+/// load index (lb::load_index) clamps with them and change_delta below
+/// measures movement with them, so a delta threshold is in "index units"
+/// on both sides of the wire.
+inline constexpr double kNetCapacityBps = 1.25e9;
+inline constexpr double kConnCapacity = 128.0;
+inline constexpr double kRunqCapacity = 8.0;  ///< runnable threads = saturated
+
 /// Normalised magnitude of the difference between two snapshots: the max
-/// over the load-index components, each scaled to [0,1] with the same
-/// capacities the balancer's index uses. This is the shared "did the load
-/// move" yardstick of the push trigger (publisher side) and the adaptive
-/// controller's change-rate estimate (front-end side) — both sides must
-/// agree on it or the controller mispredicts push traffic.
+/// over the load-index components, each scaled to [0,1] with the
+/// capacities above. This is the shared "did the load move" yardstick of
+/// the push trigger (publisher side) and the adaptive controller's
+/// change-rate estimate (front-end side) — both sides must agree on it or
+/// the controller mispredicts push traffic.
 double change_delta(const os::LoadSnapshot& a, const os::LoadSnapshot& b);
 
 /// One inbox slot as it lies in the front end's registered region.

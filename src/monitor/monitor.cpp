@@ -14,6 +14,25 @@ constexpr const char* kFetchKind[] = {"fetch.ok", "fetch.timeout",
 constexpr const char* kAttemptKind[] = {"attempt.ok", "attempt.timeout",
                                         "attempt.transport"};
 
+/// Socket load-request size on the wire.
+constexpr std::size_t kLoadRequestBytes = 64;
+
+/// Records a resolved attempt in `out`: the load reading it carried, or a
+/// transport error.
+void take_reading(MonitorSample& out, const std::any& data) {
+  out.info = std::any_cast<os::LoadSnapshot>(data);
+  out.ok = true;
+  out.error = FetchError::None;
+}
+void take_completion(MonitorSample& out, const net::Completion& c) {
+  if (c.status == net::WcStatus::Success) {
+    take_reading(out, c.data);
+  } else {
+    out.ok = false;
+    out.error = FetchError::Transport;
+  }
+}
+
 /// Load-calculating thread (Fig 1a / 2a, steps 1-4): read /proc, copy the
 /// result to the shared location, sleep T, repeat.
 os::Program calc_thread_body(os::SimThread& self, os::Node* node,
@@ -31,24 +50,23 @@ os::Program calc_thread_body(os::SimThread& self, os::Node* node,
 /// Load-reporting thread for Socket-Async (Fig 1a, steps a-c): serve each
 /// request from the shared location without touching /proc.
 os::Program report_async_body(os::SimThread& self, net::Socket* sock,
-                              os::LoadSnapshot* slot,
-                              std::size_t reply_bytes) {
+                              os::LoadSnapshot* slot) {
   for (;;) {
     net::Message req;
     co_await sock->recv(self, req);
     co_await os::Compute{sim::usec(1)};  // read the known memory location
-    co_await sock->send(self, reply_bytes, *slot);
+    co_await sock->send(self, kLoadReplyBytes, *slot);
   }
 }
 
 /// Socket-Sync back-end thread (Fig 1b): compute fresh load per request.
 os::Program report_sync_body(os::SimThread& self, os::Node* node,
-                             net::Socket* sock, std::size_t reply_bytes) {
+                             net::Socket* sock) {
   for (;;) {
     net::Message req;
     co_await sock->recv(self, req);
     co_await os::ComputeKernel{node->procfs().read_cost()};
-    co_await sock->send(self, reply_bytes, node->procfs().snapshot());
+    co_await sock->send(self, kLoadReplyBytes, node->procfs().snapshot());
   }
 }
 
@@ -71,14 +89,14 @@ BackendMonitor::BackendMonitor(net::Fabric& fabric, os::Node& backend,
       // CPU involvement — including the transient irq_stat state that a
       // synchronized /proc read can never observe. Read-only, per the
       // paper's security argument.
-      mr_key_ = nic.register_mr(cfg_.reply_bytes,
+      mr_key_ = nic.register_mr(kLoadReplyBytes,
                                 [node = &backend_] {
                                   return std::any(node->procfs().snapshot_dma());
                                 },
                                 false, nullptr, cfg_.tenant);
     } else {
       // RDMA-Async: register the user-space slot the calc thread updates.
-      mr_key_ = nic.register_mr(cfg_.reply_bytes,
+      mr_key_ = nic.register_mr(kLoadReplyBytes,
                                 [slot = &slot_] { return std::any(*slot); },
                                 false, nullptr, cfg_.tenant);
     }
@@ -92,12 +110,12 @@ void BackendMonitor::bind_socket(net::Socket& server_end) {
   if (cfg_.scheme == Scheme::SocketAsync) {
     report_threads_.push_back(backend_.spawn(
         "mon-report", [this, sock = &server_end](os::SimThread& t) {
-          return report_async_body(t, sock, &slot_, cfg_.reply_bytes);
+          return report_async_body(t, sock, &slot_);
         }));
   } else {
     report_threads_.push_back(backend_.spawn(
         "mon-report", [this, sock = &server_end](os::SimThread& t) {
-          return report_sync_body(t, &backend_, sock, cfg_.reply_bytes);
+          return report_sync_body(t, &backend_, sock);
         }));
   }
 }
@@ -180,11 +198,29 @@ os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
     const sim::TimePoint deadline =
         cfg.fetch_timeout.ns > 0 ? simu.now() + cfg.fetch_timeout
                                  : sim::kNever;
-    out.ok = false;
-    FetchOp op;
     const sim::TimePoint attempt_at = simu.now();
-    co_await issue(self, op, deadline);
-    co_await await_resolution(self, op, out);
+    bool resolved = false;
+    if (qp_) {
+      net::Completion c;
+      bool timed_out = false;
+      co_await net::rdma_sync(self, *qp_,
+                              {.rkey = backend_->mr_key(),
+                               .len = kLoadReplyBytes,
+                               .wr_id = cq_->alloc_wr_id()},
+                              c, deadline, &timed_out);
+      resolved = !timed_out;
+      if (resolved) take_completion(out, c);
+    } else {
+      FetchOp op;
+      co_await issue(self, op, deadline);
+      net::Message reply;
+      co_await sock_->recv_until(self, reply, deadline, resolved);
+      if (resolved) take_reading(out, reply.payload);
+    }
+    if (!resolved) {
+      out.ok = false;
+      out.error = FetchError::Timeout;
+    }
     telemetry::fr_record(fr_, kAttemptKind[static_cast<int>(out.error)],
                          backend_node_id(), key,
                          static_cast<double>((simu.now() - attempt_at).ns));
@@ -202,21 +238,13 @@ os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
 
 os::Program FrontendMonitor::issue(os::SimThread& self, FetchOp& op,
                                    sim::TimePoint deadline) {
-  const MonitorConfig& cfg = backend_->config();
+  assert(!qp_.has_value() && "issue is socket-only");
   op.deadline = deadline;
-  if (qp_) {
-    op.wr_id = cq_->alloc_wr_id();
-    co_await os::Compute{net::kDoorbellCost};
-    qp_->post({.rkey = backend_->mr_key(),
-               .len = cfg.reply_bytes,
-               .wr_id = op.wr_id});
-  } else {
-    // The monitoring protocol carries no sequence numbers, so a reply to
-    // an abandoned earlier request may still be queued: flush before
-    // asking again (at worst we answer with a marginally older reading).
-    sock_->drain_rx();
-    co_await sock_->send(self, cfg.request_bytes, std::any{});
-  }
+  // The monitoring protocol carries no sequence numbers, so a reply to
+  // an abandoned earlier request may still be queued: flush before
+  // asking again (at worst we answer with a marginally older reading).
+  sock_->drain_rx();
+  co_await sock_->send(self, kLoadRequestBytes, std::any{});
 }
 
 net::ReadBatchEntry FrontendMonitor::prepare_read(FetchOp& op,
@@ -226,7 +254,7 @@ net::ReadBatchEntry FrontendMonitor::prepare_read(FetchOp& op,
   op.wr_id = cq_->alloc_wr_id();
   return net::ReadBatchEntry{&*qp_,
                              {.rkey = backend_->mr_key(),
-                              .len = backend_->config().reply_bytes,
+                              .len = kLoadReplyBytes,
                               .wr_id = op.wr_id}};
 }
 
@@ -248,21 +276,12 @@ os::Program FrontendMonitor::complete(os::SimThread& self, FetchOp& op,
     const bool got = cq_->try_pop(op.wr_id, c);
     assert(got && "peek() said resolved but the completion is gone");
     (void)got;
-    if (c.status != net::WcStatus::Success) {
-      out.ok = false;
-      out.error = FetchError::Transport;
-    } else {
-      out.info = std::any_cast<os::LoadSnapshot>(c.data);
-      out.ok = true;
-      out.error = FetchError::None;
-    }
+    take_completion(out, c);
     co_return;  // reaping a completion costs no simulated CPU
   }
   net::Message reply;
   co_await sock_->recv_ready(self, reply);
-  out.info = std::any_cast<os::LoadSnapshot>(reply.payload);
-  out.ok = true;
-  out.error = FetchError::None;
+  take_reading(out, reply.payload);
   (void)status;
 }
 
@@ -272,10 +291,6 @@ void FrontendMonitor::abandon(FetchOp& op) {
   if (qp_) cq_->forget(op.wr_id);
 }
 
-os::WaitQueue& FrontendMonitor::completion_wait_queue() {
-  return qp_ ? cq_->wait_queue() : sock_->rx_wait_queue();
-}
-
 void FrontendMonitor::bind_completion_channel(net::CompletionQueue& shared) {
   if (qp_) {
     qp_->bind_cq(shared);
@@ -283,38 +298,6 @@ void FrontendMonitor::bind_completion_channel(net::CompletionQueue& shared) {
   } else {
     sock_->add_rx_watcher(&shared.wait_queue());
   }
-}
-
-os::Program FrontendMonitor::await_resolution(os::SimThread& self,
-                                              FetchOp& op,
-                                              MonitorSample& out) {
-  sim::Simulation& simu = self.node().simu();
-  os::WaitQueue& wq = completion_wait_queue();
-  // The deadline is a timer that spuriously wakes the completion waiter;
-  // the re-peek then notices the expired clock (the documented wait-queue
-  // discipline). A resolution already queued wins even past the deadline,
-  // matching recv_until / rdma_sync. This armed-then-cancelled
-  // guard is the kernel's hottest cancel pattern (bench_engine's
-  // schedule_cancel mix); the wheel unlinks it in O(1) with no tombstone.
-  sim::EventHandle timer;
-  if (simu.now() < op.deadline && peek(op) == OpStatus::Pending) {
-    timer = simu.at(op.deadline, [&wq] { wq.notify_all(); });
-  }
-  for (;;) {
-    const OpStatus st = peek(op);
-    if (st != OpStatus::Pending) {
-      co_await complete(self, op, out, st);
-      break;
-    }
-    if (simu.now() >= op.deadline) {
-      abandon(op);
-      out.ok = false;
-      out.error = FetchError::Timeout;
-      break;
-    }
-    co_await os::WaitOn{&wq};
-  }
-  timer.cancel();
 }
 
 MonitorChannel::MonitorChannel(net::Fabric& fabric, os::Node& frontend,

@@ -18,14 +18,16 @@
 
 namespace rdmamon::monitor {
 
+/// Load-info record size on the wire: the socket reply, and the region an
+/// RDMA scheme registers and READs.
+inline constexpr std::size_t kLoadReplyBytes = 256;
+
 /// Tuning for one monitoring channel.
 struct MonitorConfig {
   Scheme scheme = Scheme::RdmaSync;
   /// T: the async schemes' back-end update period (the paper uses 50 ms
   /// unless stated otherwise).
   sim::Duration period = sim::msec(50);
-  std::size_t request_bytes = 64;   ///< socket load-request size
-  std::size_t reply_bytes = 256;    ///< load-info record size on the wire
 
   /// Failure handling: one fetch attempt that has not completed after
   /// this long is abandoned (FetchError::Timeout). <= 0 disables the
@@ -119,13 +121,14 @@ class BackendMonitor {
 
 /// Front-end half: issues fetches against one back end.
 ///
-/// The fetch path is an async issue/complete split: issue() (or
-/// prepare_read() + a batched post) starts one bounded attempt without
-/// waiting, peek() checks non-blockingly whether it resolved, complete()
-/// consumes the resolution (paying receive-side costs), and abandon()
-/// gives up on an attempt past its deadline. The classic blocking fetch()
-/// is a thin wrapper over these halves, so sequential and scatter-gather
-/// callers share one set of per-attempt semantics.
+/// The classic blocking fetch() runs each attempt through the transport's
+/// bounded blocking primitive (net::rdma_sync, or a request send plus
+/// Socket::recv_until). The scatter engine drives the async
+/// issue/complete split instead: issue() (or prepare_read() + a batched
+/// post) starts one bounded attempt without waiting, peek() checks
+/// non-blockingly whether it resolved, complete() consumes the resolution
+/// (paying receive-side costs), and abandon() gives up on an attempt past
+/// its deadline.
 class FrontendMonitor {
  public:
   /// One in-flight fetch attempt created by issue()/prepare_read().
@@ -156,13 +159,15 @@ class FrontendMonitor {
   /// Failure-resilient: each attempt is bounded by cfg.fetch_timeout and
   /// retried up to cfg.fetch_retries times with exponential backoff, so
   /// the subprogram ALWAYS resolves — `out.ok` plus `out.error` say how.
+  /// An RDMA attempt rings its own doorbell (net::rdma_sync), so it
+  /// shows in the net.doorbells / net.posts counters like any post.
   os::Program fetch(os::SimThread& self, MonitorSample& out);
 
   // --- issue/complete halves (the scatter engine's interface) -----------
 
-  /// Subprogram: issues one attempt, paying the issue-side CPU costs
-  /// (doorbell for RDMA; request send — after flushing stale replies —
-  /// for sockets) and returns without waiting.
+  /// Subprogram (sockets only): issues one attempt — flushes stale
+  /// replies, then sends the request, paying its CPU cost — and returns
+  /// without waiting. RDMA attempts go through prepare_read().
   os::Program issue(os::SimThread& self, FetchOp& op, sim::TimePoint deadline);
 
   /// RDMA only: readies an attempt for a merged multi-READ post. Allocates
@@ -184,11 +189,6 @@ class FrontendMonitor {
   /// at the CQ, which discards the late completion centrally. Sockets: a
   /// late reply stays queued and is flushed by the next issue().
   void abandon(FetchOp& op);
-
-  /// Wait channel that is notified whenever an attempt of this monitor
-  /// may have resolved (the bound CQ for RDMA, the socket rx queue for
-  /// socket schemes). Spurious wakeups possible; re-peek after waking.
-  os::WaitQueue& completion_wait_queue();
 
   /// Joins a shared completion channel (a scatter engine's CQ): RDMA QPs
   /// re-point their completions at `shared`; socket replies additionally
@@ -213,11 +213,6 @@ class FrontendMonitor {
   }
 
  private:
-  /// Waits (with a deadline timer) until the attempt resolves or expires;
-  /// sets out.ok / out.error. The blocking half of fetch().
-  os::Program await_resolution(os::SimThread& self, FetchOp& op,
-                               MonitorSample& out);
-
   /// Caches instrument pointers on first use (no-op without a registry).
   void resolve_metrics();
 

@@ -6,6 +6,11 @@
 
 namespace rdmamon::monitor {
 
+namespace {
+/// Size of one multicast load packet on the wire.
+constexpr std::size_t kPacketBytes = 256;
+}  // namespace
+
 MulticastSubscriber::MulticastSubscriber(os::Node& frontend, net::Socket& rx_end) {
   frontend.spawn("push-sub", [this, sock = &rx_end](os::SimThread& t) {
     return rx_body(t, sock);
@@ -58,14 +63,14 @@ os::Program MulticastPublisher::publisher_body(os::SimThread& self) {
     // Hardware multicast: one send syscall, the switch replicates. We pay
     // the syscall/copy once and give each subscriber its own wire copy.
     if (!subscriber_ends_.empty()) {
-      co_await subscriber_ends_.front()->send(self, cfg_.packet_bytes, snap);
+      co_await subscriber_ends_.front()->send(self, kPacketBytes, snap);
       for (std::size_t i = 1; i < subscriber_ends_.size(); ++i) {
         // Replicated by the switch: no extra syscall cost, direct TX.
         net::Socket* s = subscriber_ends_[i];
         net::Message m;
         m.src_node = backend_->id;
         m.dst_node = s->remote_node_id();
-        m.bytes = cfg_.packet_bytes;
+        m.bytes = kPacketBytes;
         m.payload = snap;
         s->inject_tx(std::move(m));
       }

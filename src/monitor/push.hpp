@@ -24,7 +24,6 @@ namespace rdmamon::monitor {
 struct MulticastConfig {
   /// Push period (the multicast analogue of the async schemes' T).
   sim::Duration period = sim::msec(50);
-  std::size_t packet_bytes = 256;
 };
 
 /// Front-end side: keeps the last pushed snapshot; reading it is free and

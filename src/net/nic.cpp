@@ -11,8 +11,6 @@ namespace {
 /// second CPU (the only CPU of a uniprocessor).
 constexpr int kRxIrqCpu = 1;
 
-/// Size of a one-sided request packet, and of a WRITE's ack, on the wire.
-constexpr std::size_t kRequestBytes = 32;
 /// Target-NIC DMA engine: per-byte cost of reading/writing host memory
 /// (on top of FabricConfig::rdma_dma_base per op).
 constexpr double kDmaPerByteNs = 0.8;
@@ -23,16 +21,6 @@ constexpr sim::Duration kRetryTimeout = sim::msec(4);
 
 constexpr const char* kPostKind[] = {"read.post", "write.post"};
 constexpr const char* kCompKind[] = {"read.comp", "write.comp"};
-
-/// The opcode's two wire legs: a READ's request is bare and its response
-/// carries the data; a WRITE's request carries the payload and its
-/// response is a bare ack.
-std::size_t request_bytes(const WorkRequest& wr) {
-  return kRequestBytes + (wr.verb == Verb::Write ? wr.len : 0);
-}
-std::size_t response_bytes(const WorkRequest& wr) {
-  return wr.verb == Verb::Read ? wr.len : kRequestBytes;
-}
 
 }  // namespace
 
@@ -111,8 +99,7 @@ void Nic::rx(Message msg) {
   ++rx_packets_;
   sim::Simulation& simu = fabric_.simu();
   node_.stats().on_net_bytes(msg.bytes, simu.now());
-  const os::NodeConfig& ncfg = node_.config();
-  const int cpu = std::min(kRxIrqCpu, ncfg.cpus - 1);
+  const int cpu = std::min(kRxIrqCpu, node_.config().cpus - 1);
   os::IrqController& irq = node_.irq();
   // Keep-up heuristic: protocol processing runs inline in IRQ context
   // while the receive path is keeping up (short HW queue, empty softirq
@@ -120,19 +107,19 @@ void Nic::rx(Message msg) {
   // deferred to ksoftirqd — which competes with runnable threads.
   const bool inline_ok =
       irq.softirq_backlog(cpu) == 0 &&
-      irq.pending_hard(cpu, os::IrqType::NetRx) < ncfg.rx_inline_budget;
+      irq.pending_hard(cpu, os::IrqType::NetRx) < os::kRxInlineBudget;
   if (inline_ok) {
     irq.raise(
         cpu, os::IrqType::NetRx,
         [this, msg] { fabric_.deliver_to_socket(msg); },
-        /*extra_cost=*/ncfg.softirq_packet_cost);
+        /*extra_cost=*/os::kSoftirqPacketCost);
   } else {
     ++rx_deferred_;
-    irq.raise(cpu, os::IrqType::NetRx, [this, cpu, msg,
-                                        cost = ncfg.softirq_packet_cost] {
+    irq.raise(cpu, os::IrqType::NetRx, [this, cpu, msg] {
       node_.irq().raise_softirq(
-          cpu, os::SoftirqItem{
-                   cost, [this, msg] { fabric_.deliver_to_socket(msg); }});
+          cpu, os::SoftirqItem{os::kSoftirqPacketCost, [this, msg] {
+                                 fabric_.deliver_to_socket(msg);
+                               }});
     });
   }
 }
@@ -194,7 +181,7 @@ void Nic::post(int target_node, WorkRequest wr, Done done,
                        target_node, static_cast<std::int64_t>(wr.wr_id),
                        static_cast<double>(wr.len));
   // Charged at post time: retried-and-failed ops consumed the fabric too.
-  const std::size_t footprint = request_bytes(wr) + response_bytes(wr);
+  const std::size_t footprint = rdma_footprint(wr.verb, wr.len);
   rdma_wire_bytes_ += footprint;
   Completion c;
   c.wr_id = wr.wr_id;
@@ -239,8 +226,9 @@ void Nic::start(int target_node, WorkRequest wr, Completion c, Done done,
   // wire. Zero with the default unbounded cache.
   const sim::Duration qpc_delay = charge_qpc(ctx_id, tenant);
   // Request packet to the target NIC.
-  const sim::Duration req = qpc_delay + cfg.wire_delay(request_bytes(wr)) +
-                            fabric_.link_extra(node_id(), target_node);
+  const sim::Duration req =
+      qpc_delay + cfg.wire_delay(request_bytes(wr.verb, wr.len)) +
+      fabric_.link_extra(node_id(), target_node);
   Nic& target = fabric_.nic(target_node);
   simu.after(req, [&target, this, wr = std::move(wr), c,
                    done = std::move(done)]() mutable {
@@ -290,7 +278,7 @@ void Nic::start(int target_node, WorkRequest wr, Completion c, Done done,
         return;
       }
       const sim::Duration resp =
-          fabric_.config().wire_delay(response_bytes(wr)) +
+          fabric_.config().wire_delay(response_bytes(wr.verb, wr.len)) +
           fabric_.link_extra(target.node_id(), node_id());
       fabric_.simu().after(resp, [this, c = std::move(c),
                                   done = std::move(done)]() mutable {

@@ -25,6 +25,25 @@
 
 namespace rdmamon::net {
 
+/// Size of a one-sided request packet, and of a WRITE's ack, on the wire.
+inline constexpr std::size_t kRequestBytes = 32;
+
+/// The opcode's two wire legs: a READ's request is bare and its response
+/// carries the data; a WRITE's request carries the payload and its
+/// response is a bare ack.
+constexpr std::size_t request_bytes(Verb verb, std::size_t len) {
+  return kRequestBytes + (verb == Verb::Write ? len : 0);
+}
+constexpr std::size_t response_bytes(Verb verb, std::size_t len) {
+  return verb == Verb::Read ? len : kRequestBytes;
+}
+
+/// Wire footprint of one one-sided op of `len` bytes, both legs: what
+/// Nic::rdma_wire_bytes charges per post.
+constexpr std::size_t rdma_footprint(Verb verb, std::size_t len) {
+  return request_bytes(verb, len) + response_bytes(verb, len);
+}
+
 class Nic {
  public:
   Nic(Fabric& fabric, os::Node& node);

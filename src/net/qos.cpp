@@ -7,6 +7,11 @@
 
 namespace rdmamon::net {
 
+namespace {
+/// WFQ weight of a tenant without a spec (or with a non-positive one).
+constexpr double kDefaultWeight = 1.0;
+}  // namespace
+
 TenantArbiter::TenantArbiter(sim::Simulation& simu, const QosConfig& cfg,
                              double engine_bps, std::string_view ring_name)
     : simu_(simu), cfg_(cfg), engine_bps_(engine_bps) {
@@ -20,8 +25,8 @@ TenantArbiter::TenantState& TenantArbiter::state_of(TenantId t) {
   if (it != ts_.end()) return it->second;
   TenantState st;
   const TenantQosSpec* spec = cfg_.find(t);
-  st.weight = spec != nullptr ? spec->weight : cfg_.default_weight;
-  if (st.weight <= 0.0) st.weight = cfg_.default_weight;
+  st.weight = spec != nullptr ? spec->weight : kDefaultWeight;
+  if (st.weight <= 0.0) st.weight = kDefaultWeight;
   st.rate_bps = spec != nullptr ? spec->rate_bps : 0.0;
   st.burst = spec != nullptr ? static_cast<double>(spec->burst_bytes) : 0.0;
   // A rated tenant needs a usable bucket; a zero depth would charge zero

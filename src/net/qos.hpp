@@ -11,8 +11,8 @@
 //    share of a contended NIC degrades gracefully with its weight
 //    instead of collapsing under a neighbour's flood.
 //
-// Ops are metered by their total fabric footprint (request + payload +
-// ack — the same accounting as Nic::rdma_wire_bytes), because that is
+// Ops are metered by their total fabric footprint (net::rdma_footprint:
+// request + payload + ack, as Nic::rdma_wire_bytes counts), because that is
 // the resource a one-sided flood actually exhausts: a READ's bytes
 // arrive on the response path, but they are the tenant's bytes all the
 // same. An op that exceeds its tenant's queue cap is DROPPED (the NIC
@@ -68,7 +68,6 @@ struct TenantQosSpec {
 /// one-sided post path is exactly the historical one.
 struct QosConfig {
   bool enabled = false;
-  double default_weight = 1.0;
   std::size_t default_queue_cap = 1024;
   std::vector<TenantQosSpec> tenants;
 

@@ -52,11 +52,11 @@ class Nic;
 /// exploits).
 inline constexpr sim::Duration kDoorbellCost = sim::nsec(300);
 
-/// Verbs fast-path knobs, carried from ClusterConfig / ScaleOutConfig down
-/// to the wiring that creates contexts and CQs. The defaults reproduce the
-/// historical behaviour exactly: every WR signaled, every completion
-/// notified immediately, unbounded send queues, one dedicated context per
-/// QueuePair.
+/// Verbs fast-path knobs, carried from ScaleOutConfig (or a bench's own
+/// wiring) down to the code that creates contexts and CQs. The defaults
+/// reproduce the historical behaviour exactly: every WR signaled, every
+/// completion notified immediately, unbounded send queues, one dedicated
+/// context per QueuePair.
 struct VerbsTuning {
   /// Signal every k-th WR (rdmaperf -cq_mod). 1 = all signaled.
   int signal_every = 1;

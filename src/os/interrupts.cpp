@@ -92,18 +92,20 @@ int IrqController::pending_dma_view(CpuId cpu) const {
 
 namespace {
 
+/// ksoftirqd drains at most this many packets before yielding.
+constexpr int kSoftirqBatch = 16;
+
 /// ksoftirqd body: drain deferred items in batches, yielding between
 /// batches so it round-robins with (and under load waits behind) runnable
 /// application threads — the receive-livelock behaviour behind Fig 3.
-Program ksoftirqd_body(SimThread& self, IrqController* irq, CpuId cpu,
-                       int batch) {
+Program ksoftirqd_body(SimThread& self, IrqController* irq, CpuId cpu) {
   auto& controller = *irq;
   for (;;) {
     while (controller.softirq_backlog(cpu) == 0) {
       co_await WaitOn{&controller.softirq_waitqueue(cpu)};
     }
     int done = 0;
-    while (controller.softirq_backlog(cpu) > 0 && done < batch) {
+    while (controller.softirq_backlog(cpu) > 0 && done < kSoftirqBatch) {
       SoftirqItem item = controller.pop_softirq(cpu);
       co_await ComputeKernel{item.cost};
       if (item.fn) item.fn();
@@ -125,8 +127,8 @@ void IrqController::start_ksoftirqd() {
     opts.affinity = cpu;
     opts.interactive_allowed = false;
     sched_.spawn("ksoftirqd/" + std::to_string(cpu),
-                 [this, cpu, batch = cfg_.softirq_batch](SimThread& t) {
-                   return ksoftirqd_body(t, this, cpu, batch);
+                 [this, cpu](SimThread& t) {
+                   return ksoftirqd_body(t, this, cpu);
                  },
                  opts);
   }

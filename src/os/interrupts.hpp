@@ -17,6 +17,15 @@ namespace rdmamon::os {
 
 class Scheduler;
 
+/// Per-packet protocol processing cost (the IPoIB receive path of the
+/// paper's era was expensive: IP-over-IB encapsulation on a 2.4 stack).
+inline constexpr sim::Duration kSoftirqPacketCost = sim::usec(6);
+
+/// Packets processed inline in hard-IRQ context before deferring the
+/// rest to ksoftirqd (the receive-livelock / NAPI-budget knob that makes
+/// socket monitoring latency grow with load, Fig 3).
+inline constexpr int kRxInlineBudget = 4;
+
 /// Deferrable work item queued for ksoftirqd.
 struct SoftirqItem {
   sim::Duration cost;

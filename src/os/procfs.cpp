@@ -4,11 +4,19 @@
 
 namespace rdmamon::os {
 
+namespace {
+
+/// Kernel time to service one /proc load-snapshot read (trap + kernel
+/// walks task lists and counters). Dominates monitoring overhead.
+constexpr sim::Duration kReadCost = sim::usec(150);
+/// Additional /proc read cost per live thread (the task-list walk).
+constexpr sim::Duration kReadCostPerThread = sim::usec(6);
+
+}  // namespace
+
 sim::Duration ProcFs::read_cost() const {
   // The task-list walk scales with the number of live threads.
-  return node_.config().proc_read_cost +
-         node_.config().proc_read_cost_per_thread *
-             node_.stats().nr_threads();
+  return kReadCost + kReadCostPerThread * node_.stats().nr_threads();
 }
 
 LoadSnapshot ProcFs::base_snapshot() const {

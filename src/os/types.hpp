@@ -56,27 +56,8 @@ struct NodeConfig {
   /// Cost of a context switch, charged as system time on dispatch.
   sim::Duration context_switch_cost = sim::usec(3);
 
-  /// Kernel time to service one /proc load-snapshot read (trap + kernel
-  /// walks task lists and counters). Dominates monitoring overhead.
-  sim::Duration proc_read_cost = sim::usec(150);
-
-  /// Additional /proc read cost per live thread (the task-list walk).
-  sim::Duration proc_read_cost_per_thread = sim::usec(6);
-
   /// Hardware IRQ handler entry/exit cost.
   sim::Duration irq_handler_cost = sim::usec(2);
-
-  /// Per-packet protocol processing cost (the IPoIB receive path of the
-  /// paper's era was expensive: IP-over-IB encapsulation on a 2.4 stack).
-  sim::Duration softirq_packet_cost = sim::usec(6);
-
-  /// Packets processed inline in hard-IRQ context before deferring the
-  /// rest to ksoftirqd (the receive-livelock / NAPI-budget knob that makes
-  /// socket monitoring latency grow with load, Fig 3).
-  int rx_inline_budget = 4;
-
-  /// ksoftirqd drains at most this many packets before yielding.
-  int softirq_batch = 16;
 
   /// Window of the continuous-time EMA used for CPU utilisation.
   sim::Duration load_window = sim::msec(100);

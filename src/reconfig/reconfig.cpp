@@ -8,6 +8,11 @@
 
 namespace rdmamon::reconfig {
 
+namespace {
+/// Reassign a node when |loadA - loadB| reaches this.
+constexpr double kImbalanceThreshold = 0.25;
+}  // namespace
+
 RoleRegion::RoleRegion(net::Fabric& fabric, os::Node& node, Role initial)
     : node_(&node), role_(initial) {
   key_ = fabric.nic(node.id).register_mr(
@@ -31,6 +36,10 @@ void ReconfigManager::add_backend(RoleRegion& region) {
       *fabric_, *frontend_, region.node(), cfg_.monitor));
   samples_.emplace_back();
   fail_streak_.push_back(0);
+}
+
+bool ReconfigManager::believed_dead(int i) const {
+  return fail_streak_[static_cast<std::size_t>(i)] >= lb::kDeadAfter;
 }
 
 int ReconfigManager::dead_nodes() const {
@@ -73,7 +82,7 @@ os::Program ReconfigManager::manager_body(os::SimThread& self) {
   for (;;) {
     // Refresh every back end's load through the configured scheme — one
     // scatter round, so a dead back end costs a fetch_timeout once per
-    // round instead of stalling the sweep. A back end failing dead_after
+    // round instead of stalling the sweep. A back end failing kDeadAfter
     // fetches in a row loses its vote: its stale load no longer weighs on
     // pool decisions and it cannot be picked for a role flip until it
     // answers again.
@@ -86,7 +95,7 @@ os::Program ReconfigManager::manager_body(os::SimThread& self) {
       } else {
         ++fetch_failures_;
         ++fail_streak_[i];
-        if (fail_streak_[i] >= cfg_.dead_after) samples_[i].ok = false;
+        if (fail_streak_[i] >= lb::kDeadAfter) samples_[i].ok = false;
       }
     }
 
@@ -95,7 +104,7 @@ os::Program ReconfigManager::manager_body(os::SimThread& self) {
     const double gap = load_a - load_b;
     const bool cooled =
         (simu.now() - last_reconfig_) >= cfg_.cooldown;
-    if (cooled && std::abs(gap) >= cfg_.imbalance_threshold) {
+    if (cooled && std::abs(gap) >= kImbalanceThreshold) {
       const Role cool = gap > 0 ? Role::ServiceB : Role::ServiceA;
       const Role hot = gap > 0 ? Role::ServiceA : Role::ServiceB;
       if (nodes_in(cool) > cfg_.min_nodes_per_service) {

@@ -57,16 +57,10 @@ class RoleRegion {
 struct ReconfigConfig {
   monitor::MonitorConfig monitor{};         ///< scheme used for pool load
   sim::Duration check_period = sim::msec(100);
-  /// Reassign a node when |loadA - loadB| exceeds this.
-  double imbalance_threshold = 0.25;
   /// Minimum time between two reconfigurations (hysteresis).
   sim::Duration cooldown = sim::msec(500);
   /// Keep at least this many nodes in each service.
   int min_nodes_per_service = 1;
-  /// Consecutive fetch failures before a back end is treated as dead:
-  /// its last-known load stops counting toward pool loads and it is
-  /// never picked for a role flip (failover).
-  int dead_after = 3;
 };
 
 /// Front-end manager: monitors every back end, computes per-service mean
@@ -92,11 +86,12 @@ class ReconfigManager {
   double pool_load(Role r) const;
 
   /// Failure visibility: monitoring fetches that came back failed, and
-  /// how many back ends the manager currently believes dead.
+  /// how many back ends the manager currently believes dead — those that
+  /// failed lb::kDeadAfter fetches in a row, as the balancer's detector
+  /// counts: their last-known load stops counting toward pool loads and
+  /// they are never picked for a role flip (failover).
   std::uint64_t fetch_failures() const { return fetch_failures_; }
-  bool believed_dead(int i) const {
-    return fail_streak_[static_cast<std::size_t>(i)] >= cfg_.dead_after;
-  }
+  bool believed_dead(int i) const;
   int dead_nodes() const;
 
  private:

@@ -86,8 +86,8 @@ double Rng::bounded_pareto(double alpha, double lo, double hi) {
   return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
 }
 
-ZipfDistribution::ZipfDistribution(std::size_t n, double alpha, Method method)
-    : alpha_(alpha), method_(method), cdf_(n) {
+ZipfDistribution::ZipfDistribution(std::size_t n, double alpha)
+    : alpha_(alpha), cdf_(n) {
   assert(n > 0);
   double sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -96,11 +96,7 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double alpha, Method method)
   }
   for (auto& c : cdf_) c /= sum;
   cdf_.back() = 1.0;  // guard against rounding
-  if (method_ == Method::kAlias) {
-    build_alias();
-  } else {
-    build_guide();
-  }
+  build_guide();
 }
 
 void ZipfDistribution::build_guide() {
@@ -118,48 +114,8 @@ void ZipfDistribution::build_guide() {
   }
 }
 
-void ZipfDistribution::build_alias() {
-  // Vose's alias construction: every column holds its own rank with
-  // probability alias_prob_[k], the aliased rank otherwise.
-  const std::size_t n = cdf_.size();
-  alias_prob_.resize(n);
-  alias_.resize(n);
-  std::vector<double> scaled(n);
-  std::vector<std::uint32_t> small, large;
-  for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = pmf(i + 1) * static_cast<double>(n);
-    (scaled[i] < 1.0 ? small : large).push_back(
-        static_cast<std::uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    const std::uint32_t l = large.back();
-    small.pop_back();
-    large.pop_back();
-    alias_prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    (scaled[l] < 1.0 ? small : large).push_back(l);
-  }
-  for (const std::uint32_t i : large) {
-    alias_prob_[i] = 1.0;
-    alias_[i] = i;
-  }
-  for (const std::uint32_t i : small) {  // numerical leftovers: treat as 1
-    alias_prob_[i] = 1.0;
-    alias_[i] = i;
-  }
-}
-
 std::size_t ZipfDistribution::sample(Rng& rng) const {
   const double u = rng.uniform();
-  if (method_ == Method::kAlias) {
-    const double scaled = u * static_cast<double>(cdf_.size());
-    std::size_t k = static_cast<std::size_t>(scaled);
-    if (k >= cdf_.size()) k = cdf_.size() - 1;  // u -> 1.0 edge
-    const double frac = scaled - static_cast<double>(k);
-    return (frac < alias_prob_[k] ? k : alias_[k]) + 1;
-  }
   // Guide-table-narrowed scan for the first cdf_[i] >= u: same contract
   // (and same returned rank) as the original full binary search.
   const std::size_t g = guide_.size() - 1;

@@ -81,22 +81,14 @@ class Rng {
 /// Zipf(alpha) over ranks 1..n: P(rank i) proportional to 1/i^alpha.
 /// The paper sweeps alpha in [0.25, 0.9].
 ///
-/// Two sampling backends behind one API:
-///  - kInverseCdf (default): inversion against the precomputed CDF,
-///    accelerated by a guide table that narrows "first cdf_[i] >= u" to a
-///    handful of entries — O(1) expected, and bit-for-bit the same rank
-///    per uniform draw as the original binary search, so every figure
-///    driven by ZipfTrace replays exactly.
-///  - kAlias: Walker/Vose alias table, O(1) worst-case. Draws a
-///    *different* (equally valid) rank stream for the same seed, so it is
-///    opt-in for synthetic load generators, never for the paper figures.
-/// Both backends consume exactly one uniform() per sample.
+/// Sampling inverts against the precomputed CDF, accelerated by a guide
+/// table that narrows "first cdf_[i] >= u" to a handful of entries —
+/// O(1) expected, and bit-for-bit the same rank per uniform draw as the
+/// original binary search, so every figure driven by ZipfTrace replays
+/// exactly. Each sample consumes exactly one uniform().
 class ZipfDistribution {
  public:
-  enum class Method { kInverseCdf, kAlias };
-
-  ZipfDistribution(std::size_t n, double alpha,
-                   Method method = Method::kInverseCdf);
+  ZipfDistribution(std::size_t n, double alpha);
 
   /// Samples a rank in [1, n].
   std::size_t sample(Rng& rng) const;
@@ -106,7 +98,6 @@ class ZipfDistribution {
 
   std::size_t size() const { return cdf_.size(); }
   double alpha() const { return alpha_; }
-  Method method() const { return method_; }
 
   /// The internal CDF (cdf()[i] = P(rank <= i+1)). Exposed so tests can
   /// pin sample() to the exact "first cdf entry >= u" contract.
@@ -114,14 +105,10 @@ class ZipfDistribution {
 
  private:
   void build_guide();
-  void build_alias();
 
   double alpha_;
-  Method method_;
   std::vector<double> cdf_;      // cdf_[i] = P(rank <= i+1)
   std::vector<std::uint32_t> guide_;  // guide_[k] = first i: cdf_[i] >= k/G
-  std::vector<double> alias_prob_;    // Vose: stay-probability per column
-  std::vector<std::uint32_t> alias_;  // Vose: overflow target per column
 };
 
 }  // namespace rdmamon::sim

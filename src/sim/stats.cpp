@@ -1,7 +1,6 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace rdmamon::sim {
@@ -87,39 +86,6 @@ void Histogram::reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
   n_ = 0;
   stats_ = OnlineStats{};
-}
-
-void TimeWeighted::set(TimePoint t, double v) {
-  if (!started_) {
-    started_ = true;
-    start_ = last_ = t;
-    cur_ = v;
-    return;
-  }
-  assert(t >= last_);
-  weighted_sum_ += cur_ * static_cast<double>((t - last_).ns);
-  last_ = t;
-  cur_ = v;
-}
-
-double TimeWeighted::mean_until(TimePoint t) const {
-  if (!started_ || t <= start_) return 0.0;
-  double ws = weighted_sum_;
-  if (t > last_) ws += cur_ * static_cast<double>((t - last_).ns);
-  return ws / static_cast<double>((t - start_).ns);
-}
-
-double TimeSeries::value_mean() const {
-  if (pts_.empty()) return 0.0;
-  double s = 0.0;
-  for (const auto& p : pts_) s += p.v;
-  return s / static_cast<double>(pts_.size());
-}
-
-double TimeSeries::value_max() const {
-  double m = 0.0;
-  for (const auto& p : pts_) m = std::max(m, p.v);
-  return m;
 }
 
 }  // namespace rdmamon::sim

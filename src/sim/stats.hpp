@@ -1,6 +1,5 @@
-// Measurement plumbing: online moments, latency histograms with
-// percentiles, and time-weighted series. Everything the benches report
-// flows through these.
+// Measurement plumbing: online moments and latency histograms with
+// percentiles. Everything the benches report flows through these.
 #pragma once
 
 #include <cstdint>
@@ -69,51 +68,6 @@ class Histogram {
   std::vector<std::uint64_t> buckets_;
   std::uint64_t n_ = 0;
   OnlineStats stats_;
-};
-
-/// Piecewise-constant signal sampled at change points; computes
-/// time-weighted averages (e.g. average run-queue length over a window).
-class TimeWeighted {
- public:
-  /// Records that the signal took value `v` starting at time `t`.
-  /// Times must be non-decreasing.
-  void set(TimePoint t, double v);
-
-  /// Closes the signal at time `t` and returns the time-weighted mean
-  /// over [first set, t]. Returns 0 if fewer than one segment.
-  double mean_until(TimePoint t) const;
-
-  double current() const { return cur_; }
-  bool started() const { return started_; }
-
- private:
-  bool started_ = false;
-  TimePoint start_{}, last_{};
-  double cur_ = 0.0;
-  double weighted_sum_ = 0.0;
-};
-
-/// A labelled (time, value) series for figure output.
-struct SeriesPoint {
-  TimePoint t;
-  double v;
-};
-
-class TimeSeries {
- public:
-  void add(TimePoint t, double v) { pts_.push_back({t, v}); }
-  const std::vector<SeriesPoint>& points() const { return pts_; }
-  std::size_t size() const { return pts_.size(); }
-  bool empty() const { return pts_.empty(); }
-
-  /// Mean of the raw values (unweighted).
-  double value_mean() const;
-
-  /// Max of the raw values (0 if empty).
-  double value_max() const;
-
- private:
-  std::vector<SeriesPoint> pts_;
 };
 
 }  // namespace rdmamon::sim

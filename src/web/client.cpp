@@ -33,7 +33,6 @@ os::Program ClientGroup::client_body(os::SimThread& self, net::Socket* sock,
   for (;;) {
     Request req = gen_(*rng);
     req.id = next_request_id_++;
-    req.request_bytes = cfg_.request_bytes;
     req.created_at = simu.now();
     co_await sock->send(self, req.request_bytes, req);
     net::Message m;

@@ -22,7 +22,6 @@ using RequestGenerator = std::function<Request(sim::Rng&)>;
 struct ClientGroupConfig {
   int threads_per_node = 8;
   sim::Duration think = sim::msec(20);
-  std::size_t request_bytes = 512;
   /// Telemetry label of this group's exported percentiles
   /// (web.response.*{group=...}). ClusterTestbed fills it from the group's
   /// creation order when left empty.

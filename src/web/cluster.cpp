@@ -18,7 +18,8 @@ ClusterTestbed::ClusterTestbed(sim::Simulation& simu, ClusterConfig cfg)
     // The paper's single-front-end testbed, wired exactly as before the
     // scale-out plane existed (same node names, same construction order,
     // same thread spawn order) so fixed-seed runs stay byte-identical.
-    frontends_.push_back(std::make_unique<os::Node>(simu_, cfg_.frontend_node));
+    frontends_.push_back(
+        std::make_unique<os::Node>(simu_, os::NodeConfig{.name = "frontend"}));
     os::Node& fe = *frontends_.back();
     fabric_->attach(fe);
 
@@ -30,37 +31,23 @@ ClusterTestbed::ClusterTestbed(sim::Simulation& simu, ClusterConfig cfg)
     // closed-loop clients unblock and retraffic the survivors.
     dispatchers_.back()->enable_failover();
 
-    const std::vector<std::shared_ptr<net::QpContext>> pool =
-        net::make_context_pool(fabric_->nic(fe.id), cfg_.verbs);
     for (int i = 0; i < cfg_.backends; ++i) {
-      os::NodeConfig ncfg = cfg_.backend_node;
-      ncfg.name = "backend" + std::to_string(i);
-      backends_.push_back(std::make_unique<os::Node>(simu_, ncfg));
-      os::Node& node = *backends_.back();
-      fabric_->attach(node);
-      servers_.push_back(
-          std::make_unique<WebServer>(*fabric_, node, cfg_.server));
+      os::Node& node = add_backend_node(i);
       dispatchers_.back()->add_backend(*servers_.back());
-      std::shared_ptr<net::QpContext> ctx =
-          pool.empty() ? nullptr
-                       : pool[static_cast<std::size_t>(i) % pool.size()];
-      lb_->add_backend(std::make_unique<monitor::MonitorChannel>(
-          *fabric_, fe, node, mcfg, std::move(ctx)));
+      lb_->add_backend(
+          std::make_unique<monitor::MonitorChannel>(*fabric_, fe, node, mcfg));
     }
-    lb_->set_verbs_tuning(cfg_.verbs);
     lb_->start(fe, cfg_.lb_granularity);
   } else {
     // Scale-out testbed: M front ends over one shared back-end set. The
     // plane owns the balancers (one per front end, poll-filtered to its
     // ring shard) and the shared per-back-end monitors; each front end
     // gets its own dispatcher over every server.
-    cluster::ScaleOutConfig scfg = cfg_.scaleout;
-    scfg.verbs = cfg_.verbs;
-    plane_ = std::make_unique<cluster::ScaleOutPlane>(*fabric_, scfg, mcfg);
+    plane_ = std::make_unique<cluster::ScaleOutPlane>(*fabric_, cfg_.scaleout,
+                                                      mcfg);
     for (int m = 0; m < cfg_.frontends; ++m) {
-      os::NodeConfig ncfg = cfg_.frontend_node;
-      ncfg.name = "frontend" + std::to_string(m);
-      frontends_.push_back(std::make_unique<os::Node>(simu_, ncfg));
+      frontends_.push_back(std::make_unique<os::Node>(
+          simu_, os::NodeConfig{.name = "frontend" + std::to_string(m)}));
       os::Node& fe = *frontends_.back();
       fabric_->attach(fe);
       cluster::FrontendPlane& fp = plane_->add_frontend(
@@ -72,14 +59,7 @@ ClusterTestbed::ClusterTestbed(sim::Simulation& simu, ClusterConfig cfg)
       dispatchers_.back()->enable_failover();
     }
     for (int i = 0; i < cfg_.backends; ++i) {
-      os::NodeConfig ncfg = cfg_.backend_node;
-      ncfg.name = "backend" + std::to_string(i);
-      backends_.push_back(std::make_unique<os::Node>(simu_, ncfg));
-      os::Node& node = *backends_.back();
-      fabric_->attach(node);
-      servers_.push_back(
-          std::make_unique<WebServer>(*fabric_, node, cfg_.server));
-      plane_->add_backend(node);
+      plane_->add_backend(add_backend_node(i));
       for (auto& d : dispatchers_) d->add_backend(*servers_.back());
     }
     plane_->start(cfg_.lb_granularity);
@@ -94,6 +74,15 @@ ClusterTestbed::ClusterTestbed(sim::Simulation& simu, ClusterConfig cfg)
 
 ClusterTestbed::~ClusterTestbed() = default;
 
+os::Node& ClusterTestbed::add_backend_node(int i) {
+  backends_.push_back(std::make_unique<os::Node>(
+      simu_, os::NodeConfig{.name = "backend" + std::to_string(i)}));
+  os::Node& node = *backends_.back();
+  fabric_->attach(node);
+  servers_.push_back(std::make_unique<WebServer>(*fabric_, node, cfg_.server));
+  return node;
+}
+
 ClientGroup& ClusterTestbed::add_clients(int nodes, RequestGenerator gen,
                                          ClientGroupConfig ccfg) {
   if (ccfg.name.empty() || (ccfg.name == "g0" && !groups_.empty())) {
@@ -101,9 +90,11 @@ ClientGroup& ClusterTestbed::add_clients(int nodes, RequestGenerator gen,
   }
   std::vector<os::Node*> group_nodes;
   for (int i = 0; i < nodes; ++i) {
-    os::NodeConfig ncfg = cfg_.client_node;
-    ncfg.name = "client" + std::to_string(clients_.size());
-    clients_.push_back(std::make_unique<os::Node>(simu_, ncfg));
+    // The paper's client nodes are bigger (2x 3.0 GHz, 2 GB).
+    clients_.push_back(std::make_unique<os::Node>(
+        simu_,
+        os::NodeConfig{.name = "client" + std::to_string(clients_.size()),
+                       .memory_bytes = 2ull << 30}));
     fabric_->attach(*clients_.back());
     group_nodes.push_back(clients_.back().get());
   }

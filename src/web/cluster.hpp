@@ -29,8 +29,8 @@ struct ClusterConfig {
   /// hash, gossip shard views over one-sided READs, and each run their
   /// own dispatcher (client groups are assigned round-robin).
   int frontends = 1;
-  /// Scale-out tuning (gossip cadence, staleness bound, ring vnodes).
-  /// Ignored when frontends == 1.
+  /// Scale-out tuning (gossip cadence, staleness bound, verbs fast path,
+  /// refresh strategy). Ignored when frontends == 1.
   cluster::ScaleOutConfig scaleout;
   monitor::Scheme scheme = monitor::Scheme::RdmaSync;
   /// T: async schemes' back-end update period.
@@ -38,9 +38,6 @@ struct ClusterConfig {
   /// Load-fetching granularity of the balancer's poller.
   sim::Duration lb_granularity = sim::msec(50);
   ServerConfig server;
-  os::NodeConfig backend_node;
-  os::NodeConfig frontend_node;
-  os::NodeConfig client_node;
   net::FabricConfig fabric;
   /// When set (>= 0), enables admission control at this load threshold.
   double admission_threshold = -1.0;
@@ -50,23 +47,10 @@ struct ClusterConfig {
   sim::Duration fetch_timeout = sim::msec(200);
   int fetch_retries = 2;
   sim::Duration retry_backoff = sim::msec(2);
-  /// Verbs fast-path tuning of the monitoring channels (signal-every-k,
-  /// inflight windows, shared contexts, CQ moderation). Applied in both
-  /// single-front-end and scale-out mode; the defaults keep the
-  /// historical behaviour byte-identical.
-  net::VerbsTuning verbs;
   /// Tenant identity of the monitoring plane (see MonitorConfig::tenant):
   /// with fabric QoS enabled, give the plane a weighted spec under this
   /// id so its READs are protected from noisy neighbors. 0 = untagged.
   net::TenantId monitor_tenant = 0;
-
-  ClusterConfig() {
-    backend_node.name = "backend";
-    frontend_node.name = "frontend";
-    client_node.name = "client";
-    // The paper's client nodes are bigger (2x 3.0 GHz, 2 GB).
-    client_node.memory_bytes = 2ull << 30;
-  }
 };
 
 class ClusterTestbed {
@@ -108,6 +92,9 @@ class ClusterTestbed {
   const ClusterConfig& config() const { return cfg_; }
 
  private:
+  /// Creates back end `i`: its node, fabric attachment and web server.
+  os::Node& add_backend_node(int i);
+
   sim::Simulation& simu_;
   ClusterConfig cfg_;
   sim::Rng seed_rng_;

@@ -4,6 +4,12 @@
 
 namespace rdmamon::web {
 
+namespace {
+/// Transient memory held while a request is processed (shows up in the
+/// back end's memory load index).
+constexpr std::uint64_t kPerRequestMemory = 4ull << 20;
+}  // namespace
+
 WebServer::WebServer(net::Fabric& fabric, os::Node& node, ServerConfig cfg)
     : fabric_(&fabric), node_(&node), cfg_(cfg) {}
 
@@ -35,12 +41,12 @@ os::Program WebServer::worker_body(os::SimThread& self) {
     while (queue_.empty()) co_await os::WaitOn{&work_wq_};
     PendingWork work = std::move(queue_.front());
     queue_.pop_front();
-    node_->stats().alloc_memory(cfg_.per_request_memory);
+    node_->stats().alloc_memory(kPerRequestMemory);
     const ServiceDemand& d = work.req.demand;
     if (d.cpu_php.ns > 0) co_await os::Compute{d.cpu_php};
     if (d.cpu_db.ns > 0) co_await os::Compute{d.cpu_db};
     if (d.io_wait.ns > 0) co_await os::SleepFor{d.io_wait};
-    node_->stats().free_memory(cfg_.per_request_memory);
+    node_->stats().free_memory(kPerRequestMemory);
     Reply reply;
     reply.id = work.req.id;
     reply.query_class = work.req.query_class;

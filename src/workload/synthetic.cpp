@@ -6,6 +6,9 @@ namespace rdmamon::workload {
 
 namespace {
 
+/// Gap between two stages of a disturbance's ramp.
+constexpr sim::Duration kStageInterval = sim::msec(100);
+
 os::Program bg_worker_body(os::SimThread& self, net::Socket* sock,
                            BackgroundLoadConfig cfg) {
   for (;;) {
@@ -111,13 +114,12 @@ void DisturbanceGenerator::fire() {
   os::Node* victim = targets_[idx];
   ++events_;
   // The co-hosted job ramps up in stages of compute+comm threads.
-  for (int stage = 0; stage < cfg_.stages; ++stage) {
-    fabric_->simu().after(cfg_.stage_interval * stage,
-                          [this, gen, victim] {
-                            if (generation_ != gen) return;
-                            active_.push_back(std::make_unique<BackgroundLoad>(
-                                *fabric_, *victim, *echo_peer_, cfg_.stage));
-                          });
+  for (int stage = 0; stage < kDisturbanceStages; ++stage) {
+    fabric_->simu().after(kStageInterval * stage, [this, gen, victim] {
+      if (generation_ != gen) return;
+      active_.push_back(std::make_unique<BackgroundLoad>(
+          *fabric_, *victim, *echo_peer_, kDisturbanceStage));
+    });
   }
   fabric_->simu().after(cfg_.duration, [this, gen] {
     if (generation_ == gen) stop_all();

@@ -58,22 +58,23 @@ struct DisturbanceConfig {
   sim::Duration mean_interval = sim::msec(1100);  ///< exp-distributed gap
   /// Lifetime of one disturbance, first stage to teardown.
   sim::Duration duration = sim::msec(900);
-  /// The job ramps up: `stage.threads` compute+communication threads join
-  /// every `stage_interval` (batch jobs spin up gradually) — fresh
-  /// monitors can evacuate the victim before the ramp peaks, stale ones
-  /// cannot. The threads block on their own traffic frequently, so like
-  /// real 2.4-era interactive tasks they are never preemptable by woken
-  /// web workers or monitor threads: everything on the victim waits its
-  /// FIFO turn behind them (the Fig 3 mechanism, applied app-side).
-  int stages = 5;
-  sim::Duration stage_interval = sim::msec(100);
-  BackgroundLoadConfig stage{
-      .threads = 2,
-      .compute_slice = sim::msec(4),
-      .burst = 16,
-      .message_bytes = 8192,
-      .think = sim::msec(1),
-  };
+};
+
+/// A disturbance ramps up in kDisturbanceStages stages, each adding one
+/// kDisturbanceStage load of compute+communication threads a stage
+/// interval after the last (batch jobs spin up gradually) — fresh
+/// monitors can evacuate the victim before the ramp peaks, stale ones
+/// cannot. The threads block on their own traffic frequently, so like
+/// real 2.4-era interactive tasks they are never preemptable by woken web
+/// workers or monitor threads: everything on the victim waits its FIFO
+/// turn behind them (the Fig 3 mechanism, applied app-side).
+inline constexpr int kDisturbanceStages = 5;
+inline constexpr BackgroundLoadConfig kDisturbanceStage{
+    .threads = 2,
+    .compute_slice = sim::msec(4),
+    .burst = 16,
+    .message_bytes = 8192,
+    .think = sim::msec(1),
 };
 
 class DisturbanceGenerator {

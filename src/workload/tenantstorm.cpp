@@ -6,6 +6,12 @@
 
 namespace rdmamon::workload {
 
+namespace {
+/// MrThrash: regions cycled per target (sized past the NIC cache so every
+/// touch misses).
+constexpr std::size_t kMrPool = 64;
+}  // namespace
+
 const char* to_string(StormKind k) {
   switch (k) {
     case StormKind::ReadStorm: return "read-storm";
@@ -55,7 +61,6 @@ TenantStormConfig TenantStormConfig::mr_thrash() {
   c.op_bytes = 256;
   c.max_outstanding = 128;
   c.post_period = sim::usec(2);
-  c.mr_pool = 64;
   return c;
 }
 
@@ -107,7 +112,7 @@ void TenantStorm::post_one(int idx, std::size_t& rr) {
     // keeps inserting — and keeps evicting other tenants' entries.
     net::Nic& tnic = fabric_->nic(tgt.node);
     auto& pool = pools_[ti];
-    if (static_cast<int>(pool.size()) >= cfg_.mr_pool) {
+    if (pool.size() >= kMrPool) {
       tnic.deregister_mr(pool.front());
       pool.erase(pool.begin());
     }

@@ -64,9 +64,6 @@ struct TenantStormConfig {
   /// Scheduler wakeups are tick-granular, so per-op posting could never
   /// keep a deep outstanding window full; bursts can.
   int burst = 16;
-  /// MrThrash only: regions cycled per target (sized past the NIC cache
-  /// so every touch misses).
-  int mr_pool = 64;
 
   // Characteristic presets (tenant/targets still the caller's choice).
   static TenantStormConfig read_storm();

@@ -13,24 +13,13 @@
 
 namespace rdmamon::workload {
 
+/// Serving an uncached document: a disk seek of this long plus the
+/// transfer, both I/O wait (no CPU).
+inline constexpr sim::Duration kDiskSeek = sim::msec(5);
+
 struct ZipfTraceConfig {
   std::size_t documents = 20'000;
   double alpha = 0.5;
-  /// Server-side cache: documents are cached in popularity order until
-  /// this budget is exhausted. The default corpus (~250 MB) is several
-  /// times the cache so the hit ratio actually depends on alpha.
-  std::uint64_t cache_bytes = 64ull << 20;
-  /// Bounded-Pareto document sizes.
-  double size_shape = 1.2;
-  double min_bytes = 2'048;
-  double max_bytes = 2'097'152;  // 2 MiB
-  /// Request parse + header cost.
-  sim::Duration base_cpu = sim::usec(200);
-  /// Serving from memory: per-byte copy cost.
-  double mem_ns_per_byte = 0.05;
-  /// Serving from disk: seek + transfer (I/O wait, does not burn CPU).
-  sim::Duration disk_base = sim::msec(5);
-  double disk_ns_per_byte = 25.0;  // ~40 MB/s 2006-era disk
 };
 
 /// One sampled static request with its resolved service demands.

@@ -79,7 +79,7 @@ TEST(LoadBalancer, OverloadedBackendLeavesRotation) {
   env.hog(1, 12);  // far beyond the overload cutoff
   env.lb->start(env.frontend, msec(50));
   env.simu.run_for(seconds(1));
-  EXPECT_GE(env.lb->index_of(1), env.lb->weights().overload_cutoff);
+  EXPECT_GE(env.lb->index_of(1), kOverloadCutoff);
   std::array<int, 4> picks{};
   for (int i = 0; i < 300; ++i) ++picks[static_cast<std::size_t>(env.lb->pick())];
   EXPECT_EQ(picks[1], 0);  // completely out of rotation

@@ -550,7 +550,7 @@ TEST(CqModeration, BatchesNotificationsPerCount) {
   cq.bind_moderation(env.simu, /*count=*/4, /*period=*/msec(1));
   QueuePair qp(env.fabric.nic(0), 1, cq);
   int wakeups = 0;
-  env.a.spawn("reaper", [&](SimThread& self) -> Program {
+  env.a.spawn("reaper", [&](SimThread&) -> Program {
     std::size_t drained = 0;
     while (drained < 8) {
       co_await os::WaitOn{&cq.wait_queue()};
@@ -579,7 +579,7 @@ TEST(CqModeration, PeriodTimerFlushesAPartialBatch) {
   cq.bind_moderation(env.simu, /*count=*/8, sim::usec(16));
   QueuePair qp(env.fabric.nic(0), 1, cq);
   bool woke = false;
-  env.a.spawn("reaper", [&](SimThread& self) -> Program {
+  env.a.spawn("reaper", [&](SimThread&) -> Program {
     co_await os::WaitOn{&cq.wait_queue()};
     woke = true;
   });

@@ -10,7 +10,8 @@
 //  2. The adaptive controller. Mode decisions must be a pure function of
 //     the event trace (determinism — two controllers fed the same events
 //     agree switch for switch) and flap-free by construction (per-backend
-//     switch count bounded by kMinDwell) under random traces.
+//     switch count bounded by kMinDwell) under random traces; and its cost
+//     model prices each op exactly as the NIC charges it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +20,9 @@
 
 #include "monitor/adaptive.hpp"
 #include "monitor/inbox.hpp"
+#include "monitor/monitor.hpp"
 #include "net/fabric.hpp"
+#include "net/nic.hpp"
 #include "os/node.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
@@ -307,6 +310,39 @@ TEST(AdaptiveProperty, AdversarialTraceCannotForceFlapping) {
                                       horizon.ns /
                                       AdaptiveController::kMinDwell.ns);
   EXPECT_LE(ctl.switches(0), bound);
+}
+
+TEST(AdaptiveProperty, CostModelPricesOpsAsTheNicCharges) {
+  // One monitoring READ moves the initiator's wire-byte count by exactly
+  // kPullBytes and one push WRITE by exactly kPushBytes, so the
+  // controller compares the two schemes in the fabric's own bytes.
+  sim::Simulation simu;
+  net::Fabric fabric(simu, {});
+  os::Node fe(simu, {.name = "fe"}), be(simu, {.name = "be"});
+  fabric.attach(fe);
+  fabric.attach(be);
+
+  monitor::MonitorChannel chan(fabric, fe, be, monitor::MonitorConfig{});
+  bool fetched = false;
+  fe.spawn("pull", [&](os::SimThread& self) -> os::Program {
+    MonitorSample s;
+    co_await chan.frontend().fetch(self, s);
+    fetched = s.ok;
+  });
+  simu.run_for(msec(1));
+  ASSERT_TRUE(fetched);
+  EXPECT_EQ(fabric.nic(fe.id).rdma_wire_bytes(),
+            AdaptiveController::kPullBytes);
+
+  // The publisher's first push lands one check period after start.
+  PushInbox inbox(fabric, fe, 1);
+  monitor::PushPublisher pub(fabric, be);
+  pub.target(fe.id, inbox.mr_key(), 0);
+  pub.start();
+  simu.run_for(monitor::PushPublisher::kCheckPeriod + msec(2));
+  ASSERT_EQ(pub.pushes(), 1u);
+  EXPECT_EQ(fabric.nic(be.id).rdma_wire_bytes(),
+            AdaptiveController::kPushBytes);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "cluster/scaleout.hpp"
 #include "monitor/adaptive.hpp"
 #include "monitor/scheme.hpp"
+#include "net/nic.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
@@ -133,6 +134,22 @@ TEST(ScaleOut, GracefulLeaveRehomesTheShardToSurvivors) {
               lb::BackendHealth::Healthy);
   }
   EXPECT_GE(plane.frontend(1).takeovers(), 1u);
+}
+
+TEST(ScaleOut, VerbsTuningReachesEveryFrontend) {
+  // cfg.scaleout.verbs is the scale-out plane's verbs fast path: with
+  // signal-every-8 over 2 shared contexts, each front end's monitoring
+  // READs go out partly unsignaled.
+  sim::Simulation simu;
+  web::ClusterConfig cfg = scale_cfg(2, 16);
+  cfg.scaleout.verbs.signal_every = 8;
+  cfg.scaleout.verbs.shared_contexts = 2;
+  web::ClusterTestbed bed(simu, cfg);
+  simu.run_for(msec(200));
+  for (int m = 0; m < bed.frontend_count(); ++m) {
+    EXPECT_GT(bed.fabric().nic(bed.frontend(m).id).unsignaled_posted(), 0u)
+        << "frontend " << m;
+  }
 }
 
 TEST(ScaleOut, ExportsRingOwnershipAndPeerViewAgeGauges) {

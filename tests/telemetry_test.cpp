@@ -1,13 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <any>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/publisher.hpp"
 #include "monitor/scatter.hpp"
@@ -17,20 +16,6 @@
 #include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
-
-// Global allocation counter for the disabled-path no-allocation proof.
-// gtest itself allocates, so tests bracket exactly the code under test.
-namespace {
-std::uint64_t g_allocs = 0;
-}
-void* operator new(std::size_t n) {
-  ++g_allocs;
-  void* p = std::malloc(n);
-  if (!p) throw std::bad_alloc{};
-  return p;
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rdmamon::telemetry {
 namespace {
@@ -192,14 +177,15 @@ TEST(RecordHelpers, DisabledPathDoesNotAllocate) {
   Gauge* g = nullptr;
   HistogramMetric* h = nullptr;
   FlightRing* r = nullptr;
-  const std::uint64_t before = g_allocs;
+  // gtest itself allocates, so the count brackets exactly the helpers.
+  const std::uint64_t before = allocation_count();
   for (int i = 0; i < 1000; ++i) {
     add(c);
     set(g, static_cast<double>(i));
     observe(h, static_cast<double>(i));
     fr_record(r, "kind", i);
   }
-  EXPECT_EQ(g_allocs, before);
+  EXPECT_EQ(allocation_count(), before);
   static_assert(kEnabled == (RDMAMON_TELEMETRY_ENABLED != 0),
                 "kEnabled must be a compile-time constant");
 }
@@ -225,9 +211,9 @@ std::uint64_t steady_read_allocs(bool with_registry, int reads) {
     EXPECT_TRUE(cq.try_pop(1, c));
   };
   for (int i = 0; i < 16; ++i) read_once();
-  const std::uint64_t before = g_allocs;
+  const std::uint64_t before = allocation_count();
   for (int i = 0; i < reads; ++i) read_once();
-  return g_allocs - before;
+  return allocation_count() - before;
 }
 
 TEST(RecordHelpers, RegistryAddsNoAllocationPerRead) {
@@ -472,6 +458,37 @@ TEST(Integration, MonitorRunPopulatesRegistry) {
   }
   EXPECT_EQ(keys.size(), 20u);
   EXPECT_EQ(attempt_ns.size(), keys.size());
+}
+
+TEST(Integration, BlockingFetchCountsItsDoorbells) {
+  // A blocking RDMA fetch rings one doorbell per attempt, so the doorbell
+  // counters agree with the NIC's post count like any other post.
+  if constexpr (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  sim::Simulation simu;
+  Registry reg;
+  reg.install(simu);
+  net::Fabric fabric(simu, {});
+  os::Node fe(simu, {.name = "fe"}), be(simu, {.name = "be"});
+  fabric.attach(fe);
+  fabric.attach(be);
+  monitor::MonitorConfig mcfg;
+  mcfg.scheme = monitor::Scheme::RdmaSync;
+  monitor::MonitorChannel chan(fabric, fe, be, mcfg);
+  fe.spawn("mon", [&](os::SimThread& self) -> os::Program {
+    for (int i = 0; i < 10; ++i) {
+      monitor::MonitorSample s;
+      co_await chan.frontend().fetch(self, s);
+    }
+  });
+  simu.run_for(sim::msec(100));
+
+  const Snapshot snap = reg.snapshot();
+  for (const char* name : {"net.nic.rdma_posted", "net.doorbells",
+                           "net.posts"}) {
+    const SnapshotEntry* e = snap.find(name, "node=fe");
+    ASSERT_NE(e, nullptr) << name;
+    EXPECT_EQ(e->value, 10.0) << name;
+  }
 }
 
 TEST(Integration, IdenticalRunsYieldIdenticalExports) {

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "util/chart.hpp"
-#include "util/csv.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
 
@@ -61,20 +58,6 @@ TEST(Table, SeparatorAndRaggedRows) {
   t.add_row({"2", "3", "4"});  // wider than header
   const std::string out = t.to_string();
   EXPECT_NE(out.find('4'), std::string::npos);
-}
-
-TEST(Csv, EscapesSpecials) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Csv, WritesRows) {
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.write_row(std::vector<std::string>{"x", "y,z"});
-  w.write_row(std::vector<double>{1.5, 2.0}, 1);
-  EXPECT_EQ(os.str(), "x,\"y,z\"\n1.5,2.0\n");
 }
 
 TEST(Chart, RendersSeriesAndLegend) {

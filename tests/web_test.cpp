@@ -19,8 +19,8 @@ TEST(LoadIndex, WeightsCombineAndClamp) {
   s.mem_load = 1.0;
   s.net_rate = 1e12;      // way over capacity: clamps to 1
   s.connections = 10'000; // clamps to 1
-  EXPECT_NEAR(lb::load_index(s, w), w.w_cpu + w.w_mem + w.w_net + w.w_conn,
-              1e-9);
+  EXPECT_NEAR(lb::load_index(s, w),
+              lb::kWCpu + lb::kWMem + lb::kWNet + lb::kWConn, 1e-9);
   os::LoadSnapshot idle;
   EXPECT_NEAR(lb::load_index(idle, w), 0.0, 1e-9);
 }

@@ -106,7 +106,7 @@ TEST(ZipfTrace, CachedRequestsAreCheapUncachedAreExpensive) {
       EXPECT_EQ(r.io_wait.ns, 0);
       EXPECT_LT(r.cpu_demand.ns, sim::msec(1).ns);
     } else {
-      EXPECT_GE(r.io_wait.ns, cfg.disk_base.ns);
+      EXPECT_GE(r.io_wait.ns, kDiskSeek.ns);
     }
   }
 }
