@@ -60,7 +60,7 @@ IrqObservation observe(Scheme scheme, sim::Duration run) {
     for (;;) {
       monitor::MonitorSample s;
       co_await chan.frontend().fetch(self, s);
-      if (s.ok && s.info.irq_pending.size() >= 2) {
+      if (s.ok && s.info.cpus >= 2) {
         ++obs.samples;
         if (s.info.irq_pending[0] > 0) ++obs.nonzero_cpu0;
         if (s.info.irq_pending[1] > 0) ++obs.nonzero_cpu1;

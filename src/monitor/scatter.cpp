@@ -112,12 +112,11 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     }
   };
 
-  std::vector<net::ReadBatchEntry> batch;
   for (;;) {
     // Issue wave: every Issue slot starts one bounded attempt. RDMA
     // attempts merge into a single multi-READ post (one doorbell for the
     // lot); socket attempts go out one per connection.
-    batch.clear();
+    batch_.clear();
     std::size_t wave = 0;
     for (Slot& s : slots) {
       if (s.state != State::Issue) continue;
@@ -125,13 +124,13 @@ os::Program ScatterFetcher::round(os::SimThread& self,
       ++wave;
       const sim::TimePoint dl = attempt_deadline(s.mon->config(), simu.now());
       if (s.mon->is_rdma_transport()) {
-        batch.push_back(s.mon->prepare_read(s.op, dl));
+        batch_.push_back(s.mon->prepare_read(s.op, dl));
       } else {
         co_await s.mon->issue(self, s.op, dl);
       }
       s.state = State::Wait;
     }
-    co_await net::post_read_batch(self, batch);
+    co_await net::post_read_batch(self, batch_);
     if (wave > 0) {
       telemetry::observe(m_wave_width_, static_cast<double>(wave));
     }

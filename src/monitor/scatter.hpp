@@ -53,6 +53,8 @@ class ScatterFetcher {
 
   std::vector<FrontendMonitor*> targets_;
   net::CompletionQueue cq_;  ///< shared completion channel (+ wait queue)
+  /// A wave's RDMA attempts; a member so rounds reuse its capacity.
+  std::vector<net::ReadBatchEntry> batch_;
   // Telemetry instruments (null when disabled / no registry installed).
   bool metrics_resolved_ = false;
   telemetry::Registry* reg_ = nullptr;

@@ -40,27 +40,35 @@ Connection& Fabric::connect(os::Node& a, os::Node& b) {
   return *conns_.back();
 }
 
-void Fabric::ship(Message msg) {
+void Fabric::ship(PacketSlot p) {
+  const Message& msg = packets_[p];
   // A packet to or from a crashed node never makes it onto the wire; a
   // degraded link may eat it. Loss is sampled at ship time so the RNG
   // consumption order is a deterministic function of traffic order.
-  if (fault_at(msg.src_node).crashed || fault_at(msg.dst_node).crashed) {
+  if (fault_at(msg.src_node).crashed || fault_at(msg.dst_node).crashed ||
+      sample_link_drop(msg.src_node, msg.dst_node)) {
+    packets_.release(p);
     return;
   }
-  if (sample_link_drop(msg.src_node, msg.dst_node)) return;
   // Propagation through the non-blocking switch (plus degradation).
   const sim::Duration lat =
       kPropLatency + link_extra(msg.src_node, msg.dst_node);
-  simu_.after(lat, [this, msg = std::move(msg)] {
-    NodeFaultState& f = fault_at(msg.dst_node);
-    if (f.crashed) return;  // died while the packet was in flight
-    if (f.frozen) {
-      // Host hung: the packet waits at the ingress port until unfreeze.
-      frozen_rx_[static_cast<std::size_t>(msg.dst_node)].push_back(msg);
-      return;
-    }
-    nic(msg.dst_node).rx(msg);
-  });
+  simu_.after(lat, [this, p] { arrive(p); });
+}
+
+void Fabric::arrive(PacketSlot p) {
+  const int dst = packets_[p].dst_node;
+  NodeFaultState& f = fault_at(dst);
+  if (f.crashed) {  // died while the packet was in flight
+    packets_.release(p);
+    return;
+  }
+  if (f.frozen) {
+    // Host hung: the packet waits at the ingress port until unfreeze.
+    frozen_rx_[static_cast<std::size_t>(dst)].push_back(p);
+    return;
+  }
+  nic(dst).rx(p);
 }
 
 // --- fault-injection hooks ----------------------------------------------------
@@ -76,7 +84,9 @@ const NodeFaultState& Fabric::fault_state(int node_id) const {
 void Fabric::inject_crash(int node_id) {
   fault_at(node_id).crashed = true;
   // Packets parked at a frozen ingress die with the node.
-  frozen_rx_[static_cast<std::size_t>(node_id)].clear();
+  auto& held = frozen_rx_[static_cast<std::size_t>(node_id)];
+  for (const PacketSlot p : held) packets_.release(p);
+  held.clear();
 }
 
 void Fabric::inject_recover(int node_id) { fault_at(node_id).crashed = false; }
@@ -90,7 +100,7 @@ void Fabric::inject_unfreeze(int node_id) {
   // The backlog bursts into the receive path at the unfreeze instant —
   // the post-hang interrupt storm a real host sees.
   auto& held = frozen_rx_[static_cast<std::size_t>(node_id)];
-  for (Message& m : held) nic(node_id).rx(std::move(m));
+  for (const PacketSlot p : held) nic(node_id).rx(p);
   held.clear();
 }
 
@@ -116,9 +126,10 @@ bool Fabric::sample_link_drop(int src, int dst) {
   return fault_rng_.chance(loss);
 }
 
-void Fabric::deliver_to_socket(const Message& msg) {
+void Fabric::deliver_to_socket(PacketSlot p) {
+  Message msg = packets_.take(p);
   Connection& c = *conns_.at(static_cast<std::size_t>(msg.conn));
-  c.endpoint(msg.dst_side).deliver(msg);
+  c.endpoint(msg.dst_side).deliver(std::move(msg));
 }
 
 }  // namespace rdmamon::net

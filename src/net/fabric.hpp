@@ -11,6 +11,7 @@
 #include "net/qos.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
+#include "sim/slot_table.hpp"
 #include "sim/time.hpp"
 
 namespace rdmamon::os {
@@ -74,8 +75,17 @@ struct NodeFaultState {
   double link_loss = 0.0;
 };
 
+/// A socket message in flight, parked in the Fabric's packet table.
+using PacketSlot = sim::SlotTable<Message>::Slot;
+
 /// Owns the NICs and the message-in-flight bookkeeping. Nodes are created
 /// by the caller (they carry their own OS config) and attached here.
+///
+/// A socket message lives in one packet-table slot from Nic::tx to
+/// deliver_to_socket: TX serialisation, the wire, a frozen host's ingress
+/// port and the receiver's IRQ/softirq path all carry only the slot. It
+/// is freed where it is delivered or dropped (crashed end, lossy link,
+/// crash of a frozen host holding it).
 class Fabric {
  public:
   Fabric(sim::Simulation& simu, FabricConfig cfg);
@@ -96,13 +106,21 @@ class Fabric {
   /// during experiment wiring); both nodes' connection counters bump.
   Connection& connect(os::Node& a, os::Node& b);
 
-  /// Ships a two-sided message: propagation delay, then the destination
-  /// NIC's receive path (called by Nic after TX serialisation).
-  void ship(Message msg);
+  /// Parks an outgoing message (Nic::tx) and returns its slot.
+  PacketSlot park(Message msg) { return packets_.put(std::move(msg)); }
+  /// The message parked in `p`.
+  Message& packet(PacketSlot p) { return packets_[p]; }
+  /// Messages in flight (parked and not yet delivered or dropped).
+  std::size_t packets_in_flight() const { return packets_.live(); }
 
-  /// Routes a delivered message to its connection endpoint (called by the
-  /// destination NIC once protocol processing has been paid).
-  void deliver_to_socket(const Message& msg);
+  /// Ships a parked message: propagation delay, then the destination
+  /// NIC's receive path (called by Nic after TX serialisation).
+  void ship(PacketSlot p);
+
+  /// Hands a parked message to its connection endpoint and frees its slot
+  /// (called by the destination NIC once protocol processing has been
+  /// paid).
+  void deliver_to_socket(PacketSlot p);
 
   sim::Simulation& simu() { return simu_; }
   const FabricConfig& config() const { return cfg_; }
@@ -134,6 +152,8 @@ class Fabric {
 
  private:
   NodeFaultState& fault_at(int node_id);
+  /// A shipped message reaches its destination's ingress port.
+  void arrive(PacketSlot p);
 
   sim::Simulation& simu_;
   FabricConfig cfg_;
@@ -141,7 +161,8 @@ class Fabric {
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<std::unique_ptr<Connection>> conns_;
   std::vector<NodeFaultState> faults_;
-  std::vector<std::vector<Message>> frozen_rx_;  ///< held while frozen
+  sim::SlotTable<Message> packets_;  ///< socket messages in flight
+  std::vector<std::vector<PacketSlot>> frozen_rx_;  ///< held while frozen
   sim::Rng fault_rng_;
 };
 

@@ -92,13 +92,14 @@ void Nic::tx(Message msg) {
   const sim::Duration ser = sim::nsec(static_cast<std::int64_t>(
       static_cast<double>(msg.bytes) / fabric_.config().bandwidth_bps * 1e9));
   tx_busy_ = start + ser;
-  simu.at(tx_busy_, [this, msg = std::move(msg)] { fabric_.ship(msg); });
+  const PacketSlot p = fabric_.park(std::move(msg));
+  simu.at(tx_busy_, [this, p] { fabric_.ship(p); });
 }
 
-void Nic::rx(Message msg) {
+void Nic::rx(PacketSlot p) {
   ++rx_packets_;
   sim::Simulation& simu = fabric_.simu();
-  node_.stats().on_net_bytes(msg.bytes, simu.now());
+  node_.stats().on_net_bytes(fabric_.packet(p).bytes, simu.now());
   const int cpu = std::min(kRxIrqCpu, node_.config().cpus - 1);
   os::IrqController& irq = node_.irq();
   // Keep-up heuristic: protocol processing runs inline in IRQ context
@@ -110,18 +111,18 @@ void Nic::rx(Message msg) {
       irq.pending_hard(cpu, os::IrqType::NetRx) < os::kRxInlineBudget;
   if (inline_ok) {
     irq.raise(
-        cpu, os::IrqType::NetRx,
-        [this, msg] { fabric_.deliver_to_socket(msg); },
+        cpu, os::IrqType::NetRx, [this, p] { fabric_.deliver_to_socket(p); },
         /*extra_cost=*/os::kSoftirqPacketCost);
   } else {
     ++rx_deferred_;
-    irq.raise(cpu, os::IrqType::NetRx, [this, cpu, msg] {
-      node_.irq().raise_softirq(
-          cpu, os::SoftirqItem{os::kSoftirqPacketCost, [this, msg] {
-                                 fabric_.deliver_to_socket(msg);
-                               }});
-    });
+    irq.raise(cpu, os::IrqType::NetRx, [this, cpu, p] { defer_rx(cpu, p); });
   }
+}
+
+void Nic::defer_rx(int cpu, PacketSlot p) {
+  node_.irq().raise_softirq(
+      cpu, os::SoftirqItem{os::kSoftirqPacketCost,
+                           [this, p] { fabric_.deliver_to_socket(p); }});
 }
 
 // --- one-sided ------------------------------------------------------------------
@@ -187,116 +188,112 @@ void Nic::post(int target_node, WorkRequest wr, Done done,
   c.wr_id = wr.wr_id;
   c.verb = wr.verb;
   c.posted = fabric_.simu().now();
+  const OpSlot s = ops_.put(Op{target_node, std::move(wr), std::move(c),
+                               std::move(done), ctx_id, tenant});
   if (arbiter_ != nullptr) {
     // Fabric QoS: the op's full wire footprint passes the per-tenant
     // token bucket + WFQ arbiter before the wire logic runs. A queue-cap
     // refusal drops the WR; the RC layer error-completes it exactly like
     // a retry-budget exhaustion.
-    if (!arbiter_->submit(
-            tenant, footprint,
-            [this, target_node, wr = std::move(wr), c, done, ctx_id,
-             tenant]() mutable {
-              start(target_node, std::move(wr), std::move(c),
-                    std::move(done), ctx_id, tenant);
-            })) {
-      fail_after_retries(std::move(c), std::move(done));
+    if (!arbiter_->submit(tenant, footprint, [this, s] { start(s); })) {
+      fail_after_retries(s);
     }
     return;
   }
-  start(target_node, std::move(wr), std::move(c), std::move(done), ctx_id,
-        tenant);
+  start(s);
 }
 
-void Nic::start(int target_node, WorkRequest wr, Completion c, Done done,
-                std::uint64_t ctx_id, TenantId tenant) {
-  sim::Simulation& simu = fabric_.simu();
-  const FabricConfig& cfg = fabric_.config();
+void Nic::start(OpSlot s) {
+  const Op& op = ops_[s];
   // Dead host at EITHER end or lost request packet: the op can never
   // succeed. The initiator-side check mirrors the socket path (a crashed
   // node's packets vanish both ways) — without it a crashed front end
   // would keep one-sided monitoring through its own NIC.
   if (fabric_.fault_state(node_id()).crashed ||
-      fabric_.fault_state(target_node).crashed ||
-      fabric_.sample_link_drop(node_id(), target_node)) {
-    fail_after_retries(std::move(c), std::move(done));
+      fabric_.fault_state(op.target).crashed ||
+      fabric_.sample_link_drop(node_id(), op.target)) {
+    fail_after_retries(s);
     return;
   }
   // QP-context cache touch at the initiator: an evicted context delays
   // the request by the (serialised) fetch penalty before it reaches the
   // wire. Zero with the default unbounded cache.
-  const sim::Duration qpc_delay = charge_qpc(ctx_id, tenant);
+  const sim::Duration qpc_delay = charge_qpc(op.ctx_id, op.tenant);
   // Request packet to the target NIC.
   const sim::Duration req =
-      qpc_delay + cfg.wire_delay(request_bytes(wr.verb, wr.len)) +
-      fabric_.link_extra(node_id(), target_node);
-  Nic& target = fabric_.nic(target_node);
-  simu.after(req, [&target, this, wr = std::move(wr), c,
-                   done = std::move(done)]() mutable {
-    sim::Simulation& s = fabric_.simu();
-    if (fabric_.fault_state(target.node_id()).crashed) {
-      // Died while the request was in flight. NOTE: a *frozen* target
-      // still serves the read — the DMA engine needs no host CPU, the
-      // property the paper's RDMA-Sync scheme exploits.
-      fail_after_retries(std::move(c), std::move(done));
-      return;
-    }
-    // DMA engine serialisation at the target NIC (an MR-entry cache miss
-    // stalls the engine for the fetch).
-    const sim::TimePoint start =
-        target.dma_busy_ > s.now() ? target.dma_busy_ : s.now();
-    const sim::Duration service =
-        target.charge_mr(wr.rkey.key) + fabric_.config().rdma_dma_base +
-        sim::nsec(static_cast<std::int64_t>(static_cast<double>(wr.len) *
-                                            kDmaPerByteNs));
-    target.dma_busy_ = start + service;
-    s.at(target.dma_busy_, [&target, this, wr = std::move(wr), c,
-                            done = std::move(done)]() mutable {
-      ++target.rdma_served_;
-      // Resolve the rkey only now: a region deregistered while the request
-      // was on the wire (or queued behind the DMA engine) must fail with
-      // InvalidKey — never touch a stale entry.
-      auto it = target.regions_.find(wr.rkey.key);
-      if (it == target.regions_.end()) {
-        c.status = WcStatus::InvalidKey;
-      } else if (wr.verb == Verb::Read) {
-        // THE key semantic: the content is sampled at the DMA instant.
-        if (it->second.reader) c.data = it->second.reader();
-      } else if (!it->second.remote_writable) {
-        // Read-only exposure: the paper's defence for exporting kernel
-        // memory. The write is discarded.
-        c.status = WcStatus::ProtectionError;
-      } else if (it->second.writer) {
-        it->second.writer(wr.value);
-      }
-      // Response back to the initiator — a READ's data, a WRITE's ack
-      // (may die on a lossy return path, or find either host dead
-      // meanwhile).
-      if (fabric_.fault_state(target.node_id()).crashed ||
-          fabric_.fault_state(node_id()).crashed ||
-          fabric_.sample_link_drop(target.node_id(), node_id())) {
-        fail_after_retries(std::move(c), std::move(done));
-        return;
-      }
-      const sim::Duration resp =
-          fabric_.config().wire_delay(response_bytes(wr.verb, wr.len)) +
-          fabric_.link_extra(target.node_id(), node_id());
-      fabric_.simu().after(resp, [this, c = std::move(c),
-                                  done = std::move(done)]() mutable {
-        finish(std::move(c), done);
-      });
-    });
-  });
+      qpc_delay +
+      fabric_.config().wire_delay(request_bytes(op.wr.verb, op.wr.len)) +
+      fabric_.link_extra(node_id(), op.target);
+  fabric_.simu().after(req, [this, s] { on_request(s); });
 }
 
-void Nic::fail_after_retries(Completion c, Done done) {
-  c.status = WcStatus::RetryExceeded;
-  fabric_.simu().after(kRetryTimeout, [this, c = std::move(c),
-                                       done = std::move(done)]() mutable {
-    finish(std::move(c), done);
-  });
+void Nic::on_request(OpSlot s) {
+  const Op& op = ops_[s];
+  if (fabric_.fault_state(op.target).crashed) {
+    // Died while the request was in flight. NOTE: a *frozen* target
+    // still serves the read — the DMA engine needs no host CPU, the
+    // property the paper's RDMA-Sync scheme exploits.
+    fail_after_retries(s);
+    return;
+  }
+  // DMA engine serialisation at the target NIC (an MR-entry cache miss
+  // stalls the engine for the fetch).
+  sim::Simulation& simu = fabric_.simu();
+  Nic& target = fabric_.nic(op.target);
+  const sim::TimePoint start =
+      target.dma_busy_ > simu.now() ? target.dma_busy_ : simu.now();
+  const sim::Duration service =
+      target.charge_mr(op.wr.rkey.key) + fabric_.config().rdma_dma_base +
+      sim::nsec(static_cast<std::int64_t>(static_cast<double>(op.wr.len) *
+                                          kDmaPerByteNs));
+  target.dma_busy_ = start + service;
+  simu.at(target.dma_busy_, [this, s] { on_dma(s); });
 }
 
-void Nic::finish(Completion c, const Done& done) {
+void Nic::on_dma(OpSlot s) {
+  Op& op = ops_[s];
+  Nic& target = fabric_.nic(op.target);
+  ++target.rdma_served_;
+  // Resolve the rkey only now: a region deregistered while the request
+  // was on the wire (or queued behind the DMA engine) must fail with
+  // InvalidKey — never touch a stale entry.
+  auto it = target.regions_.find(op.wr.rkey.key);
+  if (it == target.regions_.end()) {
+    op.c.status = WcStatus::InvalidKey;
+  } else if (op.wr.verb == Verb::Read) {
+    // THE key semantic: the content is sampled at the DMA instant.
+    if (it->second.reader) op.c.data = it->second.reader();
+  } else if (!it->second.remote_writable) {
+    // Read-only exposure: the paper's defence for exporting kernel
+    // memory. The write is discarded.
+    op.c.status = WcStatus::ProtectionError;
+  } else if (it->second.writer) {
+    it->second.writer(op.wr.value);
+  }
+  // Response back to the initiator — a READ's data, a WRITE's ack (may
+  // die on a lossy return path, or find either host dead meanwhile).
+  if (fabric_.fault_state(op.target).crashed ||
+      fabric_.fault_state(node_id()).crashed ||
+      fabric_.sample_link_drop(op.target, node_id())) {
+    fail_after_retries(s);
+    return;
+  }
+  const sim::Duration resp =
+      fabric_.config().wire_delay(response_bytes(op.wr.verb, op.wr.len)) +
+      fabric_.link_extra(op.target, node_id());
+  fabric_.simu().after(resp, [this, s] { finish(s); });
+}
+
+void Nic::fail_after_retries(OpSlot s) {
+  ops_[s].c.status = WcStatus::RetryExceeded;
+  fabric_.simu().after(kRetryTimeout, [this, s] { finish(s); });
+}
+
+void Nic::finish(OpSlot s) {
+  Op& op = ops_[s];
+  Completion c = std::move(op.c);
+  Done done = std::move(op.done);
+  ops_.release(s);
   c.completed = fabric_.simu().now();
   telemetry::fr_record_at(fr_, c.completed,
                           kCompKind[static_cast<std::size_t>(c.verb)],

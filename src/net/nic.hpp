@@ -12,15 +12,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
-
 #include <memory>
+#include <unordered_map>
 
 #include "net/fabric.hpp"
 #include "net/message.hpp"
 #include "net/qpcache.hpp"
 #include "net/verbs.hpp"
 #include "os/node.hpp"
+#include "sim/inline_fn.hpp"
+#include "sim/slot_table.hpp"
 #include "telemetry/registry.hpp"
 
 namespace rdmamon::net {
@@ -52,20 +53,17 @@ class Nic {
   int node_id() const { return node_.id; }
 
   // --- two-sided -----------------------------------------------------------
-  /// Transmits a message: serialises on the TX link (FIFO at link
-  /// bandwidth), then hands it to the fabric. The caller has already paid
-  /// the send syscall cost.
+  /// Transmits a message: parks it in the fabric's packet table,
+  /// serialises it on the TX link (FIFO at link bandwidth), then hands it
+  /// to the fabric. The caller has already paid the send syscall cost.
   void tx(Message msg);
-
-  /// Receive path entry (called by the Fabric on arrival): raises a NetRx
-  /// interrupt; protocol processing happens inline in handler context when
-  /// the backlog is small, otherwise via ksoftirqd.
-  void rx(Message msg);
 
   // --- one-sided -----------------------------------------------------------
   /// Registers a memory region; `reader` is sampled at DMA time.
   /// Read-only unless `remote_writable`. `tenant` is the owner a cached
-  /// MR entry's eviction is attributed to (0 = system plane).
+  /// MR entry's eviction is attributed to (0 = system plane). The reader
+  /// and writer run inside the DMA event and must not post on the
+  /// initiating NIC.
   MrKey register_mr(std::size_t bytes, std::function<std::any()> reader,
                     bool remote_writable = false,
                     std::function<void(const std::any&)> writer = nullptr,
@@ -77,13 +75,17 @@ class Nic {
   /// key was unknown (double-dereg is a caller bug but must not crash).
   bool deregister_mr(MrKey key);
 
-  using Done = std::function<void(Completion)>;
+  /// Completion callback: move-only and inline up to 48 bytes of
+  /// captures (QpContext's is 40), so a post allocates nothing.
+  using Done = sim::InlineFunction<void(Completion)>;
 
   /// Initiator-side one-sided op: request packet to the target NIC, DMA
   /// service there (no target CPU), response back, then `done` runs at the
-  /// initiator with the completion. A READ samples the region's reader at
-  /// the DMA instant; a WRITE applies `wr.value` through its writer, and is
-  /// rejected with ProtectionError when the region is not remote_writable.
+  /// initiator with the completion. The op lives in this NIC's op table
+  /// from post to completion; each of its events captures only the slot.
+  /// A READ samples the region's reader at the DMA instant; a WRITE
+  /// applies `wr.value` through its writer, and is rejected with
+  /// ProtectionError when the region is not remote_writable.
   /// `ctx_id` names the posting QpContext for the context-cache model (0 =
   /// uncontexted, never charged); with a bounded cache configured, a
   /// QP-context miss delays the request by the fetch penalty, serialised
@@ -110,6 +112,8 @@ class Nic {
   std::uint64_t rx_deferred() const { return rx_deferred_; }
   std::uint64_t rdma_ops_served() const { return rdma_served_; }
   std::uint64_t rdma_ops_posted() const { return rdma_posted_; }
+  /// One-sided ops this NIC initiated that have not completed yet.
+  std::size_t rdma_ops_in_flight() const { return ops_.live(); }
   /// Wire bytes of one-sided ops THIS node initiated (request + payload +
   /// ack/response), charged at post time — retried-and-failed ops consumed
   /// the fabric too. The freshness-per-fabric-byte analyses read this:
@@ -153,18 +157,41 @@ class Nic {
   /// add to the DMA service time (the DMA engine already serialises).
   sim::Duration charge_mr(std::uint32_t rkey);
 
+  /// One in-flight one-sided op, parked in ops_ from post() to finish().
+  struct Op {
+    int target = -1;
+    WorkRequest wr;
+    Completion c;
+    Done done;
+    std::uint64_t ctx_id = 0;
+    TenantId tenant = 0;
+  };
+  using OpSlot = sim::SlotTable<Op>::Slot;
+
   /// The wire half of post(), entered directly (QoS off) or as the
   /// arbiter's grant continuation (QoS on): fault checks, context-cache
-  /// charge, request leg, target DMA, response leg.
-  void start(int target_node, WorkRequest wr, Completion c, Done done,
-             std::uint64_t ctx_id, TenantId tenant);
+  /// charge, then the request leg.
+  void start(OpSlot s);
+  /// The request reaches the target NIC: queue on its DMA engine.
+  void on_request(OpSlot s);
+  /// The DMA instant: sample (READ) or apply (WRITE), then the response
+  /// leg.
+  void on_dma(OpSlot s);
   /// Transport-level failure: the RC state machine retransmits until the
   /// retry budget is spent, then flushes the WR with RetryExceeded. The
   /// initiator always gets a completion — nothing hangs on a dead peer.
-  void fail_after_retries(Completion c, Done done);
-  /// The one completion point of every op: stamps `completed`, records
-  /// read.comp / write.comp, hands the completion to `done`.
-  void finish(Completion c, const Done& done);
+  void fail_after_retries(OpSlot s);
+  /// The one completion point of every op: frees the op's slot, stamps
+  /// `completed`, records read.comp / write.comp, hands the completion to
+  /// `done` (which may post again).
+  void finish(OpSlot s);
+
+  /// Receive path entry (Fabric, on arrival): raises a NetRx interrupt;
+  /// protocol processing happens inline in handler context when the
+  /// backlog is small, otherwise via ksoftirqd.
+  void rx(PacketSlot p);
+  /// The deferred branch of rx(): queue the packet for `cpu`'s ksoftirqd.
+  void defer_rx(int cpu, PacketSlot p);
 
   Fabric& fabric_;
   os::Node& node_;
@@ -178,6 +205,7 @@ class Nic {
   std::unique_ptr<NicCtxCache> ctx_cache_;
   /// Per-tenant QoS arbiter; null when FabricConfig::qos is disabled.
   std::unique_ptr<TenantArbiter> arbiter_;
+  sim::SlotTable<Op> ops_;  ///< one-sided ops this NIC initiated, in flight
   std::uint64_t tx_packets_ = 0;
   std::uint64_t rx_packets_ = 0;
   std::uint64_t rx_deferred_ = 0;

@@ -50,7 +50,7 @@ void TenantArbiter::refill(TenantState& st, sim::TimePoint now) {
 }
 
 bool TenantArbiter::submit(TenantId tenant, std::size_t bytes,
-                          std::function<void()> grant) {
+                          sim::InlineFn grant) {
   TenantState& st = state_of(tenant);
   ++st.stats.submitted;
   const std::uint64_t seq = seq_++;
@@ -112,8 +112,7 @@ void TenantArbiter::pump() {
     }
   }
   if (best != nullptr) {
-    Op op = std::move(best->q.front());
-    best->q.pop_front();
+    Op op = best->q.take_front();
     if (best->rate_bps > 0.0) {
       best->tokens -=
           std::min(static_cast<double>(op.bytes), best->burst);

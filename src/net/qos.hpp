@@ -26,12 +26,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <string_view>
 #include <vector>
 
+#include "sim/fifo.hpp"
+#include "sim/inline_fn.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 
@@ -79,8 +79,8 @@ struct QosConfig {
   }
 };
 
-/// The per-NIC arbiter. Nic::rdma_read/rdma_write submit their wire-byte
-/// footprint plus a continuation; the continuation runs (synchronously
+/// The per-NIC arbiter. Nic::post submits an op's wire-byte footprint
+/// plus a continuation; the continuation runs (synchronously
 /// when uncontended) once the op wins arbitration. The tx engine then
 /// stays occupied for bytes/engine_bps before the next op is picked.
 /// With a telemetry registry installed, every decision lands in the
@@ -108,7 +108,7 @@ class TenantArbiter {
   /// when the tenant's queue is full — the op is dropped and `grant` is
   /// destroyed unrun. Otherwise `grant` runs at admission (possibly
   /// before submit returns).
-  bool submit(TenantId tenant, std::size_t bytes, std::function<void()> grant);
+  bool submit(TenantId tenant, std::size_t bytes, sim::InlineFn grant);
 
   /// Snapshot of one tenant's counters (zeroes for a never-seen tenant).
   Stats stats(TenantId t) const;
@@ -121,7 +121,7 @@ class TenantArbiter {
     std::size_t bytes = 0;
     double start_tag = 0.0;
     sim::TimePoint enqueued{};
-    std::function<void()> grant;
+    sim::InlineFn grant;
   };
   struct TenantState {
     double weight = 1.0;
@@ -131,7 +131,7 @@ class TenantArbiter {
     double tokens = 0.0;
     sim::TimePoint last_refill{};
     double vfinish = 0.0;  ///< virtual finish of the tenant's last-tagged op
-    std::deque<Op> q;  ///< FIFO within the tenant (no reordering)
+    sim::Fifo<Op> q;  ///< FIFO within the tenant (no reordering)
     Stats stats;
   };
 

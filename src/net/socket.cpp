@@ -66,8 +66,7 @@ void Socket::inject_tx(Message m) {
 
 os::Program Socket::recv(os::SimThread& self, Message& out) {
   while (rx_.empty()) co_await os::WaitOn{&rx_wq_};
-  out = std::move(rx_.front());
-  rx_.pop_front();
+  out = rx_.take_front();
   co_await os::ComputeKernel{kRecvCost + copy_cost(out.bytes)};
   (void)self;
 }
@@ -89,8 +88,7 @@ os::Program Socket::recv_until(os::SimThread& self, Message& out,
   }
   timer.cancel();
   if (rx_.empty()) co_return;
-  out = std::move(rx_.front());
-  rx_.pop_front();
+  out = rx_.take_front();
   co_await os::ComputeKernel{kRecvCost + copy_cost(out.bytes)};
   ok = true;
   (void)self;
@@ -98,8 +96,7 @@ os::Program Socket::recv_until(os::SimThread& self, Message& out,
 
 os::Program Socket::recv_ready(os::SimThread& self, Message& out) {
   assert(!rx_.empty() && "recv_ready requires has_data()");
-  out = std::move(rx_.front());
-  rx_.pop_front();
+  out = rx_.take_front();
   co_await os::ComputeKernel{kRecvCost + copy_cost(out.bytes)};
   (void)self;
 }

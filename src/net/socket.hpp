@@ -5,13 +5,13 @@
 #pragma once
 
 #include <any>
-#include <deque>
 #include <vector>
 
 #include "net/message.hpp"
 #include "os/node.hpp"
 #include "os/program.hpp"
 #include "os/wait.hpp"
+#include "sim/fifo.hpp"
 #include "telemetry/registry.hpp"
 
 namespace rdmamon::net {
@@ -93,7 +93,7 @@ class Socket {
   int remote_node_ = -1;
   std::uint64_t conn_ = 0;
   int remote_side_ = 0;  ///< which endpoint of the connection the peer is
-  std::deque<Message> rx_;
+  sim::Fifo<Message> rx_;
   os::WaitQueue rx_wq_;
   std::vector<os::WaitQueue*> rx_watchers_;
   bool metrics_resolved_ = false;

@@ -78,20 +78,21 @@ void CompletionQueue::deliver(std::uint64_t ctx, std::uint64_t seq,
 }
 
 void CompletionQueue::release_shadows(CtxState& st, std::uint64_t upto) {
-  for (auto it = st.shadow.begin(); it != st.shadow.end();) {
-    if (it->seq >= upto) {
-      ++it;
+  for (std::size_t i = 0; i < st.shadow.size();) {
+    Shadowed& sh = st.shadow[i];
+    if (sh.seq >= upto) {
+      ++i;
       continue;
     }
     --shadow_count_;
-    if (forgotten_.erase(it->c.wr_id) > 0) {
+    if (forgotten_.erase(sh.c.wr_id) > 0) {
       ++stale_dropped_;
     } else {
       ++unsignaled_retired_;
-      q_.push_back(std::move(it->c));
+      q_.push_back(std::move(sh.c));
       note_surfaced(false);
     }
-    it = st.shadow.erase(it);
+    st.shadow.erase(i);
   }
 }
 
@@ -123,17 +124,17 @@ void CompletionQueue::fire_notify() {
 }
 
 const Completion* CompletionQueue::find(std::uint64_t wr_id) const {
-  for (const Completion& c : q_) {
-    if (c.wr_id == wr_id) return &c;
+  for (std::size_t i = 0; i < q_.size(); ++i) {
+    if (q_[i].wr_id == wr_id) return &q_[i];
   }
   return nullptr;
 }
 
 bool CompletionQueue::try_pop(std::uint64_t wr_id, Completion& out) {
-  for (auto it = q_.begin(); it != q_.end(); ++it) {
-    if (it->wr_id == wr_id) {
-      out = std::move(*it);
-      q_.erase(it);
+  for (std::size_t i = 0; i < q_.size(); ++i) {
+    if (q_[i].wr_id == wr_id) {
+      out = std::move(q_[i]);
+      q_.erase(i);
       return true;
     }
   }
@@ -142,9 +143,9 @@ bool CompletionQueue::try_pop(std::uint64_t wr_id, Completion& out) {
 
 void CompletionQueue::forget(std::uint64_t wr_id) {
   ++forgets_;
-  for (auto it = q_.begin(); it != q_.end(); ++it) {
-    if (it->wr_id == wr_id) {
-      q_.erase(it);  // already landed: reclaim immediately
+  for (std::size_t i = 0; i < q_.size(); ++i) {
+    if (q_[i].wr_id == wr_id) {
+      q_.erase(i);  // already landed: reclaim immediately
       ++stale_dropped_;
       return;
     }
@@ -153,9 +154,9 @@ void CompletionQueue::forget(std::uint64_t wr_id) {
   // shadow buffer, not in q_ — reclaim it there or its slot would leak
   // until (and past) the closer, and the wr_id would ghost-surface.
   for (auto& [ctx, st] : ctxs_) {
-    for (auto it = st.shadow.begin(); it != st.shadow.end(); ++it) {
-      if (it->c.wr_id == wr_id) {
-        st.shadow.erase(it);
+    for (std::size_t i = 0; i < st.shadow.size(); ++i) {
+      if (st.shadow[i].c.wr_id == wr_id) {
+        st.shadow.erase(i);
         --shadow_count_;
         ++stale_dropped_;
         return;
@@ -205,9 +206,7 @@ void QpContext::launch(Pending p) {
     --self->inflight_;
     if (!self->deferred_.empty() &&
         (self->send_depth_ == 0 || self->inflight_ < self->send_depth_)) {
-      Pending next = std::move(self->deferred_.front());
-      self->deferred_.pop_front();
-      self->launch(std::move(next));
+      self->launch(self->deferred_.take_front());
     }
     cq->deliver(self->ctx_id_, seq, signaled, std::move(c));
   };
@@ -249,14 +248,14 @@ os::Program post_read_batch(os::SimThread& self,
   // QpContext is force-signaled, so a signal-every-k context never ends a
   // burst with an unprovable unsignaled tail. With dedicated contexts
   // (defaults) every entry is its context's last — all signaled, the
-  // historical behaviour.
-  std::unordered_map<const QpContext*, std::size_t> last;
+  // historical behaviour. Each context stamps its last index first, so
+  // the batch needs no lookup table.
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    last[&batch[i].qp->context()] = i;
+    batch[i].qp->context().batch_last_ = i;
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const ReadBatchEntry& e = batch[i];
-    e.qp->post(e.wr, /*force_signal=*/last[&e.qp->context()] == i);
+    e.qp->post(e.wr, /*force_signal=*/e.qp->context().batch_last_ == i);
   }
 }
 

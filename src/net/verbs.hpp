@@ -30,7 +30,6 @@
 
 #include <any>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -40,12 +39,14 @@
 #include "net/qos.hpp"
 #include "os/program.hpp"
 #include "os/wait.hpp"
+#include "sim/fifo.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 
 namespace rdmamon::net {
 
 class Nic;
+struct ReadBatchEntry;
 
 /// User-space cost of ringing the doorbell for one post (or one merged
 /// batch of posts — the RDMAbox-style amortisation the scatter engine
@@ -162,11 +163,7 @@ class CompletionQueue {
 
   bool empty() const { return q_.empty(); }
   std::size_t size() const { return q_.size(); }
-  Completion pop() {
-    Completion c = std::move(q_.front());
-    q_.pop_front();
-    return c;
-  }
+  Completion pop() { return q_.take_front(); }
 
   /// Monotonic work-request id source. A CQ shared by many QPs hands out
   /// CQ-unique ids, so one drain loop can demux all consumers' completions
@@ -218,7 +215,7 @@ class CompletionQueue {
     Completion c;
   };
   struct CtxState {
-    std::deque<Shadowed> shadow;     ///< unsignaled successes, post order
+    sim::Fifo<Shadowed> shadow;      ///< unsignaled successes, post order
     std::uint64_t released_upto = 0; ///< every seq below is proven retired
   };
 
@@ -229,7 +226,7 @@ class CompletionQueue {
   void note_surfaced(bool urgent);
   void fire_notify();
 
-  std::deque<Completion> q_;
+  sim::Fifo<Completion> q_;
   std::unordered_set<std::uint64_t> forgotten_;
   std::unordered_map<std::uint64_t, CtxState> ctxs_;
   std::uint64_t next_wr_id_ = 1;
@@ -303,9 +300,15 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
   TenantId tenant_ = 0;
   std::uint64_t seq_ = 0;      ///< per-context post sequence (launch order)
   std::size_t inflight_ = 0;
-  std::deque<Pending> deferred_;
+  sim::Fifo<Pending> deferred_;
   std::uint64_t unsignaled_ = 0;
   std::uint64_t deferred_total_ = 0;
+
+  /// Set by post_read_batch: index of this context's last entry in the
+  /// batch being posted.
+  std::size_t batch_last_ = 0;
+  friend os::Program post_read_batch(os::SimThread& self,
+                                     const std::vector<ReadBatchEntry>& batch);
 };
 
 /// Reliable-connected queue pair from a local NIC to a remote node. Posts

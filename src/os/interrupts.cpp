@@ -13,7 +13,7 @@ IrqController::IrqController(Scheduler& sched, const NodeConfig& cfg)
   per_cpu_.resize(static_cast<std::size_t>(cfg_.cpus));
 }
 
-void IrqController::raise(CpuId cpu, IrqType type, std::function<void()> body,
+void IrqController::raise(CpuId cpu, IrqType type, sim::InlineFn body,
                           sim::Duration extra_cost) {
   auto& pc = per_cpu_[static_cast<std::size_t>(cpu)];
   const auto ti = static_cast<std::size_t>(type);
@@ -25,14 +25,17 @@ void IrqController::raise(CpuId cpu, IrqType type, std::function<void()> body,
   while (!pc.recent_raises.empty() && pc.recent_raises.front() < horizon) {
     pc.recent_raises.pop_front();
   }
-  sched_.request_irq(
-      cpu, cfg_.irq_handler_cost + extra_cost,
-      [this, cpu, type, body = std::move(body)] {
-        auto& p = per_cpu_[static_cast<std::size_t>(cpu)];
-        --p.pending[static_cast<std::size_t>(type)];
-        assert(p.pending[static_cast<std::size_t>(type)] >= 0);
-        if (body) body();
-      });
+  pc.bodies.push_back(std::move(body));
+  sched_.request_irq(cpu, cfg_.irq_handler_cost + extra_cost,
+                     [this, cpu, type] { run_handler(cpu, type); });
+}
+
+void IrqController::run_handler(CpuId cpu, IrqType type) {
+  auto& pc = per_cpu_[static_cast<std::size_t>(cpu)];
+  --pc.pending[static_cast<std::size_t>(type)];
+  assert(pc.pending[static_cast<std::size_t>(type)] >= 0);
+  sim::InlineFn body = pc.bodies.take_front();
+  if (body) body();
 }
 
 void IrqController::raise_softirq(CpuId cpu, SoftirqItem item) {
@@ -60,9 +63,7 @@ std::size_t IrqController::softirq_backlog(CpuId cpu) const {
 SoftirqItem IrqController::pop_softirq(CpuId cpu) {
   auto& pc = per_cpu_[static_cast<std::size_t>(cpu)];
   assert(!pc.soft_q.empty());
-  SoftirqItem item = std::move(pc.soft_q.front());
-  pc.soft_q.pop_front();
-  return item;
+  return pc.soft_q.take_front();
 }
 
 std::uint64_t IrqController::raised_count(CpuId cpu, IrqType type) const {
@@ -74,9 +75,8 @@ int IrqController::raised_within(CpuId cpu, sim::Duration window) const {
   const auto& pc = per_cpu_[static_cast<std::size_t>(cpu)];
   const sim::TimePoint since = sched_.simu().now() - window;
   int n = 0;
-  for (auto it = pc.recent_raises.rbegin(); it != pc.recent_raises.rend();
-       ++it) {
-    if (*it < since) break;
+  for (std::size_t i = pc.recent_raises.size(); i-- > 0;) {
+    if (pc.recent_raises[i] < since) break;
     ++n;
   }
   return n;

@@ -5,12 +5,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "os/types.hpp"
 #include "os/wait.hpp"
+#include "sim/fifo.hpp"
+#include "sim/inline_fn.hpp"
 #include "sim/time.hpp"
 
 namespace rdmamon::os {
@@ -29,7 +29,7 @@ inline constexpr int kRxInlineBudget = 4;
 /// Deferrable work item queued for ksoftirqd.
 struct SoftirqItem {
   sim::Duration cost;
-  std::function<void()> fn;
+  sim::InlineFn fn;
 };
 
 class IrqController {
@@ -41,7 +41,7 @@ class IrqController {
   /// handler context. The pending count for (cpu, type) is visible from
   /// raise until the handler completes — exactly what a remote RDMA read
   /// of irq_stat can observe mid-flight.
-  void raise(CpuId cpu, IrqType type, std::function<void()> body,
+  void raise(CpuId cpu, IrqType type, sim::InlineFn body,
              sim::Duration extra_cost = {});
 
   /// Queues deferred work for `cpu`'s ksoftirqd (normal-priority kernel
@@ -86,10 +86,18 @@ class IrqController {
   struct PerCpu {
     std::array<int, kIrqTypes> pending{};
     std::array<std::uint64_t, kIrqTypes> raised{};
-    mutable std::deque<sim::TimePoint> recent_raises;  // trimmed lazily
-    std::deque<SoftirqItem> soft_q;
+    sim::Fifo<sim::TimePoint> recent_raises;  // trimmed at each raise
+    /// Handler bodies of raised interrupts, in the order their jobs were
+    /// handed to the scheduler, which runs a CPU's jobs FIFO: the job
+    /// itself carries only {this, cpu, type}.
+    sim::Fifo<sim::InlineFn> bodies;
+    sim::Fifo<SoftirqItem> soft_q;
     WaitQueue soft_wq;
   };
+
+  /// One handler completes on `cpu`: the pending count drops and the
+  /// oldest queued body runs in handler context.
+  void run_handler(CpuId cpu, IrqType type);
 
   Scheduler& sched_;
   const NodeConfig cfg_;

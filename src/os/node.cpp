@@ -1,9 +1,24 @@
 #include "os/node.hpp"
 
+#include <stdexcept>
+
 namespace rdmamon::os {
 
+namespace {
+
+NodeConfig checked(NodeConfig cfg) {
+  if (cfg.cpus > LoadSnapshot::kMaxCpus) {
+    throw std::invalid_argument("os::Node " + cfg.name + ": " +
+                                std::to_string(cfg.cpus) +
+                                " CPUs exceed LoadSnapshot::kMaxCpus");
+  }
+  return cfg;
+}
+
+}  // namespace
+
 Node::Node(sim::Simulation& simu, NodeConfig cfg)
-    : simu_(simu), cfg_(std::move(cfg)),
+    : simu_(simu), cfg_(checked(std::move(cfg))),
       stats_(cfg_.cpus, cfg_.load_window, cfg_.memory_bytes),
       procfs_(*this) {
   sched_ = std::make_unique<Scheduler>(simu_, *this, stats_, cfg_);

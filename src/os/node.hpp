@@ -17,6 +17,8 @@ namespace rdmamon::os {
 
 class Node {
  public:
+  /// Throws std::invalid_argument when cfg.cpus exceeds
+  /// LoadSnapshot::kMaxCpus (a snapshot could not describe the node).
   Node(sim::Simulation& simu, NodeConfig cfg);
 
   /// Non-copyable/movable: components hold back-references.

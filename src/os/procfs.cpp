@@ -30,7 +30,7 @@ LoadSnapshot ProcFs::base_snapshot() const {
   s.mem_load = st.memory_load();
   s.net_rate = st.net_rate(now);
   s.connections = st.connections();
-  s.irq_pending.assign(static_cast<std::size_t>(st.num_cpus()), 0);
+  s.cpus = st.num_cpus();
   return s;
 }
 

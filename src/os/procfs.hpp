@@ -3,7 +3,8 @@
 // RDMA-Sync scheme fetches directly.
 #pragma once
 
-#include <vector>
+#include <array>
+#include <type_traits>
 
 #include "os/types.hpp"
 #include "sim/time.hpp"
@@ -16,6 +17,11 @@ class Node;
 /// simulated instant the values were *computed by the kernel*; monitoring
 /// staleness is measured against it in the accuracy experiments.
 struct LoadSnapshot {
+  /// CPUs one snapshot describes at most. irq_pending is a fixed array so
+  /// the snapshot is trivially copyable — taking or copying one allocates
+  /// nothing; os::Node rejects a configuration with more CPUs.
+  static constexpr int kMaxCpus = 8;
+
   sim::TimePoint computed_at{};
   double cpu_load = 0.0;   ///< mean CPU utilisation in [0,1]
   int nr_running = 0;      ///< runnable user threads (Fig 5a metric)
@@ -23,7 +29,9 @@ struct LoadSnapshot {
   double mem_load = 0.0;   ///< memory used fraction in [0,1]
   double net_rate = 0.0;   ///< bytes/sec EMA
   int connections = 0;     ///< open sockets
-  std::vector<int> irq_pending;  ///< per-CPU pending hard interrupts
+  int cpus = 0;            ///< CPUs described: irq_pending[0, cpus)
+  /// Per-CPU pending hard interrupts; entries from `cpus` on stay 0.
+  std::array<int, kMaxCpus> irq_pending{};
 
   int irq_pending_total() const {
     int s = 0;
@@ -31,6 +39,7 @@ struct LoadSnapshot {
     return s;
   }
 };
+static_assert(std::is_trivially_copyable_v<LoadSnapshot>);
 
 /// The /proc filesystem interface. Reading it costs kernel CPU time: user
 /// threads must pay `co_await ComputeKernel{procfs.read_cost()}` before

@@ -14,20 +14,44 @@
 // Nested programs run on the owning thread's frame stack: the scheduler
 // always resumes the innermost frame; when it finishes, its parent resumes.
 // Return values flow through captured references (Programs return void).
+//
+// Every Program takes the SimThread it runs on as a parameter — its first
+// one, or the first after the object of a member function or lambda — and
+// its frame comes from that thread's Simulation's sim::FramePool. There is
+// no other frame allocator: a coroutine without a SimThread& does not
+// compile.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdlib>
 #include <utility>
 
 #include "os/action.hpp"
+#include "sim/frame_pool.hpp"
 
 namespace rdmamon::os {
 
 class SimThread;
 class Program;
 
+/// A frame block from `t`'s Simulation's frame pool (thread.cpp).
+void* frame_alloc(SimThread& t, std::size_t bytes);
+
 struct ProgramPromise {
+  /// Frame allocation for `Program f(SimThread&, ...)`.
+  static void* operator new(std::size_t n, SimThread& t, auto&&...) {
+    return frame_alloc(t, n);
+  }
+  /// ...and for a member function or lambda `Program C::f(SimThread&, ...)`.
+  template <typename C>
+  static void* operator new(std::size_t n, C&, SimThread& t, auto&&...) {
+    return frame_alloc(t, n);
+  }
+  static void operator delete(void* p) noexcept {
+    sim::FramePool::release(p);
+  }
+
   /// The thread whose frame stack this coroutine runs on; set when the
   /// program is attached (root) or awaited (child).
   SimThread* thread = nullptr;

@@ -1,6 +1,5 @@
 #include "os/scheduler.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "os/wait.hpp"
@@ -11,8 +10,7 @@ namespace rdmamon::os {
 
 void WaitQueue::notify_one() {
   if (waiters_.empty()) return;
-  SimThread* t = waiters_.front();
-  waiters_.pop_front();
+  SimThread* t = waiters_.take_front();
   t->scheduler().wake(t);
 }
 
@@ -27,7 +25,6 @@ Scheduler::Scheduler(sim::Simulation& simu, Node& node, KernelStats& stats,
     : simu_(simu), node_(node), stats_(stats), cfg_(cfg) {
   cpus_.resize(static_cast<std::size_t>(cfg_.cpus));
   for (int i = 0; i < cfg_.cpus; ++i) cpus_[static_cast<std::size_t>(i)].id = i;
-  ready_.resize(kPriorityLevels);
 }
 
 Scheduler::~Scheduler() = default;
@@ -112,10 +109,10 @@ void Scheduler::enqueue_tail(SimThread* t) {
 
 SimThread* Scheduler::pick_ready(CpuId cpu) {
   for (auto& level : ready_) {
-    for (auto it = level.begin(); it != level.end(); ++it) {
-      SimThread* t = *it;
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      SimThread* t = level[i];
       if (t->affinity == -1 || t->affinity == cpu) {
-        level.erase(it);
+        level.erase(i);
         return t;
       }
     }
@@ -126,8 +123,9 @@ SimThread* Scheduler::pick_ready(CpuId cpu) {
 bool Scheduler::someone_waiting_for(const Cpu& c) const {
   const int cur_prio = static_cast<int>(c.current->priority());
   for (int lvl = 0; lvl <= cur_prio; ++lvl) {
-    for (SimThread* t : ready_[static_cast<std::size_t>(lvl)]) {
-      if (t->affinity == -1 || t->affinity == c.id) return true;
+    const auto& level = ready_[static_cast<std::size_t>(lvl)];
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      if (level[i]->affinity == -1 || level[i]->affinity == c.id) return true;
     }
   }
   return false;
@@ -135,9 +133,13 @@ bool Scheduler::someone_waiting_for(const Cpu& c) const {
 
 void Scheduler::remove_from_ready(SimThread* t) {
   auto& level = ready_[static_cast<std::size_t>(t->priority())];
-  auto it = std::find(level.begin(), level.end(), t);
-  assert(it != level.end());
-  level.erase(it);
+  for (std::size_t i = 0; i < level.size(); ++i) {
+    if (level[i] == t) {
+      level.erase(i);
+      return;
+    }
+  }
+  assert(false && "thread not in its ready queue");
 }
 
 int Scheduler::ready_count() const {
@@ -453,8 +455,7 @@ void Scheduler::run_next_irq(Cpu& c) {
   assert(!c.irq_q.empty());
   const sim::Duration cost = c.irq_q.front().cost;
   c.irq_ev = simu_.after(cost, [this, &c] {
-    IrqJob job = std::move(c.irq_q.front());
-    c.irq_q.pop_front();
+    IrqJob job = c.irq_q.take_front();
     if (job.body) job.body();
     if (!c.irq_q.empty()) {
       run_next_irq(c);

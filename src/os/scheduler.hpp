@@ -21,7 +21,7 @@
 // while one-sided RDMA reads never enter this machinery at all.
 #pragma once
 
-#include <deque>
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -31,6 +31,8 @@
 #include "os/program.hpp"
 #include "os/thread.hpp"
 #include "os/types.hpp"
+#include "sim/fifo.hpp"
+#include "sim/inline_fn.hpp"
 #include "sim/simulation.hpp"
 
 namespace rdmamon::os {
@@ -48,7 +50,7 @@ struct SpawnOptions {
 class Scheduler {
  public:
   using ProgramFactory = std::function<Program(SimThread&)>;
-  using IrqBody = std::function<void()>;
+  using IrqBody = sim::InlineFn;
 
   Scheduler(sim::Simulation& simu, Node& node, KernelStats& stats,
             const NodeConfig& cfg);
@@ -66,7 +68,8 @@ class Scheduler {
   void kill(SimThread* t);
 
   /// Steals `cost` of CPU time on `cpu` for a hardware interrupt, then
-  /// runs `body` in handler context. Nested requests queue FIFO.
+  /// runs `body` in handler context. Nested requests queue FIFO — the
+  /// order IrqController, the only caller, keeps its handler bodies in.
   void request_irq(CpuId cpu, sim::Duration cost, IrqBody body);
 
   // --- introspection -------------------------------------------------------
@@ -111,7 +114,7 @@ class Scheduler {
 
     // Hardware interrupt servicing.
     bool in_irq = false;
-    std::deque<IrqJob> irq_q;
+    sim::Fifo<IrqJob> irq_q;
     sim::EventHandle irq_ev;
   };
 
@@ -148,7 +151,7 @@ class Scheduler {
   NodeConfig cfg_;
 
   std::vector<Cpu> cpus_;
-  std::vector<std::deque<SimThread*>> ready_;  // one deque per priority level
+  std::array<sim::Fifo<SimThread*>, kPriorityLevels> ready_;  // per level
   std::vector<std::unique_ptr<SimThread>> threads_;
   ThreadId next_tid_ = 1;
   std::uint64_t ctx_switches_ = 0;

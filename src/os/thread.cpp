@@ -2,9 +2,14 @@
 
 #include <cassert>
 
+#include "os/node.hpp"
 #include "os/wait.hpp"
 
 namespace rdmamon::os {
+
+void* frame_alloc(SimThread& t, std::size_t bytes) {
+  return t.node().simu().frame_pool().allocate(bytes);
+}
 
 SimThread::SimThread(ThreadId tid, std::string name, Priority prio,
                      Node& node, Scheduler& sched)
@@ -53,9 +58,9 @@ void ProgramPromise::ProgramAwaiter::await_suspend(
 }
 
 void WaitQueue::remove(SimThread* t) {
-  for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-    if (*it == t) {
-      waiters_.erase(it);
+  for (std::size_t i = 0; i < waiters_.size(); ++i) {
+    if (waiters_[i] == t) {
+      waiters_.erase(i);
       return;
     }
   }

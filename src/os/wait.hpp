@@ -3,7 +3,9 @@
 // simulated OS.
 #pragma once
 
-#include <deque>
+#include <cstddef>
+
+#include "sim/fifo.hpp"
 
 namespace rdmamon::os {
 
@@ -31,7 +33,7 @@ class WaitQueue {
   std::size_t size() const { return waiters_.size(); }
 
  private:
-  std::deque<SimThread*> waiters_;
+  sim::Fifo<SimThread*> waiters_;
 };
 
 }  // namespace rdmamon::os

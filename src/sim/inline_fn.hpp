@@ -1,10 +1,14 @@
 // Small-buffer-optimized, move-only callable: the event queue's callback
-// type. `std::function` heap-allocates every capture over ~16 bytes and
-// drags in copy machinery the simulator never uses; InlineFn stores up to
-// kInlineBytes of captures in place (enough for every hot-path lambda in
-// src/os and src/net) and falls back to one heap box only for oversized
-// cold-path captures. Moving an InlineFn moves the wrapped callable —
-// no refcounts, no atomics, no allocation.
+// type (InlineFn, a `void()` callable) and the NIC's completion callback
+// (InlineFunction<void(net::Completion)>). `std::function` heap-allocates
+// every capture over ~16 bytes and drags in copy machinery the simulator
+// never uses; InlineFunction stores up to kInlineBytes of captures in
+// place and falls back to one heap box only for oversized captures.
+// Every callback the per-op and per-packet paths of src/os and src/net
+// build captures `{this, slot}`-sized state and stays inline: the
+// steady-state allocation tests (net_test's Rdma/Socket SteadyState*)
+// pin that. Moving an InlineFunction moves the wrapped callable — no
+// refcounts, no atomics, no allocation.
 #pragma once
 
 #include <cstddef>
@@ -14,20 +18,24 @@
 
 namespace rdmamon::sim {
 
-class InlineFn {
+template <typename Sig>
+class InlineFunction;
+
+template <typename R, typename... Args>
+class InlineFunction<R(Args...)> {
  public:
-  /// Inline capture budget. Sized so `[this, &x, a few scalars]` and a
-  /// moved-in std::function both fit; measured against the schedulers'
-  /// and NICs' actual lambdas (see bench_engine's alloc counter).
+  /// Inline capture budget: `[this, slot]`, `[this, cpu, type]` and a
+  /// completion callback holding a shared_ptr plus a few scalars all fit.
   static constexpr std::size_t kInlineBytes = 48;
 
-  InlineFn() noexcept = default;
+  InlineFunction() noexcept = default;
+  InlineFunction(std::nullptr_t) noexcept {}  // NOLINT: empty callback
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InlineFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): callback sink
+                !std::is_same_v<std::decay_t<F>, InlineFunction> &&
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
+  InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor): sink
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineBytes &&
                   alignof(Fn) <= alignof(std::max_align_t)) {
@@ -39,14 +47,14 @@ class InlineFn {
     }
   }
 
-  InlineFn(InlineFn&& other) noexcept : ops_(other.ops_) {
+  InlineFunction(InlineFunction&& other) noexcept : ops_(other.ops_) {
     if (ops_) {
       ops_->relocate(other.storage_, storage_);
       other.ops_ = nullptr;
     }
   }
 
-  InlineFn& operator=(InlineFn&& other) noexcept {
+  InlineFunction& operator=(InlineFunction&& other) noexcept {
     if (this != &other) {
       reset();
       ops_ = other.ops_;
@@ -58,10 +66,10 @@ class InlineFn {
     return *this;
   }
 
-  InlineFn(const InlineFn&) = delete;
-  InlineFn& operator=(const InlineFn&) = delete;
+  InlineFunction(const InlineFunction&) = delete;
+  InlineFunction& operator=(const InlineFunction&) = delete;
 
-  ~InlineFn() { reset(); }
+  ~InlineFunction() { reset(); }
 
   /// Destroys the wrapped callable (if any); *this becomes empty.
   void reset() noexcept {
@@ -72,7 +80,9 @@ class InlineFn {
   }
 
   /// Invokes the wrapped callable. Precondition: *this is non-empty.
-  void operator()() { ops_->invoke(storage_); }
+  R operator()(Args... args) {
+    return ops_->invoke(storage_, std::forward<Args>(args)...);
+  }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
@@ -81,7 +91,7 @@ class InlineFn {
 
  private:
   struct Ops {
-    void (*invoke)(void*);
+    R (*invoke)(void*, Args&&...);
     void (*relocate)(void* src, void* dst) noexcept;  // move + destroy src
     void (*destroy)(void*) noexcept;
     bool inlined;
@@ -89,7 +99,10 @@ class InlineFn {
 
   template <typename Fn>
   static constexpr Ops inline_ops = {
-      [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); },
+      [](void* p, Args&&... args) -> R {
+        return (*std::launder(reinterpret_cast<Fn*>(p)))(
+            std::forward<Args>(args)...);
+      },
       [](void* src, void* dst) noexcept {
         Fn* s = std::launder(reinterpret_cast<Fn*>(src));
         ::new (dst) Fn(std::move(*s));
@@ -100,7 +113,9 @@ class InlineFn {
 
   template <typename Fn>
   static constexpr Ops boxed_ops = {
-      [](void* p) { (**reinterpret_cast<Fn**>(p))(); },
+      [](void* p, Args&&... args) -> R {
+        return (**reinterpret_cast<Fn**>(p))(std::forward<Args>(args)...);
+      },
       [](void* src, void* dst) noexcept {
         *reinterpret_cast<Fn**>(dst) = *reinterpret_cast<Fn**>(src);
       },
@@ -110,5 +125,8 @@ class InlineFn {
   const Ops* ops_ = nullptr;
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
 };
+
+/// The event queue's callback type.
+using InlineFn = InlineFunction<void()>;
 
 }  // namespace rdmamon::sim

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "sim/event_queue.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/time.hpp"
 
 namespace rdmamon::telemetry {
@@ -27,7 +28,7 @@ class Simulation {
 
   /// Schedules `fn` at absolute time `when`. Throws std::logic_error if
   /// `when` is in the past — a model bug we'd rather catch loudly.
-  /// `fn` is a sim::InlineFn: captures up to ~48 bytes are stored in
+  /// `fn` is a sim::InlineFn: captures up to 48 bytes are stored in
   /// place, so the steady-state hot path performs no heap allocation.
   EventHandle at(TimePoint when, EventQueue::Callback fn) {
     if (when < now_) {
@@ -83,7 +84,11 @@ class Simulation {
   telemetry::Registry* telemetry() const { return telemetry_; }
   void set_telemetry(telemetry::Registry* reg) { telemetry_ = reg; }
 
+  /// Where every os::Program frame of this simulation's threads lives.
+  FramePool& frame_pool() { return frames_; }
+
  private:
+  FramePool frames_;
   EventQueue queue_;
   TimePoint now_{};
   bool stop_requested_ = false;

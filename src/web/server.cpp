@@ -39,8 +39,7 @@ os::Program WebServer::rx_body(os::SimThread& self, net::Socket* sock) {
 os::Program WebServer::worker_body(os::SimThread& self) {
   for (;;) {
     while (queue_.empty()) co_await os::WaitOn{&work_wq_};
-    PendingWork work = std::move(queue_.front());
-    queue_.pop_front();
+    PendingWork work = queue_.take_front();
     node_->stats().alloc_memory(kPerRequestMemory);
     const ServiceDemand& d = work.req.demand;
     if (d.cpu_php.ns > 0) co_await os::Compute{d.cpu_php};

@@ -4,12 +4,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "net/fabric.hpp"
 #include "net/socket.hpp"
 #include "os/node.hpp"
+#include "sim/fifo.hpp"
 #include "web/request.hpp"
 
 namespace rdmamon::web {
@@ -45,7 +45,7 @@ class WebServer {
   net::Fabric* fabric_;
   os::Node* node_;
   ServerConfig cfg_;
-  std::deque<PendingWork> queue_;
+  sim::Fifo<PendingWork> queue_;
   os::WaitQueue work_wq_;
   std::uint64_t completed_ = 0;
   bool workers_started_ = false;

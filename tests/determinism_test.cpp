@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
@@ -112,6 +113,32 @@ TEST(Determinism, ScaleOutDivergesAcrossSeeds) {
   const TraceDump a = run_rubis(7, 4);
   const TraceDump b = run_rubis(8, 4);
   EXPECT_NE(a.metrics, b.metrics);
+}
+
+/// Heap allocations made while one RUBiS cluster (4 back ends, 2 client
+/// nodes, default monitoring, no registry) runs for 200 simulated ms.
+std::uint64_t rubis_run_allocs() {
+  sim::Simulation simu;
+  web::ClusterConfig cfg;
+  cfg.seed = 42;
+  cfg.backends = 4;
+  cfg.monitor_period = msec(10);
+  cfg.lb_granularity = msec(10);
+  web::ClusterTestbed bed(simu, cfg);
+  bed.add_clients(2, web::make_rubis_generator());
+  const std::uint64_t before = allocation_count();
+  simu.run_for(msec(200));
+  return allocation_count() - before;
+}
+
+TEST(Determinism, IdenticalSimulationsAllocateIdentically) {
+  // Each Simulation owns its coroutine frame pool, so a second identical
+  // run in the same process recycles nothing of the first's and replays
+  // its allocation count exactly — what per-run allocation counts (and
+  // perfbench's sampled allocation attribution) rely on.
+  const std::uint64_t first = rubis_run_allocs();
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(rubis_run_allocs(), first);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "alloc_counter.hpp"
 #include "monitor/accuracy.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/scheme.hpp"
@@ -278,6 +279,34 @@ TEST(Accuracy, TrackerIgnoresFailedSamples) {
   MonitorSample bad;  // ok == false
   acc.record(bad, os::LoadSnapshot{});
   EXPECT_EQ(acc.nr_running_deviation().count(), 0u);
+}
+
+TEST(Allocation, RdmaSyncFetchAllocatesOnlyTheSnapshotAny) {
+  // Once warm, the one heap allocation per RDMA-Sync fetch is the
+  // std::any the registered region's reader returns (ROADMAP item 3
+  // removes it): the op, its events, the completion, the LoadSnapshot
+  // copy and the coroutine frames allocate nothing.
+  Env env;
+  MonitorConfig cfg;
+  cfg.scheme = Scheme::RdmaSync;
+  MonitorChannel chan(env.fabric, env.frontend, env.backend, cfg);
+  constexpr int kFetches = 64;
+  int ok = 0;
+  std::uint64_t before = 0, after = 0;
+  env.frontend.spawn("mon", [&](SimThread& self) -> Program {
+    MonitorSample s;
+    for (int round = 0; round < 2; ++round) {  // warm-up, then measured
+      if (round == 1) before = allocation_count();
+      for (int i = 0; i < kFetches; ++i) {
+        co_await chan.frontend().fetch(self, s);
+        ok += s.ok;
+      }
+      if (round == 1) after = allocation_count();
+    }
+  });
+  env.simu.run_for(seconds(1));
+  EXPECT_EQ(ok, 2 * kFetches);
+  EXPECT_EQ(after - before, static_cast<std::uint64_t>(kFetches));
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <array>
 #include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "net/fabric.hpp"
 #include "net/nic.hpp"
 #include "net/socket.hpp"
@@ -720,6 +722,142 @@ TEST(Nic, TxSerializesAtLinkBandwidth) {
   env.simu.run_for(seconds(1));
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_GT(arrivals[1] - arrivals[0], msec(1).ns / 2);
+}
+
+/// One steady-state configuration of the one-sided path: READs and WRITEs
+/// with an `int` payload (std::any holds it inline), optionally plus ops
+/// that end in InvalidKey and RetryExceeded, optionally through the QoS
+/// arbiter. Returns the heap allocations of the measured half.
+std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
+  FabricConfig fc;
+  fc.qos.enabled = qos;
+  TwoNodes env({}, fc);
+  os::Node dead(env.simu, {.name = "dead"});
+  env.fabric.attach(dead);
+  int value = 0;
+  auto reader = [&value] { return std::any(value); };
+  auto writer = [&value](const std::any& v) { value = std::any_cast<int>(v); };
+  const MrKey key = env.fabric.nic(env.b.id).register_mr(64, reader, true,
+                                                         writer);
+  const MrKey dead_key = env.fabric.nic(dead.id).register_mr(64, reader,
+                                                             true, writer);
+  env.fabric.inject_crash(dead.id);
+  CompletionQueue cq;
+  QueuePair qp(env.fabric.nic(env.a.id), env.b.id, cq);
+  QueuePair to_dead(env.fabric.nic(env.a.id), dead.id, cq);
+  constexpr int kOps = 64;
+  std::array<int, 4> by_status{};
+  int reads_seen = 0;
+  std::uint64_t before = 0, after = 0;
+  env.a.spawn("rdma", [&](SimThread& self) -> Program {
+    Completion out;
+    for (int round = 0; round < 2; ++round) {  // warm-up, then measured
+      if (round == 1) before = allocation_count();
+      for (int i = 0; i < kOps; ++i) {
+        co_await rdma_sync(self, qp,
+                           {.rkey = key, .len = 64, .wr_id = cq.alloc_wr_id()},
+                           out);
+        ++by_status[static_cast<std::size_t>(out.status)];
+        if (std::any_cast<int>(out.data) == value) ++reads_seen;
+        co_await rdma_sync(self, qp,
+                           {.verb = Verb::Write, .rkey = key, .len = 64,
+                            .wr_id = cq.alloc_wr_id(), .value = i},
+                           out);
+        ++by_status[static_cast<std::size_t>(out.status)];
+        if (!errors) continue;
+        for (const Verb verb : {Verb::Read, Verb::Write}) {
+          co_await rdma_sync(self, qp,
+                             {.verb = verb, .rkey = MrKey{999}, .len = 64,
+                              .wr_id = cq.alloc_wr_id(), .value = i},
+                             out);
+          ++by_status[static_cast<std::size_t>(out.status)];
+          co_await rdma_sync(self, to_dead,
+                             {.verb = verb, .rkey = dead_key, .len = 64,
+                              .wr_id = cq.alloc_wr_id(), .value = i},
+                             out);
+          ++by_status[static_cast<std::size_t>(out.status)];
+        }
+      }
+      if (round == 1) after = allocation_count();
+    }
+  });
+  env.simu.run_for(seconds(5));
+  EXPECT_EQ(by_status[static_cast<std::size_t>(WcStatus::Success)], 4 * kOps);
+  EXPECT_EQ(reads_seen, 2 * kOps);
+  EXPECT_EQ(by_status[static_cast<std::size_t>(WcStatus::InvalidKey)],
+            errors ? 4 * kOps : 0);
+  EXPECT_EQ(by_status[static_cast<std::size_t>(WcStatus::RetryExceeded)],
+            errors ? 4 * kOps : 0);
+  // Every exit path freed its op slot.
+  EXPECT_EQ(env.fabric.nic(env.a.id).rdma_ops_in_flight(), 0u);
+  EXPECT_EQ(env.fabric.nic(env.a.id).rdma_ops_posted(),
+            static_cast<std::uint64_t>((errors ? 12 : 4) * kOps));
+  return after - before;
+}
+
+TEST(Rdma, SteadyStateReadAndWriteDoNotAllocate) {
+  // An op lives in its NIC's op table and each of its events captures
+  // only {nic, slot}; the completion callback and the coroutine frames are
+  // inline or pooled. Once warm, no exit path touches the heap.
+  for (const bool qos : {false, true}) {
+    for (const bool errors : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "qos=" << qos << " errors=" << errors);
+      EXPECT_EQ(one_sided_steady_state_allocs(qos, errors), 0u);
+    }
+  }
+}
+
+TEST(Socket, SteadyStateMessagesDoNotAllocate) {
+  // A message lives in one packet-table slot from Nic::tx to delivery;
+  // IRQ and softirq bodies capture only the slot. Each round is one
+  // ping-pong (inline receive) plus a burst wider than the inline budget,
+  // whose tail the receiver defers to ksoftirqd.
+  TwoNodes env;
+  Connection& conn = env.fabric.connect(env.a, env.b);
+  constexpr int kRounds = 32;
+  constexpr int kBurst = 2 * os::kRxInlineBudget;
+  int echoed = 0;
+  env.b.spawn("echo", [&](SimThread& self) -> Program {
+    for (;;) {
+      Message m;
+      co_await conn.end_b().recv(self, m);
+      co_await conn.end_b().send(self, 64, std::any_cast<int>(m.payload));
+      ++echoed;
+    }
+  });
+  std::uint64_t before = 0, after = 0, deferred_before = 0;
+  int replies = 0;
+  env.a.spawn("client", [&](SimThread& self) -> Program {
+    Message rep;
+    for (int round = 0; round < 2; ++round) {  // warm-up, then measured
+      if (round == 1) {
+        before = allocation_count();
+        deferred_before = env.fabric.nic(env.b.id).rx_deferred();
+      }
+      for (int i = 0; i < kRounds; ++i) {
+        co_await conn.end_a().send(self, 64, i);
+        co_await conn.end_a().recv(self, rep);
+        replies += std::any_cast<int>(rep.payload) == i;
+        for (int k = 0; k < kBurst; ++k) {
+          Message m;
+          m.bytes = 64;
+          m.payload = k;
+          conn.end_a().inject_tx(std::move(m));
+        }
+        for (int k = 0; k < kBurst; ++k) co_await conn.end_a().recv(self, rep);
+      }
+      if (round == 1) after = allocation_count();
+    }
+  });
+  env.simu.run_for(seconds(2));
+  EXPECT_EQ(replies, 2 * kRounds);
+  EXPECT_EQ(echoed, 2 * kRounds * (1 + kBurst));
+  // Both receive branches ran in the measured half.
+  const Nic& rx = env.fabric.nic(env.b.id);
+  EXPECT_GT(rx.rx_deferred(), deferred_before);
+  EXPECT_LT(rx.rx_deferred(), rx.rx_packets());
+  EXPECT_EQ(env.fabric.packets_in_flight(), 0u);
+  EXPECT_EQ(after - before, 0u);
 }
 
 }  // namespace

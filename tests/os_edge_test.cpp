@@ -87,14 +87,15 @@ TEST(OsEdge, DeepSubprogramNesting) {
   os::Node node(simu, {.name = "n"});
   int depth_reached = 0;
   // Recursive nesting 32 levels deep, each doing a little work.
-  std::function<Program(int)> nest = [&](int d) -> Program {
+  std::function<Program(SimThread&, int)> nest = [&](SimThread& self,
+                                                     int d) -> Program {
     co_await os::Compute{usec(1)};
     if (d < 32) {
       ++depth_reached;
-      co_await nest(d + 1);
+      co_await nest(self, d + 1);
     }
   };
-  node.spawn("t", [&](SimThread&) -> Program { co_await nest(0); });
+  node.spawn("t", [&](SimThread& self) -> Program { co_await nest(self, 0); });
   simu.run_for(msec(10));
   EXPECT_EQ(depth_reached, 32);
 }

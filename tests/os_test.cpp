@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "os/node.hpp"
 #include "os/program.hpp"
 #include "os/wait.hpp"
 #include "sim/simulation.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace rdmamon::os {
 namespace {
@@ -44,16 +49,16 @@ TEST(Program, NestedSubprogramsComposeInOrder) {
   Node node(s, test_config());
   std::vector<int> marks;
 
-  auto inner = [&marks](int tag) -> Program {
+  auto inner = [&marks](SimThread&, int tag) -> Program {
     marks.push_back(tag);
     co_await Compute{usec(10)};
     marks.push_back(tag + 1);
   };
-  node.spawn("t", [&](SimThread&) -> Program {
+  node.spawn("t", [&](SimThread& self) -> Program {
     marks.push_back(0);
-    co_await inner(10);
+    co_await inner(self, 10);
     marks.push_back(1);
-    co_await inner(20);
+    co_await inner(self, 20);
     marks.push_back(2);
   });
   s.run_for(msec(10));
@@ -400,8 +405,43 @@ TEST(ProcFs, SnapshotReflectsKernelState) {
   EXPECT_GT(snap.cpu_load, 0.9);  // 3 hogs on 2 CPUs
   EXPECT_NEAR(snap.mem_load, 0.25, 0.01);
   EXPECT_EQ(snap.computed_at.ns, s.now().ns);
-  EXPECT_EQ(snap.irq_pending.size(), 2u);
+  EXPECT_EQ(snap.cpus, 2);
   EXPECT_GT(node.procfs().read_cost().ns, 0);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(Program, FinishedSubprogramFrameIsPoisoned) {
+  // A frame back in the simulation's pool is still allocated memory to
+  // ASan; the pool poisons it, so a stale handle resumed into it (or a
+  // dangling pointer to one of its locals) is reported.
+  sim::Simulation s;
+  Node node(s, test_config());
+  const int* child_local = nullptr;
+  bool poisoned = false;
+  auto child = [&](SimThread&) -> Program {
+    int x = 1;
+    child_local = &x;  // x lives in the frame: it spans a suspension
+    co_await Compute{usec(1)};
+    EXPECT_EQ(x, 1);
+  };
+  node.spawn("t", [&](SimThread& self) -> Program {
+    co_await child(self);  // the child's frame is released right here
+    poisoned = __asan_address_is_poisoned(child_local);
+  });
+  s.run_for(msec(1));
+  ASSERT_NE(child_local, nullptr);
+  EXPECT_TRUE(poisoned);
+}
+#endif
+
+TEST(ProcFs, NodeAboveSnapshotCpuCapacityIsRejected) {
+  sim::Simulation s;
+  NodeConfig cfg = test_config();
+  cfg.cpus = LoadSnapshot::kMaxCpus;
+  Node widest(s, cfg);
+  EXPECT_EQ(widest.procfs().snapshot_dma().cpus, LoadSnapshot::kMaxCpus);
+  cfg.cpus = LoadSnapshot::kMaxCpus + 1;
+  EXPECT_THROW(Node(s, cfg), std::invalid_argument);
 }
 
 TEST(Scheduler, RunqueueWaitGrowsWithThreadCount) {

@@ -1,13 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
+#include "sim/slot_table.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace rdmamon::sim {
 namespace {
@@ -116,6 +125,71 @@ TEST(Simulation, NestedSchedulingFromCallbacks) {
     EXPECT_EQ(times[i], static_cast<std::int64_t>(i) * 10'000);
   }
 }
+
+TEST(Fifo, KeepsOrderAcrossWrapAroundGrowthAndErase) {
+  Fifo<int> q;
+  for (int i = 0; i < 3; ++i) q.push_back(i);
+  q.pop_front();  // the head moves, so later pushes wrap around
+  for (int i = 3; i < 12; ++i) q.push_back(i);  // grows twice mid-wrap
+  q.erase(2);  // drops 3: the front side moves
+  q.erase(8);  // drops 10: the back side moves
+  std::vector<int> got;
+  while (!q.empty()) got.push_back(q.take_front());
+  EXPECT_EQ(got, (std::vector<int>{1, 2, 4, 5, 6, 7, 8, 9, 11}));
+}
+
+TEST(SlotTable, RecyclesFreedSlots) {
+  SlotTable<std::string> t;
+  const auto a = t.put("a");
+  const auto b = t.put("b");
+  EXPECT_EQ(t.take(a), "a");
+  EXPECT_EQ(t.put("c"), a);  // the freed slot is reused
+  EXPECT_EQ(t[b], "b");
+  EXPECT_EQ(t.live(), 2u);
+  t.release(a);
+  t.release(b);
+  EXPECT_EQ(t.live(), 0u);
+}
+
+TEST(FramePool, RecyclesBlocksPerSizeClass) {
+  FramePool pool;
+  void* a = pool.allocate(200);
+  FramePool::release(a);
+  void* b = pool.allocate(208);  // same 16-byte class: the same block
+  EXPECT_EQ(b, a);
+  void* c = pool.allocate(400);  // another class: a block of its own
+  EXPECT_NE(c, b);
+  FramePool::release(b);
+  FramePool::release(c);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Recycled storage is poisoned while free: an event firing on a freed
+// slot, or a stale coroutine handle resumed into a pooled frame, is a
+// reported use-after-poison instead of a silent read of recycled state.
+TEST(FramePool, ReleasedBlockReadsAsPoisonedUntilReused) {
+  FramePool pool;
+  auto* p = static_cast<char*>(pool.allocate(256));
+  FramePool::release(p);
+  EXPECT_TRUE(__asan_address_is_poisoned(p));
+  EXPECT_TRUE(__asan_address_is_poisoned(p + 255));
+  auto* q = static_cast<char*>(pool.allocate(256));
+  ASSERT_EQ(q, p);
+  EXPECT_FALSE(__asan_address_is_poisoned(q));
+  EXPECT_FALSE(__asan_address_is_poisoned(q + 255));
+  FramePool::release(q);
+}
+
+TEST(SlotTable, FreedSlotReadsAsPoisonedUntilReused) {
+  SlotTable<std::uint64_t> t;
+  const auto s = t.put(7);
+  const std::uint64_t* cell = &t[s];
+  t.release(s);
+  EXPECT_TRUE(__asan_address_is_poisoned(cell));
+  EXPECT_EQ(t.put(8), s);
+  EXPECT_FALSE(__asan_address_is_poisoned(cell));
+}
+#endif
 
 TEST(Random, DeterministicAcrossInstances) {
   Rng a(42), b(42);
