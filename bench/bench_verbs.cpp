@@ -70,8 +70,9 @@ CqModCell run_cq_mod(int k, std::size_t depth, std::uint64_t ops) {
   net::Fabric fabric(simu, {});
   os::Node server(simu, {.name = "server"});
   fabric.attach(server);
+  int word = 42;
   const net::MrKey mr =
-      fabric.nic(server.id).register_mr(kLen, [] { return std::any(42); });
+      fabric.nic(server.id).register_mr(net::bytes_of(word));
 
   CqModCell cell;
   cell.k = k;
@@ -157,12 +158,13 @@ QpcCell run_qpc(int n, int pool, std::size_t cache_entries, int rounds) {
 
   std::vector<std::unique_ptr<os::Node>> targets;
   std::vector<net::MrKey> mrs;
+  int word = 1;  // every target exposes this one word
   for (int i = 0; i < n; ++i) {
     targets.push_back(std::make_unique<os::Node>(
         simu, os::NodeConfig{.name = "be" + std::to_string(i)}));
     fabric.attach(*targets.back());
-    mrs.push_back(fabric.nic(targets.back()->id)
-                      .register_mr(64, [] { return std::any(1); }));
+    mrs.push_back(
+        fabric.nic(targets.back()->id).register_mr(net::bytes_of(word)));
   }
 
   net::VerbsTuning vt;

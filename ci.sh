@@ -8,6 +8,8 @@
 #                      # + the repo benchmark's checks (perfbench)
 #   ./ci.sh perf       # Release build, DES-kernel perf smoke (bench_engine)
 #   ./ci.sh slo        # freshness plane only: ctest -L slo + bench_freshness
+#   ./ci.sh notel      # telemetry compiled out (RDMAMON_TELEMETRY=OFF):
+#                      # warning-free build + ctest, minus LABELS slow
 #
 # Flight-recorder post-mortems (crash dumps, SLO breach dumps) land in
 # <build dir>/flight-dumps; on a red run they are the first thing to read
@@ -69,6 +71,14 @@ elif [[ "${1:-}" == "slo" ]]; then
     ctest --test-dir build -L slo --output-on-failure -j "$jobs"
   RDMAMON_BENCH_DIR=bench-results ./build/bench/bench_freshness --quick
   python3 tools/check_bench.py bench-results freshness
+elif [[ "${1:-}" == "notel" ]]; then
+  # The compiled-out telemetry build: every record helper is a no-op, so a
+  # test that reads metrics, flight records or SLO edges guards those
+  # reads with telemetry::kEnabled. The slow golden replays stay out: the
+  # QoS golden pins SLO-engine output.
+  cmake -B build-notel -S . -DRDMAMON_TELEMETRY=OFF -DRDMAMON_WERROR=ON
+  cmake --build build-notel -j "$jobs"
+  ctest --test-dir build-notel --output-on-failure -j "$jobs" -LE slow
 elif [[ "${1:-}" == "perf" ]]; then
   # DES-kernel perf smoke: Release build, quick bench_engine run. The
   # binary itself exits non-zero if the timer-wheel kernel heap-allocates

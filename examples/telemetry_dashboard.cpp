@@ -41,10 +41,10 @@ int main() {
   ccfg.think = sim::msec(8);
   bed.add_clients(2, web::make_rubis_generator(), ccfg);
 
-  // Self-monitoring: the front end publishes its own snapshot into a
-  // registered MR, refreshed every 50 ms (RDMA-Async applied to the
-  // monitor itself).
-  monitor::MrPublisher<telemetry::Snapshot> meta(
+  // Self-monitoring: the front end publishes an image of its own snapshot
+  // into a registered MR, refreshed every 50 ms (RDMA-Async applied to
+  // the monitor itself).
+  monitor::MrPublisher<telemetry::SnapshotImage> meta(
       bed.fabric(), bed.frontend(), monitor::snapshot_producer(reg));
 
   // Crash backend0 for the middle of the run so health transitions and
@@ -59,6 +59,7 @@ int main() {
   os::Node reader(simu, {.name = "reader"});
   bed.fabric().attach(reader);
   telemetry::Snapshot remote;
+  std::uint32_t remote_dropped = 0;
   bool remote_ok = false;
   reader.spawn("meta-reader", [&](os::SimThread& self) -> os::Program {
     co_await os::SleepFor{sim::msec(900)};
@@ -68,7 +69,9 @@ int main() {
     co_await net::rdma_sync(
         self, qp, {.rkey = meta.mr_key(), .len = meta.config().slot_bytes}, c);
     if (c.status == net::WcStatus::Success) {
-      remote = std::any_cast<telemetry::Snapshot>(c.data);
+      const auto image = c.data.as<telemetry::SnapshotImage>();
+      remote = image.snapshot();
+      remote_dropped = image.dropped;
       remote_ok = true;
     }
   });
@@ -108,6 +111,11 @@ int main() {
     }
   } else {
     std::cout << "remote read failed\n";
+  }
+  if (remote_dropped != 0) {
+    std::cerr << remote_dropped
+              << " metrics did not fit the published snapshot image\n";
+    return 1;
   }
   return 0;
 }

@@ -1,15 +1,16 @@
 #include "cluster/scaleout.hpp"
 
 #include <algorithm>
-#include <any>
 #include <cassert>
+#include <cstring>
 
 namespace rdmamon::cluster {
 
 namespace {
 /// Consecutive failed/stale view reads before a peer is evicted.
 constexpr int kPeerDeadAfter = 3;
-/// Wire size of the view region (charged per gossip READ).
+/// Wire size of a view READ (charged per gossip READ, whatever the
+/// view's entry count).
 constexpr std::size_t kViewBytes = 4096;
 }  // namespace
 
@@ -59,19 +60,24 @@ std::vector<std::uint64_t> FrontendPlane::poll_counts() const {
   return polls;
 }
 
-ShardView FrontendPlane::view() const {
-  ShardView v;
-  v.frontend = id_;
-  v.round = round_;
-  v.membership_epoch = plane_->membership().epoch();
-  v.published_at = published_at_;
-  v.entries.reserve(static_cast<std::size_t>(plane_->backend_count()));
+ShardViewHeader FrontendPlane::view() const {
+  return {id_, static_cast<std::uint32_t>(owned_count()), round_,
+          plane_->membership().epoch(), published_at_};
+}
+
+std::span<std::byte> FrontendPlane::build_view() {
+  ShardViewHeader h{id_, 0, round_, plane_->membership().epoch(),
+                    published_at_};
+  std::size_t at = sizeof(ShardViewHeader);
   for (int b = 0; b < plane_->backend_count(); ++b) {
-    if (plane_->membership().owner_of(b) == id_) {
-      v.entries.emplace_back(b, lb_.view(b));
-    }
+    if (plane_->membership().owner_of(b) != id_) continue;
+    const ShardViewEntry e{b, lb_.view(b)};
+    std::memcpy(view_image_.data() + at, &e, sizeof(e));
+    at += sizeof(e);
+    ++h.count;
   }
-  return v;
+  std::memcpy(view_image_.data(), &h, sizeof(h));
+  return std::span(view_image_).first(at);
 }
 
 void FrontendPlane::wire(sim::Duration granularity) {
@@ -113,14 +119,18 @@ void FrontendPlane::wire(sim::Duration granularity) {
   }
   lb_.on_round([this](const std::vector<std::size_t>&) { on_round(); });
 
-  // The published view: a registered region whose reader callback builds
-  // the ShardView from the balancer's records at the DMA service instant.
-  // No publisher thread and no copy: a host whose monitoring threads
+  // The published view: a registered region whose DMA hook writes the
+  // view from the balancer's records at the DMA service instant. No
+  // publisher thread and no second copy: a host whose monitoring threads
   // stall stops moving published_at and the records' evidence while its
   // NIC keeps serving, which is exactly the stale-view signal peers key
   // on.
+  view_image_.resize(sizeof(ShardViewHeader) +
+                     static_cast<std::size_t>(n) * sizeof(ShardViewEntry));
   view_mr_ = plane_->fabric().nic(node_->id).register_mr(
-      kViewBytes, [this] { return std::any(view()); });
+      view_image_, [this](net::Verb, std::span<std::byte>& image) {
+        image = build_view();
+      });
 
   // One QP per peer front end, completing into our own gossip CQ.
   peer_qps_.resize(static_cast<std::size_t>(plane_->frontend_count()));
@@ -222,15 +232,19 @@ bool FrontendPlane::may_evict() const {
   return since.ns < guard;
 }
 
-void FrontendPlane::process_view(const ShardView& v) {
+ShardViewHeader FrontendPlane::process_view(const sim::ByteBlock& image) {
   const reconfig::FrontendMembership& mem = plane_->membership();
-  for (const auto& [b, rec] : v.entries) {
+  const auto h = image.as<ShardViewHeader>();
+  for (std::size_t i = 0; i < h.count; ++i) {
+    const auto e = image.as<ShardViewEntry>(sizeof(ShardViewHeader) +
+                                            i * sizeof(ShardViewEntry));
     // Only a back end's current owner vouches for it (membership is
     // shared), and only evidence newer than ours is news.
-    if (mem.owner_of(b) != v.frontend) continue;
-    if (rec.evidence_at <= lb_.view(b).evidence_at) continue;
-    lb_.ingest_peer(static_cast<std::size_t>(b), rec);
+    if (mem.owner_of(e.backend) != h.frontend) continue;
+    if (e.view.evidence_at <= lb_.view(e.backend).evidence_at) continue;
+    lb_.ingest_peer(static_cast<std::size_t>(e.backend), e.view);
   }
+  return h;
 }
 
 os::Program FrontendPlane::gossip_body(os::SimThread& self) {
@@ -239,9 +253,10 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
   for (;;) {
     co_await os::SleepFor{cfg.gossip_period};
     reconfig::FrontendMembership& mem = plane_->membership();
-    // Snapshot: eviction below mutates the member list mid-loop.
-    const std::vector<int> members = mem.ring().members();
-    for (int peer : members) {
+    // Snapshot: eviction below mutates the member list mid-loop. The
+    // copy reuses gossip_members_'s capacity.
+    gossip_members_ = mem.ring().members();
+    for (int peer : gossip_members_) {
       if (peer == id_ || !mem.is_member(peer)) continue;
       FrontendPlane& fp = plane_->frontend(peer);
       net::QueuePair& qp = *peer_qps_[static_cast<std::size_t>(peer)];
@@ -256,10 +271,9 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
           !timed_out && c.status == net::WcStatus::Success;
       bool fresh = false;
       if (read_ok) {
-        const auto& v = std::any_cast<const ShardView&>(c.data);
         ++gossip_ok_;
         telemetry::add(m_gossip_ok_);
-        process_view(v);
+        const ShardViewHeader v = process_view(c.data);
         // A crashed host fails the READ outright; a host whose poller
         // stalled keeps DMA-serving a view whose published_at no
         // longer advances.

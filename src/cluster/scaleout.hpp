@@ -3,10 +3,11 @@
 // hash ring (cluster/ring) through reconfig::FrontendMembership, so each
 // back end is polled by exactly ONE owner; every front end still sees
 // all N back ends because each owner publishes its shard's records into
-// a registered MR that peers RDMA-READ one-sided. The MR's reader builds
-// the ShardView from the balancer's own per-back-end records at the DMA
-// instant — there is no second copy to keep fresh, so whatever refreshed
-// a record (wire poll, pushed WRITE, verification READ) reaches peers.
+// a registered MR that peers RDMA-READ one-sided. The MR's DMA hook
+// writes the view from the balancer's own per-back-end records into the
+// region at the DMA instant — there is no second copy to keep fresh, so
+// whatever refreshed a record (wire poll, pushed WRITE, verification
+// READ) reaches peers.
 // The gossip READs cost the publisher no CPU, so the view stays readable
 // even off a saturated or frozen owner.
 //
@@ -35,10 +36,12 @@
 // finds itself evicted rejoins on its first successful peer read.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/ring.hpp"
@@ -54,18 +57,25 @@
 namespace rdmamon::cluster {
 
 /// What one front end publishes through its registered view MR, built
-/// at the DMA instant (MemoryRegion reader callback). A publisher whose
-/// poller has stalled keeps serving — published_at stops advancing,
-/// which is what peers key on.
-struct ShardView {
+/// into the region at the DMA instant by its hook: this header, then
+/// `count` ShardViewEntry records. A publisher whose poller has stalled
+/// keeps serving — published_at stops advancing, which is what peers key
+/// on.
+struct ShardViewHeader {
   int frontend = -1;
+  std::uint32_t count = 0;  ///< entries following the header
   std::uint64_t round = 0;  ///< poll rounds the publisher has finished
   std::uint64_t membership_epoch = 0;
   sim::TimePoint published_at{};  ///< end of the publisher's last round
-  /// (back-end index, balancer record) of every back end the publisher
-  /// owns at the DMA instant.
-  std::vector<std::pair<int, lb::BackendView>> entries;
 };
+/// (back-end index, balancer record) of one back end the publisher owns
+/// at the DMA instant.
+struct ShardViewEntry {
+  int backend = -1;
+  lb::BackendView view;
+};
+static_assert(std::is_trivially_copyable_v<ShardViewHeader>);
+static_assert(std::is_trivially_copyable_v<ShardViewEntry>);
 
 struct ScaleOutConfig {
   /// Gossip period: each front end READs every peer's view this often.
@@ -114,8 +124,8 @@ class FrontendPlane {
   os::Node& node() { return *node_; }
   int id() const { return id_; }
 
-  /// The view peers READ: the MR's content if it were read right now.
-  ShardView view() const;
+  /// The header of the view peers READ, as a READ now would see it.
+  ShardViewHeader view() const;
   net::MrKey view_mr_key() const { return view_mr_; }
 
   /// This front end's push inbox (null under strategy Pull).
@@ -165,7 +175,11 @@ class FrontendPlane {
   void on_round();
   void on_membership_change();
   os::Program gossip_body(os::SimThread& self);
-  void process_view(const ShardView& v);
+  /// The view MR's DMA hook: writes the view into view_image_ and
+  /// returns its live prefix.
+  std::span<std::byte> build_view();
+  /// Ingests a peer's view image; returns its header.
+  ShardViewHeader process_view(const sim::ByteBlock& image);
   bool may_evict() const;
 
   ScaleOutPlane* plane_;
@@ -174,14 +188,17 @@ class FrontendPlane {
   lb::LoadBalancer lb_;
   bool wants_membership_ = true;  ///< false after a graceful leave()
 
-  std::uint64_t round_ = 0;         ///< ShardView::round
-  sim::TimePoint published_at_{};  ///< ShardView::published_at
+  std::uint64_t round_ = 0;         ///< ShardViewHeader::round
+  sim::TimePoint published_at_{};  ///< ShardViewHeader::published_at
+  /// The view MR's bytes: room for the header and an entry per back end.
+  std::vector<std::byte> view_image_;
   net::MrKey view_mr_{};
   std::unique_ptr<monitor::PushInbox> inbox_;  ///< strategy != Pull only
 
   os::SimThread* gossip_thread_ = nullptr;
   net::CompletionQueue gossip_cq_;
   std::vector<std::unique_ptr<net::QueuePair>> peer_qps_;  ///< by peer id
+  std::vector<int> gossip_members_;  ///< this gossip round's member list
   std::vector<int> peer_fail_;            ///< consecutive bad view reads
   std::vector<int> owned_by_;             ///< last seen owner per back end
   std::vector<sim::TimePoint> last_strike_;  ///< latest staleness strike

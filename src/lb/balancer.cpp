@@ -205,12 +205,12 @@ monitor::FetchMode LoadBalancer::fetch_mode(std::size_t i) const {
 
 std::size_t LoadBalancer::push_prepass(std::vector<std::size_t>& targets,
                                        sim::TimePoint now) {
-  std::vector<std::size_t> pulls;
-  pulls.reserve(targets.size());
+  // The wire targets are a subsequence of `targets`: compact in place.
+  std::size_t pulls = 0;
   std::size_t scanned = 0;
   for (std::size_t i : targets) {
     if (fetch_mode(i) == monitor::FetchMode::Pull) {
-      pulls.push_back(i);
+      targets[pulls++] = i;
       continue;
     }
     ++scanned;
@@ -233,10 +233,10 @@ std::size_t LoadBalancer::push_prepass(std::vector<std::size_t>& targets,
         kPushSilenceBound) {
       ++push_verifications_;
       if (reg_ != nullptr) telemetry::add(m_push_verify_);
-      pulls.push_back(i);
+      targets[pulls++] = i;
     }
   }
-  targets = std::move(pulls);
+  targets.resize(pulls);
   return scanned;
 }
 
@@ -273,18 +273,15 @@ os::Program LoadBalancer::scanner_body(os::SimThread& self) {
   (void)self;
 }
 
-std::vector<std::size_t> LoadBalancer::poll_targets(
-    std::uint64_t round) const {
+void LoadBalancer::fill_poll_targets(std::uint64_t round) {
   const bool probe_dead = round % kDeadProbeEvery == 0;
-  std::vector<std::size_t> targets;
-  targets.reserve(channels_.size());
+  poll_targets_.clear();
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     if (poll_filter_ && !poll_filter_(i)) continue;  // not our shard
     if (probe_dead || views_[i].health != BackendHealth::Dead) {
-      targets.push_back(i);
+      poll_targets_.push_back(i);
     }
   }
-  return targets;
 }
 
 void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
@@ -419,9 +416,10 @@ os::Program LoadBalancer::poller_body(os::SimThread& self,
   // pull-mode ones plus silence verifications go to the wire.
   sim::Simulation& simu = self.node().simu();
   for (std::uint64_t round = 0;; ++round) {
-    std::vector<std::size_t> targets = poll_targets(round);
+    fill_poll_targets(round);
+    const std::vector<std::size_t>& targets = poll_targets_;
     if (push_inbox_ != nullptr) {
-      const std::size_t scanned = push_prepass(targets, simu.now());
+      const std::size_t scanned = push_prepass(poll_targets_, simu.now());
       if (scanned > 0) {
         co_await os::Compute{kScanCost * static_cast<std::int64_t>(scanned)};
       }

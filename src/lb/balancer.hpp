@@ -318,9 +318,9 @@ class LoadBalancer {
   /// ok sample, and (for a local source) stamps the evidence instant.
   void apply_sample(std::size_t i, const monitor::MonitorSample& s,
                     ViewSource src);
-  /// Targets of poll round `round`: every live back end, plus the Dead
-  /// ones on the dead-probe cadence.
-  std::vector<std::size_t> poll_targets(std::uint64_t round) const;
+  /// Fills poll_targets_ with the targets of poll round `round`: every
+  /// live back end, plus the Dead ones on the dead-probe cadence.
+  void fill_poll_targets(std::uint64_t round);
 
   WeightConfig weights_;
   net::VerbsTuning verbs_;  ///< CQ moderation for the scatter channel
@@ -338,6 +338,9 @@ class LoadBalancer {
   sim::OnlineStats fetch_lat_;
   monitor::ScatterFetcher scatter_;  ///< joined at start()
   std::vector<monitor::MonitorSample> round_buf_;
+  /// The current poll round's targets; a member so rounds reuse its
+  /// capacity.
+  std::vector<std::size_t> poll_targets_;
   // Push / adaptive strategy state (enable_push).
   monitor::PushInbox* push_inbox_ = nullptr;  ///< not owned
   monitor::MonitorStrategy strategy_ = monitor::MonitorStrategy::Pull;

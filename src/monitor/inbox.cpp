@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 namespace rdmamon::monitor {
 
@@ -26,17 +27,14 @@ PushInbox::PushInbox(net::Fabric& fabric, os::Node& frontend, int slots)
       consumed_(static_cast<std::size_t>(slots), 0),
       last_fresh_(static_cast<std::size_t>(slots),
                   fabric.simu().now()) {
-  // One region for all N slots; the writer overwrites the addressed slot
+  // One region for all N slots; a WRITE overwrites the addressed slot
   // blindly (raw-memory WRITE semantics — no validation at the target).
   key_ = nic_->register_mr(
-      kSlotBytes * static_cast<std::size_t>(slots),
-      /*reader=*/nullptr,
-      /*remote_writable=*/true, [this](const std::any& v) {
-        const auto& w = std::any_cast<const InboxWrite&>(v);
-        if (w.slot < 0 || w.slot >= this->slots()) return;  // out of bounds: dropped
-        slots_[static_cast<std::size_t>(w.slot)] = w.value;
-        ++writes_applied_;
-      });
+      std::as_writable_bytes(std::span(slots_)),
+      [this](net::Verb verb, std::span<std::byte>&) {
+        if (verb == net::Verb::Write) ++writes_applied_;
+      },
+      /*remote_writable=*/true);
   if (telemetry::Registry* reg =
           telemetry::Registry::of(fabric.simu())) {
     fr_ = reg->recorder().ring("inbox." + frontend.name());
@@ -192,7 +190,8 @@ os::Program PushPublisher::body(os::SimThread& self) {
                .rkey = inbox_key_,
                .len = PushInbox::kSlotBytes,
                .wr_id = cq_.alloc_wr_id(),
-               .value = InboxWrite{slot_, image}});
+               .offset = static_cast<std::size_t>(slot_) * sizeof(InboxSlot),
+               .payload = net::bytes_of(image)});
     in_flight_ = true;
     has_pushed_ = true;
     last_push_ = now;

@@ -18,9 +18,9 @@
 // consumed one (no time travel from reordered or replayed writes).
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "monitor/monitor.hpp"
@@ -48,7 +48,11 @@ inline constexpr double kRunqCapacity = 8.0;  ///< runnable threads = saturated
 /// the controller mispredicts push traffic.
 double change_delta(const os::LoadSnapshot& a, const os::LoadSnapshot& b);
 
-/// One inbox slot as it lies in the front end's registered region.
+/// One inbox slot as it lies in the front end's registered region: the
+/// region is the inbox's slot array, and a push is one WRITE of a whole
+/// slot image at its slot's offset. The WRITE overwrites the slot blindly
+/// — the raw-memory semantics of a real RDMA WRITE; all validation is
+/// reader-side.
 struct InboxSlot {
   std::uint64_t seq = 0;  ///< seqlock head stamp
   os::LoadSnapshot info;
@@ -56,20 +60,13 @@ struct InboxSlot {
   bool heartbeat = false;      ///< pushed by the heartbeat timer, not a change
   std::uint64_t seq_check = 0; ///< seqlock tail stamp; == seq when untorn
 };
-
-/// Payload of one inbox WRITE: which slot, and its full new image. The
-/// writer callback overwrites the slot blindly — the raw-memory semantics
-/// of a real RDMA WRITE; all validation is reader-side.
-struct InboxWrite {
-  int slot = -1;
-  InboxSlot value;
-};
+static_assert(std::is_trivially_copyable_v<InboxSlot>);
 
 /// Front-end side: one remote-writable MR holding N slots, plus the
 /// scanning discipline (seqlock check + consumed-sequence tracking).
 class PushInbox {
  public:
-  /// Slot image size on the wire (the WRITE's payload).
+  /// Slot image size on the wire (what a push's WRITE is charged).
   static constexpr std::size_t kSlotBytes = 256;
 
   PushInbox(net::Fabric& fabric, os::Node& frontend, int slots);

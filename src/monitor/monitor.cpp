@@ -19,14 +19,14 @@ constexpr std::size_t kLoadRequestBytes = 64;
 
 /// Records a resolved attempt in `out`: the load reading it carried, or a
 /// transport error.
-void take_reading(MonitorSample& out, const std::any& data) {
-  out.info = std::any_cast<os::LoadSnapshot>(data);
+void take_reading(MonitorSample& out, const os::LoadSnapshot& info) {
+  out.info = info;
   out.ok = true;
   out.error = FetchError::None;
 }
 void take_completion(MonitorSample& out, const net::Completion& c) {
   if (c.status == net::WcStatus::Success) {
-    take_reading(out, c.data);
+    take_reading(out, c.data.as<os::LoadSnapshot>());
   } else {
     out.ok = false;
     out.error = FetchError::Transport;
@@ -82,24 +82,22 @@ BackendMonitor::BackendMonitor(net::Fabric& fabric, os::Node& backend,
         });
   }
   if (is_rdma(cfg_.scheme)) {
-    net::Nic& nic = fabric_.nic(backend_.id);
+    // The region is slot_. RDMA-Sync / e-RDMA-Sync register the kernel
+    // statistics pages: the DMA hook refreshes the image at the DMA
+    // instant, so a remote READ samples them with zero back-end CPU
+    // involvement — including the transient irq_stat state that a
+    // synchronized /proc read can never observe. RDMA-Async registers
+    // the user-space slot the calc thread updates. Read-only, per the
+    // paper's security argument.
+    net::DmaHook on_dma;
     if (is_kernel_direct(cfg_.scheme)) {
-      // RDMA-Sync / e-RDMA-Sync: register the kernel statistics pages;
-      // a remote READ samples them at the DMA instant with zero back-end
-      // CPU involvement — including the transient irq_stat state that a
-      // synchronized /proc read can never observe. Read-only, per the
-      // paper's security argument.
-      mr_key_ = nic.register_mr(kLoadReplyBytes,
-                                [node = &backend_] {
-                                  return std::any(node->procfs().snapshot_dma());
-                                },
-                                false, nullptr, cfg_.tenant);
-    } else {
-      // RDMA-Async: register the user-space slot the calc thread updates.
-      mr_key_ = nic.register_mr(kLoadReplyBytes,
-                                [slot = &slot_] { return std::any(*slot); },
-                                false, nullptr, cfg_.tenant);
+      on_dma = [this](net::Verb, std::span<std::byte>&) {
+        slot_ = backend_.procfs().snapshot_dma();
+      };
     }
+    mr_key_ = fabric_.nic(backend_.id)
+                  .register_mr(net::bytes_of(slot_), std::move(on_dma),
+                               /*remote_writable=*/false, cfg_.tenant);
   }
 }
 
@@ -215,7 +213,9 @@ os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
       co_await issue(self, op, deadline);
       net::Message reply;
       co_await sock_->recv_until(self, reply, deadline, resolved);
-      if (resolved) take_reading(out, reply.payload);
+      if (resolved) {
+        take_reading(out, std::any_cast<os::LoadSnapshot>(reply.payload));
+      }
     }
     if (!resolved) {
       out.ok = false;
@@ -281,7 +281,7 @@ os::Program FrontendMonitor::complete(os::SimThread& self, FetchOp& op,
   }
   net::Message reply;
   co_await sock_->recv_ready(self, reply);
-  take_reading(out, reply.payload);
+  take_reading(out, std::any_cast<os::LoadSnapshot>(reply.payload));
   (void)status;
 }
 

@@ -113,7 +113,10 @@ class BackendMonitor {
   net::Fabric& fabric_;
   os::Node& backend_;
   MonitorConfig cfg_;
-  os::LoadSnapshot slot_;  ///< user-space shared location (async schemes)
+  /// The registered region (RDMA schemes) and the user-space shared
+  /// location (async schemes); under RDMA-Sync the kernel-page image the
+  /// DMA hook refreshes.
+  os::LoadSnapshot slot_;
   net::MrKey mr_key_{};
   os::SimThread* calc_thread_ = nullptr;
   std::vector<os::SimThread*> report_threads_;  ///< one per bound socket

@@ -7,10 +7,12 @@
 // asynchrony is the scheme's defining trade-off) at zero owner CPU —
 // even when the owner's host is saturated or its kernel is frozen.
 //
-// Two producers ship with the plane:
+// The published value is a trivially copyable image — the region holds
+// plain bytes. Two producers ship with the plane:
 //
-//  - telemetry self-publishing: the front end's registry snapshot
-//    (snapshot_producer), so any node can read the monitor's own health;
+//  - telemetry self-publishing: a fixed-capacity image of the front
+//    end's registry snapshot (snapshot_producer), so any node can read
+//    the monitor's own health;
 //  - alarm publishing: the SLO engine's AlarmView, republished on every
 //    alarm edge as well, so "is that front end's view stale?" is itself a
 //    one-sided READ:
@@ -31,12 +33,12 @@
 //   net::QueuePair qp{fabric.nic(reader.id), pub.node_id(), cq};
 //   co_await net::rdma_sync(
 //       self, qp, {.rkey = pub.mr_key(), .len = pub.config().slot_bytes}, c);
-//   auto value = std::any_cast<T>(c.data);
+//   const T value = c.data.as<T>();
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 
 #include "net/fabric.hpp"
@@ -51,8 +53,8 @@ namespace rdmamon::monitor {
 struct PublisherConfig {
   /// Publisher refresh period (the scheme's T).
   sim::Duration period = sim::msec(50);
-  /// Registered-region size: the wire image of the published value.
-  /// Remote READs of the region are charged for this many bytes.
+  /// Wire size of the published value: remote READs of the region are
+  /// charged for this many bytes (they copy the whole image).
   std::size_t slot_bytes = 4096;
   /// CPU charged per periodic publish (producing the value + the copy
   /// into the registered buffer). The telemetry plane itself never
@@ -68,12 +70,14 @@ inline constexpr PublisherConfig kAlarmPublish{sim::msec(50), 512,
 /// Publishes `produce()` through a registered MR on `owner`'s NIC.
 template <typename T>
 class MrPublisher {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "a registered region holds plain bytes");
+
  public:
   MrPublisher(net::Fabric& fabric, os::Node& owner, std::function<T()> produce,
               PublisherConfig cfg = {})
       : owner_(&owner), produce_(std::move(produce)), cfg_(cfg) {
-    mr_key_ = fabric.nic(owner.id).register_mr(
-        cfg_.slot_bytes, [slot = &slot_] { return std::any(*slot); });
+    mr_key_ = fabric.nic(owner.id).register_mr(net::bytes_of(slot_));
     publisher_ = owner.spawn("mr-pub", [this](os::SimThread& t) {
       return publisher_body(t);
     });
@@ -133,12 +137,12 @@ class MrPublisher {
 /// Producer for publishing a registry through itself: each call takes a
 /// snapshot, then counts the publish in "meta.published" — so from the
 /// second publish on, readers see the publisher's own refresh count.
-inline std::function<telemetry::Snapshot()> snapshot_producer(
+inline std::function<telemetry::SnapshotImage()> snapshot_producer(
     telemetry::Registry& reg) {
   return [&reg] {
-    telemetry::Snapshot snap = reg.snapshot();
+    const telemetry::SnapshotImage image(reg.snapshot());
     reg.counter("meta.published").inc();
-    return snap;
+    return image;
   };
 }
 

@@ -53,19 +53,6 @@ std::size_t ScatterFetcher::add(FrontendMonitor& m) {
 os::Program ScatterFetcher::round(os::SimThread& self,
                                   const std::vector<std::size_t>& which,
                                   std::vector<MonitorSample>& out) {
-  // Per-target attempt state machine: Issue -> Wait -> (Done | Backoff),
-  // Backoff -> Issue. The round ends when every slot is Done.
-  enum class State { Issue, Wait, Backoff, Done };
-  struct Slot {
-    FrontendMonitor* mon = nullptr;
-    MonitorSample* out = nullptr;
-    FrontendMonitor::FetchOp op;
-    State state = State::Issue;
-    int attempt = 0;
-    sim::Duration backoff{};
-    sim::TimePoint resume_at{};  ///< Backoff: when to re-issue
-  };
-
   sim::Simulation& simu = self.node().simu();
   if (out.size() < targets_.size()) out.resize(targets_.size());
   if (!metrics_resolved_) resolve_metrics(self.node());
@@ -74,8 +61,8 @@ os::Program ScatterFetcher::round(os::SimThread& self,
   telemetry::add(m_rounds_);
   telemetry::observe(m_round_slots_, static_cast<double>(which.size()));
 
-  std::vector<Slot> slots;
-  slots.reserve(which.size());
+  std::vector<Slot>& slots = slots_;
+  slots.clear();
   for (std::size_t i : which) {
     Slot s;
     s.mon = targets_[i];

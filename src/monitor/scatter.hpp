@@ -35,7 +35,8 @@ class ScatterFetcher {
   /// Subprogram: one scatter round over the targets listed in `which`
   /// (indices from add()). Fills out[i] for each i in `which`; `out` is
   /// resized to size() if smaller. Every listed target resolves (ok, or
-  /// error with attempts spent) before the round returns.
+  /// error with attempts spent) before the round returns. One round at a
+  /// time per engine.
   os::Program round(os::SimThread& self, const std::vector<std::size_t>& which,
                     std::vector<MonitorSample>& out);
 
@@ -51,7 +52,22 @@ class ScatterFetcher {
   /// round (no-op without a registry).
   void resolve_metrics(os::Node& frontend);
 
+  /// Per-target attempt state machine of a round: Issue -> Wait -> (Done
+  /// | Backoff), Backoff -> Issue. The round ends when every slot is Done.
+  enum class State { Issue, Wait, Backoff, Done };
+  struct Slot {
+    FrontendMonitor* mon = nullptr;
+    MonitorSample* out = nullptr;
+    FrontendMonitor::FetchOp op;
+    State state = State::Issue;
+    int attempt = 0;
+    sim::Duration backoff{};
+    sim::TimePoint resume_at{};  ///< Backoff: when to re-issue
+  };
+
   std::vector<FrontendMonitor*> targets_;
+  /// The current round's slots; a member so rounds reuse its capacity.
+  std::vector<Slot> slots_;
   net::CompletionQueue cq_;  ///< shared completion channel (+ wait queue)
   /// A wave's RDMA attempts; a member so rounds reuse its capacity.
   std::vector<net::ReadBatchEntry> batch_;

@@ -1,6 +1,7 @@
 #include "net/nic.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 namespace rdmamon::net {
@@ -127,17 +128,14 @@ void Nic::defer_rx(int cpu, PacketSlot p) {
 
 // --- one-sided ------------------------------------------------------------------
 
-MrKey Nic::register_mr(std::size_t bytes, std::function<std::any()> reader,
-                       bool remote_writable,
-                       std::function<void(const std::any&)> writer,
-                       TenantId tenant) {
+MrKey Nic::register_mr(std::span<std::byte> image, DmaHook on_dma,
+                       bool remote_writable, TenantId tenant) {
   MemoryRegion mr;
   mr.rkey = next_rkey_++;
-  mr.bytes = bytes;
+  mr.image = image;
   mr.remote_writable = remote_writable;
   mr.tenant = tenant;
-  mr.reader = std::move(reader);
-  mr.writer = std::move(writer);
+  mr.on_dma = std::move(on_dma);
   const MrKey key{mr.rkey};
   regions_.emplace(mr.rkey, std::move(mr));
   return key;
@@ -175,8 +173,23 @@ sim::Duration Nic::charge_mr(std::uint32_t rkey) {
   return kCtxMissPenalty;
 }
 
-void Nic::post(int target_node, WorkRequest wr, Done done,
-               std::uint64_t ctx_id, TenantId tenant) {
+void Nic::count_doorbell(std::size_t wrs) {
+  if (!doorbell_resolved_) {
+    doorbell_resolved_ = true;
+    if (telemetry::Registry* reg = telemetry::Registry::of(fabric_.simu())) {
+      const telemetry::Labels by_node{{"node", node_.name()}};
+      m_doorbells_ = &reg->counter("net.doorbells", by_node);
+      m_posts_ = &reg->counter("net.posts", by_node);
+      m_doorbell_wrs_ = &reg->histogram("net.doorbell.wrs", by_node);
+    }
+  }
+  telemetry::add(m_doorbells_);
+  telemetry::add(m_posts_, wrs);
+  telemetry::observe(m_doorbell_wrs_, static_cast<double>(wrs));
+}
+
+void Nic::post(int target_node, const WorkRequest& wr, sim::ByteBlock payload,
+               Done done, std::uint64_t ctx_id, TenantId tenant) {
   ++rdma_posted_;
   telemetry::fr_record(fr_, kPostKind[static_cast<std::size_t>(wr.verb)],
                        target_node, static_cast<std::int64_t>(wr.wr_id),
@@ -188,8 +201,8 @@ void Nic::post(int target_node, WorkRequest wr, Done done,
   c.wr_id = wr.wr_id;
   c.verb = wr.verb;
   c.posted = fabric_.simu().now();
-  const OpSlot s = ops_.put(Op{target_node, std::move(wr), std::move(c),
-                               std::move(done), ctx_id, tenant});
+  const OpSlot s = ops_.put(Op{target_node, wr, std::move(payload),
+                               std::move(c), std::move(done), ctx_id, tenant});
   if (arbiter_ != nullptr) {
     // Fabric QoS: the op's full wire footprint passes the per-tenant
     // token bucket + WFQ arbiter before the wire logic runs. A queue-cap
@@ -261,15 +274,31 @@ void Nic::on_dma(OpSlot s) {
   if (it == target.regions_.end()) {
     op.c.status = WcStatus::InvalidKey;
   } else if (op.wr.verb == Verb::Read) {
-    // THE key semantic: the content is sampled at the DMA instant.
-    if (it->second.reader) op.c.data = it->second.reader();
-  } else if (!it->second.remote_writable) {
-    // Read-only exposure: the paper's defence for exporting kernel
-    // memory. The write is discarded.
+    // THE key semantic: the content is copied at the DMA instant.
+    MemoryRegion& mr = it->second;
+    if (mr.on_dma) mr.on_dma(Verb::Read, mr.image);
+    if (op.wr.offset > mr.image.size()) {
+      op.c.status = WcStatus::ProtectionError;
+    } else {
+      op.c.data = sim::ByteBlock(mr.image.data() + op.wr.offset,
+                                 mr.image.size() - op.wr.offset);
+    }
+  } else if (!it->second.remote_writable ||
+             op.wr.offset > it->second.image.size() ||
+             op.payload.size() > it->second.image.size() - op.wr.offset) {
+    // Read-only exposure (the paper's defence for exporting kernel
+    // memory), or bytes that would overrun the region: the write is
+    // discarded and the region left untouched.
     op.c.status = WcStatus::ProtectionError;
-  } else if (it->second.writer) {
-    it->second.writer(op.wr.value);
+  } else {
+    MemoryRegion& mr = it->second;
+    if (!op.payload.empty()) {
+      std::memcpy(mr.image.data() + op.wr.offset, op.payload.data(),
+                  op.payload.size());
+    }
+    if (mr.on_dma) mr.on_dma(Verb::Write, mr.image);
   }
+  op.payload.reset();
   // Response back to the initiator — a READ's data, a WRITE's ack (may
   // die on a lossy return path, or find either host dead meanwhile).
   if (fabric_.fault_state(op.target).crashed ||

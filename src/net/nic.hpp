@@ -11,8 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "net/fabric.hpp"
@@ -59,15 +59,14 @@ class Nic {
   void tx(Message msg);
 
   // --- one-sided -----------------------------------------------------------
-  /// Registers a memory region; `reader` is sampled at DMA time.
-  /// Read-only unless `remote_writable`. `tenant` is the owner a cached
-  /// MR entry's eviction is attributed to (0 = system plane). The reader
-  /// and writer run inside the DMA event and must not post on the
-  /// initiating NIC.
-  MrKey register_mr(std::size_t bytes, std::function<std::any()> reader,
-                    bool remote_writable = false,
-                    std::function<void(const std::any&)> writer = nullptr,
-                    TenantId tenant = 0);
+  /// Registers `image`, bytes the caller owns and keeps alive until
+  /// deregister_mr, as a memory region. A READ copies the image at the
+  /// DMA instant; `on_dma` (optional) runs then — before a READ's copy,
+  /// after a WRITE landed. Read-only unless `remote_writable`. `tenant`
+  /// is the owner a cached MR entry's eviction is attributed to (0 =
+  /// system plane).
+  MrKey register_mr(std::span<std::byte> image, DmaHook on_dma = nullptr,
+                    bool remote_writable = false, TenantId tenant = 0);
 
   /// Invalidates an rkey. In-flight ops that reach the DMA engine after the
   /// deregistration complete with InvalidKey — the rkey is resolved at the
@@ -83,9 +82,12 @@ class Nic {
   /// service there (no target CPU), response back, then `done` runs at the
   /// initiator with the completion. The op lives in this NIC's op table
   /// from post to completion; each of its events captures only the slot.
-  /// A READ samples the region's reader at the DMA instant; a WRITE
-  /// applies `wr.value` through its writer, and is rejected with
-  /// ProtectionError when the region is not remote_writable.
+  /// A READ copies the region's image into a sim::ByteBlock at the DMA
+  /// instant; a WRITE lands `payload` (a block
+  /// copied at post time; wr.payload is ignored here) at wr.offset then,
+  /// and is rejected with ProtectionError when the region is not
+  /// remote_writable or the bytes would overrun it. wr.len alone sets the
+  /// wire and DMA time.
   /// `ctx_id` names the posting QpContext for the context-cache model (0 =
   /// uncontexted, never charged); with a bounded cache configured, a
   /// QP-context miss delays the request by the fetch penalty, serialised
@@ -97,14 +99,21 @@ class Nic {
   /// before reaching the wire (and may be DROPPED at the tenant's queue
   /// cap, error-completing with RetryExceeded). With QoS disabled the
   /// tag is inert and the path is byte-identical to history.
-  void post(int target_node, WorkRequest wr, Done done,
-            std::uint64_t ctx_id = 0, TenantId tenant = 0);
+  void post(int target_node, const WorkRequest& wr, sim::ByteBlock payload,
+            Done done, std::uint64_t ctx_id = 0, TenantId tenant = 0);
 
   /// Allocates a NIC-unique QpContext identity (context-cache key space).
   std::uint64_t alloc_ctx_id() { return next_ctx_id_++; }
 
   /// Bookkeeping hook for QpContext: one WR posted unsignaled.
   void count_unsignaled() { ++unsignaled_posted_; }
+
+  /// Telemetry: one doorbell rung on this node, covering `wrs` work
+  /// requests (the scatter engine's merged posts make this ratio
+  /// interesting). Wall-clock-only bookkeeping; charges no simulated
+  /// time. The instruments are resolved on the first doorbell, so a NIC
+  /// that never rings exports no doorbell series.
+  void count_doorbell(std::size_t wrs);
 
   // --- introspection ---------------------------------------------------------
   std::uint64_t tx_packets() const { return tx_packets_; }
@@ -161,6 +170,7 @@ class Nic {
   struct Op {
     int target = -1;
     WorkRequest wr;
+    sim::ByteBlock payload;  ///< a WRITE's bytes, until the DMA instant
     Completion c;
     Done done;
     std::uint64_t ctx_id = 0;
@@ -174,8 +184,8 @@ class Nic {
   void start(OpSlot s);
   /// The request reaches the target NIC: queue on its DMA engine.
   void on_request(OpSlot s);
-  /// The DMA instant: sample (READ) or apply (WRITE), then the response
-  /// leg.
+  /// The DMA instant: copy the image out (READ) or the payload in
+  /// (WRITE), then the response leg.
   void on_dma(OpSlot s);
   /// Transport-level failure: the RC state machine retransmits until the
   /// retry budget is spent, then flushes the WR with RetryExceeded. The
@@ -219,6 +229,12 @@ class Nic {
   /// Flight-recorder ring for this NIC's verbs posts/completions
   /// ("net.<node>"); null when no registry is installed.
   telemetry::FlightRing* fr_ = nullptr;
+  /// count_doorbell's instruments, resolved on the first doorbell; null
+  /// when no registry is installed.
+  bool doorbell_resolved_ = false;
+  telemetry::Counter* m_doorbells_ = nullptr;
+  telemetry::Counter* m_posts_ = nullptr;
+  telemetry::HistogramMetric* m_doorbell_wrs_ = nullptr;
 };
 
 }  // namespace rdmamon::net

@@ -5,26 +5,8 @@
 #include "net/nic.hpp"
 #include "os/node.hpp"
 #include "os/thread.hpp"
-#include "telemetry/registry.hpp"
 
 namespace rdmamon::net {
-
-namespace {
-
-/// Telemetry: one doorbell rung by `self`, covering `wrs` work requests
-/// (the scatter engine's merged posts make this ratio interesting).
-/// Wall-clock-only bookkeeping; charges no simulated time.
-void count_doorbell(os::SimThread& self, std::size_t wrs) {
-  telemetry::Registry* reg = telemetry::Registry::of(self.node().simu());
-  if (reg == nullptr) return;
-  const telemetry::Labels by_node{{"node", self.node().name()}};
-  reg->counter("net.doorbells", by_node).inc();
-  reg->counter("net.posts", by_node).inc(wrs);
-  reg->histogram("net.doorbell.wrs", by_node)
-      .observe(static_cast<double>(wrs));
-}
-
-}  // namespace
 
 // --- CompletionQueue ----------------------------------------------------------
 
@@ -174,9 +156,13 @@ QpContext::QpContext(Nic& local, int signal_every, std::size_t send_depth)
       signal_every_(signal_every < 1 ? 1 : signal_every),
       send_depth_(send_depth) {}
 
-void QpContext::post(int target_node, WorkRequest wr, CompletionQueue& cq,
-                     bool force_signal) {
-  Pending p{target_node, std::move(wr), &cq, force_signal};
+void QpContext::post(int target_node, const WorkRequest& wr,
+                     CompletionQueue& cq, bool force_signal) {
+  Pending p{target_node, wr, {}, &cq, force_signal};
+  if (wr.verb == Verb::Write) {
+    p.payload = sim::ByteBlock(wr.payload.data(), wr.payload.size());
+  }
+  p.wr.payload = {};
   if (send_depth_ > 0 && inflight_ >= send_depth_) {
     // Window full: the post waits in FIFO order for a completion to free
     // a slot — bounded send queues instead of unbounded NIC state.
@@ -210,7 +196,8 @@ void QpContext::launch(Pending p) {
     }
     cq->deliver(self->ctx_id_, seq, signaled, std::move(c));
   };
-  local_->post(p.target, std::move(p.wr), std::move(done), ctx_id_, tenant_);
+  local_->post(p.target, p.wr, std::move(p.payload), std::move(done), ctx_id_,
+               tenant_);
 }
 
 // --- QueuePair ----------------------------------------------------------------
@@ -221,8 +208,8 @@ QueuePair::QueuePair(Nic& local, int remote_node, CompletionQueue& cq,
       cq_(&cq),
       ctx_(ctx ? std::move(ctx) : std::make_shared<QpContext>(local)) {}
 
-void QueuePair::post(WorkRequest wr, bool force_signal) {
-  ctx_->post(remote_node_, std::move(wr), *cq_, force_signal);
+void QueuePair::post(const WorkRequest& wr, bool force_signal) {
+  ctx_->post(remote_node_, wr, *cq_, force_signal);
 }
 
 std::vector<std::shared_ptr<QpContext>> make_context_pool(
@@ -237,13 +224,13 @@ std::vector<std::shared_ptr<QpContext>> make_context_pool(
 
 // --- posting subprograms ------------------------------------------------------
 
-os::Program post_read_batch(os::SimThread& self,
+os::Program post_read_batch(os::SimThread& /*self*/,
                             const std::vector<ReadBatchEntry>& batch) {
   if (batch.empty()) co_return;
   // One doorbell for the whole chain; the posts themselves are pointer
   // writes into the send queue(s), free at this resolution.
   co_await os::Compute{kDoorbellCost};
-  count_doorbell(self, batch.size());
+  batch.front().qp->context().nic().count_doorbell(batch.size());
   // Close every context's chain: the LAST WR posted through each distinct
   // QpContext is force-signaled, so a signal-every-k context never ends a
   // burst with an unprovable unsignaled tail. With dedicated contexts
@@ -265,9 +252,9 @@ os::Program rdma_sync(os::SimThread& self, QueuePair& qp, WorkRequest wr,
   if (timed_out != nullptr) *timed_out = false;
   // Doorbell: a cheap user-space MMIO write.
   co_await os::Compute{kDoorbellCost};
-  count_doorbell(self, 1);
+  qp.context().nic().count_doorbell(1);
   const std::uint64_t wr_id = wr.wr_id;
-  qp.post(std::move(wr));
+  qp.post(wr);
   CompletionQueue& cq = qp.cq();
   sim::Simulation& simu = self.node().simu();
   // A finite deadline is modelled as a timer that spuriously wakes the CQ

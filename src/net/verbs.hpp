@@ -3,8 +3,10 @@
 //
 //  - RDMA READ is serviced entirely by the target NIC's DMA engine; no
 //    target thread runs, no interrupt fires, no scheduler is involved.
-//  - The value returned is the registered region's content *at the DMA
-//    service instant* (a reader callback samples it then).
+//  - A registered region is a byte image its registrant owns, plus an
+//    optional hook that runs at the DMA instant. A READ returns the
+//    image's bytes *at the DMA service instant* (the hook fills in
+//    lazily computed fields first); a WRITE lands its bytes then.
 //  - Regions registered read-only reject remote writes with a protection
 //    error — the paper's Section 6 security argument.
 //
@@ -28,10 +30,11 @@
 //    thrashing it (see net/qpcache.hpp).
 #pragma once
 
-#include <any>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -40,6 +43,8 @@
 #include "os/program.hpp"
 #include "os/wait.hpp"
 #include "sim/fifo.hpp"
+#include "sim/byte_block.hpp"
+#include "sim/inline_fn.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 
@@ -84,32 +89,62 @@ struct MrKey {
 /// One-sided opcode (ibv_wr_opcode).
 enum class Verb : std::uint8_t { Read, Write };
 
+/// The bytes of a trivially copyable object: a region's image
+/// (register_mr) or a WRITE's payload (WorkRequest::payload). Every
+/// struct that crosses a region is trivially copyable, and this is where
+/// that is checked. Temporaries are refused — the span would dangle.
+template <typename T>
+std::span<std::byte> bytes_of(T& obj) {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "a registered region holds plain bytes");
+  return std::as_writable_bytes(std::span<T, 1>(&obj, 1));
+}
+template <typename T>
+std::span<const std::byte> bytes_of(const T& obj) {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "a registered region holds plain bytes");
+  return std::as_bytes(std::span<const T, 1>(&obj, 1));
+}
+template <typename T>
+void bytes_of(const T&&) = delete;
+
 /// One work request (ibv_send_wr): the single record every post carries
-/// from QueuePair::post down to the NIC. `value` is a WRITE's payload.
+/// from QueuePair::post down to the NIC. `len` is what the op costs on
+/// the wire and at the DMA engine; it is not what is copied. A READ
+/// returns the region's image from `offset` on; a WRITE lands `payload`
+/// at `offset`. The payload is copied when the WR is posted, so the
+/// caller's bytes need to live only through the post.
 struct WorkRequest {
   Verb verb = Verb::Read;
   MrKey rkey;
   std::size_t len = 0;
   std::uint64_t wr_id = 0;
-  std::any value{};
+  std::size_t offset = 0;
+  std::span<const std::byte> payload{};
 };
 
-/// Registered memory region. `reader` snapshots the region's logical
-/// content; for writable regions `writer` applies a remote write.
+/// Runs at the DMA instant of an op on a region, on the target: before a
+/// READ copies the image (to fill in lazily computed fields; it may
+/// re-point `image`, e.g. to the live prefix of a variable-length view),
+/// and after a WRITE landed in it. It must not post on the initiating
+/// NIC.
+using DmaHook = sim::InlineFunction<void(Verb, std::span<std::byte>& image)>;
+
+/// Registered memory region: a byte image its registrant owns and keeps
+/// alive until deregister_mr, plus the optional DMA-instant hook.
 struct MemoryRegion {
   std::uint32_t rkey = 0;
-  std::size_t bytes = 0;
+  std::span<std::byte> image;
   bool remote_writable = false;
   /// Registering tenant: the owner a cached MR entry's eviction is
   /// attributed to (0 = system plane).
   TenantId tenant = 0;
-  std::function<std::any()> reader;
-  std::function<void(const std::any&)> writer;
+  DmaHook on_dma;
 };
 
 enum class WcStatus {
   Success,
-  ProtectionError,  ///< write to a read-only region
+  ProtectionError,  ///< write to a read-only region, or past its end
   InvalidKey,       ///< no such rkey at the target
   RetryExceeded,    ///< RC retransmit budget spent (lost packet / dead peer)
 };
@@ -119,7 +154,9 @@ struct Completion {
   std::uint64_t wr_id = 0;
   WcStatus status = WcStatus::Success;
   Verb verb = Verb::Read;     ///< the completed WR's opcode (ibv_wc.opcode)
-  std::any data{};            ///< READ: the fetched snapshot
+  /// READ: the region's bytes at the DMA instant, from the WR's offset
+  /// on; read them with data.as<T>().
+  sim::ByteBlock data{};
   sim::TimePoint posted{};    ///< when the WR was posted
   sim::TimePoint completed{}; ///< when the completion arrived
 };
@@ -259,11 +296,16 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
                      std::size_t send_depth = 0);
 
   /// Posts `wr` through this context to `target_node`, completing into
-  /// `cq`. `force_signal` overrides the every-k policy (chain closers,
-  /// solitary posts a consumer synchronously waits on). WRITEs are always
-  /// signaled (the publishers that use them are completion-driven).
-  void post(int target_node, WorkRequest wr, CompletionQueue& cq,
+  /// `cq`. A WRITE's payload is copied now, so a post the window defers
+  /// still carries the bytes it was posted with. `force_signal`
+  /// overrides the every-k policy (chain closers, solitary posts a
+  /// consumer synchronously waits on). WRITEs are always signaled (the
+  /// publishers that use them are completion-driven).
+  void post(int target_node, const WorkRequest& wr, CompletionQueue& cq,
             bool force_signal);
+
+  /// The NIC this context posts through.
+  Nic& nic() { return *local_; }
 
   /// NIC context-cache identity (nonzero; allocated by the local NIC).
   std::uint64_t ctx_id() const { return ctx_id_; }
@@ -286,7 +328,8 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
  private:
   struct Pending {
     int target = -1;
-    WorkRequest wr;
+    WorkRequest wr;  ///< payload emptied: the bytes are in `payload`
+    sim::ByteBlock payload;
     CompletionQueue* cq = nullptr;
     bool force_signal = true;
   };
@@ -326,7 +369,7 @@ class QueuePair {
   /// or a waiting consumer would hang; batched posts pass false and let
   /// the context's signal-every-k policy decide (the batch closer is
   /// forced).
-  void post(WorkRequest wr, bool force_signal = true);
+  void post(const WorkRequest& wr, bool force_signal = true);
 
   /// Re-points this QP's completions at another CQ (e.g. an engine's
   /// shared CQ). Must not be called with WRs in flight.
@@ -376,7 +419,9 @@ os::Program post_read_batch(os::SimThread& self,
 /// Subprogram: pays the doorbell, posts `wr` and blocks until ITS
 /// completion (matched by wr_id) arrives, storing it in `out`. The
 /// canonical front-end monitoring primitive for a READ; a WRITE to a
-/// read-only region completes with ProtectionError. With a finite
+/// read-only region completes with ProtectionError. A WRITE's payload is
+/// copied at the post, after the doorbell: it must outlive the doorbell
+/// (a named object in the awaiting coroutine does). With a finite
 /// `deadline` the wait gives up at that instant: the WR is abandoned via
 /// CompletionQueue::forget — the CQ drops its completion (the fabric
 /// always produces one, possibly RetryExceeded) whenever it lands — and

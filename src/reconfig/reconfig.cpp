@@ -1,6 +1,5 @@
 #include "reconfig/reconfig.hpp"
 
-#include <any>
 #include <cassert>
 #include <limits>
 
@@ -14,16 +13,17 @@ constexpr double kImbalanceThreshold = 0.25;
 }  // namespace
 
 RoleRegion::RoleRegion(net::Fabric& fabric, os::Node& node, Role initial)
-    : node_(&node), role_(initial) {
+    : node_(&node), role_(initial), word_(static_cast<int>(initial)) {
+  // A WRITE lands in the role word; the DMA hook then applies it.
   key_ = fabric.nic(node.id).register_mr(
-      sizeof(int), [this] { return std::any(static_cast<int>(role_)); },
-      /*remote_writable=*/true, [this](const std::any& v) {
-        const Role next = static_cast<Role>(std::any_cast<int>(v));
-        if (next != role_) {
-          role_ = next;
-          if (on_change_) on_change_(role_);
-        }
-      });
+      net::bytes_of(word_),
+      [this](net::Verb verb, std::span<std::byte>&) {
+        const Role next = static_cast<Role>(word_);
+        if (verb != net::Verb::Write || next == role_) return;
+        role_ = next;
+        if (on_change_) on_change_(role_);
+      },
+      /*remote_writable=*/true);
 }
 
 ReconfigManager::ReconfigManager(net::Fabric& fabric, os::Node& frontend,
@@ -127,12 +127,13 @@ os::Program ReconfigManager::manager_body(os::SimThread& self) {
               fabric_->nic(frontend_->id),
               regions_[static_cast<std::size_t>(pick)]->node().id, cq_);
           net::Completion c;
+          const int word = static_cast<int>(hot);
           co_await net::rdma_sync(
               self, qp,
               {.verb = net::Verb::Write,
                .rkey = regions_[static_cast<std::size_t>(pick)]->mr_key(),
                .len = sizeof(int),
-               .value = static_cast<int>(hot)},
+               .payload = net::bytes_of(word)},
               c);
           if (c.status == net::WcStatus::Success) {
             ++reconfigs_;

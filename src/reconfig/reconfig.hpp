@@ -50,6 +50,7 @@ class RoleRegion {
  private:
   os::Node* node_;
   Role role_;
+  int word_;  ///< the registered role word remote WRITEs land in
   net::MrKey key_;
   std::function<void(Role)> on_change_;
 };

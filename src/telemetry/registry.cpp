@@ -1,6 +1,7 @@
 #include "telemetry/registry.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace rdmamon::telemetry {
 
@@ -159,6 +160,45 @@ Snapshot Registry::snapshot() {
       }
     }
     snap.entries.push_back(std::move(e));
+  }
+  return snap;
+}
+
+SnapshotImage::SnapshotImage(const Snapshot& snap) : at(snap.at) {
+  for (const SnapshotEntry& e : snap.entries) {
+    const std::size_t text = e.name.size() + e.labels.size();
+    if (count == kMaxEntries || kTextBytes - text_used < text) {
+      ++dropped;
+      continue;
+    }
+    Entry& out = entries[count++];
+    out.name_at = text_used;
+    out.name_len = static_cast<std::uint16_t>(e.name.size());
+    std::memcpy(this->text + text_used, e.name.data(), e.name.size());
+    text_used += static_cast<std::uint32_t>(e.name.size());
+    out.labels_at = text_used;
+    out.labels_len = static_cast<std::uint16_t>(e.labels.size());
+    std::memcpy(this->text + text_used, e.labels.data(), e.labels.size());
+    text_used += static_cast<std::uint32_t>(e.labels.size());
+    out.kind = e.kind;
+    out.value = e.value;
+    out.hist = e.hist;
+  }
+}
+
+Snapshot SnapshotImage::snapshot() const {
+  Snapshot snap;
+  snap.at = at;
+  snap.entries.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const Entry& e = entries[i];
+    SnapshotEntry out;
+    out.name.assign(text + e.name_at, e.name_len);
+    out.labels.assign(text + e.labels_at, e.labels_len);
+    out.kind = e.kind;
+    out.value = e.value;
+    out.hist = e.hist;
+    snap.entries.push_back(std::move(out));
   }
   return snap;
 }

@@ -32,6 +32,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -134,6 +135,38 @@ struct Snapshot {
   const SnapshotEntry* find(std::string_view name,
                             std::string_view labels = "") const;
 };
+
+/// A Snapshot as a fixed-capacity, trivially copyable image: what the
+/// monitor's self-publisher puts in its registered region (monitor::
+/// snapshot_producer). Names and labels live in one text arena. Entries
+/// past either capacity are left out and counted in `dropped`.
+struct SnapshotImage {
+  static constexpr std::size_t kMaxEntries = 256;
+  static constexpr std::size_t kTextBytes = 16 * 1024;
+
+  struct Entry {
+    std::uint32_t name_at = 0;  ///< offsets into `text`
+    std::uint32_t labels_at = 0;
+    std::uint16_t name_len = 0;
+    std::uint16_t labels_len = 0;
+    SnapshotEntry::Kind kind = SnapshotEntry::Kind::Counter;
+    double value = 0.0;
+    HistogramSummary hist;
+  };
+
+  sim::TimePoint at{};
+  std::uint32_t count = 0;    ///< entries in use
+  std::uint32_t dropped = 0;  ///< snapshot entries that did not fit
+  std::uint32_t text_used = 0;
+  Entry entries[kMaxEntries];
+  char text[kTextBytes] = {};
+
+  SnapshotImage() = default;
+  explicit SnapshotImage(const Snapshot& snap);
+  /// The snapshot this image holds (minus the dropped entries).
+  Snapshot snapshot() const;
+};
+static_assert(std::is_trivially_copyable_v<SnapshotImage>);
 
 /// The metrics registry. One per simulation run; components resolve
 /// instruments once at wiring time and record through the inline helpers.

@@ -189,16 +189,19 @@ AlarmView SloEngine::view() {
   v.published_at = now();
   v.version = ++view_version_;
   for (const auto& s : streams_) {
-    AlarmEntry e;
-    e.name = s->spec.name;
+    if (static_cast<int>(s->state) > static_cast<int>(v.worst)) {
+      v.worst = s->state;
+    }
+    if (v.count == AlarmView::kMaxEntries) {
+      ++v.dropped;
+      continue;
+    }
+    AlarmEntry& e = v.entries[v.count++];
+    s->spec.name.copy(e.name, AlarmEntry::kNameBytes - 1);
     e.state = s->state;
     e.consumed = s->consumed;
     e.since = s->since;
     e.edges = s->edges;
-    if (static_cast<int>(e.state) > static_cast<int>(v.worst)) {
-      v.worst = e.state;
-    }
-    v.entries.push_back(std::move(e));
   }
   return v;
 }

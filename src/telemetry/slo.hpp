@@ -41,6 +41,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -75,20 +76,27 @@ struct AlarmRecord {
   double consumed = 0.0;  ///< budget consumed fraction at the edge
 };
 
-/// Flat alarm summary for MR publication (copied whole into the slot).
+/// Flat alarm summary for MR publication: a fixed-capacity, trivially
+/// copyable image, copied whole into the registered region.
 struct AlarmEntry {
-  std::string name;
+  static constexpr std::size_t kNameBytes = 48;
+  char name[kNameBytes] = {};  ///< SloSpec::name, cut to fit, NUL-ended
   AlarmState state = AlarmState::Ok;
   double consumed = 0.0;
   sim::TimePoint since{};       ///< instant of the last transition
   std::uint64_t edges = 0;      ///< total transitions so far
 };
 struct AlarmView {
+  static constexpr std::size_t kMaxEntries = 16;
   sim::TimePoint published_at{};
   std::uint64_t version = 0;    ///< bumped every build (readers detect motion)
+  /// Worst state over every stream, those past kMaxEntries included.
   AlarmState worst = AlarmState::Ok;
-  std::vector<AlarmEntry> entries;  ///< spec order == registration order
+  std::uint32_t count = 0;    ///< entries in use
+  std::uint32_t dropped = 0;  ///< streams past kMaxEntries, left out
+  AlarmEntry entries[kMaxEntries];  ///< spec order == registration order
 };
+static_assert(std::is_trivially_copyable_v<AlarmView>);
 
 class SloEngine {
  public:

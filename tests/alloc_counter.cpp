@@ -5,9 +5,11 @@
 
 namespace {
 std::uint64_t g_allocs = 0;
+std::uint64_t g_frees = 0;
 }
 
 std::uint64_t allocation_count() { return g_allocs; }
+std::uint64_t live_allocation_count() { return g_allocs - g_frees; }
 
 void* operator new(std::size_t n) {
   ++g_allocs;
@@ -15,5 +17,13 @@ void* operator new(std::size_t n) {
   if (!p) throw std::bad_alloc{};
   return p;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p) ++g_frees;
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+// The array forms too: a sanitizer runtime supplies its own, which would
+// otherwise bypass the count.
+void* operator new[](std::size_t n) { return operator new(n); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }

@@ -9,3 +9,5 @@
 
 /// operator new calls made so far by this process.
 std::uint64_t allocation_count();
+/// Blocks from operator new not yet given back to operator delete.
+std::uint64_t live_allocation_count();

@@ -70,8 +70,11 @@ TraceDump run_rubis(std::uint64_t seed, int frontends) {
 }
 
 /// The dump comparison is not vacuous: it holds the scatter engine's
-/// round records and the NICs' READ posts, not just a header.
+/// round records and the NICs' READ posts, not just a header. (With
+/// telemetry compiled out nothing is recorded, and the comparisons hold
+/// vacuously.)
 void expect_rich_dump(const std::string& flight) {
+  if constexpr (!telemetry::kEnabled) return;
   EXPECT_NE(flight.find("\"kind\": \"round\""), std::string::npos);
   EXPECT_NE(flight.find("\"kind\": \"read.post\""), std::string::npos);
 }
@@ -84,10 +87,12 @@ TEST(Determinism, SameSeedSameTelemetryAndSpans) {
   // The alarm log slides its windows on the simulated clock, so it must
   // replay byte-for-byte too — and non-vacuously (edges fired).
   EXPECT_EQ(a.alarms, b.alarms);
-  EXPECT_NE(a.alarms.find("\"to\": \"breach\""), std::string::npos);
   // Sanity: the run actually produced telemetry worth comparing.
-  EXPECT_NE(a.metrics.find("lb.pick"), std::string::npos);
-  EXPECT_NE(a.metrics.find("web.response"), std::string::npos);
+  if constexpr (telemetry::kEnabled) {
+    EXPECT_NE(a.alarms.find("\"to\": \"breach\""), std::string::npos);
+    EXPECT_NE(a.metrics.find("lb.pick"), std::string::npos);
+    EXPECT_NE(a.metrics.find("web.response"), std::string::npos);
+  }
   expect_rich_dump(a.flight);
 }
 
@@ -105,7 +110,9 @@ TEST(Determinism, ScaleOutPlaneIsDeterministicToo) {
   EXPECT_EQ(a.metrics, b.metrics);
   EXPECT_EQ(a.flight, b.flight);
   EXPECT_EQ(a.alarms, b.alarms);
-  EXPECT_NE(a.metrics.find("cluster.ring.owned"), std::string::npos);
+  if constexpr (telemetry::kEnabled) {
+    EXPECT_NE(a.metrics.find("cluster.ring.owned"), std::string::npos);
+  }
   expect_rich_dump(a.flight);
 }
 

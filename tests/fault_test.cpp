@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <any>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -222,8 +221,8 @@ TEST(VerbsFault, CrashBeforeUnsignaledWrsErrorCompletesEveryOne) {
   // the signal flag) — none may sit in the shadow buffer waiting for a
   // closer that cannot come.
   Env env;
-  net::MrKey key =
-      env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+  int word = 1;
+  net::MrKey key = env.fabric.nic(1).register_mr(net::bytes_of(word));
   net::CompletionQueue cq;
   auto ctx = std::make_shared<net::QpContext>(env.fabric.nic(0),
                                               /*signal_every=*/8);
@@ -249,8 +248,8 @@ TEST(VerbsFault, CrashBetweenUnsignaledWrAndCloserStillReleasesIt) {
   // void. B's error completion must still prove A retired — A surfaces
   // as the success it was, B carries the transport error.
   Env env;
-  net::MrKey key =
-      env.fabric.nic(1).register_mr(64, [] { return std::any(7); });
+  int word = 7;
+  net::MrKey key = env.fabric.nic(1).register_mr(net::bytes_of(word));
   net::CompletionQueue cq;
   auto ctx = std::make_shared<net::QpContext>(env.fabric.nic(0),
                                               /*signal_every=*/16);
@@ -266,7 +265,7 @@ TEST(VerbsFault, CrashBetweenUnsignaledWrAndCloserStillReleasesIt) {
   net::Completion c;
   ASSERT_TRUE(cq.try_pop(a, c));
   EXPECT_EQ(c.status, net::WcStatus::Success);
-  EXPECT_EQ(std::any_cast<int>(c.data), 7);
+  EXPECT_EQ(c.data.as<int>(), 7);
   ASSERT_TRUE(cq.try_pop(b, c));
   EXPECT_EQ(c.status, net::WcStatus::RetryExceeded);
   EXPECT_EQ(cq.shadowed(), 0u);
@@ -277,8 +276,8 @@ TEST(VerbsFault, ForgottenUnsignaledWrsNeverSurfaceAfterCrash) {
   // the spot), one still in flight against the dead peer (dropped when
   // its error completion lands). Exactly one reclaim each, no ghosts.
   Env env;
-  net::MrKey key =
-      env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+  int word = 1;
+  net::MrKey key = env.fabric.nic(1).register_mr(net::bytes_of(word));
   net::CompletionQueue cq;
   auto ctx = std::make_shared<net::QpContext>(env.fabric.nic(0),
                                               /*signal_every=*/16);
@@ -716,8 +715,8 @@ struct TenantLbEnv {
       targets.push_back(
           {backends.back()->id,
            fabric.nic(backends.back()->id)
-               .register_mr(scfg.op_bytes, [] { return std::any{}; }, false,
-                            nullptr, kHogTenant)});
+               .register_mr({}, nullptr, /*remote_writable=*/false,
+                            kHogTenant)});
     }
     aggressor = std::make_unique<os::Node>(simu, os::NodeConfig{.name = "agg"});
     fabric.attach(*aggressor);

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <any>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -328,8 +327,8 @@ struct StormRig {
     scfg.post_period = sim::usec(1);
     for (const auto& b : env.backends) {
       targets.push_back({b->id, env.fabric.nic(b->id).register_mr(
-                                    scfg.op_bytes, [] { return std::any{}; },
-                                    false, nullptr, kHogTenant)});
+                                    {}, nullptr, /*remote_writable=*/false,
+                                    kHogTenant)});
     }
     storm = std::make_unique<workload::TenantStorm>(env.fabric, aggressor,
                                                     targets, scfg);

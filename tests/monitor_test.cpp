@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "alloc_counter.hpp"
+#include "lb/balancer.hpp"
 #include "monitor/accuracy.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/scheme.hpp"
 #include "net/fabric.hpp"
 #include "os/node.hpp"
 #include "sim/simulation.hpp"
+#include "telemetry/registry.hpp"
 #include "workload/synthetic.hpp"
 
 namespace rdmamon::monitor {
@@ -281,11 +287,11 @@ TEST(Accuracy, TrackerIgnoresFailedSamples) {
   EXPECT_EQ(acc.nr_running_deviation().count(), 0u);
 }
 
-TEST(Allocation, RdmaSyncFetchAllocatesOnlyTheSnapshotAny) {
-  // Once warm, the one heap allocation per RDMA-Sync fetch is the
-  // std::any the registered region's reader returns (ROADMAP item 3
-  // removes it): the op, its events, the completion, the LoadSnapshot
-  // copy and the coroutine frames allocate nothing.
+TEST(Allocation, RdmaSyncFetchAllocatesOnlyItsSnapshotBlock) {
+  // Once warm, the one heap allocation per RDMA-Sync fetch is the byte
+  // block the 80-byte snapshot arrives in (ROADMAP item 3 pools it): the
+  // op, its events, the completion and the coroutine frames allocate
+  // nothing.
   Env env;
   MonitorConfig cfg;
   cfg.scheme = Scheme::RdmaSync;
@@ -307,6 +313,46 @@ TEST(Allocation, RdmaSyncFetchAllocatesOnlyTheSnapshotAny) {
   env.simu.run_for(seconds(1));
   EXPECT_EQ(ok, 2 * kFetches);
   EXPECT_EQ(after - before, static_cast<std::uint64_t>(kFetches));
+}
+
+TEST(Allocation, WarmPollRoundAllocatesOnlyItsReadBlocks) {
+  // pull_fanout's path at N = 64: RDMA-Sync back ends polled by scatter
+  // rounds every 1 ms, registry installed. Once warm, a round allocates
+  // one block per READ and nothing else: the round's targets and slots
+  // reuse their vectors, and the doorbell instruments are resolved once.
+  sim::Simulation simu;
+  telemetry::Registry reg;
+  reg.install(simu);
+  net::Fabric fabric(simu, {});
+  os::Node fe(simu, {.name = "fe"});
+  fabric.attach(fe);
+  lb::LoadBalancer lb(lb::WeightConfig::for_scheme(Scheme::RdmaSync));
+  MonitorConfig mcfg;
+  mcfg.scheme = Scheme::RdmaSync;
+  std::vector<std::unique_ptr<os::Node>> backends;
+  for (int i = 0; i < 64; ++i) {
+    backends.push_back(std::make_unique<os::Node>(
+        simu, os::NodeConfig{.name = "be" + std::to_string(i)}));
+    fabric.attach(*backends.back());
+    lb.add_backend(std::make_unique<MonitorChannel>(fabric, fe,
+                                                    *backends.back(), mcfg));
+  }
+  std::size_t rounds = 0, polled = 0;
+  lb.on_round([&](const std::vector<std::size_t>& targets) {
+    ++rounds;
+    polled += targets.size();
+  });
+  lb.start(fe, msec(1));
+  // Warm up, then measure whole rounds: rounds start on scheduler ticks
+  // and their READs land within microseconds, so a window edge half-way
+  // between ticks cuts no round.
+  simu.run_for(msec(50) + usec(500));
+  const std::size_t rounds_before = rounds, polled_before = polled;
+  const std::uint64_t before = allocation_count();
+  simu.run_for(msec(20));
+  EXPECT_EQ(allocation_count() - before, polled - polled_before);
+  EXPECT_GE(rounds - rounds_before, 10u);
+  EXPECT_EQ(polled - polled_before, 64 * (rounds - rounds_before));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "os/procfs.hpp"
 #include "net/fabric.hpp"
 #include "net/nic.hpp"
 #include "net/socket.hpp"
@@ -132,8 +133,7 @@ TEST(Socket, ReceivePathCountsBytesAndPackets) {
 TEST(Rdma, ReadReturnsValueAtDmaInstant) {
   TwoNodes env;
   int counter = 7;
-  MrKey key = env.fabric.nic(1).register_mr(
-      128, [&counter] { return std::any(counter); });
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(counter));
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   Completion out;
@@ -145,7 +145,7 @@ TEST(Rdma, ReadReturnsValueAtDmaInstant) {
   });
   env.simu.run_for(msec(10));
   EXPECT_EQ(out.status, WcStatus::Success);
-  EXPECT_EQ(std::any_cast<int>(out.data), 7);
+  EXPECT_EQ(out.data.as<int>(), 7);
   // One-sided READ is single-digit microseconds, far below socket RTT.
   EXPECT_GT(latency, usec(2).ns);
   EXPECT_LT(latency, usec(30).ns);
@@ -154,8 +154,7 @@ TEST(Rdma, ReadReturnsValueAtDmaInstant) {
 TEST(Rdma, ReadSamplesCurrentNotStaleValue) {
   TwoNodes env;
   int counter = 0;
-  MrKey key = env.fabric.nic(1).register_mr(
-      64, [&counter] { return std::any(counter); });
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(counter));
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   // The target value changes at 5ms; a read issued at 10ms must see it.
@@ -166,22 +165,25 @@ TEST(Rdma, ReadSamplesCurrentNotStaleValue) {
     co_await rdma_sync(self, qp, {.rkey = key, .len = 64}, out);
   });
   env.simu.run_for(msec(20));
-  EXPECT_EQ(std::any_cast<int>(out.data), 42);
+  EXPECT_EQ(out.data.as<int>(), 42);
 }
 
 TEST(Rdma, WriteToReadOnlyRegionFailsWithProtectionError) {
   TwoNodes env;
   int kernel_value = 1;
-  MrKey key = env.fabric.nic(1).register_mr(
-      64, [&] { return std::any(kernel_value); },
-      /*remote_writable=*/false);
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(kernel_value), nullptr,
+                                            /*remote_writable=*/false);
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   Completion out;
   env.a.spawn("writer", [&](SimThread& self) -> Program {
-    co_await rdma_sync(
-        self, qp, {.verb = Verb::Write, .rkey = key, .len = 64, .value = 99},
-        out);
+    const int payload = 99;
+    co_await rdma_sync(self, qp,
+                       {.verb = Verb::Write,
+                        .rkey = key,
+                        .len = 64,
+                        .payload = bytes_of(payload)},
+                       out);
   });
   env.simu.run_for(msec(10));
   EXPECT_EQ(out.status, WcStatus::ProtectionError);
@@ -191,21 +193,93 @@ TEST(Rdma, WriteToReadOnlyRegionFailsWithProtectionError) {
 TEST(Rdma, WriteToWritableRegionApplies) {
   TwoNodes env;
   int value = 1;
-  MrKey key = env.fabric.nic(1).register_mr(
-      64, [&] { return std::any(value); },
-      /*remote_writable=*/true,
-      [&](const std::any& v) { value = std::any_cast<int>(v); });
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(value), nullptr,
+                                            /*remote_writable=*/true);
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   Completion out;
   env.a.spawn("writer", [&](SimThread& self) -> Program {
-    co_await rdma_sync(
-        self, qp, {.verb = Verb::Write, .rkey = key, .len = 64, .value = 99},
-        out);
+    const int payload = 99;
+    co_await rdma_sync(self, qp,
+                       {.verb = Verb::Write,
+                        .rkey = key,
+                        .len = 64,
+                        .payload = bytes_of(payload)},
+                       out);
   });
   env.simu.run_for(msec(10));
   EXPECT_EQ(out.status, WcStatus::Success);
   EXPECT_EQ(value, 99);
+}
+
+TEST(Rdma, WriteOverrunningTheRegionFailsAndLeavesItUntouched) {
+  // A WRITE lands at wr.offset, bounds-checked against the region's
+  // image: bytes that would run past its end fail the whole WRITE with
+  // ProtectionError and the region keeps every byte it had.
+  TwoNodes env;
+  std::array<int, 4> words{1, 2, 3, 4};
+  const MrKey key = env.fabric.nic(1).register_mr(bytes_of(words), nullptr,
+                                                  /*remote_writable=*/true);
+  CompletionQueue cq;
+  QueuePair qp(env.fabric.nic(0), 1, cq);
+  const std::array<int, 2> payload{9, 9};
+  std::vector<WcStatus> got;
+  env.a.spawn("writer", [&](SimThread& self) -> Program {
+    // 4 bytes past the end, an offset past the end, then a WRITE that
+    // ends exactly at the end.
+    for (const std::size_t offset :
+         {std::size_t{12}, std::size_t{1} << 40, std::size_t{8}}) {
+      Completion out;
+      co_await rdma_sync(self, qp,
+                         {.verb = Verb::Write,
+                          .rkey = key,
+                          .len = 64,
+                          .offset = offset,
+                          .payload = bytes_of(payload)},
+                         out);
+      got.push_back(out.status);
+      if (got.size() == 2) {
+        EXPECT_EQ(words, (std::array<int, 4>{1, 2, 3, 4}));
+      }
+    }
+  });
+  env.simu.run_for(msec(10));
+  EXPECT_EQ(got, (std::vector<WcStatus>{WcStatus::ProtectionError,
+                                        WcStatus::ProtectionError,
+                                        WcStatus::Success}));
+  EXPECT_EQ(words, (std::array<int, 4>{1, 2, 9, 9}));
+}
+
+TEST(Rdma, ForgottenReadsGiveTheirBlocksBack) {
+  // A READ abandoned by forget() before it completes still copies the
+  // image into a block at the DMA instant; the CQ drops the late
+  // completion, and dropping it frees the block. Once the loop drains,
+  // every allocation it made has been given back.
+  TwoNodes env;
+  os::LoadSnapshot snap;
+  const MrKey key = env.fabric.nic(1).register_mr(bytes_of(snap));
+  CompletionQueue cq;
+  QueuePair qp(env.fabric.nic(0), 1, cq);
+  constexpr int kReads = 64;
+  std::uint64_t live_before = 0, allocs_before = 0;
+  for (int round = 0; round < 2; ++round) {  // warm-up, then measured
+    if (round == 1) {
+      live_before = live_allocation_count();
+      allocs_before = allocation_count();
+    }
+    for (int i = 0; i < kReads; ++i) {
+      const std::uint64_t wr = cq.alloc_wr_id();
+      qp.post({.rkey = key, .len = 80, .wr_id = wr});
+      cq.forget(wr);
+      env.simu.run_for(usec(50));
+    }
+  }
+  EXPECT_GE(allocation_count() - allocs_before,
+            static_cast<std::uint64_t>(kReads));  // a block per READ
+  EXPECT_EQ(live_allocation_count(), live_before);
+  EXPECT_EQ(cq.stale_dropped(), static_cast<std::uint64_t>(2 * kReads));
+  EXPECT_TRUE(cq.empty());
+  EXPECT_EQ(env.fabric.nic(0).rdma_ops_in_flight(), 0u);
 }
 
 TEST(Rdma, WriteCompletesInvalidKeyWhenTargetMrDereggedMidFlight) {
@@ -215,15 +289,17 @@ TEST(Rdma, WriteCompletesInvalidKeyWhenTargetMrDereggedMidFlight) {
   // gets InvalidKey and the (dead) region is never mutated.
   TwoNodes env;
   int value = 1;
-  MrKey key = env.fabric.nic(1).register_mr(
-      64, [&] { return std::any(value); },
-      /*remote_writable=*/true,
-      [&](const std::any& v) { value = std::any_cast<int>(v); });
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(value), nullptr,
+                                            /*remote_writable=*/true);
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   const std::uint64_t wr = cq.alloc_wr_id();
-  qp.post(
-      {.verb = Verb::Write, .rkey = key, .len = 64, .wr_id = wr, .value = 99});
+  const int payload = 99;
+  qp.post({.verb = Verb::Write,
+           .rkey = key,
+           .len = 64,
+           .wr_id = wr,
+           .payload = bytes_of(payload)});
   ASSERT_TRUE(env.fabric.nic(1).deregister_mr(key));  // before the DMA lands
   env.simu.run_for(msec(10));
   Completion out;
@@ -239,15 +315,17 @@ TEST(Rdma, ForgottenWriteCompletionIsDroppedAsStale) {
   // exercised this path.
   TwoNodes env;
   int value = 1;
-  MrKey key = env.fabric.nic(1).register_mr(
-      64, [&] { return std::any(value); },
-      /*remote_writable=*/true,
-      [&](const std::any& v) { value = std::any_cast<int>(v); });
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(value), nullptr,
+                                            /*remote_writable=*/true);
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   const std::uint64_t wr = cq.alloc_wr_id();
-  qp.post(
-      {.verb = Verb::Write, .rkey = key, .len = 64, .wr_id = wr, .value = 42});
+  const int payload = 42;
+  qp.post({.verb = Verb::Write,
+           .rkey = key,
+           .len = 64,
+           .wr_id = wr,
+           .payload = bytes_of(payload)});
   cq.forget(wr);  // abandon before the completion arrives
   env.simu.run_for(msec(10));
   Completion out;
@@ -263,23 +341,29 @@ TEST(Rdma, ForgetAfterDeliveryIsNotStale) {
   // future completions of OTHER WRs as stale (id-keyed, not positional).
   TwoNodes env;
   int value = 0;
-  MrKey key = env.fabric.nic(1).register_mr(
-      64, [&] { return std::any(value); },
-      /*remote_writable=*/true,
-      [&](const std::any& v) { value = std::any_cast<int>(v); });
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(value), nullptr,
+                                            /*remote_writable=*/true);
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   const std::uint64_t w1 = cq.alloc_wr_id();
-  qp.post(
-      {.verb = Verb::Write, .rkey = key, .len = 64, .wr_id = w1, .value = 1});
+  const int payload1 = 1;
+  qp.post({.verb = Verb::Write,
+           .rkey = key,
+           .len = 64,
+           .wr_id = w1,
+           .payload = bytes_of(payload1)});
   env.simu.run_for(msec(5));
   Completion out;
   ASSERT_TRUE(cq.try_pop(w1, out));
   EXPECT_EQ(out.status, WcStatus::Success);
   cq.forget(w1);  // late forget of an already-delivered WR: harmless
   const std::uint64_t w2 = cq.alloc_wr_id();
-  qp.post(
-      {.verb = Verb::Write, .rkey = key, .len = 64, .wr_id = w2, .value = 2});
+  const int payload2 = 2;
+  qp.post({.verb = Verb::Write,
+           .rkey = key,
+           .len = 64,
+           .wr_id = w2,
+           .payload = bytes_of(payload2)});
   env.simu.run_for(msec(5));
   ASSERT_TRUE(cq.try_pop(w2, out));  // w2 must still be delivered
   EXPECT_EQ(out.status, WcStatus::Success);
@@ -314,10 +398,10 @@ TEST(Rdma, EveryCompletionPathRecordsOneCompEventAtItsInstant) {
   fabric.attach(a);
   fabric.attach(b);
   fabric.attach(dead);
-  const MrKey ro = fabric.nic(b.id).register_mr(64, [] { return std::any(1); });
-  const MrKey rw = fabric.nic(b.id).register_mr(
-      64, [] { return std::any(1); }, /*remote_writable=*/true,
-      [](const std::any&) {});
+  int ro_word = 1, rw_word = 1;
+  const MrKey ro = fabric.nic(b.id).register_mr(bytes_of(ro_word));
+  const MrKey rw = fabric.nic(b.id).register_mr(bytes_of(rw_word), nullptr,
+                                                /*remote_writable=*/true);
   fabric.inject_crash(dead.id);
   struct Case {
     Verb verb;
@@ -337,9 +421,10 @@ TEST(Rdma, EveryCompletionPathRecordsOneCompEventAtItsInstant) {
   std::vector<Completion> got;
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const Case& k = cases[i];
+    const int payload = 7;
     fabric.nic(a.id).post(
-        k.target, {.verb = k.verb, .rkey = k.rkey, .len = 64, .wr_id = i,
-                   .value = 7},
+        k.target, {.verb = k.verb, .rkey = k.rkey, .len = 64, .wr_id = i},
+        sim::ByteBlock(&payload, sizeof(payload)),
         [&got](Completion c) { got.push_back(std::move(c)); });
   }
   simu.run_for(msec(10));
@@ -375,8 +460,8 @@ TEST(Rdma, LatencyUnaffectedByTargetCpuLoad) {
         for (;;) co_await Compute{seconds(10)};
       });
     }
-    MrKey key =
-        env.fabric.nic(1).register_mr(128, [] { return std::any(1); });
+    int word = 1;
+    MrKey key = env.fabric.nic(1).register_mr(bytes_of(word));
     CompletionQueue cq;
     QueuePair qp(env.fabric.nic(0), 1, cq);
     double total = 0;
@@ -445,7 +530,8 @@ TEST(SelectiveSignaling, UnsignaledSuccessesRetireViaTheCloser) {
   // the consumer (the shadow buffer surfaces unsignaled successes when a
   // closer proves them retired), but only 2 CQEs were generated.
   TwoNodes env;
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(5); });
+  int word = 5;
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(word));
   CompletionQueue cq;
   auto ctx = std::make_shared<QpContext>(env.fabric.nic(0),
                                          /*signal_every=*/4);
@@ -461,7 +547,7 @@ TEST(SelectiveSignaling, UnsignaledSuccessesRetireViaTheCloser) {
   for (const std::uint64_t id : ids) {
     ASSERT_TRUE(cq.try_pop(id, c));
     EXPECT_EQ(c.status, WcStatus::Success);
-    EXPECT_EQ(std::any_cast<int>(c.data), 5);
+    EXPECT_EQ(c.data.as<int>(), 5);
   }
   EXPECT_EQ(cq.cqes_signaled(), 2u);       // seq 4 and seq 8
   EXPECT_EQ(cq.unsignaled_retired(), 6u);  // proven by the two closers
@@ -494,7 +580,8 @@ TEST(SelectiveSignaling, ForgetReclaimsAShadowedUnsignaledWr) {
   // must reclaim the shadow slot right away — not at the next closer,
   // and the id must never ghost-surface afterwards.
   TwoNodes env;
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+  int word = 1;
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(word));
   CompletionQueue cq;
   auto ctx = std::make_shared<QpContext>(env.fabric.nic(0),
                                          /*signal_every=*/16);
@@ -519,7 +606,8 @@ TEST(SelectiveSignaling, ForgetReclaimsAShadowedUnsignaledWr) {
 
 TEST(InflightWindow, PostsBeyondTheWindowDeferAndDrain) {
   TwoNodes env;
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(2); });
+  int word = 2;
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(word));
   CompletionQueue cq;
   auto ctx = std::make_shared<QpContext>(env.fabric.nic(0),
                                          /*signal_every=*/1,
@@ -547,7 +635,8 @@ TEST(CqModeration, BatchesNotificationsPerCount) {
   // cq_mod 4 over 8 completions: the consumer is woken twice, each wakeup
   // draining a 4-completion batch.
   TwoNodes env;
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(3); });
+  int word = 3;
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(word));
   CompletionQueue cq;
   cq.bind_moderation(env.simu, /*count=*/4, /*period=*/msec(1));
   QueuePair qp(env.fabric.nic(0), 1, cq);
@@ -576,7 +665,8 @@ TEST(CqModeration, PeriodTimerFlushesAPartialBatch) {
   // Fewer completions than the batch count: the period timer must flush
   // them, or the consumer would wait for completions that never come.
   TwoNodes env;
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(4); });
+  int word = 4;
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(word));
   CompletionQueue cq;
   cq.bind_moderation(env.simu, /*count=*/8, sim::usec(16));
   QueuePair qp(env.fabric.nic(0), 1, cq);
@@ -615,7 +705,8 @@ TEST(VerbsTuning, ContextPoolSizeAndPolicyFollowTuning) {
 
 TEST(NicCtxCache, UnboundedByDefaultCountsNothing) {
   TwoNodes env;  // FabricConfig default: nic_ctx_cache_entries = 0
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+  int word = 1;
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(word));
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(0), 1, cq);
   for (int i = 0; i < 4; ++i) {
@@ -636,7 +727,8 @@ TEST(NicCtxCache, AlternatingDedicatedContextsThrashABoundedCache) {
   FabricConfig fc;
   fc.nic_ctx_cache_entries = 1;
   TwoNodes env({}, fc);
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+  int word = 1;
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(word));
   CompletionQueue cq;
   QueuePair qp1(env.fabric.nic(0), 1, cq);
   QueuePair qp2(env.fabric.nic(0), 1, cq);
@@ -659,7 +751,8 @@ TEST(NicCtxCache, SharedContextTurnsThrashIntoHits) {
   FabricConfig fc;
   fc.nic_ctx_cache_entries = 1;
   TwoNodes env({}, fc);
-  MrKey key = env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+  int word = 1;
+  MrKey key = env.fabric.nic(1).register_mr(bytes_of(word));
   CompletionQueue cq;
   auto ctx = std::make_shared<QpContext>(env.fabric.nic(0));
   QueuePair qp1(env.fabric.nic(0), 1, cq, ctx);
@@ -681,8 +774,8 @@ TEST(NicCtxCache, MissPenaltyDelaysTheRead) {
     FabricConfig fc;
     fc.nic_ctx_cache_entries = cache_entries;
     TwoNodes env({}, fc);
-    MrKey key =
-        env.fabric.nic(1).register_mr(64, [] { return std::any(1); });
+    int word = 1;
+    MrKey key = env.fabric.nic(1).register_mr(bytes_of(word));
     CompletionQueue cq;
     QueuePair qp(env.fabric.nic(0), 1, cq);
     std::int64_t latency = -1;
@@ -725,7 +818,7 @@ TEST(Nic, TxSerializesAtLinkBandwidth) {
 }
 
 /// One steady-state configuration of the one-sided path: READs and WRITEs
-/// with an `int` payload (std::any holds it inline), optionally plus ops
+/// of an `int` image (a ByteBlock holds it inline), optionally plus ops
 /// that end in InvalidKey and RetryExceeded, optionally through the QoS
 /// arbiter. Returns the heap allocations of the measured half.
 std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
@@ -734,13 +827,11 @@ std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
   TwoNodes env({}, fc);
   os::Node dead(env.simu, {.name = "dead"});
   env.fabric.attach(dead);
-  int value = 0;
-  auto reader = [&value] { return std::any(value); };
-  auto writer = [&value](const std::any& v) { value = std::any_cast<int>(v); };
-  const MrKey key = env.fabric.nic(env.b.id).register_mr(64, reader, true,
-                                                         writer);
-  const MrKey dead_key = env.fabric.nic(dead.id).register_mr(64, reader,
-                                                             true, writer);
+  int value = 0, dead_value = 0;
+  const MrKey key = env.fabric.nic(env.b.id).register_mr(
+      bytes_of(value), nullptr, /*remote_writable=*/true);
+  const MrKey dead_key = env.fabric.nic(dead.id).register_mr(
+      bytes_of(dead_value), nullptr, /*remote_writable=*/true);
   env.fabric.inject_crash(dead.id);
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(env.a.id), env.b.id, cq);
@@ -758,22 +849,31 @@ std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
                            {.rkey = key, .len = 64, .wr_id = cq.alloc_wr_id()},
                            out);
         ++by_status[static_cast<std::size_t>(out.status)];
-        if (std::any_cast<int>(out.data) == value) ++reads_seen;
+        if (out.data.as<int>() == value) ++reads_seen;
         co_await rdma_sync(self, qp,
-                           {.verb = Verb::Write, .rkey = key, .len = 64,
-                            .wr_id = cq.alloc_wr_id(), .value = i},
+                           {.verb = Verb::Write,
+                            .rkey = key,
+                            .len = 64,
+                            .wr_id = cq.alloc_wr_id(),
+                            .payload = bytes_of(i)},
                            out);
         ++by_status[static_cast<std::size_t>(out.status)];
         if (!errors) continue;
         for (const Verb verb : {Verb::Read, Verb::Write}) {
           co_await rdma_sync(self, qp,
-                             {.verb = verb, .rkey = MrKey{999}, .len = 64,
-                              .wr_id = cq.alloc_wr_id(), .value = i},
+                             {.verb = verb,
+                              .rkey = MrKey{999},
+                              .len = 64,
+                              .wr_id = cq.alloc_wr_id(),
+                              .payload = bytes_of(i)},
                              out);
           ++by_status[static_cast<std::size_t>(out.status)];
           co_await rdma_sync(self, to_dead,
-                             {.verb = verb, .rkey = dead_key, .len = 64,
-                              .wr_id = cq.alloc_wr_id(), .value = i},
+                             {.verb = verb,
+                              .rkey = dead_key,
+                              .len = 64,
+                              .wr_id = cq.alloc_wr_id(),
+                              .payload = bytes_of(i)},
                              out);
           ++by_status[static_cast<std::size_t>(out.status)];
         }
@@ -784,6 +884,7 @@ std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
   env.simu.run_for(seconds(5));
   EXPECT_EQ(by_status[static_cast<std::size_t>(WcStatus::Success)], 4 * kOps);
   EXPECT_EQ(reads_seen, 2 * kOps);
+  EXPECT_EQ(value, kOps - 1);
   EXPECT_EQ(by_status[static_cast<std::size_t>(WcStatus::InvalidKey)],
             errors ? 4 * kOps : 0);
   EXPECT_EQ(by_status[static_cast<std::size_t>(WcStatus::RetryExceeded)],
@@ -797,8 +898,9 @@ std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
 
 TEST(Rdma, SteadyStateReadAndWriteDoNotAllocate) {
   // An op lives in its NIC's op table and each of its events captures
-  // only {nic, slot}; the completion callback and the coroutine frames are
-  // inline or pooled. Once warm, no exit path touches the heap.
+  // only {nic, slot}; the completion callback, an int's byte block and
+  // the coroutine frames are inline or pooled. Once warm, no exit path
+  // touches the heap.
   for (const bool qos : {false, true}) {
     for (const bool errors : {false, true}) {
       SCOPED_TRACE(testing::Message() << "qos=" << qos << " errors=" << errors);

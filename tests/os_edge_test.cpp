@@ -182,8 +182,7 @@ TEST(NetEdge, MultipleOutstandingRdmaReadsAllComplete) {
   fabric.attach(a);
   fabric.attach(b);
   int value = 5;
-  net::MrKey key =
-      fabric.nic(1).register_mr(64, [&] { return std::any(value); });
+  net::MrKey key = fabric.nic(1).register_mr(net::bytes_of(value));
   net::CompletionQueue cq;
   net::QueuePair qp(fabric.nic(0), 1, cq);
   // Post 8 reads back-to-back without waiting (pipelined).
@@ -209,7 +208,8 @@ TEST(NetEdge, DmaEngineSerializesConcurrentReads) {
   os::Node a(simu, {.name = "a"}), b(simu, {.name = "b"});
   fabric.attach(a);
   fabric.attach(b);
-  net::MrKey key = fabric.nic(1).register_mr(64, [] { return std::any(0); });
+  int word = 0;
+  net::MrKey key = fabric.nic(1).register_mr(net::bytes_of(word));
   net::CompletionQueue cq;
   net::QueuePair qp(fabric.nic(0), 1, cq);
   std::vector<std::int64_t> completion_times;

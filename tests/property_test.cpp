@@ -162,7 +162,8 @@ TEST(RdmaProperties, ReadLatencyGrowsMonotonicallyWithSize) {
   os::Node a(simu, {.name = "a"}), b(simu, {.name = "b"});
   fabric.attach(a);
   fabric.attach(b);
-  net::MrKey key = fabric.nic(1).register_mr(1 << 20, [] { return std::any(0); });
+  int word = 0;
+  net::MrKey key = fabric.nic(1).register_mr(net::bytes_of(word));
   net::CompletionQueue cq;
   net::QueuePair qp(fabric.nic(0), 1, cq);
   std::vector<double> latencies;

@@ -50,11 +50,12 @@ TEST(RoleRegion, RemoteWriteFlipsRoleAndNotifies) {
                     cq);
   net::Completion out;
   env.frontend.spawn("writer", [&](os::SimThread& self) -> os::Program {
+    const int word = static_cast<int>(Role::ServiceB);
     co_await net::rdma_sync(self, qp,
                             {.verb = net::Verb::Write,
                              .rkey = region.mr_key(),
                              .len = sizeof(int),
-                             .value = static_cast<int>(Role::ServiceB)},
+                             .payload = net::bytes_of(word)},
                             out);
   });
   env.simu.run_for(msec(10));

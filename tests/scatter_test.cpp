@@ -6,6 +6,8 @@
 // run one after another — only the calendar time may differ.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -98,6 +100,7 @@ struct RdmaEnv {
   net::Fabric fabric{simu, {}};
   os::Node frontend{simu, {.name = "frontend"}};
   std::vector<std::unique_ptr<os::Node>> backends;
+  std::deque<os::LoadSnapshot> images;
   std::vector<net::MrKey> keys;
 
   explicit RdmaEnv(int n) {
@@ -107,10 +110,14 @@ struct RdmaEnv {
       cfg.name = "backend" + std::to_string(i);
       backends.push_back(std::make_unique<os::Node>(simu, cfg));
       fabric.attach(*backends.back());
-      keys.push_back(fabric.nic(backends.back()->id)
-                         .register_mr(256, [node = backends.back().get()] {
-                           return std::any(node->procfs().snapshot_dma());
-                         }));
+      // The kernel-page image, refreshed at each DMA instant.
+      os::Node* node = backends.back().get();
+      os::LoadSnapshot& image = images.emplace_back();
+      keys.push_back(fabric.nic(node->id).register_mr(
+          net::bytes_of(image),
+          [node, &image](net::Verb, std::span<std::byte>&) {
+            image = node->procfs().snapshot_dma();
+          }));
     }
   }
 };

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "sim/byte_block.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fifo.hpp"
 #include "sim/frame_pool.hpp"
@@ -161,6 +164,25 @@ TEST(FramePool, RecyclesBlocksPerSizeClass) {
   EXPECT_NE(c, b);
   FramePool::release(b);
   FramePool::release(c);
+}
+
+TEST(ByteBlock, CopiesBytesAndReadsThemSizeChecked) {
+  // Two words fit the inline buffer; four take the heap. Both read back
+  // size-checked, before and after a move.
+  const std::uint32_t words[4] = {7, 9, 11, 13};
+  for (const std::size_t n : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(n);
+    ByteBlock b(words, n * sizeof(std::uint32_t));
+    ASSERT_EQ(b.size(), n * sizeof(std::uint32_t));
+    EXPECT_EQ(b.as<std::uint32_t>(), 7u);
+    EXPECT_EQ(b.as<std::uint32_t>(4 * (n - 1)), words[n - 1]);
+    EXPECT_THROW(b.as<std::uint32_t>(4 * n - 3), std::length_error);
+    EXPECT_THROW(b.as<std::uint32_t>(4 * n + 1), std::length_error);
+    const ByteBlock moved = std::move(b);
+    EXPECT_TRUE(b.empty());
+    EXPECT_EQ(moved.as<std::uint32_t>(4 * (n - 1)), words[n - 1]);
+  }
+  EXPECT_TRUE(ByteBlock(words, 0).empty());
 }
 
 #if defined(__SANITIZE_ADDRESS__)

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <any>
 #include <map>
 #include <sstream>
 #include <string>
@@ -200,8 +199,8 @@ std::uint64_t steady_read_allocs(bool with_registry, int reads) {
   os::Node a(simu, {.name = "a"}), b(simu, {.name = "b"});
   fabric.attach(a);
   fabric.attach(b);
-  const net::MrKey key =
-      fabric.nic(b.id).register_mr(64, [] { return std::any(1); });
+  int word = 1;
+  const net::MrKey key = fabric.nic(b.id).register_mr(net::bytes_of(word));
   net::CompletionQueue cq;
   net::QueuePair qp(fabric.nic(a.id), b.id, cq);
   auto read_once = [&] {
@@ -612,6 +611,40 @@ TEST(Integration, VerbsFastPathCountersExportDeterministically) {
 
 // --- meta-monitoring: reading the monitor's own telemetry via RDMA ----------
 
+TEST(Meta, SnapshotImageRoundTripsAndCountsWhatDoesNotFit) {
+  // The self-publisher's region holds a fixed-capacity image: entries
+  // past kMaxEntries, or whose text would overflow the arena, are left
+  // out and counted; everything kept decodes back unchanged.
+  Snapshot snap;
+  snap.at = sim::TimePoint{42};
+  SnapshotEntry big;
+  big.name = std::string(SnapshotImage::kTextBytes + 1, 'x');  // never fits
+  snap.entries.push_back(big);
+  for (std::size_t i = 0; i < SnapshotImage::kMaxEntries + 10; ++i) {
+    SnapshotEntry e;
+    e.name = "m" + std::to_string(i);
+    e.labels = "node=n" + std::to_string(i);
+    e.kind = SnapshotEntry::Kind::Histogram;
+    e.value = static_cast<double>(i);
+    e.hist.p99 = static_cast<double>(2 * i);
+    snap.entries.push_back(e);
+  }
+  const SnapshotImage image(snap);
+  EXPECT_EQ(image.count, SnapshotImage::kMaxEntries);
+  EXPECT_EQ(image.dropped, 11u);
+  const Snapshot back = image.snapshot();
+  EXPECT_EQ(back.at, snap.at);
+  ASSERT_EQ(back.entries.size(), SnapshotImage::kMaxEntries);
+  for (std::size_t i = 0; i < back.entries.size(); ++i) {
+    const SnapshotEntry& want = snap.entries[i + 1];
+    EXPECT_EQ(back.entries[i].name, want.name);
+    EXPECT_EQ(back.entries[i].labels, want.labels);
+    EXPECT_EQ(back.entries[i].kind, want.kind);
+    EXPECT_EQ(back.entries[i].value, want.value);
+    EXPECT_EQ(back.entries[i].hist.p99, want.hist.p99);
+  }
+}
+
 TEST(Meta, SelfMonitorServesSnapshotThroughOneSidedRead) {
   sim::Simulation simu;
   Registry reg;
@@ -624,11 +657,12 @@ TEST(Meta, SelfMonitorServesSnapshotThroughOneSidedRead) {
   reg.counter("monitor.fetch.retries").inc(5);  // something to observe
   monitor::PublisherConfig scfg;
   scfg.period = sim::msec(10);
-  monitor::MrPublisher<Snapshot> meta(fabric, fe,
-                                      monitor::snapshot_producer(reg), scfg);
+  monitor::MrPublisher<SnapshotImage> meta(
+      fabric, fe, monitor::snapshot_producer(reg), scfg);
 
   bool got = false;
   Snapshot remote;
+  std::uint32_t dropped = 0;
   reader.spawn("meta-reader", [&](os::SimThread& self) -> os::Program {
     co_await os::SleepFor{sim::msec(35)};  // a few publish periods
     net::CompletionQueue cq;
@@ -637,7 +671,9 @@ TEST(Meta, SelfMonitorServesSnapshotThroughOneSidedRead) {
     co_await net::rdma_sync(
         self, qp, {.rkey = meta.mr_key(), .len = meta.config().slot_bytes}, c);
     if (c.status == net::WcStatus::Success) {
-      remote = std::any_cast<Snapshot>(c.data);
+      const SnapshotImage image = c.data.as<SnapshotImage>();
+      remote = image.snapshot();
+      dropped = image.dropped;
       got = true;
     }
   });
@@ -645,6 +681,7 @@ TEST(Meta, SelfMonitorServesSnapshotThroughOneSidedRead) {
 
   EXPECT_GE(meta.published(), 3u);
   ASSERT_TRUE(got);
+  EXPECT_EQ(dropped, 0u);
   const SnapshotEntry* e = remote.find("monitor.fetch.retries");
   ASSERT_NE(e, nullptr);
   EXPECT_DOUBLE_EQ(e->value, 5.0);
@@ -661,8 +698,8 @@ TEST(Meta, StopFreezesPublishedSnapshot) {
   fabric.attach(fe);
   monitor::PublisherConfig scfg;
   scfg.period = sim::msec(10);
-  monitor::MrPublisher<Snapshot> meta(fabric, fe,
-                                      monitor::snapshot_producer(reg), scfg);
+  monitor::MrPublisher<SnapshotImage> meta(
+      fabric, fe, monitor::snapshot_producer(reg), scfg);
   simu.run_for(sim::msec(45));
   const std::uint64_t before = meta.published();
   EXPECT_GE(before, 3u);
