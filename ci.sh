@@ -5,7 +5,8 @@
 #                      # LABELS slow)
 #   ./ci.sh sanitize   # ASan/UBSan build + FULL ctest incl. slow (slower)
 #   ./ci.sh bench      # quick benches + BENCH_*.json checks + golden traces
-#                      # + the repo benchmark's checks (perfbench)
+#                      # + the repo benchmark's checks (perfbench) + the
+#                      # telemetry plane's memory bound
 #   ./ci.sh perf       # Release build, DES-kernel perf smoke (bench_engine)
 #   ./ci.sh slo        # freshness plane only: ctest -L slo + bench_freshness
 #   ./ci.sh notel      # telemetry compiled out (RDMAMON_TELEMETRY=OFF):
@@ -60,6 +61,23 @@ elif [[ "${1:-}" == "bench" ]]; then
   # against this tree and exits 1 on a request/fetch conservation failure,
   # differing same-seed outputs, or a dispatch made on no view.
   python3 perfbench/run.py --seconds 1
+  # The telemetry plane's memory: on pull_fanout (512 back ends) the peak
+  # RSS with the registry installed stays within 1.35x of the registry-off
+  # replica's. Rings and histograms allocate only what they record; when
+  # they were sized up front the ratio was 2.66x.
+  python3 - "${CARGO_TARGET_DIR:-.bench_build}/perfbench/perfbench_run" <<'EOF'
+import json, subprocess, sys
+def peak_rss_mb(mode):
+    out = subprocess.run([sys.argv[1], "--workload", "pull_fanout", "--seed",
+                          "1", "--mode", mode], check=True, text=True,
+                         stdout=subprocess.PIPE).stdout
+    return json.loads(out.strip().splitlines()[-1])["peak_rss_mb"]
+plain, noreg = peak_rss_mb("plain"), peak_rss_mb("noreg")
+ratio = plain / noreg
+print(f"pull_fanout peak RSS: {plain:.2f} MB with the registry, "
+      f"{noreg:.2f} MB without: {ratio:.2f}x (bound 1.35x)")
+sys.exit(0 if ratio <= 1.35 else 1)
+EOF
 elif [[ "${1:-}" == "slo" ]]; then
   # Freshness-plane smoke: the staleness SLO / flight recorder / alarm-MR
   # surface (ctest LABELS slo) plus the information-age bench. Fast enough

@@ -1,5 +1,6 @@
 #include "lb/dispatcher.hpp"
 
+#include <algorithm>
 #include <any>
 
 namespace rdmamon::lb {
@@ -44,10 +45,10 @@ void Dispatcher::enable_failover() {
 }
 
 std::size_t Dispatcher::fail_pending_to(int backend) {
-  std::size_t failed = 0;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->second.backend != backend) {
-      ++it;
+  std::size_t kept = 0;
+  for (const PendingEntry& p : pending_) {
+    if (p.backend != backend) {
+      pending_[kept++] = p;
       continue;
     }
     // Answer from the front end directly (no back-end involved). The
@@ -55,16 +56,16 @@ std::size_t Dispatcher::fail_pending_to(int backend) {
     // a control-plane action taken inside the poller, not a data-plane
     // hop worth modelling.
     web::Reply rej;
-    rej.id = it->first;
+    rej.id = p.id;
     rej.rejected = true;
     net::Message m;
     m.bytes = 256;
     m.payload = rej;
-    it->second.client->inject_tx(std::move(m));
-    ++failed_over_;
-    ++failed;
-    it = pending_.erase(it);
+    p.client->inject_tx(std::move(m));
   }
+  const std::size_t failed = pending_.size() - kept;
+  pending_.resize(kept);
+  failed_over_ += failed;
   return failed;
 }
 
@@ -95,7 +96,7 @@ os::Program Dispatcher::forwarder_body(os::SimThread& self,
       co_await from_client->send(self, 256, rej);
       continue;
     }
-    pending_[req.id] = PendingEntry{from_client, backend};
+    pending_.push_back({req.id, from_client, backend});
     ++forwarded_;
     ++per_backend_[static_cast<std::size_t>(backend)];
     co_await backend_socks_[static_cast<std::size_t>(backend)]->send(
@@ -109,9 +110,11 @@ os::Program Dispatcher::router_body(os::SimThread& self,
     net::Message m;
     co_await from_backend->recv(self, m);
     const web::Reply reply = std::any_cast<web::Reply>(m.payload);
-    auto it = pending_.find(reply.id);
+    auto it = std::find_if(
+        pending_.begin(), pending_.end(),
+        [&reply](const PendingEntry& p) { return p.id == reply.id; });
     if (it == pending_.end()) continue;  // duplicate/late/failed-over; drop
-    net::Socket* to_client = it->second.client;
+    net::Socket* to_client = it->client;
     pending_.erase(it);
     co_await to_client->send(self, m.bytes, reply);
   }

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "lb/admission.hpp"
@@ -48,8 +47,8 @@ class Dispatcher {
   /// that will never come). New requests avoid it via LoadBalancer::pick.
   void enable_failover();
 
-  /// Rejects (and forgets) every pending request routed to `backend`.
-  /// Returns how many were failed over.
+  /// Rejects (and forgets) every pending request routed to `backend`, in
+  /// the order they were forwarded. Returns how many were failed over.
   std::size_t fail_pending_to(int backend);
 
   std::uint64_t forwarded() const { return forwarded_; }
@@ -65,6 +64,7 @@ class Dispatcher {
 
  private:
   struct PendingEntry {
+    std::uint64_t id = 0;           ///< the request's id
     net::Socket* client = nullptr;  ///< where the reply must go
     int backend = -1;               ///< who we are waiting on
   };
@@ -80,7 +80,10 @@ class Dispatcher {
 
   std::vector<net::Socket*> backend_socks_;
   std::size_t clients_ = 0;  ///< forwarders spawned (numbers their names)
-  std::unordered_map<std::uint64_t, PendingEntry> pending_;  // id -> route
+  /// Requests awaiting a reply, in forwarding order. A closed-loop client
+  /// thread has at most one in flight, so a scan is cheap, and the vector
+  /// stops allocating once it has held the most ever in flight.
+  std::vector<PendingEntry> pending_;
   std::vector<std::uint64_t> per_backend_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t rejected_ = 0;

@@ -39,18 +39,26 @@ void OnlineStats::merge(const OnlineStats& o) {
   max_ = std::max(max_, o.max_);
 }
 
-Histogram::Histogram() : buckets_(kBuckets, 0) {}
-
 int Histogram::bucket_of(double v) {
-  if (v < 1.0) return 0;
+  if (!(v >= 1.0)) return 0;  // [0, 1), negative values and NaN
+  if (std::isinf(v)) return kBuckets - 1;
   const double l = std::log2(v);
   int b = static_cast<int>(l * kSubBuckets);
   return std::clamp(b, 0, kBuckets - 1);
 }
 
+void Histogram::hold(std::size_t n) {
+  if (n <= buckets_.size()) return;
+  n = (n + kSubBuckets - 1) / kSubBuckets * kSubBuckets;
+  buckets_.reserve(n);  // exactly n: resize alone may double the block
+  buckets_.resize(n, 0);
+}
+
 void Histogram::add(double v) {
   if (v < 0.0) v = 0.0;
-  ++buckets_[static_cast<std::size_t>(bucket_of(v))];
+  const auto b = static_cast<std::size_t>(bucket_of(v));
+  hold(b + 1);
+  ++buckets_[b];
   ++n_;
   stats_.add(v);
 }
@@ -61,8 +69,8 @@ double Histogram::percentile(double q) const {
   const auto target = static_cast<std::uint64_t>(
       q * static_cast<double>(n_ - 1));
   std::uint64_t seen = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    seen += buckets_[static_cast<std::size_t>(b)];
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    seen += buckets_[b];
     if (seen > target) {
       // Representative value: geometric midpoint of the bucket.
       const double lo = std::exp2(static_cast<double>(b) / kSubBuckets);
@@ -75,15 +83,15 @@ double Histogram::percentile(double q) const {
 }
 
 void Histogram::merge(const Histogram& o) {
-  for (int b = 0; b < kBuckets; ++b)
-    buckets_[static_cast<std::size_t>(b)] +=
-        o.buckets_[static_cast<std::size_t>(b)];
+  hold(o.buckets_.size());
+  for (std::size_t b = 0; b < o.buckets_.size(); ++b)
+    buckets_[b] += o.buckets_[b];
   n_ += o.n_;
   stats_.merge(o.stats_);
 }
 
 void Histogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  buckets_.clear();
   n_ = 0;
   stats_ = OnlineStats{};
 }

@@ -37,12 +37,17 @@ class OnlineStats {
 };
 
 /// Log-bucketed histogram for nonnegative values (latencies in ns, queue
-/// lengths, ...). ~90 buckets per decade-of-2 layout: value v lands in
+/// lengths, ...). 8 buckets per power of two, 512 in all: value v lands in
 /// bucket floor(log2(v) * kSubBuckets). Percentile error < ~1.6%.
+///
+/// Memory is paid per use: only the buckets from 0 up to the highest
+/// octave seen so far are held, grown one whole octave (8 buckets) at a
+/// time when a value lands above them. An empty histogram allocates
+/// nothing, and an add inside the held octaves allocates nothing.
+/// Buckets past the held ones are zero, so every percentile, min, max
+/// and mean equals the full 512-bucket layout's.
 class Histogram {
  public:
-  Histogram();
-
   void add(double v);
   void add(Duration d) { add(static_cast<double>(d.ns)); }
 
@@ -57,15 +62,17 @@ class Histogram {
   /// Merges another histogram (same layout by construction).
   void merge(const Histogram& o);
 
-  /// Clears all samples.
+  /// Clears all samples; the held buckets' memory is kept for reuse.
   void reset();
 
  private:
   static constexpr int kSubBuckets = 8;  // per power of two
   static constexpr int kBuckets = 64 * kSubBuckets;
   static int bucket_of(double v);
+  /// Holds at least `n` buckets, rounded up to whole octaves.
+  void hold(std::size_t n);
 
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  ///< buckets 0 .. held octaves
   std::uint64_t n_ = 0;
   OnlineStats stats_;
 };

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "sim/simulation.hpp"
+
 namespace rdmamon::telemetry {
 
 void FlightRing::record(const char* kind, std::int64_t a, std::int64_t b,
@@ -14,9 +16,10 @@ void FlightRing::record(const char* kind, std::int64_t a, std::int64_t b,
 
 void FlightRing::record_at(sim::TimePoint at, const char* kind,
                            std::int64_t a, std::int64_t b, double x) {
-  if (owner_ == nullptr || !owner_->enabled() || buf_.empty()) return;
+  if (owner_ == nullptr || !owner_->enabled()) return;
+  if (buf_.empty()) buf_.resize(capacity_);
   FlightEvent& e = buf_[head_];
-  if (size_ == buf_.size()) {
+  if (size_ == capacity_) {
     ++dropped_;  // overwriting the oldest surviving event
   } else {
     ++size_;
@@ -27,7 +30,7 @@ void FlightRing::record_at(sim::TimePoint at, const char* kind,
   e.a = a;
   e.b = b;
   e.x = x;
-  head_ = (head_ + 1) % buf_.size();
+  head_ = (head_ + 1) % capacity_;
   ++recorded_;
 }
 
@@ -35,9 +38,9 @@ std::vector<FlightEvent> FlightRing::events() const {
   std::vector<FlightEvent> out;
   out.reserve(size_);
   // Oldest surviving event sits at head_ when full, else at 0.
-  const std::size_t start = size_ == buf_.size() ? head_ : 0;
+  const std::size_t start = size_ == capacity_ ? head_ : 0;
   for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(buf_[(start + i) % buf_.size()]);
+    out.push_back(buf_[(start + i) % capacity_]);
   }
   return out;
 }
@@ -49,7 +52,7 @@ FlightRing* FlightRecorder::ring(std::string_view subsystem,
     auto r = std::make_unique<FlightRing>();
     r->owner_ = this;
     r->name_ = std::string(subsystem);
-    r->buf_.resize(capacity == 0 ? 1 : capacity);
+    r->capacity_ = capacity == 0 ? 1 : capacity;
     it = rings_.emplace(r->name_, std::move(r)).first;
   }
   return it->second.get();
@@ -60,6 +63,10 @@ std::vector<const FlightRing*> FlightRecorder::rings() const {
   out.reserve(rings_.size());
   for (const auto& [name, ring] : rings_) out.push_back(ring.get());
   return out;
+}
+
+sim::TimePoint FlightRecorder::now() const {
+  return simu_ != nullptr ? simu_->now() : sim::TimePoint{};
 }
 
 util::JsonValue FlightRecorder::dump(std::string_view reason) const {

@@ -7,9 +7,11 @@
 //
 //  1. ZERO perturbation: recording never charges simulated CPU or touches
 //     the event queue.
-//  2. Zero allocation on the hot path: rings are preallocated vectors of
-//     POD events; `kind` is a static string literal (callers pass
-//     compile-time constants), so record() is a handful of stores.
+//  2. Memory paid per use, and no allocation on the hot path: a ring
+//     allocates its buffer of POD events once, on its first record, so a
+//     ring that never records (a NIC that is only a READ target) costs
+//     its header alone; `kind` is a static string literal (callers pass
+//     compile-time constants), so record() is then a handful of stores.
 //  3. Bounded: each ring overwrites its oldest event when full and counts
 //     the overwrite, so a week-long run costs the same memory as a short
 //     one and the dump says how much history it lost.
@@ -21,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,6 +35,10 @@
 #ifndef RDMAMON_TELEMETRY_ENABLED
 #define RDMAMON_TELEMETRY_ENABLED 1
 #endif
+
+namespace rdmamon::sim {
+class Simulation;
+}  // namespace rdmamon::sim
 
 namespace rdmamon::telemetry {
 
@@ -52,7 +57,8 @@ struct FlightEvent {
 };
 
 /// One subsystem's bounded ring. Obtained from FlightRecorder::ring() at
-/// wiring time; recording into it never allocates.
+/// wiring time; its first record allocates the buffer, later records
+/// never allocate.
 class FlightRing {
  public:
   /// Records at the recorder's bound clock instant.
@@ -64,7 +70,7 @@ class FlightRing {
                  std::int64_t b = 0, double x = 0.0);
 
   const std::string& name() const { return name_; }
-  std::size_t capacity() const { return buf_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return size_; }
   std::uint64_t recorded() const { return recorded_; }
   std::uint64_t dropped() const { return dropped_; }
@@ -76,7 +82,8 @@ class FlightRing {
   friend class FlightRecorder;
   FlightRecorder* owner_ = nullptr;
   std::string name_;
-  std::vector<FlightEvent> buf_;
+  std::size_t capacity_ = 0;
+  std::vector<FlightEvent> buf_;  ///< empty until the first record
   std::size_t head_ = 0;  ///< next write position
   std::size_t size_ = 0;
   std::uint64_t recorded_ = 0;
@@ -92,10 +99,9 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Clock source; bound by Registry::install.
-  void bind_clock(std::function<sim::TimePoint()> now) {
-    now_ = std::move(now);
-  }
+  /// Clock source; bound by Registry::install. Unbound, records are
+  /// stamped TimePoint{}.
+  void bind_clock(const sim::Simulation* simu) { simu_ = simu; }
 
   /// Master switch. Disabled rings drop events (counted nowhere — the
   /// point is measuring the recorder's own overhead against zero).
@@ -131,9 +137,9 @@ class FlightRecorder {
 
  private:
   friend class FlightRing;
-  sim::TimePoint now() const { return now_ ? now_() : sim::TimePoint{}; }
+  sim::TimePoint now() const;
 
-  std::function<sim::TimePoint()> now_;
+  const sim::Simulation* simu_ = nullptr;
   bool enabled_ = true;
   std::uint64_t seq_ = 0;
   // Sorted by name: ring listing and dump section order is deterministic.

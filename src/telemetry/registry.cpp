@@ -43,7 +43,7 @@ Registry::~Registry() {
 void Registry::install(sim::Simulation& simu) {
   simu_ = &simu;
   simu.set_telemetry(this);
-  recorder_.bind_clock([s = &simu] { return s->now(); });
+  recorder_.bind_clock(&simu);
 }
 
 Registry::Instrument& Registry::resolve(std::string_view name,

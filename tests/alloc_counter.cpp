@@ -6,13 +6,16 @@
 namespace {
 std::uint64_t g_allocs = 0;
 std::uint64_t g_frees = 0;
+std::uint64_t g_bytes = 0;
 }
 
 std::uint64_t allocation_count() { return g_allocs; }
 std::uint64_t live_allocation_count() { return g_allocs - g_frees; }
+std::uint64_t allocated_bytes() { return g_bytes; }
 
 void* operator new(std::size_t n) {
   ++g_allocs;
+  g_bytes += n;
   void* p = std::malloc(n);
   if (!p) throw std::bad_alloc{};
   return p;

@@ -11,3 +11,5 @@
 std::uint64_t allocation_count();
 /// Blocks from operator new not yet given back to operator delete.
 std::uint64_t live_allocation_count();
+/// Bytes asked of operator new so far by this process.
+std::uint64_t allocated_bytes();

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "sim/byte_block.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fifo.hpp"
@@ -400,6 +404,158 @@ TEST(Stats, HistogramMergeAndReset) {
   a.reset();
   EXPECT_EQ(a.count(), 0u);
   EXPECT_DOUBLE_EQ(a.percentile(0.5), 0.0);
+}
+
+// A dense reference holding all 512 buckets, with Histogram's bucket rule
+// and percentile formula: a Histogram's percentiles, min, max and mean
+// must equal its bit for bit, whichever octaves it holds.
+struct DenseHistogram {
+  std::vector<std::uint64_t> buckets = std::vector<std::uint64_t>(512, 0);
+  std::uint64_t n = 0;
+  OnlineStats stats;
+
+  static std::size_t bucket_of(double v) {
+    if (!(v >= 1.0)) return 0;
+    if (std::isinf(v)) return 511;
+    return static_cast<std::size_t>(
+        std::clamp(static_cast<int>(std::log2(v) * 8), 0, 511));
+  }
+  void add(double v) {
+    if (v < 0.0) v = 0.0;
+    ++buckets[bucket_of(v)];
+    ++n;
+    stats.add(v);
+  }
+  void merge(const DenseHistogram& o) {
+    for (std::size_t b = 0; b < buckets.size(); ++b) buckets[b] += o.buckets[b];
+    n += o.n;
+    stats.merge(o.stats);
+  }
+  double percentile(double q) const {
+    if (n == 0) return 0.0;
+    q = std::clamp(q, 0.0, 1.0);
+    const auto target =
+        static_cast<std::uint64_t>(q * static_cast<double>(n - 1));
+    std::uint64_t seen = 0;
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+      seen += buckets[b];
+      if (seen > target) {
+        const double lo = std::exp2(static_cast<double>(b) / 8);
+        const double hi = std::exp2(static_cast<double>(b + 1) / 8);
+        const double mid = b == 0 ? 0.5 : std::sqrt(lo * hi);
+        return std::clamp(mid, stats.min(), stats.max());
+      }
+    }
+    return stats.max();
+  }
+};
+
+/// Bit-identical, so a NaN mean (+inf merged with finite samples)
+/// compares equal to itself.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same(const Histogram& h, const DenseHistogram& ref,
+                 const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(h.count(), ref.n);
+  EXPECT_EQ(bits(h.min()), bits(ref.stats.min()));
+  EXPECT_EQ(bits(h.max()), bits(ref.stats.max()));
+  EXPECT_EQ(bits(h.mean()), bits(ref.stats.mean()));
+  for (double q : {0.0, 0.01, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(bits(h.percentile(q)), bits(ref.percentile(q))) << "q=" << q;
+  }
+}
+
+TEST(Stats, HistogramEqualsTheDense512BucketLayout) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    // `low` stays within 2^12; `high` spans up to 2^60 and, on every
+    // other seed, the extremes: 0, 0.5, 1e300 and +inf.
+    Histogram low, high;
+    DenseHistogram low_ref, high_ref;
+    const int n = 1 + static_cast<int>(rng.uniform(0, 300));
+    for (int i = 0; i < n; ++i) {
+      const double a = std::exp2(rng.uniform(-2, 12));
+      low.add(a);
+      low_ref.add(a);
+      const double b = std::exp2(rng.uniform(-2, 60));
+      high.add(b);
+      high_ref.add(b);
+    }
+    if (seed % 2 == 0) {
+      for (double v : {0.0, 0.5, 1e300, kInf}) {
+        high.add(v);
+        high_ref.add(v);
+      }
+    }
+    const std::string tag = "seed " + std::to_string(seed);
+    expect_same(low, low_ref, tag + " low");
+    expect_same(high, high_ref, tag + " high");
+
+    Histogram short_into_long = high;  // holds more octaves than `low`
+    short_into_long.merge(low);
+    DenseHistogram short_into_long_ref = high_ref;
+    short_into_long_ref.merge(low_ref);
+    expect_same(short_into_long, short_into_long_ref, tag + " short->long");
+
+    Histogram long_into_short = low;
+    long_into_short.merge(high);
+    DenseHistogram long_into_short_ref = low_ref;
+    long_into_short_ref.merge(high_ref);
+    expect_same(long_into_short, long_into_short_ref, tag + " long->short");
+
+    // reset() forgets every sample; the histogram then behaves as new.
+    long_into_short.reset();
+    expect_same(long_into_short, DenseHistogram{}, tag + " reset");
+    DenseHistogram refilled_ref;
+    for (int i = 0; i < 16; ++i) {
+      const double v = std::exp2(rng.uniform(-2, 8));
+      long_into_short.add(v);
+      refilled_ref.add(v);
+    }
+    expect_same(long_into_short, refilled_ref, tag + " refilled");
+  }
+}
+
+TEST(Stats, HistogramPutsInfinityInTheTopBucketAndNanInTheBottom) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Histogram h;
+  h.add(1.0);
+  h.add(kInf);
+  EXPECT_DOUBLE_EQ(h.percentile(0.0), 1.0);
+  EXPECT_GT(h.percentile(1.0), 1e19);  // the top bucket's midpoint, ~2^64
+
+  // NaN lands in bucket 0 as negative values do: it needs no octave
+  // beyond the first.
+  Histogram g;
+  g.add(0.5);
+  const std::uint64_t before = allocation_count();
+  g.add(std::numeric_limits<double>::quiet_NaN());
+  g.add(-3.0);
+  EXPECT_EQ(allocation_count(), before);
+  EXPECT_EQ(g.count(), 3u);
+}
+
+TEST(Stats, HistogramAllocatesOnlyWhenAValueReachesANewOctave) {
+  std::uint64_t before = allocation_count();
+  Histogram h;
+  EXPECT_EQ(h.percentile(0.5), 0.0);
+  EXPECT_EQ(allocation_count(), before);  // an empty histogram holds nothing
+
+  h.add(100.0);  // octave 6: buckets 0..55, values below 128
+  EXPECT_EQ(allocation_count(), before + 1);
+  before = allocation_count();
+  for (int i = 0; i < 128; ++i) h.add(static_cast<double>(i));
+  EXPECT_EQ(allocation_count(), before);  // inside the held octaves
+
+  h.add(1e6);  // a higher octave: one more block
+  EXPECT_EQ(allocation_count(), before + 1);
+
+  h.reset();  // the held memory is kept for reuse
+  before = allocation_count();
+  for (int i = 0; i < 1000; ++i) h.add(static_cast<double>(i));
+  EXPECT_EQ(allocation_count(), before);
 }
 
 }  // namespace

@@ -189,6 +189,52 @@ TEST(RecordHelpers, DisabledPathDoesNotAllocate) {
                 "kEnabled must be a compile-time constant");
 }
 
+TEST(FlightRing, UntouchedRingHoldsNoEventsAndFirstRecordAllocatesOnce) {
+  FlightRecorder rec;
+  const std::uint64_t bytes0 = allocated_bytes();
+  FlightRing* r = rec.ring("nic.be7", 512);
+  // Creating the ring pays its bookkeeping, not the 512-event buffer.
+  EXPECT_LT(allocated_bytes() - bytes0, 512 * sizeof(FlightEvent));
+  EXPECT_EQ(r->capacity(), 512u);
+  EXPECT_EQ(r->size(), 0u);
+  EXPECT_TRUE(r->events().empty());
+  const std::string doc = rec.dump("untouched").dump(2);
+  EXPECT_NE(doc.find("\"capacity\": 512"), std::string::npos);
+  EXPECT_NE(doc.find("\"recorded\": 0"), std::string::npos);
+
+  const std::uint64_t before = allocation_count();
+  const std::uint64_t bytes1 = allocated_bytes();
+  r->record_at(sim::TimePoint{}, "first", 1);
+  EXPECT_EQ(allocation_count(), before + 1);
+  EXPECT_EQ(allocated_bytes() - bytes1, 512 * sizeof(FlightEvent));
+  for (int i = 0; i < 2000; ++i) {  // wraps the ring several times
+    r->record_at(sim::TimePoint{}, "later", i);
+  }
+  EXPECT_EQ(allocation_count(), before + 1);
+  EXPECT_EQ(r->capacity(), 512u);
+  EXPECT_EQ(r->size(), 512u);
+  EXPECT_EQ(r->recorded(), 2001u);
+  EXPECT_EQ(r->dropped(), 2001u - 512u);
+}
+
+TEST(FlightRing, RecordsAtTheInstalledSimulationsClock) {
+  FlightRecorder unbound;
+  FlightRing* u = unbound.ring("u", 4);
+  u->record("e");
+  ASSERT_EQ(u->events().size(), 1u);
+  EXPECT_EQ(u->events()[0].at.ns, 0);  // no simulation bound: TimePoint{}
+
+  sim::Simulation simu;
+  Registry reg;
+  reg.install(simu);
+  simu.at(sim::TimePoint{} + sim::usec(7),
+          [&] { reg.recorder().ring("r", 4)->record("e"); });
+  simu.run_for(sim::usec(10));
+  const std::vector<FlightEvent> evs = reg.recorder().ring("r")->events();
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].at.ns, sim::usec(7).ns);
+}
+
 // Heap allocations made by `reads` steady-state one-sided READs, counted
 // after a warm-up, with or without a registry installed.
 std::uint64_t steady_read_allocs(bool with_registry, int reads) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <any>
+#include <cstdint>
+#include <vector>
+
+#include "alloc_counter.hpp"
 #include "lb/balancer.hpp"
 #include "web/cluster.hpp"
 #include "web/metrics.hpp"
@@ -166,6 +171,106 @@ TEST(Cluster, FineGrainedRdmaBeatsStaleSocketUnderHeterogeneousLoad) {
   const auto rdma = run(Scheme::RdmaSync);
   const auto sock = run(Scheme::SocketAsync);
   EXPECT_GT(static_cast<double>(rdma), static_cast<double>(sock) * 0.95);
+}
+
+// --- dispatcher pending table ----------------------------------------------
+
+/// Sends one request per id back to back, each holding the back end for
+/// 10 s, then reads as many replies.
+os::Program send_all_then_read(os::SimThread& self, net::Socket* sock,
+                               std::vector<std::uint64_t> ids,
+                               std::vector<Reply>* replies) {
+  for (std::uint64_t id : ids) {
+    Request req;
+    req.id = id;
+    req.demand.cpu_php = seconds(10);
+    co_await sock->send(self, req.request_bytes, req);
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    net::Message m;
+    co_await sock->recv(self, m);
+    replies->push_back(std::any_cast<Reply>(m.payload));
+  }
+}
+
+TEST(Dispatcher, FailoverAnswersInForwardingOrder) {
+  sim::Simulation simu;
+  ClusterConfig cfg;
+  cfg.backends = 1;
+  ClusterTestbed bed(simu, cfg);
+  os::Node client(simu, {.name = "raw-client"});
+  bed.fabric().attach(client);
+  net::Socket& sock = bed.dispatcher().add_client(client);
+  // Ids out of numeric order; the back end holds each for 10 s, so all
+  // four are pending when the front end fails them over.
+  const std::vector<std::uint64_t> ids = {7, 3, 9, 5};
+  std::vector<Reply> replies;
+  client.spawn("raw", [&](os::SimThread& t) {
+    return send_all_then_read(t, &sock, ids, &replies);
+  });
+  std::size_t failed = 0;
+  simu.at(sim::TimePoint{msec(5).ns},
+          [&] { failed = bed.dispatcher().fail_pending_to(0); });
+  simu.run_for(msec(20));
+
+  EXPECT_EQ(failed, ids.size());
+  EXPECT_EQ(bed.dispatcher().pending(), 0u);
+  ASSERT_EQ(replies.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(replies[i].id, ids[i]) << "reply " << i;
+    EXPECT_TRUE(replies[i].rejected);
+  }
+}
+
+/// Closed loop: one request at a time; `marks` gets the allocation count
+/// after `warm` requests and after the last.
+os::Program closed_loop(os::SimThread& self, net::Socket* sock, int warm,
+                        int total, std::vector<std::uint64_t>* marks) {
+  for (int i = 0; i < total; ++i) {
+    if (i == warm) marks->push_back(allocation_count());
+    Request req;
+    req.id = static_cast<std::uint64_t>(i + 1);
+    req.demand.cpu_php = sim::usec(100);
+    co_await sock->send(self, req.request_bytes, req);
+    net::Message m;
+    co_await sock->recv(self, m);
+  }
+  marks->push_back(allocation_count());
+}
+
+TEST(Dispatcher, WarmRequestAllocatesOnlyItsFourPayloads) {
+  // A front end wired by hand, its balancer never started: no poller and
+  // no dispatch log, so only the request path itself can allocate.
+  sim::Simulation simu;
+  net::Fabric fabric(simu, {});
+  os::Node fe(simu, {.name = "frontend"});
+  os::Node be(simu, {.name = "backend0"});
+  os::Node client(simu, {.name = "client"});
+  fabric.attach(fe);
+  fabric.attach(be);
+  fabric.attach(client);
+  WebServer server(fabric, be, {});
+  lb::LoadBalancer balancer(lb::WeightConfig::for_scheme(Scheme::RdmaSync));
+  lb::Dispatcher dispatcher(fabric, fe, balancer);
+  dispatcher.add_backend(server);
+  balancer.add_backend(std::make_unique<monitor::MonitorChannel>(
+      fabric, fe, be, monitor::MonitorConfig{}));
+  net::Socket& sock = dispatcher.add_client(client);
+
+  constexpr int kWarm = 20, kMeasured = 100;
+  std::vector<std::uint64_t> marks;
+  marks.reserve(2);
+  client.spawn("loop", [&](os::SimThread& t) {
+    return closed_loop(t, &sock, kWarm, kWarm + kMeasured, &marks);
+  });
+  simu.run_for(seconds(1));
+
+  ASSERT_EQ(marks.size(), 2u);
+  EXPECT_EQ(server.completed(), static_cast<std::uint64_t>(kWarm + kMeasured));
+  // The std::any payloads: the Request client -> front end and front end
+  // -> back end, the Reply back end -> front end and front end -> client.
+  // The pending table adds none once it has held one request.
+  EXPECT_EQ(marks[1] - marks[0], 4u * kMeasured);
 }
 
 }  // namespace
