@@ -5,7 +5,6 @@
 // Paper shape: RDMA-Sync tracks the kernel exactly; RDMA-Async deviates on
 // the fast-moving CPU signal; both socket schemes deviate most, and worse
 // as the server gets busier.
-#include <any>
 
 #include "args.hpp"
 #include "common.hpp"

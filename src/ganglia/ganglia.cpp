@@ -1,17 +1,40 @@
 #include "ganglia/ganglia.hpp"
 
-#include <any>
+#include <stdexcept>
 
 namespace rdmamon::ganglia {
 
 namespace {
 /// Size of one metric update packet on the wire.
 constexpr std::size_t kMetricPacketBytes = 128;
+
+/// Copies `src` into the NUL-terminated field `dst`, or throws.
+template <std::size_t N>
+void put_name(char (&dst)[N], std::string_view src, const char* what) {
+  if (src.size() >= N) {
+    throw std::length_error("ganglia " + std::string(what) + " '" +
+                            std::string(src) + "' exceeds " +
+                            std::to_string(N - 1) + " characters");
+  }
+  src.copy(dst, src.size());
+}
 }  // namespace
+
+MetricPacket MetricPacket::make(std::string_view host, std::string_view name,
+                                double value) {
+  MetricPacket pkt;
+  put_name(pkt.host, host, "host name");
+  put_name(pkt.name, name, "metric name");
+  pkt.value = value;
+  return pkt;
+}
 
 GmondDaemon::GmondDaemon(net::Fabric& fabric, os::Node& node,
                          GangliaConfig cfg)
     : fabric_(&fabric), node_(&node), cfg_(cfg) {
+  // Every packet names this host: reject one that cannot, before any
+  // thread runs.
+  (void)MetricPacket::make(host_name(), {}, 0.0);
   node_->spawn("gmond-collect",
                [this](os::SimThread& t) { return collect_body(t); });
   node_->spawn("gmond-gossip",
@@ -33,10 +56,9 @@ void GmondDaemon::peer_with(GmondDaemon& other) {
 }
 
 void GmondDaemon::publish(const std::string& name, double value) {
+  const MetricPacket pkt = MetricPacket::make(host_name(), name, value);
   store(host_name(), name, value);
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    outbox_.push_back(MetricPacket{host_name(), name, value});
-  }
+  for (std::size_t i = 0; i < peers_.size(); ++i) outbox_.push_back(pkt);
   // Tag each queued packet with its destination by position: simpler to
   // keep (packet, peer) pairs aligned since we push one per peer in order.
   outbox_wq_.notify_one();
@@ -71,7 +93,7 @@ os::Program GmondDaemon::gossip_body(os::SimThread& self) {
   std::size_t next_peer = 0;
   for (;;) {
     while (outbox_.empty()) co_await os::WaitOn{&outbox_wq_};
-    MetricPacket pkt = std::move(outbox_.front());
+    const MetricPacket pkt = outbox_.front();
     outbox_.pop_front();
     if (!peers_.empty()) {
       net::Socket* peer = peers_[next_peer % peers_.size()];
@@ -86,7 +108,7 @@ os::Program GmondDaemon::peer_rx_body(os::SimThread& self,
   for (;;) {
     net::Message m;
     co_await sock->recv(self, m);
-    const MetricPacket pkt = std::any_cast<MetricPacket>(m.payload);
+    const MetricPacket pkt = m.payload.as<MetricPacket>();
     store(pkt.host, pkt.name, pkt.value);
   }
 }
@@ -112,6 +134,8 @@ GmetricAgent::GmetricAgent(net::Fabric& fabric, GmondDaemon& local_gmond,
     : gmond_(&local_gmond), threshold_(threshold),
       publish_period_(publish_period),
       metric_name_("fg_load_" + backend.config().name) {
+  // A name that cannot be published fails here, not at the first publish.
+  (void)MetricPacket::make(local_gmond.host_name(), metric_name_, 0.0);
   channel_ = std::make_unique<monitor::MonitorChannel>(fabric, frontend,
                                                        backend, mcfg);
   scatter_.add(channel_->frontend());

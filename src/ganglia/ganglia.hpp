@@ -5,9 +5,12 @@
 // end's load at a fine threshold and publishes it cluster-wide.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "monitor/monitor.hpp"
@@ -28,12 +31,23 @@ struct MetricValue {
   sim::TimePoint updated{};
 };
 
-/// Metric update on the wire.
+/// Metric update on the wire: a socket payload image, so the host and
+/// metric names are fixed-capacity, NUL-terminated arrays.
 struct MetricPacket {
-  std::string host;
-  std::string name;
+  static constexpr std::size_t kHostCapacity = 32;  ///< bytes, NUL included
+  static constexpr std::size_t kNameCapacity = 40;  ///< bytes, NUL included
+
+  char host[kHostCapacity]{};
+  char name[kNameCapacity]{};
   double value = 0.0;
+
+  /// The packet for (host, name, value). Throws std::length_error when a
+  /// name does not fit; it is never truncated.
+  static MetricPacket make(std::string_view host, std::string_view name,
+                           double value);
 };
+static_assert(std::is_trivially_copyable_v<MetricPacket> &&
+              sizeof(MetricPacket) <= net::Payload::kCapacity);
 
 /// One gmond daemon: local metric store + gossip to peers. The collection
 /// thread reads the host's /proc at collect_period and publishes the
@@ -49,7 +63,9 @@ class GmondDaemon {
   void peer_with(GmondDaemon& other);
 
   /// gmetric entry point: stores locally and enqueues gossip to every
-  /// peer (the publishing thread pays the send costs).
+  /// peer (the publishing thread pays the send costs). Throws
+  /// std::length_error, storing nothing, when `name` does not fit a
+  /// MetricPacket.
   void publish(const std::string& name, double value);
 
   /// Looks up a metric by (host, name); nullptr if unknown.

@@ -1,7 +1,6 @@
 #include "lb/dispatcher.hpp"
 
 #include <algorithm>
-#include <any>
 
 namespace rdmamon::lb {
 
@@ -58,15 +57,19 @@ std::size_t Dispatcher::fail_pending_to(int backend) {
     web::Reply rej;
     rej.id = p.id;
     rej.rejected = true;
-    net::Message m;
-    m.bytes = 256;
-    m.payload = rej;
-    p.client->inject_tx(std::move(m));
+    p.client->inject_tx(256, rej);
   }
   const std::size_t failed = pending_.size() - kept;
   pending_.resize(kept);
   failed_over_ += failed;
   return failed;
+}
+
+std::vector<std::uint64_t> Dispatcher::pending_ids() const {
+  std::vector<std::uint64_t> ids;
+  ids.reserve(pending_.size());
+  for (const PendingEntry& p : pending_) ids.push_back(p.id);
+  return ids;
 }
 
 net::Socket& Dispatcher::add_client(os::Node& client_node) {
@@ -83,7 +86,7 @@ os::Program Dispatcher::forwarder_body(os::SimThread& self,
   for (;;) {
     net::Message m;
     co_await from_client->recv(self, m);
-    web::Request req = std::any_cast<web::Request>(m.payload);
+    const web::Request req = m.payload.as<web::Request>();
     co_await os::Compute{kDispatchCpu};
     const int backend = lb_->pick();
     if (admission_ != nullptr &&
@@ -100,7 +103,7 @@ os::Program Dispatcher::forwarder_body(os::SimThread& self,
     ++forwarded_;
     ++per_backend_[static_cast<std::size_t>(backend)];
     co_await backend_socks_[static_cast<std::size_t>(backend)]->send(
-        self, req.request_bytes, req);
+        self, req.request_bytes, m.payload);
   }
 }
 
@@ -109,14 +112,13 @@ os::Program Dispatcher::router_body(os::SimThread& self,
   for (;;) {
     net::Message m;
     co_await from_backend->recv(self, m);
-    const web::Reply reply = std::any_cast<web::Reply>(m.payload);
-    auto it = std::find_if(
-        pending_.begin(), pending_.end(),
-        [&reply](const PendingEntry& p) { return p.id == reply.id; });
+    const std::uint64_t id = m.payload.as<web::Reply>().id;
+    auto it = std::find_if(pending_.begin(), pending_.end(),
+                           [id](const PendingEntry& p) { return p.id == id; });
     if (it == pending_.end()) continue;  // duplicate/late/failed-over; drop
     net::Socket* to_client = it->client;
     pending_.erase(it);
-    co_await to_client->send(self, m.bytes, reply);
+    co_await to_client->send(self, m.bytes, m.payload);
   }
 }
 

@@ -38,6 +38,11 @@ class Dispatcher {
   /// the client-side endpoint to send Requests on.
   net::Socket& add_client(os::Node& client_node);
 
+  /// The id for a client's next request. Ids need only be unique among
+  /// this dispatcher's pending requests, so each dispatcher numbers its
+  /// own from 1 and two simulations number theirs alike.
+  std::uint64_t next_request_id() { return next_request_id_++; }
+
   /// Optional admission control (owned by caller; nullptr = admit all).
   void set_admission(AdmissionController* adm) { admission_ = adm; }
 
@@ -57,6 +62,8 @@ class Dispatcher {
   std::uint64_t failed_over() const { return failed_over_; }
   /// Requests currently awaiting a back-end reply.
   std::size_t pending() const { return pending_.size(); }
+  /// Their ids, in forwarding order.
+  std::vector<std::uint64_t> pending_ids() const;
   /// Requests forwarded to each back end (balance quality metric).
   const std::vector<std::uint64_t>& per_backend() const {
     return per_backend_;
@@ -84,6 +91,7 @@ class Dispatcher {
   /// thread has at most one in flight, so a scan is cheap, and the vector
   /// stops allocating once it has held the most ever in flight.
   std::vector<PendingEntry> pending_;
+  std::uint64_t next_request_id_ = 1;
   std::vector<std::uint64_t> per_backend_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t rejected_ = 0;

@@ -1,6 +1,5 @@
 #include "monitor/monitor.hpp"
 
-#include <any>
 #include <cassert>
 
 namespace rdmamon::monitor {
@@ -214,7 +213,7 @@ os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
       net::Message reply;
       co_await sock_->recv_until(self, reply, deadline, resolved);
       if (resolved) {
-        take_reading(out, std::any_cast<os::LoadSnapshot>(reply.payload));
+        take_reading(out, reply.payload.as<os::LoadSnapshot>());
       }
     }
     if (!resolved) {
@@ -244,7 +243,7 @@ os::Program FrontendMonitor::issue(os::SimThread& self, FetchOp& op,
   // an abandoned earlier request may still be queued: flush before
   // asking again (at worst we answer with a marginally older reading).
   sock_->drain_rx();
-  co_await sock_->send(self, kLoadRequestBytes, std::any{});
+  co_await sock_->send(self, kLoadRequestBytes);
 }
 
 net::ReadBatchEntry FrontendMonitor::prepare_read(FetchOp& op,
@@ -281,7 +280,7 @@ os::Program FrontendMonitor::complete(os::SimThread& self, FetchOp& op,
   }
   net::Message reply;
   co_await sock_->recv_ready(self, reply);
-  take_reading(out, std::any_cast<os::LoadSnapshot>(reply.payload));
+  take_reading(out, reply.payload.as<os::LoadSnapshot>());
   (void)status;
 }
 

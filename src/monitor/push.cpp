@@ -1,7 +1,5 @@
 #include "monitor/push.hpp"
 
-#include <any>
-
 #include "net/nic.hpp"
 
 namespace rdmamon::monitor {
@@ -32,7 +30,7 @@ os::Program MulticastSubscriber::rx_body(os::SimThread& self, net::Socket* sock)
   for (;;) {
     net::Message m;
     co_await sock->recv(self, m);
-    info_ = std::any_cast<os::LoadSnapshot>(m.payload);
+    info_ = m.payload.as<os::LoadSnapshot>();
     received_ = self.node().simu().now();
     has_ = true;
     ++updates_;
@@ -66,13 +64,7 @@ os::Program MulticastPublisher::publisher_body(os::SimThread& self) {
       co_await subscriber_ends_.front()->send(self, kPacketBytes, snap);
       for (std::size_t i = 1; i < subscriber_ends_.size(); ++i) {
         // Replicated by the switch: no extra syscall cost, direct TX.
-        net::Socket* s = subscriber_ends_[i];
-        net::Message m;
-        m.src_node = backend_->id;
-        m.dst_node = s->remote_node_id();
-        m.bytes = kPacketBytes;
-        m.payload = snap;
-        s->inject_tx(std::move(m));
+        subscriber_ends_[i]->inject_tx(kPacketBytes, snap);
       }
       ++pushes_;
     }

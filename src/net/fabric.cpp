@@ -127,9 +127,9 @@ bool Fabric::sample_link_drop(int src, int dst) {
 }
 
 void Fabric::deliver_to_socket(PacketSlot p) {
-  Message msg = packets_.take(p);
+  const Message& msg = packets_[p];
   Connection& c = *conns_.at(static_cast<std::size_t>(msg.conn));
-  c.endpoint(msg.dst_side).deliver(std::move(msg));
+  c.endpoint(msg.dst_side).deliver(p);
 }
 
 }  // namespace rdmamon::net

@@ -75,17 +75,16 @@ struct NodeFaultState {
   double link_loss = 0.0;
 };
 
-/// A socket message in flight, parked in the Fabric's packet table.
-using PacketSlot = sim::SlotTable<Message>::Slot;
-
 /// Owns the NICs and the message-in-flight bookkeeping. Nodes are created
 /// by the caller (they carry their own OS config) and attached here.
 ///
-/// A socket message lives in one packet-table slot from Nic::tx to
-/// deliver_to_socket: TX serialisation, the wire, a frozen host's ingress
-/// port and the receiver's IRQ/softirq path all carry only the slot. It
-/// is freed where it is delivered or dropped (crashed end, lossy link,
-/// crash of a frozen host holding it).
+/// A socket message lives in one packet-table slot from Nic::tx until the
+/// receiving socket hands it to a reader: TX serialisation, the wire, a
+/// frozen host's ingress port, the receiver's IRQ/softirq path and the
+/// socket's receive queue all carry only the slot. It is freed where it
+/// is read (Socket::recv, recv_until, recv_ready), flushed
+/// (Socket::drain_rx) or dropped (crashed end, lossy link, crash of a
+/// frozen host holding it).
 class Fabric {
  public:
   Fabric(sim::Simulation& simu, FabricConfig cfg);
@@ -107,19 +106,24 @@ class Fabric {
   Connection& connect(os::Node& a, os::Node& b);
 
   /// Parks an outgoing message (Nic::tx) and returns its slot.
-  PacketSlot park(Message msg) { return packets_.put(std::move(msg)); }
+  PacketSlot park(const Message& msg) { return packets_.put(msg); }
   /// The message parked in `p`.
   Message& packet(PacketSlot p) { return packets_[p]; }
-  /// Messages in flight (parked and not yet delivered or dropped).
+  /// Moves the message out of `p` and frees the slot (a socket read).
+  Message unpark(PacketSlot p) { return packets_.take(p); }
+  /// Frees `p` and the message in it (a flush or a drop).
+  void discard(PacketSlot p) { packets_.release(p); }
+  /// Messages parked and not yet read or dropped: on the wire, held at a
+  /// frozen ingress port, in a receive path or queued at a socket.
   std::size_t packets_in_flight() const { return packets_.live(); }
 
   /// Ships a parked message: propagation delay, then the destination
   /// NIC's receive path (called by Nic after TX serialisation).
   void ship(PacketSlot p);
 
-  /// Hands a parked message to its connection endpoint and frees its slot
-  /// (called by the destination NIC once protocol processing has been
-  /// paid).
+  /// Queues a parked message at its connection endpoint; the slot stays
+  /// parked until the socket is read (called by the destination NIC once
+  /// protocol processing has been paid).
   void deliver_to_socket(PacketSlot p);
 
   sim::Simulation& simu() { return simu_; }
@@ -161,7 +165,7 @@ class Fabric {
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<std::unique_ptr<Connection>> conns_;
   std::vector<NodeFaultState> faults_;
-  sim::SlotTable<Message> packets_;  ///< socket messages in flight
+  sim::SlotTable<Message> packets_;  ///< socket messages not yet read
   std::vector<std::vector<PacketSlot>> frozen_rx_;  ///< held while frozen
   sim::Rng fault_rng_;
 };

@@ -83,7 +83,7 @@ Nic::Nic(Fabric& fabric, os::Node& node) : fabric_(fabric), node_(node) {
 
 // --- two-sided ----------------------------------------------------------------
 
-void Nic::tx(Message msg) {
+void Nic::tx(const Message& msg) {
   ++tx_packets_;
   sim::Simulation& simu = fabric_.simu();
   node_.stats().on_net_bytes(msg.bytes, simu.now());
@@ -93,7 +93,7 @@ void Nic::tx(Message msg) {
   const sim::Duration ser = sim::nsec(static_cast<std::int64_t>(
       static_cast<double>(msg.bytes) / fabric_.config().bandwidth_bps * 1e9));
   tx_busy_ = start + ser;
-  const PacketSlot p = fabric_.park(std::move(msg));
+  const PacketSlot p = fabric_.park(msg);
   simu.at(tx_busy_, [this, p] { fabric_.ship(p); });
 }
 

@@ -56,7 +56,7 @@ class Nic {
   /// Transmits a message: parks it in the fabric's packet table,
   /// serialises it on the TX link (FIFO at link bandwidth), then hands it
   /// to the fabric. The caller has already paid the send syscall cost.
-  void tx(Message msg);
+  void tx(const Message& msg);
 
   // --- one-sided -----------------------------------------------------------
   /// Registers `image`, bytes the caller owns and keeps alive until

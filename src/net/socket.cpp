@@ -36,37 +36,37 @@ void Socket::resolve_metrics() {
 }
 
 os::Program Socket::send(os::SimThread& self, std::size_t bytes,
-                         std::any payload) {
+                         Payload payload) {
   if (!metrics_resolved_) resolve_metrics();
   telemetry::add(tx_msgs_);
   telemetry::add(tx_bytes_, bytes);
   // Syscall trap + protocol + copy, charged as system time.
   co_await os::ComputeKernel{kSendCost + copy_cost(bytes)};
+  transmit(bytes, payload);
+  (void)self;
+}
+
+void Socket::inject_tx(std::size_t bytes, const Payload& payload) {
+  if (!metrics_resolved_) resolve_metrics();
+  telemetry::add(tx_msgs_);
+  telemetry::add(tx_bytes_, bytes);
+  transmit(bytes, payload);
+}
+
+void Socket::transmit(std::size_t bytes, const Payload& payload) {
   Message m;
   m.src_node = local_->id;
   m.dst_node = remote_node_;
   m.conn = conn_;
   m.dst_side = remote_side_;
   m.bytes = bytes;
-  m.payload = std::move(payload);
-  fabric_->nic(local_->id).tx(std::move(m));
-  (void)self;
-}
-
-void Socket::inject_tx(Message m) {
-  if (!metrics_resolved_) resolve_metrics();
-  telemetry::add(tx_msgs_);
-  telemetry::add(tx_bytes_, m.bytes);
-  m.src_node = local_->id;
-  m.dst_node = remote_node_;
-  m.conn = conn_;
-  m.dst_side = remote_side_;
-  fabric_->nic(local_->id).tx(std::move(m));
+  m.payload = payload;
+  fabric_->nic(local_->id).tx(m);
 }
 
 os::Program Socket::recv(os::SimThread& self, Message& out) {
   while (rx_.empty()) co_await os::WaitOn{&rx_wq_};
-  out = rx_.take_front();
+  out = fabric_->unpark(rx_.take_front());
   co_await os::ComputeKernel{kRecvCost + copy_cost(out.bytes)};
   (void)self;
 }
@@ -88,7 +88,7 @@ os::Program Socket::recv_until(os::SimThread& self, Message& out,
   }
   timer.cancel();
   if (rx_.empty()) co_return;
-  out = rx_.take_front();
+  out = fabric_->unpark(rx_.take_front());
   co_await os::ComputeKernel{kRecvCost + copy_cost(out.bytes)};
   ok = true;
   (void)self;
@@ -96,15 +96,27 @@ os::Program Socket::recv_until(os::SimThread& self, Message& out,
 
 os::Program Socket::recv_ready(os::SimThread& self, Message& out) {
   assert(!rx_.empty() && "recv_ready requires has_data()");
-  out = rx_.take_front();
+  out = fabric_->unpark(rx_.take_front());
   co_await os::ComputeKernel{kRecvCost + copy_cost(out.bytes)};
   (void)self;
 }
 
 std::size_t Socket::drain_rx() {
   const std::size_t n = rx_.size();
-  rx_.clear();
+  while (!rx_.empty()) fabric_->discard(rx_.take_front());
   return n;
+}
+
+void Socket::deliver(PacketSlot p) {
+  if (!metrics_resolved_) resolve_metrics();
+  telemetry::add(rx_msgs_);
+  telemetry::add(rx_bytes_, fabric_->packet(p).bytes);
+  rx_.push_back(p);
+  rx_wq_.notify_one();
+  for (os::WaitQueue* wq : rx_watchers_) {
+    telemetry::add(watcher_wakeups_);
+    wq->notify_all();
+  }
 }
 
 Connection::Connection(Fabric& fabric, os::Node& a, os::Node& b,

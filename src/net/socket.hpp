@@ -2,9 +2,12 @@
 // baseline transport). Message-oriented: each send() delivers one Message
 // at the peer after TX serialisation, wire, interrupt and protocol costs —
 // plus whatever run-queue delay the receiving thread suffers.
+//
+// A message's payload is an inline byte image (net::Payload), and the
+// message stays in its one Fabric packet-table slot from Nic::tx until a
+// reader takes it out: the receive queue holds slots, not messages.
 #pragma once
 
-#include <any>
 #include <vector>
 
 #include "net/message.hpp"
@@ -23,11 +26,14 @@ class Connection;
 class Socket {
  public:
   /// Subprogram: pays the send syscall + copy cost, then transmits `bytes`
-  /// carrying `payload` to the peer endpoint.
-  os::Program send(os::SimThread& self, std::size_t bytes, std::any payload);
+  /// carrying `payload` (empty by default) to the peer endpoint. `bytes`,
+  /// not the payload's size, sets the wire and copy costs.
+  os::Program send(os::SimThread& self, std::size_t bytes,
+                   Payload payload = {});
 
   /// Subprogram: blocks until a message is available, pays the recv
-  /// syscall + copy cost, and stores the message in `out`.
+  /// syscall + copy cost, and moves the message out of its packet slot
+  /// into `out` (freeing the slot).
   os::Program recv(os::SimThread& self, Message& out);
 
   /// Subprogram: like recv, but gives up at `deadline` (SO_RCVTIMEO). On
@@ -41,16 +47,17 @@ class Socket {
   /// use this to consume a reply they already know has arrived.
   os::Program recv_ready(os::SimThread& self, Message& out);
 
-  /// Discards every queued inbound message, returning how many were
-  /// dropped. Protocols without sequence numbers (the monitoring
-  /// request/response) use this to flush replies to abandoned requests.
+  /// Discards every queued inbound message and frees its packet slot,
+  /// returning how many were dropped. Protocols without sequence numbers
+  /// (the monitoring request/response) use this to flush replies to
+  /// abandoned requests.
   std::size_t drain_rx();
 
-  /// Transmits a prepared message WITHOUT charging the sender's syscall
-  /// cost — used for switch-replicated multicast copies, where the host
-  /// pays for one send and the fabric fans it out. Routing fields are
-  /// filled from this endpoint.
-  void inject_tx(Message m);
+  /// Transmits `bytes` carrying `payload` WITHOUT charging the sender's
+  /// syscall cost — used for switch-replicated multicast copies, where
+  /// the host pays for one send and the fabric fans it out, and for
+  /// replies the front end answers from inside its poller.
+  void inject_tx(std::size_t bytes, const Payload& payload);
 
   /// Non-blocking check.
   bool has_data() const { return !rx_.empty(); }
@@ -66,20 +73,10 @@ class Socket {
   void add_rx_watcher(os::WaitQueue* wq) { rx_watchers_.push_back(wq); }
 
   os::Node& local_node() { return *local_; }
-  int remote_node_id() const { return remote_node_; }
 
-  /// Delivery from the NIC receive path (protocol cost already paid).
-  void deliver(Message m) {
-    if (!metrics_resolved_) resolve_metrics();
-    telemetry::add(rx_msgs_);
-    telemetry::add(rx_bytes_, m.bytes);
-    rx_.push_back(std::move(m));
-    rx_wq_.notify_one();
-    for (os::WaitQueue* wq : rx_watchers_) {
-      telemetry::add(watcher_wakeups_);
-      wq->notify_all();
-    }
-  }
+  /// Delivery from the NIC receive path (protocol cost already paid):
+  /// queues the parked message's slot and wakes the readers.
+  void deliver(PacketSlot p);
 
  private:
   friend class Connection;
@@ -87,13 +84,17 @@ class Socket {
   /// Caches per-node instrument pointers on first traffic (no-ops forever
   /// when no registry is installed at that point — install before traffic).
   void resolve_metrics();
+  /// Hands a message from this endpoint to the local NIC. A plain
+  /// function, so the 120-byte Message is built on the stack, not in
+  /// send()'s coroutine frame.
+  void transmit(std::size_t bytes, const Payload& payload);
 
   os::Node* local_ = nullptr;
   Fabric* fabric_ = nullptr;
   int remote_node_ = -1;
   std::uint64_t conn_ = 0;
   int remote_side_ = 0;  ///< which endpoint of the connection the peer is
-  sim::Fifo<Message> rx_;
+  sim::Fifo<PacketSlot> rx_;  ///< delivered messages, still parked
   os::WaitQueue rx_wq_;
   std::vector<os::WaitQueue*> rx_watchers_;
   bool metrics_resolved_ = false;

@@ -1,5 +1,6 @@
 #include "net/verbs.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "net/nic.hpp"
@@ -31,7 +32,7 @@ void CompletionQueue::deliver(std::uint64_t ctx, std::uint64_t seq,
     // unsignaled WR that fails surfaces here too.
     release_shadows(st, seq);
     if (st.released_upto < seq + 1) st.released_upto = seq + 1;
-    if (forgotten_.erase(c.wr_id) > 0) {
+    if (unforget(c.wr_id)) {
       ++stale_dropped_;
       return;
     }
@@ -42,7 +43,7 @@ void CompletionQueue::deliver(std::uint64_t ctx, std::uint64_t seq,
   }
   // Unsignaled success: no CQE. The data landed; the consumer learns of it
   // when a closer proves the context's queue drained past it.
-  if (forgotten_.erase(c.wr_id) > 0) {
+  if (unforget(c.wr_id)) {
     ++stale_dropped_;  // abandoned before arrival: never shadowed
     return;
   }
@@ -67,7 +68,7 @@ void CompletionQueue::release_shadows(CtxState& st, std::uint64_t upto) {
       continue;
     }
     --shadow_count_;
-    if (forgotten_.erase(sh.c.wr_id) > 0) {
+    if (unforget(sh.c.wr_id)) {
       ++stale_dropped_;
     } else {
       ++unsignaled_retired_;
@@ -145,7 +146,21 @@ void CompletionQueue::forget(std::uint64_t wr_id) {
       }
     }
   }
-  forgotten_.insert(wr_id);  // still in flight: drop at delivery
+  // Still in flight: drop at delivery (once, however often forgotten).
+  if (std::find(forgotten_.begin(), forgotten_.end(), wr_id) ==
+      forgotten_.end()) {
+    forgotten_.push_back(wr_id);
+  }
+}
+
+bool CompletionQueue::unforget(std::uint64_t wr_id) {
+  for (std::uint64_t& id : forgotten_) {
+    if (id != wr_id) continue;
+    id = forgotten_.back();
+    forgotten_.pop_back();
+    return true;
+  }
+  return false;
 }
 
 // --- QpContext ----------------------------------------------------------------

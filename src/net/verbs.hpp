@@ -36,7 +36,6 @@
 #include <span>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/qos.hpp"
@@ -262,9 +261,14 @@ class CompletionQueue {
   /// One completion surfaced into q_: apply the notification policy.
   void note_surfaced(bool urgent);
   void fire_notify();
+  /// True, and `wr_id` no longer forgotten, if it was forgotten in flight.
+  bool unforget(std::uint64_t wr_id);
 
   sim::Fifo<Completion> q_;
-  std::unordered_set<std::uint64_t> forgotten_;
+  /// Ids forgotten while in flight, dropped when they land. Unordered and
+  /// short (one per abandoned attempt); the vector keeps its capacity, so
+  /// a warm forget allocates nothing.
+  std::vector<std::uint64_t> forgotten_;
   std::unordered_map<std::uint64_t, CtxState> ctxs_;
   std::uint64_t next_wr_id_ = 1;
   std::uint64_t pushed_ = 0;

@@ -1,8 +1,8 @@
 // A move-only run of bytes: what a one-sided READ copied out of a
 // registered region, or a WRITE's payload between its post and its DMA
-// instant. Up to kInline bytes are held in the block itself, as std::any
-// held a small value; a longer run is one heap allocation, made when the
-// bytes are copied in and freed when the block is destroyed or reset.
+// instant. Up to kInline bytes are held in the block itself; a longer run
+// is one heap allocation, made when the bytes are copied in and freed when
+// the block is destroyed or reset.
 #pragma once
 
 #include <cstddef>

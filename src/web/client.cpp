@@ -1,10 +1,6 @@
 #include "web/client.hpp"
 
-#include <any>
-
 namespace rdmamon::web {
-
-std::uint64_t ClientGroup::next_request_id_ = 1;
 
 ClientGroup::ClientGroup(net::Fabric& fabric, lb::Dispatcher& dispatcher,
                          std::vector<os::Node*> client_nodes,
@@ -32,12 +28,12 @@ os::Program ClientGroup::client_body(os::SimThread& self, net::Socket* sock,
   sim::Simulation& simu = self.node().simu();
   for (;;) {
     Request req = gen_(*rng);
-    req.id = next_request_id_++;
+    req.id = dispatcher_->next_request_id();
     req.created_at = simu.now();
     co_await sock->send(self, req.request_bytes, req);
     net::Message m;
     co_await sock->recv(self, m);
-    const Reply reply = std::any_cast<Reply>(m.payload);
+    const Reply reply = m.payload.as<Reply>();
     if (reply.rejected) {
       stats_.record_rejected();
     } else {

@@ -43,13 +43,12 @@ class ClientGroup {
   os::Program client_body(os::SimThread& self, net::Socket* sock,
                           std::shared_ptr<sim::Rng> rng);
 
-  lb::Dispatcher* dispatcher_;
+  lb::Dispatcher* dispatcher_;  ///< numbers this group's requests
   RequestGenerator gen_;
   ClientGroupConfig cfg_;
   ResponseStats stats_;
   /// Publishes stats_ percentiles at snapshot time.
   telemetry::ScopedCollector collector_;
-  static std::uint64_t next_request_id_;
 };
 
 }  // namespace rdmamon::web

@@ -1,9 +1,13 @@
 // Request/reply envelopes exchanged between clients, the front-end
-// dispatcher and the back-end web servers.
+// dispatcher and the back-end web servers. Both travel as socket payload
+// images (net::Payload), so both are trivially copyable and fit one.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
+#include "net/message.hpp"
 #include "sim/time.hpp"
 
 namespace rdmamon::web {
@@ -29,6 +33,8 @@ struct Request {
   std::size_t request_bytes = 512;
   sim::TimePoint created_at{};
 };
+static_assert(std::is_trivially_copyable_v<Request> &&
+              sizeof(Request) <= net::Payload::kCapacity);
 
 /// Per-class metric slot used for Zipf static requests.
 inline constexpr int kStaticClass = 100;
@@ -39,5 +45,7 @@ struct Reply {
   int query_class = 0;
   bool rejected = false;  ///< admission control turned the request away
 };
+static_assert(std::is_trivially_copyable_v<Reply> &&
+              sizeof(Reply) <= net::Payload::kCapacity);
 
 }  // namespace rdmamon::web

@@ -1,7 +1,5 @@
 #include "web/server.hpp"
 
-#include <any>
-
 namespace rdmamon::web {
 
 namespace {
@@ -30,8 +28,7 @@ os::Program WebServer::rx_body(os::SimThread& self, net::Socket* sock) {
   for (;;) {
     net::Message m;
     co_await sock->recv(self, m);
-    queue_.push_back(
-        PendingWork{std::any_cast<Request>(m.payload), sock});
+    queue_.push_back(PendingWork{m.payload.as<Request>(), sock});
     work_wq_.notify_one();
   }
 }

@@ -1,7 +1,5 @@
 #include "workload/synthetic.hpp"
 
-#include <any>
-
 namespace rdmamon::workload {
 
 namespace {
@@ -17,7 +15,7 @@ os::Program bg_worker_body(os::SimThread& self, net::Socket* sock,
     // the node's receive path (IRQ, softirq, wakeups). With burst == 0
     // the thread is a pure compute hog.
     for (int i = 0; i < cfg.burst; ++i) {
-      co_await sock->send(self, cfg.message_bytes, std::any{});
+      co_await sock->send(self, cfg.message_bytes);
     }
     for (int i = 0; i < cfg.burst; ++i) {
       net::Message m;
@@ -32,7 +30,7 @@ os::Program bg_echo_body(os::SimThread& self, net::Socket* sock,
   for (;;) {
     net::Message m;
     co_await sock->recv(self, m);
-    co_await sock->send(self, bytes, std::any{});
+    co_await sock->send(self, bytes);
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "ganglia/ganglia.hpp"
 #include "net/fabric.hpp"
 #include "os/node.hpp"
@@ -69,6 +72,23 @@ TEST(Gmond, PublishedCustomMetricReachesPeers) {
     ASSERT_NE(v, nullptr) << "daemon " << i;
     EXPECT_DOUBLE_EQ(v->value, 42.0);
   }
+}
+
+TEST(Gmond, PublishRejectsANameThatDoesNotFitAPacket) {
+  Env env(2);
+  GangliaConfig cfg;
+  cfg.collect_period = seconds(100);
+  GangliaCluster ganglia(env.fabric, env.node_ptrs(), cfg);
+  const std::string longest(MetricPacket::kNameCapacity - 1, 'm');
+  const std::string too_long(MetricPacket::kNameCapacity, 'm');
+  EXPECT_THROW(ganglia.daemon(0).publish(too_long, 1.0), std::length_error);
+  EXPECT_EQ(ganglia.daemon(0).lookup("n0", too_long), nullptr);
+  ganglia.daemon(0).publish(longest, 2.0);
+  env.simu.run_for(seconds(1));
+  // The longest name that fits arrives whole at the peer.
+  const MetricValue* v = ganglia.daemon(1).lookup("n0", longest);
+  ASSERT_NE(v, nullptr);
+  EXPECT_DOUBLE_EQ(v->value, 2.0);
 }
 
 TEST(Gmetric, AgentPublishesFineGrainedLoadViaScheme) {

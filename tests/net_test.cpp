@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <any>
 #include <array>
 #include <iterator>
 #include <memory>
@@ -17,6 +16,7 @@
 #include "os/node.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/registry.hpp"
+#include "web/request.hpp"
 
 namespace rdmamon::net {
 namespace {
@@ -65,28 +65,35 @@ TEST(Fabric, ConnectionBumpsConnectionCounters) {
   EXPECT_EQ(env.b.stats().connections(), 1);
 }
 
+/// A payload of more than one field.
+struct Greeting {
+  std::uint64_t seq = 0;
+  std::array<char, 8> text{};
+};
+
 TEST(Socket, RoundTripDeliversPayload) {
   TwoNodes env;
   Connection& conn = env.fabric.connect(env.a, env.b);
-  std::string got;
+  Greeting got;
   std::int64_t rtt = -1;
   // Echo server on b.
   env.b.spawn("server", [&](SimThread& self) -> Program {
     Message req;
     co_await conn.end_b().recv(self, req);
-    co_await conn.end_b().send(self, 64,
-                               std::any_cast<std::string>(req.payload));
+    co_await conn.end_b().send(self, 64, req.payload.as<Greeting>());
   });
   env.a.spawn("client", [&](SimThread& self) -> Program {
     const sim::TimePoint t0 = env.simu.now();
-    co_await conn.end_a().send(self, 64, std::string("hello"));
+    co_await conn.end_a().send(self, 64,
+                               Greeting{42, {'h', 'e', 'l', 'l', 'o'}});
     Message rep;
     co_await conn.end_a().recv(self, rep);
-    got = std::any_cast<std::string>(rep.payload);
+    got = rep.payload.as<Greeting>();
     rtt = (env.simu.now() - t0).ns;
   });
   env.simu.run_for(seconds(1));
-  EXPECT_EQ(got, "hello");
+  EXPECT_EQ(got.seq, 42u);
+  EXPECT_EQ(std::string_view(got.text.data()), "hello");
   ASSERT_GT(rtt, 0);
   // Unloaded RTT should be tens of microseconds (IPoIB-era).
   EXPECT_GT(rtt, usec(20).ns);
@@ -101,7 +108,7 @@ TEST(Socket, ManyMessagesArriveInOrder) {
     for (int i = 0; i < 20; ++i) {
       Message m;
       co_await conn.end_b().recv(self, m);
-      received.push_back(std::any_cast<int>(m.payload));
+      received.push_back(m.payload.as<int>());
     }
   });
   env.a.spawn("tx", [&](SimThread& self) -> Program {
@@ -909,11 +916,12 @@ TEST(Rdma, SteadyStateReadAndWriteDoNotAllocate) {
   }
 }
 
-TEST(Socket, SteadyStateMessagesDoNotAllocate) {
-  // A message lives in one packet-table slot from Nic::tx to delivery;
-  // IRQ and softirq bodies capture only the slot. Each round is one
-  // ping-pong (inline receive) plus a burst wider than the inline budget,
-  // whose tail the receiver defers to ksoftirqd.
+/// One steady-state socket exchange carrying `payload` each way: every
+/// round is one ping-pong (inline receive) plus a burst wider than the
+/// inline budget, whose tail the receiver defers to ksoftirqd; the echo
+/// server sends each payload back as received. Returns the heap
+/// allocations of the measured half.
+std::uint64_t socket_steady_state_allocs(const Payload& payload) {
   TwoNodes env;
   Connection& conn = env.fabric.connect(env.a, env.b);
   constexpr int kRounds = 32;
@@ -923,7 +931,7 @@ TEST(Socket, SteadyStateMessagesDoNotAllocate) {
     for (;;) {
       Message m;
       co_await conn.end_b().recv(self, m);
-      co_await conn.end_b().send(self, 64, std::any_cast<int>(m.payload));
+      co_await conn.end_b().send(self, 64, m.payload);
       ++echoed;
     }
   });
@@ -937,28 +945,146 @@ TEST(Socket, SteadyStateMessagesDoNotAllocate) {
         deferred_before = env.fabric.nic(env.b.id).rx_deferred();
       }
       for (int i = 0; i < kRounds; ++i) {
-        co_await conn.end_a().send(self, 64, i);
+        co_await conn.end_a().send(self, 64, payload);
         co_await conn.end_a().recv(self, rep);
-        replies += std::any_cast<int>(rep.payload) == i;
+        replies += rep.payload.size() == payload.size();
+        for (int k = 0; k < kBurst; ++k) conn.end_a().inject_tx(64, payload);
         for (int k = 0; k < kBurst; ++k) {
-          Message m;
-          m.bytes = 64;
-          m.payload = k;
-          conn.end_a().inject_tx(std::move(m));
+          co_await conn.end_a().recv(self, rep);
+          replies += rep.payload.size() == payload.size();
         }
-        for (int k = 0; k < kBurst; ++k) co_await conn.end_a().recv(self, rep);
       }
       if (round == 1) after = allocation_count();
     }
   });
   env.simu.run_for(seconds(2));
-  EXPECT_EQ(replies, 2 * kRounds);
+  EXPECT_EQ(replies, 2 * kRounds * (1 + kBurst));
   EXPECT_EQ(echoed, 2 * kRounds * (1 + kBurst));
   // Both receive branches ran in the measured half.
   const Nic& rx = env.fabric.nic(env.b.id);
   EXPECT_GT(rx.rx_deferred(), deferred_before);
   EXPECT_LT(rx.rx_deferred(), rx.rx_packets());
   EXPECT_EQ(env.fabric.packets_in_flight(), 0u);
+  return after - before;
+}
+
+TEST(Socket, SteadyStateMessagesDoNotAllocate) {
+  // A message lives in one packet-table slot from Nic::tx until it is
+  // read; IRQ and softirq bodies and the receive queue carry only the
+  // slot, and the payload is an inline image. Every payload the sockets
+  // carry, up to the largest, crosses both receive branches without
+  // touching the heap once warm.
+  web::Request request;
+  request.id = 7;
+  os::LoadSnapshot snapshot;
+  snapshot.cpu_load = 0.5;
+  static_assert(sizeof(web::Request) == 64);
+  static_assert(sizeof(os::LoadSnapshot) == Payload::kCapacity);
+  const std::pair<const char*, Payload> payloads[] = {
+      {"empty", Payload{}},
+      {"int", Payload{5}},
+      {"web::Request", request},
+      {"os::LoadSnapshot", snapshot}};
+  for (const auto& [name, payload] : payloads) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(socket_steady_state_allocs(payload), 0u);
+  }
+}
+
+TEST(Fabric, PacketSlotsAreFreedOnEveryExitPath) {
+  // A socket message holds its packet slot from Nic::tx until it is read,
+  // flushed or dropped; each way out gives the slot back.
+  TwoNodes env;
+  Fabric& f = env.fabric;
+  Connection& conn = f.connect(env.a, env.b);
+  auto send = [&](int n) {
+    for (int i = 0; i < n; ++i) conn.end_a().inject_tx(64, i);
+  };
+  auto run = [&] { env.simu.run_for(msec(1)); };
+
+  // Received: parked from tx, still parked while queued at the socket,
+  // freed by the read.
+  send(1);
+  EXPECT_EQ(f.packets_in_flight(), 1u);
+  run();
+  EXPECT_EQ(conn.end_b().rx_backlog(), 1u);
+  EXPECT_EQ(f.packets_in_flight(), 1u);
+  int got = -1;
+  env.b.spawn("reader", [&](SimThread& self) -> Program {
+    Message m;
+    co_await conn.end_b().recv(self, m);
+    got = m.payload.as<int>();
+  });
+  run();
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(f.packets_in_flight(), 0u);
+
+  // Flushed unread.
+  send(3);
+  run();
+  EXPECT_EQ(f.packets_in_flight(), 3u);
+  EXPECT_EQ(conn.end_b().drain_rx(), 3u);
+  EXPECT_EQ(f.packets_in_flight(), 0u);
+
+  // A crashed end: dropped when shipped, and when the destination dies
+  // while the packet is on the wire.
+  f.inject_crash(env.b.id);
+  send(2);
+  run();
+  EXPECT_EQ(f.packets_in_flight(), 0u);
+  f.inject_recover(env.b.id);
+  send(1);
+  env.simu.after(kPropLatency / 2, [&] { f.inject_crash(env.b.id); });
+  run();
+  EXPECT_EQ(f.packets_in_flight(), 0u);
+  f.inject_recover(env.b.id);
+
+  // A lossy link.
+  f.inject_link_fault(env.b.id, {}, 1.0);
+  send(2);
+  run();
+  EXPECT_EQ(f.packets_in_flight(), 0u);
+  f.clear_link_fault(env.b.id);
+
+  // A frozen host crashed while its ingress port holds packets.
+  f.inject_freeze(env.b.id);
+  send(2);
+  run();
+  EXPECT_EQ(f.packets_in_flight(), 2u);
+  EXPECT_EQ(conn.end_b().rx_backlog(), 0u);
+  f.inject_crash(env.b.id);
+  EXPECT_EQ(f.packets_in_flight(), 0u);
+}
+
+TEST(CompletionQueue, WarmInFlightForgetDoesNotAllocate) {
+  // Attempts abandoned while their READ is on the wire: the CQ remembers
+  // each id until its completion lands and is dropped, in a list that
+  // keeps its capacity.
+  TwoNodes env;
+  int value = 5;
+  const MrKey key = env.fabric.nic(env.b.id).register_mr(bytes_of(value));
+  CompletionQueue cq;
+  QueuePair qp(env.fabric.nic(env.a.id), env.b.id, cq);
+  constexpr int kOps = 32;
+  std::uint64_t before = 0, after = 0;
+  env.a.spawn("abandon", [&](SimThread& self) -> Program {
+    for (int round = 0; round < 2; ++round) {  // warm-up, then measured
+      if (round == 1) before = allocation_count();
+      for (int i = 0; i < kOps; ++i) {
+        const std::uint64_t id = cq.alloc_wr_id();
+        qp.post({.rkey = key, .len = 64, .wr_id = id});
+        cq.forget(id);
+      }
+      co_await SleepFor{msec(1)};  // every READ lands and is dropped
+      if (round == 1) after = allocation_count();
+    }
+    (void)self;
+  });
+  env.simu.run_for(seconds(1));
+  EXPECT_EQ(cq.forgets(), 2u * kOps);
+  EXPECT_EQ(cq.stale_dropped(), 2u * kOps);
+  EXPECT_TRUE(cq.empty());
+  EXPECT_EQ(env.fabric.nic(env.a.id).rdma_ops_in_flight(), 0u);
   EXPECT_EQ(after - before, 0u);
 }
 

@@ -162,15 +162,10 @@ TEST(NetEdge, MulticastInjectDeliversWithoutSenderSyscall) {
   b.spawn("rx", [&](SimThread& self) -> Program {
     net::Message m;
     co_await conn.end_b().recv(self, m);
-    got = std::any_cast<int>(m.payload);
+    got = m.payload.as<int>();
   });
   // Inject from event context: no sending thread at all.
-  simu.after(msec(1), [&] {
-    net::Message m;
-    m.bytes = 128;
-    m.payload = 77;
-    conn.end_a().inject_tx(std::move(m));
-  });
+  simu.after(msec(1), [&] { conn.end_a().inject_tx(128, 77); });
   simu.run_for(msec(10));
   EXPECT_EQ(got, 77);
 }

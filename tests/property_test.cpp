@@ -131,7 +131,7 @@ TEST_P(MessageSweep, EveryMessageSentIsReceivedExactlyOnce) {
     for (;;) {
       net::Message m;
       co_await conn.end_b().recv(self, m);
-      received_sum += std::any_cast<int>(m.payload);
+      received_sum += m.payload.as<int>();
       ++received;
     }
   });

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <any>
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -189,7 +190,7 @@ os::Program send_all_then_read(os::SimThread& self, net::Socket* sock,
   for (std::size_t i = 0; i < ids.size(); ++i) {
     net::Message m;
     co_await sock->recv(self, m);
-    replies->push_back(std::any_cast<Reply>(m.payload));
+    replies->push_back(m.payload.as<Reply>());
   }
 }
 
@@ -222,6 +223,28 @@ TEST(Dispatcher, FailoverAnswersInForwardingOrder) {
   }
 }
 
+/// One client, one front end and one back end, wired by hand: the
+/// balancer is never started, so there is no poller and no dispatch log.
+struct HandWiredFrontEnd {
+  sim::Simulation simu;
+  net::Fabric fabric{simu, {}};
+  os::Node fe{simu, {.name = "frontend"}};
+  os::Node be{simu, {.name = "backend0"}};
+  os::Node client{simu, {.name = "client"}};
+  WebServer server{fabric, be, {}};
+  lb::LoadBalancer balancer{lb::WeightConfig::for_scheme(Scheme::RdmaSync)};
+  lb::Dispatcher dispatcher{fabric, fe, balancer};
+
+  HandWiredFrontEnd() {
+    fabric.attach(fe);
+    fabric.attach(be);
+    fabric.attach(client);
+    dispatcher.add_backend(server);
+    balancer.add_backend(std::make_unique<monitor::MonitorChannel>(
+        fabric, fe, be, monitor::MonitorConfig{}));
+  }
+};
+
 /// Closed loop: one request at a time; `marks` gets the allocation count
 /// after `warm` requests and after the last.
 os::Program closed_loop(os::SimThread& self, net::Socket* sock, int warm,
@@ -238,39 +261,67 @@ os::Program closed_loop(os::SimThread& self, net::Socket* sock, int warm,
   marks->push_back(allocation_count());
 }
 
-TEST(Dispatcher, WarmRequestAllocatesOnlyItsFourPayloads) {
-  // A front end wired by hand, its balancer never started: no poller and
-  // no dispatch log, so only the request path itself can allocate.
-  sim::Simulation simu;
-  net::Fabric fabric(simu, {});
-  os::Node fe(simu, {.name = "frontend"});
-  os::Node be(simu, {.name = "backend0"});
-  os::Node client(simu, {.name = "client"});
-  fabric.attach(fe);
-  fabric.attach(be);
-  fabric.attach(client);
-  WebServer server(fabric, be, {});
-  lb::LoadBalancer balancer(lb::WeightConfig::for_scheme(Scheme::RdmaSync));
-  lb::Dispatcher dispatcher(fabric, fe, balancer);
-  dispatcher.add_backend(server);
-  balancer.add_backend(std::make_unique<monitor::MonitorChannel>(
-      fabric, fe, be, monitor::MonitorConfig{}));
-  net::Socket& sock = dispatcher.add_client(client);
-
+TEST(Dispatcher, WarmRequestDoesNotAllocate) {
+  // The Request and the Reply cross four sockets as inline payload
+  // images, each parked in one packet slot until read, and the pending
+  // table stops growing once it has held one request.
+  HandWiredFrontEnd env;
+  net::Socket& sock = env.dispatcher.add_client(env.client);
   constexpr int kWarm = 20, kMeasured = 100;
   std::vector<std::uint64_t> marks;
   marks.reserve(2);
-  client.spawn("loop", [&](os::SimThread& t) {
+  env.client.spawn("loop", [&](os::SimThread& t) {
     return closed_loop(t, &sock, kWarm, kWarm + kMeasured, &marks);
   });
-  simu.run_for(seconds(1));
+  env.simu.run_for(seconds(1));
 
   ASSERT_EQ(marks.size(), 2u);
-  EXPECT_EQ(server.completed(), static_cast<std::uint64_t>(kWarm + kMeasured));
-  // The std::any payloads: the Request client -> front end and front end
-  // -> back end, the Reply back end -> front end and front end -> client.
-  // The pending table adds none once it has held one request.
-  EXPECT_EQ(marks[1] - marks[0], 4u * kMeasured);
+  EXPECT_EQ(env.server.completed(),
+            static_cast<std::uint64_t>(kWarm + kMeasured));
+  EXPECT_EQ(env.fabric.packets_in_flight(), 0u);
+  EXPECT_EQ(marks[1] - marks[0], 0u);
+}
+
+/// The ids pending at a fresh hand-wired front end 5 ms after a group of
+/// three client threads started sending requests that each hold the back
+/// end for 10 s.
+std::vector<std::uint64_t> ids_a_fresh_simulation_numbers() {
+  HandWiredFrontEnd env;
+  ClientGroupConfig cfg;
+  cfg.threads_per_node = 3;
+  ClientGroup group(
+      env.fabric, env.dispatcher, {&env.client},
+      [](sim::Rng&) {
+        Request r;
+        r.demand.cpu_php = seconds(10);
+        return r;
+      },
+      cfg, sim::Rng(1));
+  env.simu.run_for(msec(5));
+  return env.dispatcher.pending_ids();
+}
+
+TEST(Dispatcher, EachSimulationNumbersItsRequestsFromOne) {
+  // Ids come from the dispatcher a group sends through, not from process
+  // state: a second simulation in the same process numbers its requests
+  // exactly as the first did.
+  const std::vector<std::uint64_t> first = ids_a_fresh_simulation_numbers();
+  const std::vector<std::uint64_t> second = ids_a_fresh_simulation_numbers();
+  std::vector<std::uint64_t> sorted = first;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(second, first);
+}
+
+TEST(Payload, ReadingAReplyFromARequestThrows) {
+  Request req;
+  req.id = 3;
+  net::Message m;
+  m.payload = req;
+  EXPECT_EQ(m.payload.size(), sizeof(Request));
+  EXPECT_EQ(m.payload.as<Request>().id, 3u);
+  EXPECT_THROW(m.payload.as<Reply>(), std::length_error);
+  EXPECT_THROW(net::Payload{}.as<Reply>(), std::length_error);
 }
 
 }  // namespace
