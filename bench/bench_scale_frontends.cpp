@@ -4,8 +4,9 @@
 // monitoring work each BACK END sees is constant in M (each is polled by
 // exactly one owner per round — scaling the control plane out does not
 // multiply the probe load), the per-front-end share drops ~1/M, and the
-// price of everyone-still-sees-everything is a few kilobyte-sized READs
-// per gossip period whose staleness stays bounded.
+// price of everyone-still-sees-everything is M-1 view READs per front end
+// per gossip period, each sized to the peer's shard (64 B plus 104 B per
+// owned back end), whose staleness stays bounded.
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -28,6 +29,8 @@ using namespace rdmamon;
 struct Cell {
   double polls_per_backend_sec;  ///< successful owner polls per back end
   double gossip_reads_sec;       ///< total peer-view READs issued
+  double gossip_bytes_per_read;  ///< mean wire footprint of one view READ
+  double gossip_kb_per_sec;      ///< view-READ wire KB per simulated s
   double mean_view_age_us;       ///< mean over FEs of max peer-view age
   double mean_fetch_us;          ///< mean monitoring fetch latency
   int min_shard;                 ///< ring spread across the M owners
@@ -76,7 +79,7 @@ Cell run_cell(int frontends, int backends, sim::Duration run,
   simu.run_for(run);
 
   Cell cell{};
-  std::uint64_t total_polls = 0, total_reads = 0;
+  std::uint64_t total_polls = 0, total_reads = 0, gossip_bytes = 0;
   double age_sum = 0.0, fetch_sum = 0.0;
   int fetch_cells = 0;
   cell.min_shard = backends;
@@ -85,6 +88,7 @@ Cell run_cell(int frontends, int backends, sim::Duration run,
     cluster::FrontendPlane& fp = plane.frontend(m);
     for (std::uint64_t p : fp.poll_counts()) total_polls += p;
     total_reads += fp.gossip_reads_ok() + fp.gossip_reads_failed();
+    gossip_bytes += fp.gossip_wire_bytes();
     age_sum += static_cast<double>(fp.max_peer_view_age().ns) / 1e3;
     if (fp.balancer().fetch_latency_ns().count() > 0) {
       fetch_sum += fp.balancer().fetch_latency_ns().mean() / 1e3;
@@ -99,6 +103,11 @@ Cell run_cell(int frontends, int backends, sim::Duration run,
   cell.polls_per_backend_sec =
       static_cast<double>(total_polls) / backends / secs;
   cell.gossip_reads_sec = static_cast<double>(total_reads) / secs;
+  cell.gossip_bytes_per_read =
+      total_reads > 0 ? static_cast<double>(gossip_bytes) /
+                            static_cast<double>(total_reads)
+                      : 0.0;
+  cell.gossip_kb_per_sec = static_cast<double>(gossip_bytes) / 1024.0 / secs;
   cell.mean_view_age_us = frontends > 1 ? age_sum / frontends : 0.0;
   cell.mean_fetch_us = fetch_cells > 0 ? fetch_sum / fetch_cells : 0.0;
   return cell;
@@ -131,7 +140,7 @@ int main(int argc, char** argv) {
                  "peer-view age (us) | shard spread ---\n";
     rdmamon::util::Table table;
     table.set_header({"frontends", "polls/be/s", "gossip rd/s",
-                      "view age us", "shards", "stale"});
+                      "B/gossip rd", "view age us", "shards", "stale"});
     table.set_align(0, rdmamon::util::Align::Left);
     for (int m : ms) {
       const auto wall0 = std::chrono::steady_clock::now();
@@ -141,7 +150,9 @@ int main(int argc, char** argv) {
                                  .count();
       table.add_row({"M=" + std::to_string(m),
                      num(c.polls_per_backend_sec, 1),
-                     num(c.gossip_reads_sec, 1), num(c.mean_view_age_us, 1),
+                     num(c.gossip_reads_sec, 1),
+                     num(c.gossip_bytes_per_read, 0),
+                     num(c.mean_view_age_us, 1),
                      std::to_string(c.min_shard) + ".." +
                          std::to_string(c.max_shard),
                      std::to_string(c.stale_marks)});
@@ -150,6 +161,8 @@ int main(int argc, char** argv) {
       r["backends"] = n;
       r["polls_per_backend_sec"] = c.polls_per_backend_sec;
       r["gossip_reads_sec"] = c.gossip_reads_sec;
+      r["gossip_bytes_per_read"] = c.gossip_bytes_per_read;
+      r["gossip_kb_per_sec"] = c.gossip_kb_per_sec;
       r["mean_view_age_us"] = c.mean_view_age_us;
       r["mean_fetch_us"] = c.mean_fetch_us;
       r["min_shard"] = c.min_shard;
@@ -210,6 +223,8 @@ int main(int argc, char** argv) {
     r["frontends"] = m;
     r["backends"] = big_n;
     r["polls_per_backend_sec"] = c.polls_per_backend_sec;
+    r["gossip_bytes_per_read"] = c.gossip_bytes_per_read;
+    r["gossip_kb_per_sec"] = c.gossip_kb_per_sec;
     r["mean_view_age_us"] = c.mean_view_age_us;
     r["stale_marks"] = static_cast<double>(c.stale_marks);
     r["wall_ms"] = wall_ms;

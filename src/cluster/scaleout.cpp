@@ -4,14 +4,13 @@
 #include <cassert>
 #include <cstring>
 
+#include "net/nic.hpp"
+
 namespace rdmamon::cluster {
 
 namespace {
 /// Consecutive failed/stale view reads before a peer is evicted.
 constexpr int kPeerDeadAfter = 3;
-/// Wire size of a view READ (charged per gossip READ, whatever the
-/// view's entry count).
-constexpr std::size_t kViewBytes = 4096;
 }  // namespace
 
 FrontendPlane::FrontendPlane(ScaleOutPlane& plane, os::Node& node, int id,
@@ -71,7 +70,7 @@ std::span<std::byte> FrontendPlane::build_view() {
   std::size_t at = sizeof(ShardViewHeader);
   for (int b = 0; b < plane_->backend_count(); ++b) {
     if (plane_->membership().owner_of(b) != id_) continue;
-    const ShardViewEntry e{b, lb_.view(b)};
+    const ShardViewEntry e = lb::peer_record(b, lb_.view(b));
     std::memcpy(view_image_.data() + at, &e, sizeof(e));
     at += sizeof(e);
     ++h.count;
@@ -125,8 +124,7 @@ void FrontendPlane::wire(sim::Duration granularity) {
   // stall stops moving published_at and the records' evidence while its
   // NIC keeps serving, which is exactly the stale-view signal peers key
   // on.
-  view_image_.resize(sizeof(ShardViewHeader) +
-                     static_cast<std::size_t>(n) * sizeof(ShardViewEntry));
+  view_image_.resize(view_read_bytes(n));
   view_mr_ = plane_->fabric().nic(node_->id).register_mr(
       view_image_, [this](net::Verb, std::span<std::byte>& image) {
         image = build_view();
@@ -232,17 +230,23 @@ bool FrontendPlane::may_evict() const {
   return since.ns < guard;
 }
 
-ShardViewHeader FrontendPlane::process_view(const sim::ByteBlock& image) {
+ShardViewHeader FrontendPlane::process_view(const sim::ByteBlock& image,
+                                            std::size_t len) {
   const reconfig::FrontendMembership& mem = plane_->membership();
   const auto h = image.as<ShardViewHeader>();
-  for (std::size_t i = 0; i < h.count; ++i) {
+  // Entries past the READ's length never crossed the wire: a shard that
+  // grew between post and DMA is cut there, and the rest arrives with
+  // the next period's READ.
+  const std::size_t n = std::min<std::size_t>(
+      h.count, (len - sizeof(ShardViewHeader)) / sizeof(ShardViewEntry));
+  for (std::size_t i = 0; i < n; ++i) {
     const auto e = image.as<ShardViewEntry>(sizeof(ShardViewHeader) +
                                             i * sizeof(ShardViewEntry));
     // Only a back end's current owner vouches for it (membership is
     // shared), and only evidence newer than ours is news.
     if (mem.owner_of(e.backend) != h.frontend) continue;
-    if (e.view.evidence_at <= lb_.view(e.backend).evidence_at) continue;
-    lb_.ingest_peer(static_cast<std::size_t>(e.backend), e.view);
+    if (e.evidence_at <= lb_.view(e.backend).evidence_at) continue;
+    lb_.ingest_peer(e);
   }
   return h;
 }
@@ -260,11 +264,14 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
       if (peer == id_ || !mem.is_member(peer)) continue;
       FrontendPlane& fp = plane_->frontend(peer);
       net::QueuePair& qp = *peer_qps_[static_cast<std::size_t>(peer)];
+      // Sized to the peer's shard as the shared ring has it now.
+      const std::size_t len = view_read_bytes(fp.owned_count());
+      gossip_bytes_ += net::rdma_footprint(net::Verb::Read, len);
       net::Completion c;
       bool timed_out = false;
       co_await net::rdma_sync(self, qp,
                               {.rkey = fp.view_mr_key(),
-                               .len = kViewBytes,
+                               .len = len,
                                .wr_id = gossip_cq_.alloc_wr_id()},
                               c, simu.now() + cfg.read_timeout, &timed_out);
       const bool read_ok =
@@ -273,7 +280,7 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
       if (read_ok) {
         ++gossip_ok_;
         telemetry::add(m_gossip_ok_);
-        const ShardViewHeader v = process_view(c.data);
+        const ShardViewHeader v = process_view(c.data, len);
         // A crashed host fails the READ outright; a host whose poller
         // stalled keeps DMA-serving a view whose published_at no
         // longer advances.

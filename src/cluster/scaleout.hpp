@@ -7,7 +7,9 @@
 // writes the view from the balancer's own per-back-end records into the
 // region at the DMA instant — there is no second copy to keep fresh, so
 // whatever refreshed a record (wire poll, pushed WRITE, verification
-// READ) reaches peers.
+// READ) reaches peers. A view READ asks for exactly the peer's shard as
+// the shared ring has it: the header plus one fixed-size peer record per
+// back end the peer owns.
 // The gossip READs cost the publisher no CPU, so the view stays readable
 // even off a saturated or frozen owner.
 //
@@ -58,9 +60,9 @@ namespace rdmamon::cluster {
 
 /// What one front end publishes through its registered view MR, built
 /// into the region at the DMA instant by its hook: this header, then
-/// `count` ShardViewEntry records. A publisher whose poller has stalled
-/// keeps serving — published_at stops advancing, which is what peers key
-/// on.
+/// `count` ShardViewEntry records in back-end order. A publisher whose
+/// poller has stalled keeps serving — published_at stops advancing,
+/// which is what peers key on.
 struct ShardViewHeader {
   int frontend = -1;
   std::uint32_t count = 0;  ///< entries following the header
@@ -68,14 +70,16 @@ struct ShardViewHeader {
   std::uint64_t membership_epoch = 0;
   sim::TimePoint published_at{};  ///< end of the publisher's last round
 };
-/// (back-end index, balancer record) of one back end the publisher owns
-/// at the DMA instant.
-struct ShardViewEntry {
-  int backend = -1;
-  lb::BackendView view;
-};
+/// The peer record of one back end the publisher owns at the DMA instant:
+/// what gossip ingest reads of the balancer's record, nothing more.
+using ShardViewEntry = lb::PeerRecord;
 static_assert(std::is_trivially_copyable_v<ShardViewHeader>);
-static_assert(std::is_trivially_copyable_v<ShardViewEntry>);
+
+/// Bytes a view READ of a shard of `owned` back ends asks for.
+constexpr std::size_t view_read_bytes(int owned) {
+  return sizeof(ShardViewHeader) +
+         static_cast<std::size_t>(owned) * sizeof(ShardViewEntry);
+}
 
 struct ScaleOutConfig {
   /// Gossip period: each front end READs every peer's view this often.
@@ -162,6 +166,9 @@ class FrontendPlane {
   std::vector<std::uint64_t> poll_counts() const;
   std::uint64_t gossip_reads_ok() const { return gossip_ok_; }
   std::uint64_t gossip_reads_failed() const { return gossip_fail_; }
+  /// Wire footprint of every view READ posted (net::rdma_footprint of
+  /// each READ's length), failed ones included.
+  std::uint64_t gossip_wire_bytes() const { return gossip_bytes_; }
   std::uint64_t stale_marks() const { return stale_marks_; }
   std::uint64_t evictions() const { return evictions_; }
   std::uint64_t takeovers() const { return takeovers_; }
@@ -178,8 +185,9 @@ class FrontendPlane {
   /// The view MR's DMA hook: writes the view into view_image_ and
   /// returns its live prefix.
   std::span<std::byte> build_view();
-  /// Ingests a peer's view image; returns its header.
-  ShardViewHeader process_view(const sim::ByteBlock& image);
+  /// Ingests the entries of a peer's view image that fall within the
+  /// READ's `len` bytes; returns its header.
+  ShardViewHeader process_view(const sim::ByteBlock& image, std::size_t len);
   bool may_evict() const;
 
   ScaleOutPlane* plane_;
@@ -205,6 +213,7 @@ class FrontendPlane {
 
   std::uint64_t gossip_ok_ = 0;
   std::uint64_t gossip_fail_ = 0;
+  std::uint64_t gossip_bytes_ = 0;
   std::uint64_t stale_marks_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t takeovers_ = 0;

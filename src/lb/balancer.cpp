@@ -159,9 +159,22 @@ void LoadBalancer::apply_sample(std::size_t i,
   }
 }
 
-void LoadBalancer::ingest_peer(std::size_t i, const BackendView& owner) {
-  if (owner.health == BackendHealth::Healthy && owner.sample.ok) {
-    apply_sample(i, owner.sample, ViewSource::Gossip);
+PeerRecord peer_record(int backend, const BackendView& v) {
+  return {backend, v.health == BackendHealth::Healthy && v.sample.ok,
+          v.sample.info, v.sample.retrieved_at, v.evidence_at};
+}
+
+void LoadBalancer::ingest_peer(const PeerRecord& owner) {
+  const std::size_t i = static_cast<std::size_t>(owner.backend);
+  if (owner.usable) {
+    // A gossiped sample had no request phase here: it rode a peer's
+    // fetch, then a view READ.
+    monitor::MonitorSample s;
+    s.info = owner.info;
+    s.requested_at = owner.retrieved_at;
+    s.retrieved_at = owner.retrieved_at;
+    s.ok = true;
+    apply_sample(i, s, ViewSource::Gossip);
   } else {
     note_stale(i);
   }

@@ -10,6 +10,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "monitor/adaptive.hpp"
@@ -90,8 +91,8 @@ enum class ViewSource : std::uint8_t { Pull = 0, Push = 1, Gossip = 2 };
 
 /// Everything one front end knows about one back end. The balancer
 /// keeps exactly one per back end: poll rounds, push scans and gossip
-/// all write it, pick() reads it, and the scale-out plane publishes it
-/// to peers as is.
+/// all write it, pick() reads it, and the scale-out plane publishes its
+/// PeerRecord to peers.
 struct BackendView {
   monitor::MonitorSample sample;  ///< last good sample (!ok before any)
   ViewSource source = ViewSource::Pull;  ///< path that produced `sample`
@@ -107,6 +108,23 @@ struct BackendView {
   /// verification READs, ok or failed.
   std::uint64_t refreshes = 0;
 };
+
+/// The part of an owner's BackendView that a peer ingests (ingest_peer):
+/// a fixed-size wire image, one per back end the scale-out plane's
+/// shard view carries.
+struct PeerRecord {
+  int backend = -1;
+  /// The owner holds the back end Healthy and has a good sample.
+  bool usable = false;
+  os::LoadSnapshot info;          ///< the owner's last good sample
+  sim::TimePoint retrieved_at{};  ///< when the owner fetched `info`
+  sim::TimePoint evidence_at{};   ///< BackendView::evidence_at
+};
+static_assert(std::is_trivially_copyable_v<PeerRecord>);
+static_assert(sizeof(PeerRecord) <= 104);
+
+/// Back end `backend`'s record as the owner of view `v` publishes it.
+PeerRecord peer_record(int backend, const BackendView& v);
 
 /// Refresh strategy of a push-capable balancer (enable_push).
 struct PushPollConfig {
@@ -200,13 +218,13 @@ class LoadBalancer {
     round_cbs_.push_back(std::move(cb));
   }
 
-  /// Merges the record a peer owner published for back end `i`: a
-  /// healthy owner's sample is applied as if this balancer had fetched
-  /// it (only the local fetch-latency statistic is left untouched); an
-  /// owner that observed failures mirrors one strike, so this detector
-  /// converges toward the owner's verdict. Either way the record's
-  /// evidence instant becomes the owner's.
-  void ingest_peer(std::size_t i, const BackendView& owner);
+  /// Merges the record a peer owner published for its back end: a usable
+  /// record's sample is applied as if this balancer had fetched it (only
+  /// the local fetch-latency statistic is left untouched); an owner that
+  /// observed failures mirrors one strike, so this detector converges
+  /// toward the owner's verdict. Either way the record's evidence instant
+  /// becomes the owner's.
+  void ingest_peer(const PeerRecord& owner);
 
   /// Counts one staleness strike against back end `i`: nobody has shown
   /// this front end fresh evidence about it within the staleness bound,

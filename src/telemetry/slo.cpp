@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/fifo.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/registry.hpp"
 
@@ -16,12 +17,18 @@ const char* to_string(AlarmState s) {
   return "?";
 }
 
-/// Live accounting for one SLO: the windowed observation deque plus the
+/// Live accounting for one SLO: the windowed observations plus the
 /// current alarm state.
 struct SloEngine::Stream {
+  struct Obs {
+    sim::TimePoint at;
+    bool violating;
+  };
   SloSpec spec;
   int index = 0;  ///< registration order (flight-event tag)
-  std::deque<std::pair<sim::TimePoint, bool>> obs;  ///< (at, violating)
+  /// The window, oldest first; once it has held a full window it never
+  /// allocates again.
+  sim::Fifo<Obs> obs;
   std::size_t violations = 0;
   double consumed = 0.0;
   AlarmState state = AlarmState::Ok;
@@ -66,8 +73,9 @@ void SloEngine::observe(Stream* s, double value) { observe(s, value, now()); }
 
 void SloEngine::observe(Stream* s, double value, sim::TimePoint at) {
   if (s == nullptr) return;
-  s->obs.emplace_back(at, value > s->spec.target);
-  if (s->obs.back().second) ++s->violations;
+  const bool violating = value > s->spec.target;
+  s->obs.push_back({at, violating});
+  if (violating) ++s->violations;
   slide(*s, at);
 }
 
@@ -84,8 +92,8 @@ void SloEngine::remove_probe(std::uint64_t id) {
 }
 
 void SloEngine::slide(Stream& s, sim::TimePoint at) {
-  while (!s.obs.empty() && at.ns - s.obs.front().first.ns > s.spec.window.ns) {
-    if (s.obs.front().second) --s.violations;
+  while (!s.obs.empty() && at.ns - s.obs.front().at.ns > s.spec.window.ns) {
+    if (s.obs.front().violating) --s.violations;
     s.obs.pop_front();
   }
 }

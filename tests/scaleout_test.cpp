@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/scaleout.hpp"
@@ -174,6 +175,208 @@ TEST(ScaleOut, ExportsRingOwnershipAndPeerViewAgeGauges) {
     // Per-front-end balancer series are label-disambiguated.
     EXPECT_NE(json.find("frontend=frontend0"), std::string::npos);
     EXPECT_NE(json.find("frontend=frontend1"), std::string::npos);
+  }
+}
+
+// --- gossip wire records -----------------------------------------------------
+
+// What a view READ carries per owned back end: only what ingest reads.
+static_assert(std::is_trivially_copyable_v<cluster::ShardViewEntry>);
+static_assert(sizeof(cluster::ShardViewEntry) <= 104);
+
+/// Back ends front end `m` owns on the ring right now.
+std::vector<int> shard_of(cluster::ScaleOutPlane& plane, int m) {
+  std::vector<int> shard;
+  for (int b = 0; b < plane.backend_count(); ++b) {
+    if (plane.owner_of(b) == m) shard.push_back(b);
+  }
+  return shard;
+}
+
+void expect_same_snapshot(const os::LoadSnapshot& a, const os::LoadSnapshot& b,
+                          int backend) {
+  EXPECT_EQ(a.computed_at, b.computed_at) << "backend " << backend;
+  EXPECT_EQ(a.cpu_load, b.cpu_load) << "backend " << backend;
+  EXPECT_EQ(a.nr_running, b.nr_running) << "backend " << backend;
+  EXPECT_EQ(a.nr_threads, b.nr_threads) << "backend " << backend;
+  EXPECT_EQ(a.mem_load, b.mem_load) << "backend " << backend;
+  EXPECT_EQ(a.net_rate, b.net_rate) << "backend " << backend;
+  EXPECT_EQ(a.connections, b.connections) << "backend " << backend;
+  EXPECT_EQ(a.cpus, b.cpus) << "backend " << backend;
+  EXPECT_EQ(a.irq_pending, b.irq_pending) << "backend " << backend;
+}
+
+/// Runs `simu` in 100 us steps until `posted()` holds; false if it still
+/// does not after 20 ms.
+template <typename Pred>
+bool run_until_posted(sim::Simulation& simu, Pred posted) {
+  for (int step = 0; step < 200 && !posted(); ++step) {
+    simu.run_for(sim::usec(100));
+  }
+  return posted();
+}
+
+TEST(ScaleOut, ViewReadIsChargedForTheShardItReads) {
+  // Socket monitoring keeps the front ends' NICs free of one-sided ops
+  // other than gossip, so the first gossip READ moves each reader's
+  // rdma_wire_bytes() by exactly one view READ of its peer's shard
+  // (charged at post; the next one is a gossip period away).
+  sim::Simulation simu;
+  web::ClusterTestbed bed(simu, scale_cfg(2, 8, Scheme::SocketAsync));
+  cluster::ScaleOutPlane& plane = *bed.plane();
+  const auto wire = [&bed](int m) {
+    return bed.fabric().nic(bed.frontend(m).id).rdma_wire_bytes();
+  };
+  const std::uint64_t before[2] = {wire(0), wire(1)};
+  ASSERT_TRUE(run_until_posted(simu, [&] {
+    return wire(0) != before[0] && wire(1) != before[1];
+  }));
+  for (int m = 0; m < 2; ++m) {
+    const std::size_t owned =
+        static_cast<std::size_t>(plane.frontend(1 - m).owned_count());
+    const std::uint64_t expected = net::rdma_footprint(
+        net::Verb::Read, sizeof(cluster::ShardViewHeader) +
+                             owned * sizeof(cluster::ShardViewEntry));
+    EXPECT_EQ(wire(m) - before[m], expected) << "frontend " << m;
+    EXPECT_EQ(plane.frontend(m).gossip_wire_bytes(), expected)
+        << "frontend " << m;
+  }
+}
+
+TEST(ScaleOut, GossipCarriesTheOwnersRecordsToItsPeers) {
+  // A stalled owner's records stop moving while its NIC keeps serving
+  // them, so one gossip period after the stall every back end it owns
+  // reads at the peer exactly as at the owner: the same snapshot, fetch
+  // instant and evidence instant.
+  sim::Simulation simu;
+  web::ClusterTestbed bed(simu, scale_cfg(2, 8));
+  cluster::ScaleOutPlane& plane = *bed.plane();
+  simu.run_for(msec(35));
+  plane.frontend(0).stall();
+  simu.run_for(bed.config().scaleout.gossip_period);
+
+  const lb::LoadBalancer& owner = plane.frontend(0).balancer();
+  const lb::LoadBalancer& reader = plane.frontend(1).balancer();
+  const std::vector<int> shard = shard_of(plane, 0);
+  ASSERT_FALSE(shard.empty());
+  for (int b : shard) {
+    const lb::BackendView& o = owner.view(b);
+    const lb::BackendView& r = reader.view(b);
+    ASSERT_TRUE(o.sample.ok) << "backend " << b;
+    EXPECT_TRUE(r.sample.ok) << "backend " << b;
+    EXPECT_EQ(r.source, lb::ViewSource::Gossip) << "backend " << b;
+    expect_same_snapshot(r.sample.info, o.sample.info, b);
+    EXPECT_EQ(r.sample.retrieved_at, o.sample.retrieved_at) << "backend " << b;
+    EXPECT_EQ(r.evidence_at, o.evidence_at) << "backend " << b;
+  }
+}
+
+TEST(ScaleOut, UnusableOwnerRecordCountsExactlyOneStrike) {
+  sim::Simulation simu;
+  web::ClusterTestbed bed(simu, scale_cfg(2, 4));
+  cluster::ScaleOutPlane& plane = *bed.plane();
+  simu.run_for(msec(50));
+  const int b = 0;
+  const int owner = plane.owner_of(b);
+  ASSERT_GE(owner, 0);
+  lb::LoadBalancer& reader = plane.frontend(1 - owner).balancer();
+  ASSERT_EQ(reader.health_of(b), lb::BackendHealth::Healthy);
+
+  // A record is usable only when its owner holds the back end Healthy
+  // and has a good sample.
+  const lb::BackendView& held = plane.frontend(owner).balancer().view(b);
+  ASSERT_TRUE(lb::peer_record(b, held).usable);
+  lb::BackendView no_sample = held;
+  no_sample.sample.ok = false;
+  EXPECT_FALSE(lb::peer_record(b, no_sample).usable);
+  lb::BackendView suspect = held;
+  suspect.health = lb::BackendHealth::Suspect;
+  lb::PeerRecord rec = lb::peer_record(b, suspect);
+  ASSERT_FALSE(rec.usable);
+  rec.evidence_at = simu.now();
+  const lb::BackendView before = reader.view(b);
+  const std::uint64_t failures = reader.fetch_failures();
+  reader.ingest_peer(rec);
+  EXPECT_EQ(reader.fetch_failures(), failures + 1);
+  EXPECT_EQ(reader.view(b).fail_streak, before.fail_streak + 1);
+  EXPECT_EQ(reader.health_of(b), lb::BackendHealth::Suspect);
+  EXPECT_EQ(reader.view(b).evidence_at, rec.evidence_at);
+  // The strike leaves the last good sample where it was.
+  EXPECT_EQ(reader.view(b).sample.retrieved_at, before.sample.retrieved_at);
+
+  // A usable record is applied as a fetched sample: no strike, and the
+  // Suspect recovers on it.
+  rec.usable = true;
+  rec.evidence_at = simu.now() + msec(1);
+  reader.ingest_peer(rec);
+  EXPECT_EQ(reader.fetch_failures(), failures + 1);
+  EXPECT_EQ(reader.health_of(b), lb::BackendHealth::Healthy);
+  EXPECT_EQ(reader.view(b).source, lb::ViewSource::Gossip);
+  EXPECT_EQ(reader.view(b).sample.retrieved_at, rec.retrieved_at);
+  EXPECT_EQ(reader.view(b).evidence_at, rec.evidence_at);
+}
+
+TEST(ScaleOut, ShardGrownBetweenPostAndDmaIsCutAtTheChargedLength) {
+  // Front end 0 posts its first view READ of front end 1, sized to 1's
+  // shard, then leaves while the request is on a slow link: 1 takes
+  // over every back end before the READ reaches its DMA engine, so the
+  // view served holds all 8 entries. Only those within the charged
+  // length are ingested; the next period's READ, sized to the grown
+  // shard, brings the rest.
+  sim::Simulation simu;
+  web::ClusterConfig cfg = scale_cfg(2, 8);
+  cfg.fetch_timeout = msec(8);
+  cfg.scaleout.read_timeout = msec(8);
+  web::ClusterTestbed bed(simu, cfg);
+  cluster::ScaleOutPlane& plane = *bed.plane();
+  cluster::FrontendPlane& reader = plane.frontend(0);
+  bed.fabric().inject_link_fault(bed.frontend(0).id, msec(2), 0.0);
+
+  // Posted; the request needs 2 ms more to reach front end 1.
+  ASSERT_TRUE(run_until_posted(
+      simu, [&reader] { return reader.gossip_wire_bytes() > 0; }));
+  const std::vector<int> old_shard = shard_of(plane, 1);
+  const std::size_t charged = old_shard.size();
+  ASSERT_GT(charged, 0u);
+  ASSERT_LT(charged, 8u);
+  const std::uint64_t first_read = net::rdma_footprint(
+      net::Verb::Read, cluster::view_read_bytes(static_cast<int>(charged)));
+  ASSERT_EQ(reader.gossip_wire_bytes(), first_read);
+  std::vector<sim::TimePoint> evidence_before;
+  for (int b = 0; b < 8; ++b) {
+    evidence_before.push_back(reader.balancer().view(b).evidence_at);
+  }
+  reader.leave("drain");
+  ASSERT_EQ(plane.frontend(1).owned_count(), 8);
+
+  // The READ completes (2 ms each way) before the next period starts.
+  simu.run_for(msec(5));
+  ASSERT_EQ(reader.gossip_reads_ok(), 1u);
+  // The served view lists back ends 0..7 in order; the charged length
+  // covers the first `charged` of them. Of 1's original shard, those
+  // below the cut were ingested and those past it were not.
+  std::vector<int> cut;
+  for (int b : old_shard) {
+    const sim::TimePoint seen = reader.balancer().view(b).evidence_at;
+    const sim::TimePoint was = evidence_before[static_cast<std::size_t>(b)];
+    if (static_cast<std::size_t>(b) < charged) {
+      EXPECT_GT(seen, was) << "backend " << b << " within the READ";
+    } else {
+      EXPECT_EQ(seen, was) << "backend " << b << " past the READ";
+      cut.push_back(b);
+    }
+  }
+  ASSERT_FALSE(cut.empty()) << "the ring put no entry past the cut";
+
+  simu.run_for(cfg.scaleout.gossip_period + msec(5));
+  EXPECT_EQ(reader.gossip_reads_ok(), 2u);
+  EXPECT_EQ(reader.gossip_wire_bytes(),
+            first_read + net::rdma_footprint(net::Verb::Read,
+                                             cluster::view_read_bytes(8)));
+  for (int b : cut) {
+    EXPECT_GT(reader.balancer().view(b).evidence_at,
+              evidence_before[static_cast<std::size_t>(b)])
+        << "backend " << b << " next period";
   }
 }
 

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "fault/fault.hpp"
 #include "lb/balancer.hpp"
 #include "monitor/publisher.hpp"
@@ -259,6 +260,28 @@ TEST(SloEngine, AlarmLogJsonIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(a, run());
   EXPECT_NE(a.find("\"to\": \"breach\""), std::string::npos);
   EXPECT_NE(a.find("\"to\": \"ok\""), std::string::npos);
+}
+
+TEST(SloEngine, WarmWindowObservesAndEvaluatesWithoutAllocating) {
+  // The balancer feeds "lb.view_age" once per dispatch, so a stream's
+  // window must not allocate once it has held a full window: one
+  // observation per simulated ms against a 500 ms window, every tenth
+  // violating (consumed 0.1, so the state stays Ok and logs nothing).
+  SloEngine eng;
+  SloEngine::Stream* s = eng.add(age_spec(100.0));
+  std::int64_t ms = 0;
+  const auto step = [&] {
+    eng.observe(s, ms % 10 == 0 ? 500.0 : 50.0, tp(ms));
+    eng.evaluate(tp(ms));
+    ++ms;
+  };
+  while (ms <= 500) step();
+  const std::uint64_t before = allocation_count();
+  for (int i = 0; i < 10'000; ++i) step();
+  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_EQ(eng.state(s), AlarmState::Ok);
+  EXPECT_TRUE(eng.log().empty());
+  EXPECT_NEAR(eng.consumed(s), 0.1, 0.01);
 }
 
 TEST(SloEngine, ViewSummarisesWorstStateInSpecOrder) {

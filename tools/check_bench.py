@@ -36,7 +36,8 @@ def fig3_latency(load):
 
 def scale_frontends(load):
     # Scale-out: per-backend probe load flat (+-10%) as the front-end
-    # count grows 1 -> 8, and (+-15%) at N=2048 on the verbs fast path.
+    # count grows 1 -> 8, and (+-15%) at N=2048 on the verbs fast path;
+    # gossip READs sized to the shard they read.
     doc = load("scale_frontends")
     ratio = doc["headline"]["flatness_ratio"]
     print(f"scale-frontends flatness M=1->8: {ratio:.3f}x "
@@ -49,6 +50,16 @@ def scale_frontends(load):
           f"({b['flatness_ratio']:.3f}x, acceptance 0.85..1.15)")
     expect(0.85 <= b["flatness_ratio"] <= 1.15,
            "per-backend probe load not flat at N=2048 on the fast path")
+    # A view READ moves the peer's shard: 64 B plus 104 B per owned back
+    # end, 896 / 480 / 272 B at N=16, M=2/4/8.
+    rows = [r for r in doc["results"]
+            if r["backends"] == 16 and r["frontends"] >= 2]
+    expect(rows, "no N=16 row with two or more front ends")
+    for r in rows:
+        print(f"gossip bytes per view READ at N=16, M={r['frontends']}: "
+              f"{r['gossip_bytes_per_read']:.0f} (acceptance < 1024)")
+        expect(r["gossip_bytes_per_read"] < 1024,
+               f"view READ at M={r['frontends']} not sized to the shard")
 
 
 def scale_poll(load):
