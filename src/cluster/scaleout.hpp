@@ -82,7 +82,12 @@ constexpr std::size_t view_read_bytes(int owned) {
 }
 
 struct ScaleOutConfig {
-  /// Gossip period: each front end READs every peer's view this often.
+  /// Gossip pause: a front end sleeps this long between the end of one
+  /// round of view READs (every peer in turn) and the start of the next,
+  /// the sleep's end rounded up to the scheduler tick — the discipline
+  /// the balancer's poller keeps between poll rounds. A round recurs
+  /// every pause plus its READ time plus the rounding: at a 1 ms tick,
+  /// 25 ms makes a round about every 26 ms, not every 25.
   /// A peer is evicted after kPeerDeadAfter (scaleout.cpp) failed or stale
   /// view reads in a row, and (kPeerDeadAfter - 1) gossip periods is the
   /// freshness an evictor's own-shard evidence must show (may_evict);

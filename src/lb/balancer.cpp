@@ -45,8 +45,9 @@ void LoadBalancer::add_backend(
     std::unique_ptr<monitor::MonitorChannel> channel) {
   channels_.push_back(std::move(channel));
   views_.emplace_back();
+  index_.push_back(0.0);
   wrr_credit_.push_back(0.0);
-  lineage_.emplace_back();
+  ++alive_;
 }
 
 LoadBalancer::~LoadBalancer() {
@@ -66,33 +67,18 @@ const char* LoadBalancer::source_label(std::size_t i, ViewSource src) const {
   return monitor::to_string(channels_[i]->frontend().scheme());
 }
 
-LoadBalancer::LineageCell& LoadBalancer::lineage_cell(std::size_t i,
-                                                      ViewSource src) {
-  LineageCell& cell = lineage_[i][static_cast<std::size_t>(src)];
-  if (reg_ != nullptr && cell.consume == nullptr) {
-    telemetry::Labels labels{
-        {"backend", channels_[i]->backend().node().name()},
-        {"scheme", source_label(i, src)}};
-    if (!telemetry_instance_.empty()) {
-      labels.add("frontend", telemetry_instance_);
-    }
-    cell.consume = &reg_->histogram("lb.age_at_consume_ns", labels);
-    cell.dispatch = &reg_->histogram("lb.age_at_dispatch_ns", labels);
-  }
-  return cell;
+LoadBalancer::LineageCell& LoadBalancer::lineage_of(std::size_t i,
+                                                    ViewSource src) {
+  return lineage_[src == ViewSource::Pull
+                      ? static_cast<std::size_t>(
+                            channels_[i]->frontend().scheme())
+                      : monitor::kAllSchemes.size() - 1 +
+                            static_cast<std::size_t>(src)];
 }
 
 sim::Duration LoadBalancer::view_age(std::size_t i) const {
   if (simu_ == nullptr || !views_[i].sample.ok) return sim::Duration{-1};
   return simu_->now() - views_[i].sample.info.computed_at;
-}
-
-int LoadBalancer::alive_backends() const {
-  int n = 0;
-  for (const BackendView& v : views_) {
-    if (v.health != BackendHealth::Dead) ++n;
-  }
-  return n;
 }
 
 void LoadBalancer::record_fetch(std::size_t i, bool ok) {
@@ -119,19 +105,22 @@ void LoadBalancer::record_fetch(std::size_t i, bool ok) {
       v.health = BackendHealth::Suspect;
     }
   }
-  if (v.health != before) {
-    if (reg_ != nullptr) {
-      telemetry::add(v.health == BackendHealth::Healthy ? m_to_healthy_
-                     : v.health == BackendHealth::Suspect
-                         ? m_to_suspect_
-                         : m_to_dead_);
-    }
-    // "lb" ring: a = back end, b = the new state, x = the state it left.
-    telemetry::fr_record(fr_, "health", static_cast<std::int64_t>(i),
-                         static_cast<std::int64_t>(v.health),
-                         static_cast<double>(before));
-    for (const auto& cb : health_cbs_) cb(static_cast<int>(i), v.health);
-  }
+  if (v.health != before) health_edge(i, before, "health");
+}
+
+void LoadBalancer::health_edge(std::size_t i, BackendHealth before,
+                               const char* kind) {
+  const BackendHealth now = views_[i].health;
+  alive_ += static_cast<int>(before == BackendHealth::Dead) -
+            static_cast<int>(now == BackendHealth::Dead);
+  telemetry::add(now == BackendHealth::Healthy   ? m_to_healthy_
+                 : now == BackendHealth::Suspect ? m_to_suspect_
+                                                 : m_to_dead_);
+  // "lb" ring: a = back end, b = the new state, x = the state it left.
+  telemetry::fr_record(fr_, kind, static_cast<std::int64_t>(i),
+                       static_cast<std::int64_t>(now),
+                       static_cast<double>(before));
+  for (const auto& cb : health_cbs_) cb(static_cast<int>(i), now);
 }
 
 void LoadBalancer::apply_sample(std::size_t i,
@@ -147,15 +136,14 @@ void LoadBalancer::apply_sample(std::size_t i,
   if (s.ok) {
     v.sample = s;
     v.source = src;
+    index_[i] = load_index(s.info, weights_);
     // The fetch-latency statistic measures THIS front end's monitoring
     // path; a gossiped sample rode a peer's fetch plus a view READ, so
     // folding its latency in would pollute the metric.
     if (local) fetch_lat_.add(static_cast<double>(s.latency().ns));
     // Lineage: the sample's information age at the instant the view
     // absorbed it (retrieved_at - the /proc sampling instant).
-    if (reg_ != nullptr) {
-      telemetry::observe(lineage_cell(i, src).consume, s.staleness());
-    }
+    telemetry::observe(lineage_of(i, src).consume, s.staleness());
   }
 }
 
@@ -187,15 +175,7 @@ void LoadBalancer::reset_health(std::size_t i) {
   v.health = BackendHealth::Healthy;
   v.fail_streak = 0;
   v.success_streak = 0;
-  if (before != BackendHealth::Healthy) {
-    if (reg_ != nullptr) telemetry::add(m_to_healthy_);
-    telemetry::fr_record(fr_, "health.reset", static_cast<std::int64_t>(i),
-                         static_cast<std::int64_t>(BackendHealth::Healthy),
-                         static_cast<double>(before));
-    for (const auto& cb : health_cbs_) {
-      cb(static_cast<int>(i), BackendHealth::Healthy);
-    }
-  }
+  if (before != BackendHealth::Healthy) health_edge(i, before, "health.reset");
 }
 
 void LoadBalancer::enable_push(monitor::PushInbox& inbox,
@@ -338,6 +318,25 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
           labelled({{"backend", channels_[i]->backend().node().name()}}));
     }
     m_pick_weight_ = &reg_->histogram("lb.pick.weight", labelled({}));
+    // Lineage: one histogram pair per source label this balancer can
+    // produce — each channel's pull scheme, "push" when it scans an
+    // inbox, "gossip" when it polls a shard and learns the rest from
+    // peers — never per back end.
+    auto lineage = [&](std::size_t i, ViewSource src) {
+      LineageCell& cell = lineage_of(i, src);
+      if (cell.consume != nullptr) return;
+      const telemetry::Labels l = labelled({{"scheme", source_label(i, src)}});
+      cell.consume = &reg_->histogram("lb.age_at_consume_ns", l);
+      cell.dispatch = &reg_->histogram("lb.age_at_dispatch_ns", l);
+    };
+    for (std::size_t i = 0; i < channels_.size(); ++i) {
+      lineage(i, ViewSource::Pull);
+    }
+    if (push_inbox_ != nullptr &&
+        strategy_ != monitor::MonitorStrategy::Pull) {
+      lineage(0, ViewSource::Push);
+    }
+    if (poll_filter_) lineage(0, ViewSource::Gossip);
     auto transition = [&](const char* to) -> telemetry::Counter& {
       return reg_->counter("lb.health.transitions", labelled({{"to", to}}));
     };
@@ -452,73 +451,59 @@ os::Program LoadBalancer::poller_body(os::SimThread& self,
 
 int LoadBalancer::pick() {
   assert(!channels_.empty());
-  const int n = backends();
   // Smooth weighted round-robin (nginx-style): every pick adds each
   // server's weight to its credit, the highest credit wins and pays back
   // the total. Deterministic, spreads proportionally, avoids dog-piling.
   constexpr double kFloor = 0.02;
   // Dead back ends leave the rotation entirely — unless every back end is
   // dead, in which case routing somewhere beats dropping on the floor.
-  const bool any_alive = alive_backends() > 0;
-  auto in_rotation = [&](int i) {
-    return !any_alive || health_of(i) != BackendHealth::Dead;
-  };
+  const bool all_dead = alive_ == 0;
   double total = 0.0;
   int winner = -1;
   double winner_w = 0.0;
-  bool any_ok = false;
-  for (int i = 0; i < n; ++i) {
-    if (in_rotation(i) && index_of(i) < kOverloadCutoff) {
-      any_ok = true;
-      break;
+  // Overloaded servers leave the rotation while a server in rotation is
+  // below the cutoff; Suspect ones keep only the floor weight. The first
+  // pass assumes such a server exists and weighs overloaded ones 0. If
+  // it found none, it weighed every server 0 and left every credit as it
+  // was, so the second pass weighs them all from the same credits.
+  for (const bool shed_overloaded : {true, false}) {
+    for (std::size_t i = 0; i < index_.size(); ++i) {
+      const BackendHealth h = views_[i].health;
+      if (h == BackendHealth::Dead && !all_dead) continue;
+      const double idx = index_[i];
+      if (shed_overloaded && idx >= kOverloadCutoff) continue;
+      const double w = h == BackendHealth::Suspect
+                           ? kFloor
+                           : std::max(kFloor, 1.0 - idx);
+      wrr_credit_[i] += w;
+      total += w;
+      if (winner < 0 ||
+          wrr_credit_[i] > wrr_credit_[static_cast<std::size_t>(winner)]) {
+        winner = static_cast<int>(i);
+        winner_w = w;
+      }
     }
+    if (winner >= 0) break;
   }
-  for (int i = 0; i < n; ++i) {
-    const double idx = index_of(i);
-    // Overloaded servers leave the rotation while at least one healthy
-    // server remains; Suspect ones keep only the floor weight.
-    double w;
-    if (!in_rotation(i)) {
-      w = 0.0;
-    } else if (any_ok && idx >= kOverloadCutoff) {
-      w = 0.0;
-    } else if (health_of(i) == BackendHealth::Suspect) {
-      w = kFloor;
-    } else {
-      w = std::max(kFloor, 1.0 - idx);
-    }
-    wrr_credit_[static_cast<std::size_t>(i)] += w;
-    total += w;
-    if (w > 0.0 &&
-        (winner < 0 || wrr_credit_[static_cast<std::size_t>(i)] >
-                           wrr_credit_[static_cast<std::size_t>(winner)])) {
-      winner = i;
-      winner_w = w;
-    }
-  }
-  const char* reason = winner < 0 ? "fallback" : "wrr";
-  if (winner < 0) winner = 0;
-  wrr_credit_[static_cast<std::size_t>(winner)] -= total;
+  assert(winner >= 0 && "a server in rotation always weighs at least kFloor");
+  const std::size_t wi = static_cast<std::size_t>(winner);
+  wrr_credit_[wi] -= total;
   if (reg_ != nullptr) {
-    telemetry::add(m_pick_[static_cast<std::size_t>(winner)]);
+    telemetry::add(m_pick_[wi]);
     telemetry::observe(m_pick_weight_, winner_w);
   }
   // Lineage at the decision point: how old was the information this
   // dispatch was actually made on, and through which path did it arrive.
   if (simu_ != nullptr) {
-    const std::size_t wi = static_cast<std::size_t>(winner);
     DispatchRecord rec;
     rec.at = simu_->now();
     rec.backend = winner;
     rec.weight = winner_w;
-    rec.reason = reason;
     const BackendView& v = views_[wi];
     if (v.sample.ok) {
       rec.view_age = rec.at - v.sample.info.computed_at;
       rec.via = source_label(wi, v.source);
-      if (reg_ != nullptr) {
-        telemetry::observe(lineage_cell(wi, v.source).dispatch, rec.view_age);
-      }
+      telemetry::observe(lineage_of(wi, v.source).dispatch, rec.view_age);
       if (slo_ != nullptr && s_view_age_ != nullptr) {
         slo_->observe(s_view_age_, static_cast<double>(rec.view_age.ns),
                       rec.at);
@@ -528,12 +513,6 @@ int LoadBalancer::pick() {
     if (dispatch_log_.size() > dispatch_log_cap_) dispatch_log_.pop_front();
   }
   return winner;
-}
-
-double LoadBalancer::index_of(int backend) const {
-  const monitor::MonitorSample& s = last_sample(backend);
-  if (!s.ok) return 0.0;  // no data yet: assume idle
-  return load_index(s.info, weights_);
 }
 
 }  // namespace rdmamon::lb

@@ -85,8 +85,8 @@ inline constexpr int kReadmitAfter = 2;  ///< successes to re-admit a Dead one
 inline constexpr int kDeadProbeEvery = 8;
 
 /// Which refresh path produced a back end's current sample — the
-/// "scheme" dimension of the lineage histograms ("push"/"gossip", or
-/// the channel's wire scheme name for pull).
+/// "scheme" label of the lineage histograms ("push"/"gossip", or the
+/// channel's wire scheme name for pull).
 enum class ViewSource : std::uint8_t { Pull = 0, Push = 1, Gossip = 2 };
 
 /// Everything one front end knows about one back end. The balancer
@@ -141,9 +141,8 @@ struct DispatchRecord {
   /// now - the view's /proc sampling instant (the information age the
   /// decision was actually made on); -1ns when the winner had no view yet.
   sim::Duration view_age{-1};
-  const char* via = "none";    ///< "pull" / "push" / "gossip" / "none"
-  const char* reason = "wrr";  ///< "wrr" | "fallback" (no weighted pick)
-  double weight = 0.0;         ///< winner's smooth-WRR weight
+  const char* via = "none";  ///< "pull" / "push" / "gossip" / "none"
+  double weight = 0.0;       ///< winner's smooth-WRR weight
 };
 
 /// Tracks the latest monitoring sample per back end and picks the least
@@ -207,7 +206,9 @@ class LoadBalancer {
   /// scale-out plane's shard ownership filter. Re-evaluated every round,
   /// so a ring rebalance takes effect at the next poll with no rewiring.
   /// Back ends filtered out keep their samples/health state; feed them
-  /// through ingest_peer / note_stale instead.
+  /// through ingest_peer / note_stale instead. Call before start(),
+  /// which resolves the "gossip" lineage histograms of a filtered
+  /// balancer.
   void set_poll_filter(std::function<bool(std::size_t)> f) {
     poll_filter_ = std::move(f);
   }
@@ -261,7 +262,15 @@ class LoadBalancer {
   int pick();
 
   int backends() const { return static_cast<int>(channels_.size()); }
-  double index_of(int backend) const;
+  /// Load index of back end `backend`'s current sample (0 before any
+  /// good one: no data reads as idle), computed when the sample arrived.
+  double index_of(int backend) const {
+    return index_[static_cast<std::size_t>(backend)];
+  }
+  /// pick()'s smooth weighted round-robin credit of back end `backend`.
+  double wrr_credit(int backend) const {
+    return wrr_credit_[static_cast<std::size_t>(backend)];
+  }
   const BackendView& view(int backend) const {
     return views_[static_cast<std::size_t>(backend)];
   }
@@ -272,7 +281,7 @@ class LoadBalancer {
   // --- failure detection ---------------------------------------------------
   BackendHealth health_of(int backend) const { return view(backend).health; }
   /// Back ends currently in rotation (not Dead).
-  int alive_backends() const;
+  int alive_backends() const { return alive_; }
   /// Total failed fetches seen by the poller.
   std::uint64_t fetch_failures() const { return fetch_failures_; }
   /// Registers an observer of health transitions (several may register;
@@ -304,14 +313,15 @@ class LoadBalancer {
   sim::Duration view_age(std::size_t i) const;
 
  private:
-  static constexpr std::size_t kViewSources = 3;
-
-  /// Lazily-resolved per-{backend, source} lineage instruments.
+  /// Lineage instruments of one source label, resolved at start().
   struct LineageCell {
     telemetry::HistogramMetric* consume = nullptr;
     telemetry::HistogramMetric* dispatch = nullptr;
   };
-  LineageCell& lineage_cell(std::size_t i, ViewSource src);
+  /// One cell per pull scheme, then "push" and "gossip".
+  static constexpr std::size_t kLineageCells = monitor::kAllSchemes.size() + 2;
+  /// The lineage cell of a sample of back end `i` from `src`.
+  LineageCell& lineage_of(std::size_t i, ViewSource src);
   const char* source_label(std::size_t i, ViewSource src) const;
 
   os::Program poller_body(os::SimThread& self, sim::Duration granularity);
@@ -332,6 +342,10 @@ class LoadBalancer {
   void consume_push_fresh(std::size_t i, const monitor::MonitorSample& s,
                           bool heartbeat);
   void record_fetch(std::size_t i, bool ok);
+  /// Bookkeeping of back end `i`'s health leaving `before`: the alive
+  /// count, the transition counter, a `kind` ring record and the
+  /// observers.
+  void health_edge(std::size_t i, BackendHealth before, const char* kind);
   /// Applies one resolution of back end `i`: drives the ladder, keeps an
   /// ok sample, and (for a local source) stamps the evidence instant.
   void apply_sample(std::size_t i, const monitor::MonitorSample& s,
@@ -350,7 +364,11 @@ class LoadBalancer {
   os::SimThread* scanner_thread_ = nullptr;
   std::vector<std::unique_ptr<monitor::MonitorChannel>> channels_;
   std::vector<BackendView> views_;  ///< one record per back end
-  std::vector<double> wrr_credit_;  // smooth weighted-RR state
+  // pick()'s per-back-end inputs, dense: the load index of the view's
+  // sample (written only by apply_sample) and the smooth-WRR credit.
+  std::vector<double> index_;
+  std::vector<double> wrr_credit_;
+  int alive_ = 0;  ///< back ends not Dead, kept on health edges
   std::vector<std::function<void(int, BackendHealth)>> health_cbs_;
   std::uint64_t fetch_failures_ = 0;
   sim::OnlineStats fetch_lat_;
@@ -366,12 +384,11 @@ class LoadBalancer {
   std::vector<std::function<void(std::size_t, monitor::FetchMode)>> mode_cbs_;
   std::uint64_t push_verifications_ = 0;
   // Information-age lineage (tentpole of the freshness plane): per-
-  // {backend, source} age histograms, the dispatch ring, and the SLO
-  // streams fed from pick(). The SloEngine (when one is installed on the
-  // registry) must outlive this balancer — probes are removed in the
-  // destructor.
+  // source age histograms, the dispatch ring, and the SLO streams fed
+  // from pick(). The SloEngine (when one is installed on the registry)
+  // must outlive this balancer — probes are removed in the destructor.
   sim::Simulation* simu_ = nullptr;  ///< bound at start(); the view clock
-  std::vector<std::array<LineageCell, kViewSources>> lineage_;
+  std::array<LineageCell, kLineageCells> lineage_{};
   std::deque<DispatchRecord> dispatch_log_;
   std::size_t dispatch_log_cap_ = 256;
   telemetry::SloEngine* slo_ = nullptr;

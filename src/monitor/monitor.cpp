@@ -146,11 +146,16 @@ void FrontendMonitor::resolve_metrics() {
   reg_ = telemetry::Registry::of(frontend_->simu());
   if (reg_ == nullptr) return;
   fr_ = reg_->recorder().ring("monitor." + frontend_->name());
-  telemetry::Labels by_chan{{"scheme", to_string(scheme())},
-                            {"backend", backend_->node().name()}};
-  m_latency_ = &reg_->histogram("monitor.fetch.latency_ns", by_chan);
-  m_staleness_ = &reg_->histogram("monitor.fetch.staleness_ns", by_chan);
-  m_attempts_ = &reg_->histogram("monitor.fetch.attempts", by_chan);
+  // Distributions per {scheme, front end}: every channel of a front end
+  // feeds the same three histograms, so one more back end adds counters,
+  // not buckets. Counts stay per {scheme, back end}.
+  const telemetry::Labels by_fe{{"scheme", to_string(scheme())},
+                                {"frontend", frontend_->name()}};
+  m_latency_ = &reg_->histogram("monitor.fetch.latency_ns", by_fe);
+  m_staleness_ = &reg_->histogram("monitor.fetch.staleness_ns", by_fe);
+  m_attempts_ = &reg_->histogram("monitor.fetch.attempts", by_fe);
+  const telemetry::Labels by_chan{{"scheme", to_string(scheme())},
+                                  {"backend", backend_->node().name()}};
   auto outcome = [&](const char* result) -> telemetry::Counter& {
     telemetry::Labels l = by_chan;
     l.add("result", result);

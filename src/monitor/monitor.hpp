@@ -198,10 +198,11 @@ class FrontendMonitor {
   /// notify `shared`'s wait queue. Call with no attempt in flight.
   void bind_completion_channel(net::CompletionQueue& shared);
 
-  /// Telemetry: records one resolved fetch (latency/staleness histograms,
-  /// outcome + retry counters, labeled by scheme and back-end node). The
-  /// retry loop in fetch() calls this; scatter rounds call it per slot so
-  /// both drivers feed the same instruments. No-op without a registry.
+  /// Telemetry: records one resolved fetch (latency/staleness/attempt
+  /// histograms labelled by scheme and front-end node, outcome + retry
+  /// counters by scheme and back-end node). The retry loop in fetch()
+  /// calls this; scatter rounds call it per slot so both drivers feed the
+  /// same instruments. No-op without a registry.
   void record_sample(const MonitorSample& s);
 
   bool is_rdma_transport() const { return qp_.has_value(); }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "lb/admission.hpp"
 #include "lb/balancer.hpp"
 #include "monitor/monitor.hpp"
@@ -129,6 +133,162 @@ TEST(Admission, ThresholdSeparatesAdmitReject) {
   EXPECT_EQ(adm.admitted(), 2u);
   EXPECT_EQ(adm.rejected(), 1u);
   EXPECT_DOUBLE_EQ(adm.threshold(), 0.5);
+}
+
+// --- pick(): one pass against the three-pass reference ----------------------
+
+/// The three-pass pick() the balancer ran before it cached indices and
+/// kept its alive count. It walks the public views three times: to count
+/// the alive back ends, to look for a server in rotation below the
+/// cutoff, and to weigh every server, recomputing each index from its
+/// sample. Moves `credit` as pick() must move the balancer's credits.
+int three_pass_pick(const LoadBalancer& lb, const WeightConfig& w,
+                    std::vector<double>& credit) {
+  constexpr double kFloor = 0.02;
+  const int n = lb.backends();
+  auto index_of = [&](int i) {
+    const monitor::MonitorSample& s = lb.last_sample(i);
+    return s.ok ? load_index(s.info, w) : 0.0;
+  };
+  bool any_alive = false;
+  for (int i = 0; i < n; ++i) {
+    any_alive = any_alive || lb.health_of(i) != BackendHealth::Dead;
+  }
+  auto in_rotation = [&](int i) {
+    return !any_alive || lb.health_of(i) != BackendHealth::Dead;
+  };
+  bool any_ok = false;
+  for (int i = 0; i < n; ++i) {
+    if (in_rotation(i) && index_of(i) < kOverloadCutoff) {
+      any_ok = true;
+      break;
+    }
+  }
+  double total = 0.0;
+  int winner = -1;
+  for (int i = 0; i < n; ++i) {
+    const double idx = index_of(i);
+    double wt;
+    if (!in_rotation(i) || (any_ok && idx >= kOverloadCutoff)) {
+      wt = 0.0;
+    } else if (lb.health_of(i) == BackendHealth::Suspect) {
+      wt = kFloor;
+    } else {
+      wt = std::max(kFloor, 1.0 - idx);
+    }
+    const auto ui = static_cast<std::size_t>(i);
+    credit[ui] += wt;
+    total += wt;
+    if (wt > 0.0 &&
+        (winner < 0 || credit[ui] > credit[static_cast<std::size_t>(winner)])) {
+      winner = i;
+    }
+  }
+  if (winner < 0) winner = 0;
+  credit[static_cast<std::size_t>(winner)] -= total;
+  return winner;
+}
+
+/// A snapshot whose load index is at or above kOverloadCutoff when `hot`,
+/// and anywhere from idle to past the cutoff otherwise.
+os::LoadSnapshot random_snapshot(std::mt19937& rng, bool hot) {
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  os::LoadSnapshot s;
+  s.cpu_load = hot ? 1.0 : u(rng);
+  s.nr_running = static_cast<int>(hot ? 8 + rng() % 4 : rng() % 9);
+  s.mem_load = u(rng);
+  s.net_rate = u(rng) * monitor::kNetCapacityBps;
+  s.connections = static_cast<int>(rng() % 160);
+  s.cpus = 2;
+  s.irq_pending = {static_cast<int>(rng() % 5), static_cast<int>(rng() % 5)};
+  return s;
+}
+
+TEST(PickProperty, OnePassPicksAndCreditsAsTheThreePassReference) {
+  // Random views and health states, driven through the balancer's own
+  // entry points (a gossiped record applies a sample, a staleness strike
+  // counts a failure, a takeover resets the detector). Every pick must
+  // name the reference's winner and leave every credit bit-equal to the
+  // reference's. Four shapes of cluster: random, all Dead, every index
+  // at or above the cutoff, and some Suspect.
+  std::mt19937 rng(20061025);
+  int all_dead = 0, all_hot = 0, some_suspect = 0;
+  for (int trial = 0; trial < 160; ++trial) {
+    const Scheme scheme = trial % 2 == 0 ? Scheme::RdmaSync : Scheme::ERdmaSync;
+    const WeightConfig w = WeightConfig::for_scheme(scheme);
+    const int n = 1 + static_cast<int>(rng() % 9);
+    const int shape = (trial / 2) % 4;
+    LbEnv env(n, scheme);
+    LoadBalancer& lb = *env.lb;
+    auto feed = [&](int b, bool hot) {
+      lb.ingest_peer(PeerRecord{b, true, random_snapshot(rng, hot), {}, {}});
+    };
+    auto strike = [&](int b, int times) {
+      for (int k = 0; k < times; ++k) lb.note_stale(static_cast<std::size_t>(b));
+    };
+    // Some back ends keep "no good sample yet" (index 0) for a while.
+    for (int b = 0; b < n; ++b) {
+      if (rng() % 3 != 0) feed(b, shape == 2);
+    }
+    if (shape == 1) {
+      for (int b = 0; b < n; ++b) strike(b, kDeadAfter);
+    }
+    std::vector<double> credit(static_cast<std::size_t>(n), 0.0);
+    for (int step = 0; step < 60; ++step) {
+      const int b = static_cast<int>(rng() % static_cast<unsigned>(n));
+      switch (shape) {
+        case 0:  // anything goes
+          switch (rng() % 4) {
+            case 0: feed(b, false); break;
+            case 1: feed(b, true); break;
+            case 2: strike(b, 1); break;
+            default: lb.reset_health(static_cast<std::size_t>(b)); break;
+          }
+          break;
+        case 1:  // a new sample, then a strike: still Dead
+          feed(b, rng() % 2 == 0);
+          strike(b, 1);
+          break;
+        case 2:  // every sample past the cutoff, health moving
+          feed(b, true);
+          if (rng() % 3 == 0) strike(b, 1 + static_cast<int>(rng() % 3));
+          break;
+        default:  // fresh samples, one strike now and then
+          feed(b, false);
+          if (rng() % 2 == 0) {
+            strike(static_cast<int>(rng() % static_cast<unsigned>(n)), 1);
+          }
+          break;
+      }
+      int alive = 0;
+      bool hot = true, suspect = false;
+      for (int i = 0; i < n; ++i) {
+        const monitor::MonitorSample& s = lb.last_sample(i);
+        ASSERT_EQ(lb.index_of(i), s.ok ? load_index(s.info, w) : 0.0)
+            << "trial " << trial << " backend " << i;
+        alive += lb.health_of(i) != BackendHealth::Dead;
+        suspect = suspect || lb.health_of(i) == BackendHealth::Suspect;
+      }
+      ASSERT_EQ(lb.alive_backends(), alive) << "trial " << trial;
+      for (int i = 0; i < n; ++i) {
+        if (alive == 0 || lb.health_of(i) != BackendHealth::Dead) {
+          hot = hot && lb.index_of(i) >= kOverloadCutoff;
+        }
+      }
+      all_dead += alive == 0;
+      all_hot += hot;
+      some_suspect += suspect;
+      const int want = three_pass_pick(lb, w, credit);
+      ASSERT_EQ(lb.pick(), want) << "trial " << trial << " step " << step;
+      for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(lb.wrr_credit(i), credit[static_cast<std::size_t>(i)])
+            << "trial " << trial << " step " << step << " backend " << i;
+      }
+    }
+  }
+  EXPECT_GT(all_dead, 500);
+  EXPECT_GT(all_hot, 500);
+  EXPECT_GT(some_suspect, 500);
 }
 
 class WeightSweepTest : public ::testing::TestWithParam<double> {};

@@ -178,6 +178,65 @@ TEST(ScaleOut, ExportsRingOwnershipAndPeerViewAgeGauges) {
   }
 }
 
+// --- telemetry: distributions per front end, counts per back end ------------
+
+TEST(ScaleOut, AdaptivePushRegistersNoInstrumentAfterWarmUp) {
+  // Every instrument a warm front end feeds already exists: Adaptive
+  // moving back ends between pull and push, gossip and picks register
+  // nothing more after warm-up (no labels, no map nodes).
+  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  sim::Simulation simu;
+  telemetry::Registry reg;
+  reg.install(simu);
+  web::ClusterConfig cfg = scale_cfg(4, 32);
+  cfg.scaleout.push.strategy = monitor::MonitorStrategy::Adaptive;
+  web::ClusterTestbed bed(simu, cfg);
+  bed.add_clients(2, web::make_rubis_generator());
+  cluster::ScaleOutPlane& plane = *bed.plane();
+  auto switches = [&plane] {
+    std::uint64_t n = 0;
+    for (int m = 0; m < plane.frontend_count(); ++m) {
+      n += plane.frontend(m).balancer().adaptive()->total_switches();
+    }
+    return n;
+  };
+  simu.run_for(msec(200));
+  const std::size_t warm = reg.instrument_count();
+  const std::uint64_t warm_switches = switches();
+  simu.run_for(seconds(2));
+  EXPECT_GT(switches(), warm_switches) << "no back end changed mode";
+  EXPECT_EQ(reg.instrument_count(), warm);
+}
+
+TEST(ScaleOut, HistogramCountDoesNotGrowWithBackends) {
+  // Watching 8 times more back ends adds per-back-end counters
+  // (monitor.fetch.outcome, lb.pick, ...) but not one histogram.
+  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  struct Census {
+    std::size_t histograms = 0;
+    std::size_t outcomes = 0;  ///< monitor.fetch.outcome series
+  };
+  auto census = [](int backends) {
+    sim::Simulation simu;
+    telemetry::Registry reg;
+    reg.install(simu);
+    web::ClusterTestbed bed(simu, scale_cfg(2, backends));
+    bed.add_clients(1, web::make_rubis_generator());
+    simu.run_for(msec(300));
+    Census c;
+    for (const telemetry::SnapshotEntry& e : reg.snapshot().entries) {
+      c.histograms += e.kind == telemetry::SnapshotEntry::Kind::Histogram;
+      c.outcomes += e.name == "monitor.fetch.outcome";
+    }
+    return c;
+  };
+  const Census small = census(8), large = census(64);
+  EXPECT_GT(small.histograms, 0u);
+  EXPECT_EQ(large.histograms, small.histograms);
+  EXPECT_EQ(small.outcomes, 3u * 8);   // ok / timeout / transport
+  EXPECT_EQ(large.outcomes, 3u * 64);  // per back end, by its owner
+}
+
 // --- gossip wire records -----------------------------------------------------
 
 // What a view READ carries per owned back end: only what ingest reads.

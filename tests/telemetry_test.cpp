@@ -472,8 +472,9 @@ TEST(Integration, MonitorRunPopulatesRegistry) {
       snap.find("monitor.fetch.outcome", "backend=be,result=ok,scheme=RDMA-Sync");
   ASSERT_NE(ok_ctr, nullptr);
   EXPECT_DOUBLE_EQ(ok_ctr->value, static_cast<double>(okay));
+  // Counts are per back end, distributions per {scheme, front end}.
   const SnapshotEntry* lat =
-      snap.find("monitor.fetch.latency_ns", "backend=be,scheme=RDMA-Sync");
+      snap.find("monitor.fetch.latency_ns", "frontend=fe,scheme=RDMA-Sync");
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->hist.count, static_cast<std::uint64_t>(okay));
   EXPECT_GT(lat->hist.p50, 0.0);
