@@ -286,7 +286,6 @@ class ScaleOutPlane {
 
   net::Fabric& fabric() { return *fabric_; }
   const ScaleOutConfig& config() const { return cfg_; }
-  const monitor::MonitorConfig& monitor_config() const { return mcfg_; }
 
  private:
   friend class FrontendPlane;

@@ -138,7 +138,6 @@ GmetricAgent::GmetricAgent(net::Fabric& fabric, GmondDaemon& local_gmond,
   (void)MetricPacket::make(local_gmond.host_name(), metric_name_, 0.0);
   channel_ = std::make_unique<monitor::MonitorChannel>(fabric, frontend,
                                                        backend, mcfg);
-  scatter_.add(channel_->frontend());
   frontend.spawn("gmetric-agent",
                  [this](os::SimThread& t) { return agent_body(t); });
 }
@@ -147,8 +146,8 @@ os::Program GmetricAgent::agent_body(os::SimThread& self) {
   sim::Simulation& simu = self.node().simu();
   sim::TimePoint last_publish{};
   for (;;) {
-    co_await scatter_.round_all(self, round_buf_);
-    const monitor::MonitorSample& s = round_buf_[0];
+    monitor::MonitorSample s;
+    co_await channel_->frontend().fetch(self, s);
     ++fetches_;
     if (s.ok && simu.now() - last_publish >= publish_period_) {
       last_publish = simu.now();

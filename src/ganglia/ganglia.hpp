@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "monitor/monitor.hpp"
-#include "monitor/scatter.hpp"
 #include "net/fabric.hpp"
 #include "net/socket.hpp"
 #include "os/node.hpp"
@@ -124,10 +123,6 @@ class GmetricAgent {
 
   GmondDaemon* gmond_;
   std::unique_ptr<monitor::MonitorChannel> channel_;
-  /// Single-target engine: the agent shares the issue/complete fetch path
-  /// (and its timeout/retry semantics) with the scatter-mode balancer.
-  monitor::ScatterFetcher scatter_;
-  std::vector<monitor::MonitorSample> round_buf_;
   sim::Duration threshold_;
   sim::Duration publish_period_;
   std::string metric_name_;

@@ -416,9 +416,10 @@ void LoadBalancer::stall() {
 
 os::Program LoadBalancer::poller_body(os::SimThread& self,
                                       sim::Duration granularity) {
-  // One poll round every `granularity`. The round's fetches go out
-  // concurrently through the scatter engine, so per-backend staleness
-  // tracks the slowest single fetch instead of the sum.
+  // A poll round, then a `granularity` sleep (rounded up to the tick)
+  // before the next one. The round's fetches go out concurrently through
+  // the scatter engine, so per-backend staleness tracks the slowest
+  // single fetch instead of the sum.
   // Dead back ends still get probed — a fetch succeeding again is the
   // failure detector's only recovery signal — but only on the
   // dead-probe cadence, so a corpse does not cost a fetch_timeout per

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "monitor/scatter.hpp"
+
 namespace rdmamon::monitor {
 
 namespace {
@@ -141,6 +143,8 @@ FrontendMonitor::FrontendMonitor(net::Fabric& fabric, os::Node& frontend,
   }
 }
 
+FrontendMonitor::~FrontendMonitor() = default;
+
 void FrontendMonitor::resolve_metrics() {
   metrics_resolved_ = true;
   reg_ = telemetry::Registry::of(frontend_->simu());
@@ -168,10 +172,24 @@ void FrontendMonitor::resolve_metrics() {
   m_backoff_waits_ = &reg_->counter("monitor.backoff_waits", by_chan);
 }
 
-void FrontendMonitor::record_sample(const MonitorSample& s) {
-  if constexpr (!telemetry::kEnabled) return;
+std::int64_t FrontendMonitor::start_fetch() {
   if (!metrics_resolved_) resolve_metrics();
+  return ++fetches_;
+}
+
+void FrontendMonitor::record_attempt(std::int64_t key, FetchError error,
+                                     sim::Duration took, bool backoff) {
+  telemetry::fr_record(fr_, kAttemptKind[static_cast<int>(error)],
+                       backend_node_id(), key, static_cast<double>(took.ns));
+  if (backoff) telemetry::add(m_backoff_waits_);
+}
+
+void FrontendMonitor::record_sample(std::int64_t key, const MonitorSample& s) {
+  if constexpr (!telemetry::kEnabled) return;
   if (reg_ == nullptr) return;
+  telemetry::fr_record(fr_, kFetchKind[static_cast<int>(s.error)],
+                       backend_node_id(), key,
+                       static_cast<double>(s.latency().ns));
   telemetry::add(s.ok ? m_ok_
                       : (s.error == FetchError::Timeout ? m_timeout_
                                                         : m_transport_));
@@ -185,59 +203,12 @@ void FrontendMonitor::record_sample(const MonitorSample& s) {
 }
 
 os::Program FrontendMonitor::fetch(os::SimThread& self, MonitorSample& out) {
-  out = MonitorSample{};
-  sim::Simulation& simu = self.node().simu();
-  out.requested_at = simu.now();
-  const MonitorConfig& cfg = backend_->config();
-  if (!metrics_resolved_) resolve_metrics();
-  // The fetch and each of its attempts become one "monitor.<fe>" ring
-  // record when they finish: a = back-end node, b = this fetch's key
-  // (shared by its attempts), x = duration in ns.
-  const auto key = static_cast<std::int64_t>(++fetches_);
-  sim::Duration backoff = cfg.retry_backoff;
-  for (int attempt = 0;; ++attempt) {
-    out.attempts = attempt + 1;
-    const sim::TimePoint deadline =
-        cfg.fetch_timeout.ns > 0 ? simu.now() + cfg.fetch_timeout
-                                 : sim::kNever;
-    const sim::TimePoint attempt_at = simu.now();
-    bool resolved = false;
-    if (qp_) {
-      net::Completion c;
-      bool timed_out = false;
-      co_await net::rdma_sync(self, *qp_,
-                              {.rkey = backend_->mr_key(),
-                               .len = kLoadReplyBytes,
-                               .wr_id = cq_->alloc_wr_id()},
-                              c, deadline, &timed_out);
-      resolved = !timed_out;
-      if (resolved) take_completion(out, c);
-    } else {
-      FetchOp op;
-      co_await issue(self, op, deadline);
-      net::Message reply;
-      co_await sock_->recv_until(self, reply, deadline, resolved);
-      if (resolved) {
-        take_reading(out, reply.payload.as<os::LoadSnapshot>());
-      }
-    }
-    if (!resolved) {
-      out.ok = false;
-      out.error = FetchError::Timeout;
-    }
-    telemetry::fr_record(fr_, kAttemptKind[static_cast<int>(out.error)],
-                         backend_node_id(), key,
-                         static_cast<double>((simu.now() - attempt_at).ns));
-    if (out.ok || attempt >= cfg.fetch_retries) break;
-    telemetry::add(m_backoff_waits_);
-    co_await os::SleepFor{backoff};
-    backoff = backoff * 2;
+  if (!solo_) {
+    solo_ = std::make_unique<ScatterFetcher>();
+    solo_->add(*this);
   }
-  out.retrieved_at = simu.now();
-  telemetry::fr_record(fr_, kFetchKind[static_cast<int>(out.error)],
-                       backend_node_id(), key,
-                       static_cast<double>(out.latency().ns));
-  record_sample(out);
+  co_await solo_->round_all(self, solo_out_);
+  out = solo_out_.front();
 }
 
 os::Program FrontendMonitor::issue(os::SimThread& self, FetchOp& op,
@@ -289,7 +260,9 @@ os::Program FrontendMonitor::complete(os::SimThread& self, FetchOp& op,
   (void)status;
 }
 
-void FrontendMonitor::abandon(FetchOp& op) {
+void FrontendMonitor::abandon(FetchOp& op, MonitorSample& out) {
+  out.ok = false;
+  out.error = FetchError::Timeout;
   // Sockets need nothing: a late reply stays queued and the next issue()
   // flushes it (drain_rx).
   if (qp_) cq_->forget(op.wr_id);

@@ -18,6 +18,8 @@
 
 namespace rdmamon::monitor {
 
+class ScatterFetcher;
+
 /// Load-info record size on the wire: the socket reply, and the region an
 /// RDMA scheme registers and READs.
 inline constexpr std::size_t kLoadReplyBytes = 256;
@@ -124,16 +126,52 @@ class BackendMonitor {
 
 /// Front-end half: issues fetches against one back end.
 ///
-/// The classic blocking fetch() runs each attempt through the transport's
-/// bounded blocking primitive (net::rdma_sync, or a request send plus
-/// Socket::recv_until). The scatter engine drives the async
-/// issue/complete split instead: issue() (or prepare_read() + a batched
-/// post) starts one bounded attempt without waiting, peek() checks
-/// non-blockingly whether it resolved, complete() consumes the resolution
-/// (paying receive-side costs), and abandon() gives up on an attempt past
-/// its deadline.
+/// fetch() is a one-target round of the scatter engine (monitor/scatter.hpp),
+/// the one driver of a fetch's attempts, deadlines and backoffs; the
+/// monitor makes that engine on its first fetch() and reuses it. The
+/// engine reaches the monitor through private issue/complete halves:
+/// issue() (or prepare_read() + a batched post) starts one bounded
+/// attempt without waiting, peek() checks non-blockingly whether it
+/// resolved, complete() consumes the resolution (paying receive-side
+/// costs), and abandon() gives up on an attempt past its deadline.
 class FrontendMonitor {
  public:
+  /// `client_end` is required for socket schemes, ignored for RDMA ones.
+  /// `ctx` (RDMA only) posts this monitor's READs through a shared
+  /// QpContext (DCT-style multiplexing + signal-every-k; see
+  /// net::VerbsTuning); null keeps a dedicated per-channel context.
+  FrontendMonitor(net::Fabric& fabric, os::Node& frontend,
+                  BackendMonitor& backend, net::Socket* client_end,
+                  std::shared_ptr<net::QpContext> ctx = nullptr);
+  ~FrontendMonitor();
+
+  /// Subprogram: one load fetch; fills `out`. Socket schemes do a
+  /// request/response over the monitoring connection; RDMA schemes do a
+  /// one-sided READ (kernel region for *-Sync, user region for Async).
+  ///
+  /// Failure-resilient: each attempt is bounded by cfg.fetch_timeout and
+  /// retried up to cfg.fetch_retries times with exponential backoff, so
+  /// the subprogram ALWAYS resolves — `out.ok` plus `out.error` say how.
+  /// The first call joins this monitor to a one-target engine of its
+  /// own, whose CQ hears its completions from then on: do not fetch() a
+  /// monitor that another engine's rounds still poll. One fetch at a
+  /// time per monitor.
+  os::Program fetch(os::SimThread& self, MonitorSample& out);
+
+  const MonitorConfig& config() const { return backend_->config(); }
+  Scheme scheme() const { return backend_->config().scheme; }
+  int backend_node_id() const { return backend_->node().id; }
+
+  /// Ground truth at this instant, straight from the back end's kernel
+  /// (the paper's fine-grained kernel module). For accuracy analysis only.
+  os::LoadSnapshot ground_truth() const {
+    return backend_->node().procfs().snapshot();
+  }
+
+ private:
+  // --- issue/complete halves (the scatter engine's interface) -----------
+  friend class ScatterFetcher;
+
   /// One in-flight fetch attempt created by issue()/prepare_read().
   struct FetchOp {
     std::uint64_t wr_id = 0;     ///< RDMA: CQ demux key (CQ-unique)
@@ -147,26 +185,7 @@ class FrontendMonitor {
     Transport,  ///< RDMA error completion ready for complete()
   };
 
-  /// `client_end` is required for socket schemes, ignored for RDMA ones.
-  /// `ctx` (RDMA only) posts this monitor's READs through a shared
-  /// QpContext (DCT-style multiplexing + signal-every-k; see
-  /// net::VerbsTuning); null keeps a dedicated per-channel context.
-  FrontendMonitor(net::Fabric& fabric, os::Node& frontend,
-                  BackendMonitor& backend, net::Socket* client_end,
-                  std::shared_ptr<net::QpContext> ctx = nullptr);
-
-  /// Subprogram: one load fetch; fills `out`. Socket schemes do a
-  /// request/response over the monitoring connection; RDMA schemes do a
-  /// one-sided READ (kernel region for *-Sync, user region for Async).
-  ///
-  /// Failure-resilient: each attempt is bounded by cfg.fetch_timeout and
-  /// retried up to cfg.fetch_retries times with exponential backoff, so
-  /// the subprogram ALWAYS resolves — `out.ok` plus `out.error` say how.
-  /// An RDMA attempt rings its own doorbell (net::rdma_sync), so it
-  /// shows in the net.doorbells / net.posts counters like any post.
-  os::Program fetch(os::SimThread& self, MonitorSample& out);
-
-  // --- issue/complete halves (the scatter engine's interface) -----------
+  bool is_rdma_transport() const { return qp_.has_value(); }
 
   /// Subprogram (sockets only): issues one attempt — flushes stale
   /// replies, then sends the request, paying its CPU cost — and returns
@@ -184,45 +203,48 @@ class FrontendMonitor {
   /// Subprogram: consumes a resolved attempt (peek() != Pending), paying
   /// the receive-side costs (socket recv syscall + copy; RDMA completions
   /// are free to reap). Fills out.ok / out.error / out.info — never
-  /// retrieved_at or attempts, which belong to the retry loop driving it.
+  /// retrieved_at or attempts, which belong to the engine driving it.
   os::Program complete(os::SimThread& self, FetchOp& op, MonitorSample& out,
                        OpStatus status);
 
-  /// Abandons an attempt past its deadline. RDMA: the wr_id is forgotten
-  /// at the CQ, which discards the late completion centrally. Sockets: a
-  /// late reply stays queued and is flushed by the next issue().
-  void abandon(FetchOp& op);
+  /// Abandons an attempt past its deadline and marks `out` timed out.
+  /// RDMA: the wr_id is forgotten at the CQ, which discards the late
+  /// completion centrally. Sockets: a late reply stays queued and is
+  /// flushed by the next issue().
+  void abandon(FetchOp& op, MonitorSample& out);
 
   /// Joins a shared completion channel (a scatter engine's CQ): RDMA QPs
   /// re-point their completions at `shared`; socket replies additionally
   /// notify `shared`'s wait queue. Call with no attempt in flight.
   void bind_completion_channel(net::CompletionQueue& shared);
 
-  /// Telemetry: records one resolved fetch (latency/staleness/attempt
-  /// histograms labelled by scheme and front-end node, outcome + retry
-  /// counters by scheme and back-end node). The retry loop in fetch()
-  /// calls this; scatter rounds call it per slot so both drivers feed the
-  /// same instruments. No-op without a registry.
-  void record_sample(const MonitorSample& s);
+  // Telemetry of the fetches the engine drives (no-ops without a
+  // registry). Each fetch and each of its attempts becomes one
+  // "monitor.<fe>" ring record when it finishes: a = back-end node,
+  // b = the fetch's key (shared by its attempts), x = duration in ns.
 
-  bool is_rdma_transport() const { return qp_.has_value(); }
-  const MonitorConfig& config() const { return backend_->config(); }
-  Scheme scheme() const { return backend_->config().scheme; }
-  int backend_node_id() const { return backend_->node().id; }
+  /// Starts a fetch: returns its key, 1, 2, ... per monitor.
+  std::int64_t start_fetch();
+  /// One attempt resolved with `error` (None = ok) after `took`;
+  /// `backoff` when the engine waits before the next attempt
+  /// (monitor.backoff_waits).
+  void record_attempt(std::int64_t key, FetchError error, sim::Duration took,
+                      bool backoff);
+  /// One fetch resolved: its "fetch.<outcome>" record, the latency,
+  /// staleness and attempt histograms (by scheme and front-end node) and
+  /// the outcome and retry counters (by scheme and back-end node).
+  void record_sample(std::int64_t key, const MonitorSample& s);
 
-  /// Ground truth at this instant, straight from the back end's kernel
-  /// (the paper's fine-grained kernel module). For accuracy analysis only.
-  os::LoadSnapshot ground_truth() const {
-    return backend_->node().procfs().snapshot();
-  }
-
- private:
   /// Caches instrument pointers on first use (no-op without a registry).
   void resolve_metrics();
 
   BackendMonitor* backend_;
   os::Node* frontend_;
   net::Socket* sock_ = nullptr;
+  /// fetch()'s one-target engine and its sample, made on the first call;
+  /// declared before the QP, whose completions it may receive.
+  std::unique_ptr<ScatterFetcher> solo_;
+  std::vector<MonitorSample> solo_out_;
   net::CompletionQueue own_cq_;
   net::CompletionQueue* cq_ = &own_cq_;  ///< shared CQ once engine-bound
   std::optional<net::QueuePair> qp_;
@@ -238,7 +260,7 @@ class FrontendMonitor {
   telemetry::Counter* m_retries_ = nullptr;
   telemetry::Counter* m_backoff_waits_ = nullptr;
   telemetry::FlightRing* fr_ = nullptr;  ///< "monitor.<fe>" ring
-  std::uint64_t fetches_ = 0;  ///< blocking fetches started (record keys)
+  std::int64_t fetches_ = 0;  ///< fetches started (record keys)
 };
 
 /// Convenience bundle: wires a complete monitoring channel (connection for

@@ -18,16 +18,8 @@ void ScatterFetcher::resolve_metrics(os::Node& frontend) {
   if (reg_ == nullptr) return;
   fr_ = reg_->recorder().ring("monitor." + frontend.name());
   m_rounds_ = &reg_->counter("scatter.rounds");
-  auto outcome = [&](const char* result) -> telemetry::Counter& {
-    return reg_->counter("scatter.outcome",
-                         telemetry::Labels{{"result", result}});
-  };
-  m_ok_ = &outcome("ok");
-  m_timeout_ = &outcome("timeout");
-  m_transport_ = &outcome("transport");
   m_round_slots_ = &reg_->histogram("scatter.round_slots");
   m_wave_width_ = &reg_->histogram("scatter.wave_width");
-  m_retries_ = &reg_->histogram("scatter.retries_per_slot");
   collector_.bind(simu, [this](telemetry::Registry& reg) {
     reg.gauge("scatter.cq.pushed")
         .set(static_cast<double>(cq_.completions_pushed()));
@@ -46,6 +38,7 @@ void ScatterFetcher::resolve_metrics(os::Node& frontend) {
 
 std::size_t ScatterFetcher::add(FrontendMonitor& m) {
   m.bind_completion_channel(cq_);
+  all_.push_back(targets_.size());
   targets_.push_back(&m);
   return targets_.size() - 1;
 }
@@ -70,28 +63,21 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     *s.out = MonitorSample{};
     s.out->requested_at = simu.now();
     s.backoff = s.mon->config().retry_backoff;
+    s.key = s.mon->start_fetch();
     slots.push_back(s);
   }
 
-  // Telemetry: one slot reached its verdict (ok or exhausted).
-  auto slot_done = [this, &failed](const Slot& s) {
-    s.mon->record_sample(*s.out);
-    if (!s.out->ok) ++failed;
-    telemetry::add(s.out->ok
-                       ? m_ok_
-                       : (s.out->error == FetchError::Timeout ? m_timeout_
-                                                              : m_transport_));
-    telemetry::observe(m_retries_, static_cast<double>(s.attempt - 1));
-  };
-
-  // A failed attempt either retries (after backoff) or finishes the slot.
-  auto fail = [&simu, &slot_done](Slot& s, FetchError err) {
-    s.out->ok = false;
-    s.out->error = err;
-    if (s.attempt > s.mon->config().fetch_retries) {
+  // An attempt resolved (*s.out says how): an ok one or the last failed
+  // one finishes the slot; an earlier failed one waits out its backoff.
+  auto resolved = [&simu, &failed](Slot& s) {
+    const bool done = s.out->ok || s.attempt > s.mon->config().fetch_retries;
+    s.mon->record_attempt(s.key, s.out->error, simu.now() - s.attempt_at,
+                          /*backoff=*/!done);
+    if (done) {
       s.state = State::Done;
       s.out->retrieved_at = simu.now();
-      slot_done(s);
+      s.mon->record_sample(s.key, *s.out);
+      if (!s.out->ok) ++failed;
     } else {
       s.state = State::Backoff;
       s.resume_at = simu.now() + s.backoff;
@@ -109,6 +95,7 @@ os::Program ScatterFetcher::round(os::SimThread& self,
       if (s.state != State::Issue) continue;
       s.out->attempts = ++s.attempt;
       ++wave;
+      s.attempt_at = simu.now();
       const sim::TimePoint dl = attempt_deadline(s.mon->config(), simu.now());
       if (s.mon->is_rdma_transport()) {
         batch_.push_back(s.mon->prepare_read(s.op, dl));
@@ -129,17 +116,12 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     for (Slot& s : slots) {
       if (s.state == State::Wait) {
         const FrontendMonitor::OpStatus st = s.mon->peek(s.op);
-        if (st == FrontendMonitor::OpStatus::Ok) {
+        if (st != FrontendMonitor::OpStatus::Pending) {
           co_await s.mon->complete(self, s.op, *s.out, st);
-          s.state = State::Done;
-          s.out->retrieved_at = simu.now();
-          slot_done(s);
-        } else if (st == FrontendMonitor::OpStatus::Transport) {
-          co_await s.mon->complete(self, s.op, *s.out, st);
-          fail(s, FetchError::Transport);
+          resolved(s);
         } else if (simu.now() >= s.op.deadline) {
-          s.mon->abandon(s.op);
-          fail(s, FetchError::Timeout);
+          s.mon->abandon(s.op, *s.out);
+          resolved(s);
         }
       }
       if (s.state == State::Backoff && simu.now() >= s.resume_at) {
@@ -183,13 +165,6 @@ os::Program ScatterFetcher::round(os::SimThread& self,
   telemetry::fr_record(fr_, "round", static_cast<std::int64_t>(which.size()),
                        failed,
                        static_cast<double>((simu.now() - round_at).ns));
-}
-
-os::Program ScatterFetcher::round_all(os::SimThread& self,
-                                      std::vector<MonitorSample>& out) {
-  std::vector<std::size_t> all(targets_.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  co_await round(self, all, out);
 }
 
 }  // namespace rdmamon::monitor

@@ -1,12 +1,13 @@
-// Scatter-gather monitoring engine: one round fetches from MANY back ends
-// concurrently instead of one after another. Attempts are issued through
-// FrontendMonitor's issue/complete halves — RDMA targets as ONE merged
-// multi-READ post (single doorbell, shared-CQ demux by wr_id), socket
-// targets as one in-flight request per connection — and completions are
-// gathered as they land. Per-target timeout, bounded retry and exponential
-// backoff are preserved exactly, so a scatter round reaches the same
-// per-target verdicts as the sequential path; only the calendar time
-// shrinks from O(N) to roughly the slowest single target.
+// Scatter-gather monitoring engine: the one driver of monitoring fetches.
+// One round fetches from MANY back ends concurrently instead of one after
+// another; a blocking FrontendMonitor::fetch() is a round with one target.
+// Attempts are issued through FrontendMonitor's issue/complete halves —
+// RDMA targets as ONE merged multi-READ post (single doorbell, shared-CQ
+// demux by wr_id), socket targets as one in-flight request per connection
+// — and completions are gathered as they land. Every target runs the same
+// attempt machine (per-attempt timeout, bounded retry, exponential
+// backoff) whether it shares a round with others or is fetched alone, so
+// only the calendar time shrinks, from O(N) to about the slowest target.
 #pragma once
 
 #include <cstddef>
@@ -28,23 +29,24 @@ class ScatterFetcher {
   ScatterFetcher& operator=(const ScatterFetcher&) = delete;
 
   /// Joins a monitor to the engine (re-points its completions at the
-  /// shared channel). Call before the simulation runs fetches; returns the
+  /// shared channel: a monitor's completions go to the last engine that
+  /// joined it). Call before the simulation runs fetches; returns the
   /// target's index.
   std::size_t add(FrontendMonitor& m);
 
   /// Subprogram: one scatter round over the targets listed in `which`
   /// (indices from add()). Fills out[i] for each i in `which`; `out` is
-  /// resized to size() if smaller. Every listed target resolves (ok, or
-  /// error with attempts spent) before the round returns. One round at a
-  /// time per engine.
+  /// resized to the number of targets if smaller. Every listed target
+  /// resolves (ok, or error with attempts spent) before the round
+  /// returns. One round at a time per engine.
   os::Program round(os::SimThread& self, const std::vector<std::size_t>& which,
                     std::vector<MonitorSample>& out);
 
   /// Subprogram: scatter round over every target.
-  os::Program round_all(os::SimThread& self, std::vector<MonitorSample>& out);
+  os::Program round_all(os::SimThread& self, std::vector<MonitorSample>& out) {
+    return round(self, all_, out);
+  }
 
-  std::size_t size() const { return targets_.size(); }
-  FrontendMonitor& target(std::size_t i) { return *targets_[i]; }
   net::CompletionQueue& cq() { return cq_; }
 
  private:
@@ -61,11 +63,14 @@ class ScatterFetcher {
     FrontendMonitor::FetchOp op;
     State state = State::Issue;
     int attempt = 0;
+    std::int64_t key = 0;         ///< the monitor's fetch key (ring records)
+    sim::TimePoint attempt_at{};  ///< when the current attempt was issued
     sim::Duration backoff{};
     sim::TimePoint resume_at{};  ///< Backoff: when to re-issue
   };
 
   std::vector<FrontendMonitor*> targets_;
+  std::vector<std::size_t> all_;  ///< every target's index (round_all)
   /// The current round's slots; a member so rounds reuse its capacity.
   std::vector<Slot> slots_;
   net::CompletionQueue cq_;  ///< shared completion channel (+ wait queue)
@@ -75,12 +80,8 @@ class ScatterFetcher {
   bool metrics_resolved_ = false;
   telemetry::Registry* reg_ = nullptr;
   telemetry::Counter* m_rounds_ = nullptr;
-  telemetry::Counter* m_ok_ = nullptr;
-  telemetry::Counter* m_timeout_ = nullptr;
-  telemetry::Counter* m_transport_ = nullptr;
   telemetry::HistogramMetric* m_round_slots_ = nullptr;
   telemetry::HistogramMetric* m_wave_width_ = nullptr;
-  telemetry::HistogramMetric* m_retries_ = nullptr;
   telemetry::ScopedCollector collector_;  ///< exports the shared CQ counters
   telemetry::FlightRing* fr_ = nullptr;   ///< "monitor.<fe>" ring
 };

@@ -82,7 +82,7 @@ struct NodeFaultState {
 /// receiving socket hands it to a reader: TX serialisation, the wire, a
 /// frozen host's ingress port, the receiver's IRQ/softirq path and the
 /// socket's receive queue all carry only the slot. It is freed where it
-/// is read (Socket::recv, recv_until, recv_ready), flushed
+/// is read (Socket::recv, recv_ready), flushed
 /// (Socket::drain_rx) or dropped (crashed end, lossy link, crash of a
 /// frozen host holding it).
 class Fabric {

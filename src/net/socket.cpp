@@ -71,29 +71,6 @@ os::Program Socket::recv(os::SimThread& self, Message& out) {
   (void)self;
 }
 
-os::Program Socket::recv_until(os::SimThread& self, Message& out,
-                               sim::TimePoint deadline, bool& ok) {
-  ok = false;
-  sim::Simulation& simu = fabric_->simu();
-  // The deadline is a timer that spuriously wakes this socket's waiters;
-  // the standard predicate re-check then notices the expired clock.
-  // Cancelling an unexpired deadline is O(1) (eager wheel unlink), so
-  // every recv may arm one without a per-message allocation or sweep.
-  sim::EventHandle timer;
-  if (rx_.empty() && simu.now() < deadline) {
-    timer = simu.at(deadline, [this] { rx_wq_.notify_all(); });
-  }
-  while (rx_.empty() && simu.now() < deadline) {
-    co_await os::WaitOn{&rx_wq_};
-  }
-  timer.cancel();
-  if (rx_.empty()) co_return;
-  out = fabric_->unpark(rx_.take_front());
-  co_await os::ComputeKernel{kRecvCost + copy_cost(out.bytes)};
-  ok = true;
-  (void)self;
-}
-
 os::Program Socket::recv_ready(os::SimThread& self, Message& out) {
   assert(!rx_.empty() && "recv_ready requires has_data()");
   out = fabric_->unpark(rx_.take_front());

@@ -36,12 +36,6 @@ class Socket {
   /// into `out` (freeing the slot).
   os::Program recv(os::SimThread& self, Message& out);
 
-  /// Subprogram: like recv, but gives up at `deadline` (SO_RCVTIMEO). On
-  /// timeout `ok` stays false, `out` is untouched, and no recv cost is
-  /// charged. A message already queued is delivered even past deadline.
-  os::Program recv_until(os::SimThread& self, Message& out,
-                         sim::TimePoint deadline, bool& ok);
-
   /// Subprogram: non-blocking receive. Requires has_data(); pops the head
   /// message and pays the recv syscall + copy cost. Issue/complete engines
   /// use this to consume a reply they already know has arrived.
@@ -63,16 +57,10 @@ class Socket {
   bool has_data() const { return !rx_.empty(); }
   std::size_t rx_backlog() const { return rx_.size(); }
 
-  /// The wait queue notified on every delivery — the select()-style wait
-  /// point for consumers that multiplex this socket with other channels.
-  os::WaitQueue& rx_wait_queue() { return rx_wq_; }
-
   /// Registers an additional wait queue to notify on delivery (epoll-ish):
   /// a scatter engine parks on its shared completion channel and hears
   /// about socket replies through this without per-socket waiter threads.
   void add_rx_watcher(os::WaitQueue* wq) { rx_watchers_.push_back(wq); }
-
-  os::Node& local_node() { return *local_; }
 
   /// Delivery from the NIC receive path (protocol cost already paid):
   /// queues the parked message's slot and wakes the readers.

@@ -388,7 +388,6 @@ class QueuePair {
   CompletionQueue& cq() { return *cq_; }
   QpContext& context() { return *ctx_; }
   const QpContext& context() const { return *ctx_; }
-  const std::shared_ptr<QpContext>& context_ptr() const { return ctx_; }
 
  private:
   int remote_node_;

@@ -91,7 +91,6 @@ class KernelStats {
 
   // --- connections -------------------------------------------------------
   void on_connection_opened() { ++connections_; }
-  void on_connection_closed() { --connections_; }
   int connections() const { return connections_; }
 
  private:

@@ -102,11 +102,6 @@ class EventQueue {
   /// Total cancellations ever observed (fired events cannot be cancelled).
   std::uint64_t cancelled_total() const { return cancelled_total_; }
 
-  /// Pool capacity in nodes (allocated slabs x slab size) — growth stops
-  /// once the peak live+tombstoned population has been seen: the
-  /// zero-allocation-steady-state invariant checked by bench_engine.
-  std::size_t pool_capacity() const { return kSlabNodes * slabs_.size(); }
-
  private:
   friend class EventHandle;
 

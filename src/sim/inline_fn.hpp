@@ -86,15 +86,11 @@ class InlineFunction<R(Args...)> {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  /// True when the wrapped callable lives in the inline buffer (no heap).
-  bool is_inline() const noexcept { return ops_ != nullptr && ops_->inlined; }
-
  private:
   struct Ops {
     R (*invoke)(void*, Args&&...);
     void (*relocate)(void* src, void* dst) noexcept;  // move + destroy src
     void (*destroy)(void*) noexcept;
-    bool inlined;
   };
 
   template <typename Fn>
@@ -108,8 +104,7 @@ class InlineFunction<R(Args...)> {
         ::new (dst) Fn(std::move(*s));
         s->~Fn();
       },
-      [](void* p) noexcept { std::launder(reinterpret_cast<Fn*>(p))->~Fn(); },
-      true};
+      [](void* p) noexcept { std::launder(reinterpret_cast<Fn*>(p))->~Fn(); }};
 
   template <typename Fn>
   static constexpr Ops boxed_ops = {
@@ -119,8 +114,7 @@ class InlineFunction<R(Args...)> {
       [](void* src, void* dst) noexcept {
         *reinterpret_cast<Fn**>(dst) = *reinterpret_cast<Fn**>(src);
       },
-      [](void* p) noexcept { delete *reinterpret_cast<Fn**>(p); },
-      false};
+      [](void* p) noexcept { delete *reinterpret_cast<Fn**>(p); }};
 
   const Ops* ops_ = nullptr;
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes];

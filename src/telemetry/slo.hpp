@@ -158,8 +158,6 @@ class SloEngine {
   /// Builds the flat MR-publishable summary (bumps `version`).
   AlarmView view();
 
-  std::size_t stream_count() const { return streams_.size(); }
-
  private:
   sim::TimePoint now() const { return now_ ? now_() : sim::TimePoint{}; }
   void slide(Stream& s, sim::TimePoint at);

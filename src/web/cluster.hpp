@@ -35,7 +35,10 @@ struct ClusterConfig {
   monitor::Scheme scheme = monitor::Scheme::RdmaSync;
   /// T: async schemes' back-end update period.
   sim::Duration monitor_period = sim::msec(50);
-  /// Load-fetching granularity of the balancer's poller.
+  /// The balancer poller's pause between the end of one poll round and
+  /// the start of the next, rounded up to the scheduler tick: a round
+  /// recurs every pause plus its fetch time plus the rounding, not every
+  /// pause (lb::LoadBalancer).
   sim::Duration lb_granularity = sim::msec(50);
   ServerConfig server;
   net::FabricConfig fabric;

@@ -36,13 +36,8 @@ class ResponseStats {
   std::uint64_t completed() const { return completed_; }
   std::uint64_t rejected() const { return rejected_; }
 
-  /// Per-class / overall response-time distributions (log-bucketed, so
-  /// p50/p90/p99 are available, not just the mean).
-  const sim::Histogram& hist_by_class(int query_class) const {
-    static const sim::Histogram empty;
-    auto it = per_class_hist_.find(query_class);
-    return it == per_class_hist_.end() ? empty : it->second;
-  }
+  /// Overall response-time distribution (log-bucketed, so p50/p90/p99
+  /// are available, not just the mean).
   const sim::Histogram& overall_hist() const { return overall_hist_; }
 
   /// Re-exports the percentiles gathered so far into the registry as

@@ -5,7 +5,8 @@ the checked-in golden under tests/golden/.
 The quick-mode figure benches are fully deterministic at their default
 seed (the sim clock is virtual; no wall time leaks into the JSON), so
 the pinned values catch any behavioural drift in the monitoring
-schemes: scheme latencies (fig3) and load-accuracy deviation (fig5).
+schemes: scheme latencies (fig3), load-accuracy deviation (fig5), and
+the bounded fetch's timeout/retry/backoff timing (fault_resilience).
 Floats are compared with a tiny relative tolerance so a compiler that
 reorders an fp sum does not page someone, while real regressions --
 which move these numbers by percents -- always fail.

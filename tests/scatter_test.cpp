@@ -220,6 +220,48 @@ TEST_P(SchemeRoundTest, AllOkRoundFetchesEveryBackendInOneAttempt) {
   EXPECT_LT(round_time.ns, msec(1).ns) << monitor::to_string(GetParam());
 }
 
+TEST_P(SchemeRoundTest, BlockingFetchOfCrashedBackendResolvesAsOneTargetRound) {
+  // A blocking fetch() is a one-target round of the same engine: against
+  // a back end crashed at 49 ms and fetched after it, both spend every
+  // attempt, reach the same error and resolve at the same instant. Each
+  // backoff is retry_backoff * 2^(k-1) from the failed attempt's verdict,
+  // not rounded up to the scheduler tick.
+  const Scheme scheme = GetParam();
+  auto run = [scheme](bool blocking) {
+    ChannelEnv env({fast_cfg(scheme)});
+    monitor::ScatterFetcher scatter;
+    if (!blocking) scatter.add(env.channels[0]->frontend());
+    env.simu.at(sim::TimePoint{msec(49).ns},
+                [&] { env.fabric.inject_crash(env.backends[0]->id); });
+    std::vector<MonitorSample> samples(1);
+    env.frontend.spawn("poller", [&](SimThread& self) -> Program {
+      co_await os::SleepFor{msec(50)};
+      if (blocking) {
+        co_await env.channels[0]->frontend().fetch(self, samples[0]);
+      } else {
+        co_await scatter.round_all(self, samples);
+      }
+    });
+    env.simu.run_for(seconds(1));
+    return samples[0];
+  };
+  const MonitorSample fetched = run(true);
+  const MonitorSample round = run(false);
+  const std::string name = monitor::to_string(scheme);
+  EXPECT_FALSE(fetched.ok) << name;
+  EXPECT_EQ(fetched.attempts, 3) << name;
+  EXPECT_EQ(fetched.error, monitor::is_rdma(scheme) ? FetchError::Transport
+                                                    : FetchError::Timeout)
+      << name;
+  EXPECT_GT(fetched.requested_at.ns, msec(49).ns) << name;  // after the crash
+  EXPECT_EQ(fetched.attempts, round.attempts) << name;
+  EXPECT_EQ(fetched.error, round.error) << name;
+  EXPECT_EQ(fetched.requested_at.ns, round.requested_at.ns) << name;
+  EXPECT_EQ(fetched.retrieved_at.ns, round.retrieved_at.ns) << name;
+  // Three 5 ms attempts at most, plus 2 + 4 ms of backoff, plus wakeups.
+  EXPECT_LT(fetched.latency().ns, (msec(21) + usec(100)).ns) << name;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTransports, SchemeRoundTest,
                          ::testing::ValuesIn(monitor::kTransportSchemes),
                          [](const auto& info) {
@@ -358,6 +400,68 @@ TEST(ScatterRound, FastPathVerdictsMatchDedicatedUnderCrash) {
   EXPECT_EQ(fast_verdicts, run(true));   // deterministic replay
   EXPECT_EQ(fast_verdicts, run(false));  // parity with the plain engine
   EXPECT_NE(fast_verdicts.find("fail"), std::string::npos);
+}
+
+TEST(ScatterRound, BalancerRoundsRecordEveryFetchAndAttempt) {
+  // The engine keeps the fetch records: in the front end's "monitor.<fe>"
+  // ring, one "attempt.*" per attempt and one "fetch.*" per slot, with
+  // a = back-end node and b = that monitor's fetch key (1, 2, ... per
+  // monitor), then the round's own record (a = slots, b = failed).
+  // monitor.backoff_waits counts the waits between a slot's attempts.
+  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "telemetry off";
+  sim::Simulation simu;
+  telemetry::Registry reg;
+  reg.install(simu);
+  net::Fabric fabric(simu, {});
+  os::Node frontend(simu, {.name = "frontend"});
+  fabric.attach(frontend);
+  lb::LoadBalancer lb(lb::WeightConfig::for_scheme(Scheme::RdmaSync));
+  std::vector<std::unique_ptr<os::Node>> backends;
+  for (int i = 0; i < 2; ++i) {
+    backends.push_back(std::make_unique<os::Node>(
+        simu, os::NodeConfig{.name = "backend" + std::to_string(i)}));
+    fabric.attach(*backends.back());
+    lb.add_backend(std::make_unique<monitor::MonitorChannel>(
+        fabric, frontend, *backends.back(), fast_cfg(Scheme::RdmaSync)));
+  }
+  fabric.inject_crash(backends[1]->id);
+  std::size_t rounds = 0;
+  lb.on_round([&](const std::vector<std::size_t>&) { ++rounds; });
+  // A crashed target's three attempts take about 18 ms, so two rounds
+  // 30 ms apart finish inside 90 ms and the third has not started.
+  lb.start(frontend, msec(30));
+  simu.run_for(msec(90));
+  ASSERT_EQ(rounds, 2u);
+
+  std::vector<std::string> trail;
+  for (const telemetry::FlightEvent& e :
+       reg.recorder().ring("monitor.frontend")->events()) {
+    trail.push_back(std::string(e.kind) + " " + std::to_string(e.a) + " " +
+                    std::to_string(e.b));
+  }
+  const std::string up = " " + std::to_string(backends[0]->id) + " ";
+  const std::string down = " " + std::to_string(backends[1]->id) + " ";
+  std::vector<std::string> expected;
+  for (const std::string key : {"1", "2"}) {
+    expected.push_back("attempt.ok" + up + key);
+    expected.push_back("fetch.ok" + up + key);
+    for (int a = 0; a < 3; ++a) {
+      expected.push_back("attempt.transport" + down + key);
+    }
+    expected.push_back("fetch.transport" + down + key);
+    expected.push_back("round 2 1");
+  }
+  EXPECT_EQ(trail, expected);
+
+  const telemetry::Snapshot snap = reg.snapshot();
+  const telemetry::SnapshotEntry* waits = snap.find(
+      "monitor.backoff_waits", "backend=backend1,scheme=RDMA-Sync");
+  ASSERT_NE(waits, nullptr);
+  EXPECT_DOUBLE_EQ(waits->value, 4.0);  // two per round
+  waits = snap.find("monitor.backoff_waits",
+                    "backend=backend0,scheme=RDMA-Sync");
+  ASSERT_NE(waits, nullptr);
+  EXPECT_DOUBLE_EQ(waits->value, 0.0);
 }
 
 // --- LoadBalancer on the engine ----------------------------------------------

@@ -51,8 +51,8 @@ DECODERS = {
     "scan.heartbeat": lambda a, b, x: f"slot{a} heartbeat seq={b} age={us(x)}",
     "scan.torn": lambda a, b, x: f"slot{a} torn image seq={b} (skipped)",
     "scan.regressed": lambda a, b, x: f"slot{a} regressed seq={b} (dropped)",
-    # monitor ring (blocking fetches, their attempts, scatter rounds; a
-    # fetch and its attempts share the key b)
+    # monitor ring (fetches, their attempts, scatter rounds; a fetch and
+    # its attempts share the key b, numbered per monitor)
     "fetch.ok": lambda a, b, x: f"fetch#{b} node{a} ok in {us(x)}",
     "fetch.timeout": lambda a, b, x: f"fetch#{b} node{a} TIMED OUT after {us(x)}",
     "fetch.transport": lambda a, b, x: f"fetch#{b} node{a} transport error after {us(x)}",
