@@ -6,8 +6,9 @@
 #   ./ci.sh sanitize   # ASan/UBSan build + FULL ctest incl. slow (slower)
 #   ./ci.sh bench      # quick benches + BENCH_*.json checks + golden traces
 #                      # + the repo benchmark's checks (perfbench) + the
-#                      # telemetry plane's memory and allocation bounds +
-#                      # the RUBiS request path's allocation bound
+#                      # telemetry plane's memory and allocation bounds
+#                      # (pull_fanout, push_scaleout) + the RUBiS request
+#                      # path's allocation bound
 #   ./ci.sh perf       # Release build, DES-kernel perf smoke (bench_engine)
 #   ./ci.sh slo        # freshness plane only: ctest -L slo + bench_freshness
 #   ./ci.sh notel      # telemetry compiled out (RDMAMON_TELEMETRY=OFF):
@@ -69,6 +70,12 @@ elif [[ "${1:-}" == "bench" ]]; then
   # histograms allocate only what they record, and distributions are per
   # scheme and front end, counts per back end; with rings sized up front
   # the ratio was 2.66x, with histograms per back end 1.27x.
+  # The same memory bound on push_scaleout (4 front ends, 64 back ends,
+  # Adaptive push): plain peak RSS within 1.30x of noreg. A one-sided op
+  # is one flight record, written at completion, and a ring's buffer
+  # doubles as it fills, so the back ends' NIC rings hold what they
+  # recorded; with two records per op and 24 KB per ring on its first
+  # record the ratio was 1.35x.
   # The socket path's allocations: on rubis_zipf a served request makes at
   # most 0.5 heap allocations (what is left, about 0.14, is mostly the
   # balancer's dispatch log). Socket payloads are inline images parked in
@@ -90,6 +97,12 @@ print(f"pull_fanout peak RSS: {plain['peak_rss_mb']:.2f} MB with the "
 extra = plain["allocs"] - noreg["allocs"]
 print(f"pull_fanout allocations: {plain['allocs']} with the registry, "
       f"{noreg['allocs']} without: {extra:+d} (bound 0)")
+push_plain = run("push_scaleout", "plain")
+push_noreg = run("push_scaleout", "noreg")
+push_ratio = push_plain["peak_rss_mb"] / push_noreg["peak_rss_mb"]
+print(f"push_scaleout peak RSS: {push_plain['peak_rss_mb']:.2f} MB with the "
+      f"registry, {push_noreg['peak_rss_mb']:.2f} MB without: "
+      f"{push_ratio:.2f}x (bound 1.30x)")
 rubis = run("rubis_zipf", "plain")
 allocs = rubis["allocs"] / rubis["sim_s"]
 served = rubis["counts"]["web.requests_per_sim_s"]
@@ -97,7 +110,8 @@ per_request = allocs / served
 print(f"rubis_zipf: {allocs:.0f} allocations per simulated s over "
       f"{served:.0f} served requests: {per_request:.2f} per request "
       f"(bound 0.5)")
-sys.exit(0 if ratio <= 1.15 and extra <= 0 and per_request <= 0.5 else 1)
+sys.exit(0 if ratio <= 1.15 and extra <= 0 and push_ratio <= 1.30
+         and per_request <= 0.5 else 1)
 EOF
 elif [[ "${1:-}" == "slo" ]]; then
   # Freshness-plane smoke: the staleness SLO / flight recorder / alarm-MR

@@ -179,26 +179,25 @@ os::Program PushPublisher::body(os::SimThread& self) {
     const bool change_push = changed && min_ok;
     if (!change_push && !heartbeat_due) continue;
     ++seq_;
-    InboxSlot image;
-    image.seq = seq_;
-    image.info = snap;
-    image.pushed_at = now;
-    image.heartbeat = !change_push;
-    image.seq_check = seq_;
+    image_.seq = seq_;
+    image_.info = snap;
+    image_.pushed_at = now;
+    image_.heartbeat = !change_push;
+    image_.seq_check = seq_;
     co_await os::Compute{net::kDoorbellCost};
     qp_->post({.verb = net::Verb::Write,
                .rkey = inbox_key_,
                .len = PushInbox::kSlotBytes,
                .wr_id = cq_.alloc_wr_id(),
                .offset = static_cast<std::size_t>(slot_) * sizeof(InboxSlot),
-               .payload = net::bytes_of(image)});
+               .payload = net::bytes_of(image_)});
     in_flight_ = true;
     has_pushed_ = true;
     last_push_ = now;
     baseline_ = snap;
     has_baseline_ = true;
     ++pushes_;
-    if (image.heartbeat) ++heartbeats_;
+    if (image_.heartbeat) ++heartbeats_;
   }
   (void)self;
 }

@@ -140,7 +140,10 @@ class PushInbox {
 /// RDMA-WRITEs the snapshot into its inbox slot when it moved by more than
 /// kChangeThreshold (rate-limited by kMinInterval) or the kHeartbeat
 /// heartbeat is due. At most one WRITE in flight, so sequence numbers
-/// arrive in order on the in-order RC fabric.
+/// arrive in order on the in-order RC fabric, and that WRITE's source is
+/// the publisher's own slot image, read by the target NIC at the DMA
+/// instant: a push allocates nothing. The publisher must outlive its
+/// last WRITE, as it must for the CQ that WRITE completes into.
 ///
 /// Failure semantics mirror the pull schemes': a crashed peer (or this
 /// node itself crashed — the crashed-initiator case) error-completes the
@@ -213,6 +216,8 @@ class PushPublisher {
   bool in_flight_ = false;
   bool has_baseline_ = false;
   bool has_pushed_ = false;
+  /// The in-flight WRITE's source; rewritten only once it completed.
+  InboxSlot image_;
   os::LoadSnapshot baseline_;
   sim::TimePoint last_push_{};
   std::uint64_t pushes_ = 0;

@@ -132,8 +132,7 @@ FrontendMonitor::FrontendMonitor(net::Fabric& fabric, os::Node& frontend,
                                  std::shared_ptr<net::QpContext> ctx)
     : backend_(&backend), frontend_(&frontend), sock_(client_end) {
   if (is_rdma(backend.config().scheme)) {
-    qp_.emplace(fabric.nic(frontend.id), backend.node().id, *cq_,
-                std::move(ctx));
+    qp_.emplace(fabric.nic(frontend.id), backend.node().id, std::move(ctx));
     // Monitoring READs carry the plane's tenant tag so fabric QoS can
     // weight them against noisy neighbors (0 = untagged system plane).
     if (backend.config().tenant != 0) qp_->set_tenant(backend.config().tenant);
@@ -226,38 +225,28 @@ net::ReadBatchEntry FrontendMonitor::prepare_read(FetchOp& op,
                                                   sim::TimePoint deadline) {
   assert(qp_.has_value() && "prepare_read is RDMA-only");
   op.deadline = deadline;
-  op.wr_id = cq_->alloc_wr_id();
+  op.wr_id = qp_->cq().alloc_wr_id();
   return net::ReadBatchEntry{&*qp_,
                              {.rkey = backend_->mr_key(),
                               .len = kLoadReplyBytes,
                               .wr_id = op.wr_id}};
 }
 
-FrontendMonitor::OpStatus FrontendMonitor::peek(const FetchOp& op) const {
-  if (qp_) {
-    const net::Completion* c = cq_->find(op.wr_id);
-    if (c == nullptr) return OpStatus::Pending;
-    return c->status == net::WcStatus::Success ? OpStatus::Ok
-                                               : OpStatus::Transport;
-  }
-  return sock_->has_data() ? OpStatus::Ok : OpStatus::Pending;
+bool FrontendMonitor::peek(const FetchOp& op) const {
+  return qp_ ? op.landed.has_value() : sock_->has_data();
 }
 
 os::Program FrontendMonitor::complete(os::SimThread& self, FetchOp& op,
-                                      MonitorSample& out, OpStatus status) {
-  assert(status != OpStatus::Pending && "complete() requires a resolution");
+                                      MonitorSample& out) {
+  assert(peek(op) && "complete() requires a resolution");
   if (qp_) {
-    net::Completion c;
-    const bool got = cq_->try_pop(op.wr_id, c);
-    assert(got && "peek() said resolved but the completion is gone");
-    (void)got;
-    take_completion(out, c);
+    take_completion(out, *op.landed);
+    op.landed.reset();  // frees the READ's block
     co_return;  // reaping a completion costs no simulated CPU
   }
   net::Message reply;
   co_await sock_->recv_ready(self, reply);
   take_reading(out, reply.payload.as<os::LoadSnapshot>());
-  (void)status;
 }
 
 void FrontendMonitor::abandon(FetchOp& op, MonitorSample& out) {
@@ -265,13 +254,12 @@ void FrontendMonitor::abandon(FetchOp& op, MonitorSample& out) {
   out.error = FetchError::Timeout;
   // Sockets need nothing: a late reply stays queued and the next issue()
   // flushes it (drain_rx).
-  if (qp_) cq_->forget(op.wr_id);
+  if (qp_) qp_->cq().forget(op.wr_id);
 }
 
 void FrontendMonitor::bind_completion_channel(net::CompletionQueue& shared) {
   if (qp_) {
     qp_->bind_cq(shared);
-    cq_ = &shared;
   } else {
     sock_->add_rx_watcher(&shared.wait_queue());
   }

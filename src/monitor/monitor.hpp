@@ -176,13 +176,9 @@ class FrontendMonitor {
   struct FetchOp {
     std::uint64_t wr_id = 0;     ///< RDMA: CQ demux key (CQ-unique)
     sim::TimePoint deadline{};   ///< this attempt's give-up instant
-  };
-
-  /// Non-blocking resolution state of an attempt.
-  enum class OpStatus {
-    Pending,    ///< nothing arrived yet
-    Ok,         ///< reply/completion ready for complete()
-    Transport,  ///< RDMA error completion ready for complete()
+    /// RDMA: the attempt's completion, once the engine drained it from
+    /// its CQ.
+    std::optional<net::Completion> landed;
   };
 
   bool is_rdma_transport() const { return qp_.has_value(); }
@@ -193,19 +189,21 @@ class FrontendMonitor {
   os::Program issue(os::SimThread& self, FetchOp& op, sim::TimePoint deadline);
 
   /// RDMA only: readies an attempt for a merged multi-READ post. Allocates
-  /// the wr_id and fills the batch entry; the caller posts the batch via
-  /// net::post_read_batch, paying one doorbell for many attempts.
+  /// the wr_id from the bound CQ and fills the batch entry; the caller
+  /// posts the batch via net::post_read_batch, paying one doorbell for
+  /// many attempts, and moves the attempt's completion into op.landed
+  /// when it drains the CQ.
   net::ReadBatchEntry prepare_read(FetchOp& op, sim::TimePoint deadline);
 
-  /// Non-blocking: has this attempt resolved?
-  OpStatus peek(const FetchOp& op) const;
+  /// Non-blocking: has this attempt resolved (a reply queued, or a
+  /// completion landed, successful or not)?
+  bool peek(const FetchOp& op) const;
 
-  /// Subprogram: consumes a resolved attempt (peek() != Pending), paying
+  /// Subprogram: consumes a resolved attempt (peek() is true), paying
   /// the receive-side costs (socket recv syscall + copy; RDMA completions
   /// are free to reap). Fills out.ok / out.error / out.info — never
   /// retrieved_at or attempts, which belong to the engine driving it.
-  os::Program complete(os::SimThread& self, FetchOp& op, MonitorSample& out,
-                       OpStatus status);
+  os::Program complete(os::SimThread& self, FetchOp& op, MonitorSample& out);
 
   /// Abandons an attempt past its deadline and marks `out` timed out.
   /// RDMA: the wr_id is forgotten at the CQ, which discards the late
@@ -213,9 +211,10 @@ class FrontendMonitor {
   /// flushed by the next issue().
   void abandon(FetchOp& op, MonitorSample& out);
 
-  /// Joins a shared completion channel (a scatter engine's CQ): RDMA QPs
-  /// re-point their completions at `shared`; socket replies additionally
-  /// notify `shared`'s wait queue. Call with no attempt in flight.
+  /// Joins a shared completion channel (a scatter engine's CQ): the RDMA
+  /// QP, unbound until the first engine joins it, completes into
+  /// `shared`; socket replies additionally notify `shared`'s wait queue.
+  /// Call with no attempt in flight.
   void bind_completion_channel(net::CompletionQueue& shared);
 
   // Telemetry of the fetches the engine drives (no-ops without a
@@ -245,8 +244,7 @@ class FrontendMonitor {
   /// declared before the QP, whose completions it may receive.
   std::unique_ptr<ScatterFetcher> solo_;
   std::vector<MonitorSample> solo_out_;
-  net::CompletionQueue own_cq_;
-  net::CompletionQueue* cq_ = &own_cq_;  ///< shared CQ once engine-bound
+  /// RDMA only; completes into the CQ of the last engine that joined it.
   std::optional<net::QueuePair> qp_;
   // Telemetry instruments (null when disabled / no registry installed).
   bool metrics_resolved_ = false;

@@ -1,5 +1,9 @@
 #include "monitor/scatter.hpp"
 
+#include <cassert>
+#include <limits>
+#include <utility>
+
 namespace rdmamon::monitor {
 
 namespace {
@@ -8,6 +12,21 @@ sim::TimePoint attempt_deadline(const MonitorConfig& cfg,
                                 sim::TimePoint now) {
   return cfg.fetch_timeout.ns > 0 ? now + cfg.fetch_timeout : sim::kNever;
 }
+
+/// The CQ counters each engine exports, as scatter.cq.* gauges.
+using CqCount = std::uint64_t (net::CompletionQueue::*)() const;
+constexpr std::pair<const char*, CqCount> kCqGauges[] = {
+    {"scatter.cq.pushed", &net::CompletionQueue::completions_pushed},
+    {"scatter.cq.forgets", &net::CompletionQueue::forgets},
+    {"scatter.cq.stale_dropped", &net::CompletionQueue::stale_dropped},
+    {"scatter.cq.signaled", &net::CompletionQueue::cqes_signaled},
+    {"scatter.cq.unsignaled_retired",
+     &net::CompletionQueue::unsignaled_retired},
+    {"scatter.cq.notifies", &net::CompletionQueue::notifies},
+    {"scatter.cq.coalesced_polls", &net::CompletionQueue::coalesced_polls},
+};
+
+constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
@@ -20,20 +39,35 @@ void ScatterFetcher::resolve_metrics(os::Node& frontend) {
   m_rounds_ = &reg_->counter("scatter.rounds");
   m_round_slots_ = &reg_->histogram("scatter.round_slots");
   m_wave_width_ = &reg_->histogram("scatter.wave_width");
-  collector_.bind(simu, [this](telemetry::Registry& reg) {
-    reg.gauge("scatter.cq.pushed")
-        .set(static_cast<double>(cq_.completions_pushed()));
-    reg.gauge("scatter.cq.forgets").set(static_cast<double>(cq_.forgets()));
-    reg.gauge("scatter.cq.stale_dropped")
-        .set(static_cast<double>(cq_.stale_dropped()));
-    reg.gauge("scatter.cq.signaled")
-        .set(static_cast<double>(cq_.cqes_signaled()));
-    reg.gauge("scatter.cq.unsignaled_retired")
-        .set(static_cast<double>(cq_.unsignaled_retired()));
-    reg.gauge("scatter.cq.notifies").set(static_cast<double>(cq_.notifies()));
-    reg.gauge("scatter.cq.coalesced_polls")
-        .set(static_cast<double>(cq_.coalesced_polls()));
+  static_assert(std::size(kCqGauges) == std::size(decltype(cq_export_){}));
+  const telemetry::Labels by_fe{{"frontend", frontend.name()}};
+  for (std::size_t i = 0; i < cq_export_.size(); ++i) {
+    cq_export_[i].gauge = &reg_->gauge(kCqGauges[i].first, by_fe);
+  }
+  // Every engine of the front end adds into the same gauges, so a
+  // fetch()'s one-target engine never hides the balancer's.
+  collector_.bind(simu, [this](telemetry::Registry&) {
+    for (std::size_t i = 0; i < cq_export_.size(); ++i) {
+      CqExport& e = cq_export_[i];
+      const std::uint64_t count = (cq_.*kCqGauges[i].second)();
+      e.gauge->add(static_cast<double>(count - e.added));
+      e.added = count;
+    }
   });
+}
+
+void ScatterFetcher::drain() {
+  while (!cq_.empty()) {
+    net::Completion c = cq_.pop();
+    const std::uint64_t i = c.wr_id - first_wr_;
+    const std::uint32_t slot =
+        c.wr_id >= first_wr_ && i < wr_slot_.size() ? wr_slot_[i] : kNoSlot;
+    assert(slot != kNoSlot && "a completion no attempt of the round posted");
+    if (slot == kNoSlot) continue;
+    Slot& s = slots_[slot];
+    assert(s.op.wr_id == c.wr_id && "an abandoned attempt's completion");
+    s.op.landed = std::move(c);
+  }
 }
 
 std::size_t ScatterFetcher::add(FrontendMonitor& m) {
@@ -56,15 +90,15 @@ os::Program ScatterFetcher::round(os::SimThread& self,
 
   std::vector<Slot>& slots = slots_;
   slots.clear();
+  wr_slot_.clear();
   for (std::size_t i : which) {
-    Slot s;
+    Slot& s = slots.emplace_back();
     s.mon = targets_[i];
     s.out = &out[i];
     *s.out = MonitorSample{};
     s.out->requested_at = simu.now();
     s.backoff = s.mon->config().retry_backoff;
     s.key = s.mon->start_fetch();
-    slots.push_back(s);
   }
 
   // An attempt resolved (*s.out says how): an ok one or the last failed
@@ -91,7 +125,8 @@ os::Program ScatterFetcher::round(os::SimThread& self,
     // lot); socket attempts go out one per connection.
     batch_.clear();
     std::size_t wave = 0;
-    for (Slot& s : slots) {
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      Slot& s = slots[k];
       if (s.state != State::Issue) continue;
       s.out->attempts = ++s.attempt;
       ++wave;
@@ -99,6 +134,11 @@ os::Program ScatterFetcher::round(os::SimThread& self,
       const sim::TimePoint dl = attempt_deadline(s.mon->config(), simu.now());
       if (s.mon->is_rdma_transport()) {
         batch_.push_back(s.mon->prepare_read(s.op, dl));
+        // This CQ hands out the wr_ids, so a round's run without gaps.
+        if (wr_slot_.empty()) first_wr_ = s.op.wr_id;
+        const std::uint64_t at = s.op.wr_id - first_wr_;
+        if (at >= wr_slot_.size()) wr_slot_.resize(at + 1, kNoSlot);
+        wr_slot_[at] = static_cast<std::uint32_t>(k);
       } else {
         co_await s.mon->issue(self, s.op, dl);
       }
@@ -109,15 +149,18 @@ os::Program ScatterFetcher::round(os::SimThread& self,
       telemetry::observe(m_wave_width_, static_cast<double>(wave));
     }
 
-    // Gather wave: reap whatever resolved, time out whatever expired.
+    // Gather wave: reap whatever resolved, time out whatever expired, in
+    // slot order. A socket reply's receive takes simulated time, so the
+    // CQ is drained again after each one.
+    drain();
     bool all_done = true;
     bool any_issue = false;
     sim::TimePoint next_wake = sim::kNever;
     for (Slot& s : slots) {
       if (s.state == State::Wait) {
-        const FrontendMonitor::OpStatus st = s.mon->peek(s.op);
-        if (st != FrontendMonitor::OpStatus::Pending) {
-          co_await s.mon->complete(self, s.op, *s.out, st);
+        if (s.mon->peek(s.op)) {
+          co_await s.mon->complete(self, s.op, *s.out);
+          drain();
           resolved(s);
         } else if (simu.now() >= s.op.deadline) {
           s.mon->abandon(s.op, *s.out);

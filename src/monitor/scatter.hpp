@@ -4,13 +4,17 @@
 // Attempts are issued through FrontendMonitor's issue/complete halves —
 // RDMA targets as ONE merged multi-READ post (single doorbell, shared-CQ
 // demux by wr_id), socket targets as one in-flight request per connection
-// — and completions are gathered as they land. Every target runs the same
+// — and completions are gathered as they land: the engine drains its CQ
+// into the slots, indexed by wr_id, so a wake costs the completions that
+// landed, not slots x queued completions. Every target runs the same
 // attempt machine (per-attempt timeout, bounded retry, exponential
 // backoff) whether it shares a round with others or is fetched alone, so
 // only the calendar time shrinks, from O(N) to about the slowest target.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "monitor/monitor.hpp"
@@ -51,7 +55,9 @@ class ScatterFetcher {
 
  private:
   /// Caches instrument pointers and binds the CQ collector on the first
-  /// round (no-op without a registry).
+  /// round (no-op without a registry). The CQ's counters are exported as
+  /// scatter.cq.* gauges per front end, summed over its engines: each
+  /// collector adds what its CQ counted since its last snapshot.
   void resolve_metrics(os::Node& frontend);
 
   /// Per-target attempt state machine of a round: Issue -> Wait -> (Done
@@ -69,10 +75,17 @@ class ScatterFetcher {
     sim::TimePoint resume_at{};  ///< Backoff: when to re-issue
   };
 
+  /// Moves every completion the CQ surfaced into the op of the slot that
+  /// posted it: the round allocated every wr_id the CQ can hold.
+  void drain();
+
   std::vector<FrontendMonitor*> targets_;
   std::vector<std::size_t> all_;  ///< every target's index (round_all)
   /// The current round's slots; a member so rounds reuse its capacity.
   std::vector<Slot> slots_;
+  /// The slot of each RDMA attempt of the round, by wr_id - first_wr_.
+  std::vector<std::uint32_t> wr_slot_;
+  std::uint64_t first_wr_ = 0;
   net::CompletionQueue cq_;  ///< shared completion channel (+ wait queue)
   /// A wave's RDMA attempts; a member so rounds reuse its capacity.
   std::vector<net::ReadBatchEntry> batch_;
@@ -83,6 +96,13 @@ class ScatterFetcher {
   telemetry::HistogramMetric* m_round_slots_ = nullptr;
   telemetry::HistogramMetric* m_wave_width_ = nullptr;
   telemetry::ScopedCollector collector_;  ///< exports the shared CQ counters
+  /// The front end's scatter.cq.* gauges, each with what this engine's
+  /// CQ has added to it so far.
+  struct CqExport {
+    telemetry::Gauge* gauge = nullptr;
+    std::uint64_t added = 0;
+  };
+  std::array<CqExport, 7> cq_export_{};
   telemetry::FlightRing* fr_ = nullptr;   ///< "monitor.<fe>" ring
 };
 

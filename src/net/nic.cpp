@@ -20,8 +20,12 @@ constexpr double kDmaPerByteNs = 0.8;
 /// local ACK timeout collapsed into one figure.
 constexpr sim::Duration kRetryTimeout = sim::msec(4);
 
-constexpr const char* kPostKind[] = {"read.post", "write.post"};
-constexpr const char* kCompKind[] = {"read.comp", "write.comp"};
+/// Flight-record kind of a completed op, indexed by [verb][status].
+constexpr const char* kOpKind[2][4] = {
+    {"read.ok", "read.protection_error", "read.invalid_key",
+     "read.retry_exceeded"},
+    {"write.ok", "write.protection_error", "write.invalid_key",
+     "write.retry_exceeded"}};
 
 }  // namespace
 
@@ -188,12 +192,9 @@ void Nic::count_doorbell(std::size_t wrs) {
   telemetry::observe(m_doorbell_wrs_, static_cast<double>(wrs));
 }
 
-void Nic::post(int target_node, const WorkRequest& wr, sim::ByteBlock payload,
-               Done done, std::uint64_t ctx_id, TenantId tenant) {
+void Nic::post(int target_node, const WorkRequest& wr, Done done,
+               std::uint64_t ctx_id, TenantId tenant) {
   ++rdma_posted_;
-  telemetry::fr_record(fr_, kPostKind[static_cast<std::size_t>(wr.verb)],
-                       target_node, static_cast<std::int64_t>(wr.wr_id),
-                       static_cast<double>(wr.len));
   // Charged at post time: retried-and-failed ops consumed the fabric too.
   const std::size_t footprint = rdma_footprint(wr.verb, wr.len);
   rdma_wire_bytes_ += footprint;
@@ -201,8 +202,8 @@ void Nic::post(int target_node, const WorkRequest& wr, sim::ByteBlock payload,
   c.wr_id = wr.wr_id;
   c.verb = wr.verb;
   c.posted = fabric_.simu().now();
-  const OpSlot s = ops_.put(Op{target_node, wr, std::move(payload),
-                               std::move(c), std::move(done), ctx_id, tenant});
+  const OpSlot s = ops_.put(
+      Op{target_node, wr, std::move(c), std::move(done), ctx_id, tenant});
   if (arbiter_ != nullptr) {
     // Fabric QoS: the op's full wire footprint passes the per-tenant
     // token bucket + WFQ arbiter before the wire logic runs. A queue-cap
@@ -285,20 +286,20 @@ void Nic::on_dma(OpSlot s) {
     }
   } else if (!it->second.remote_writable ||
              op.wr.offset > it->second.image.size() ||
-             op.payload.size() > it->second.image.size() - op.wr.offset) {
+             op.wr.payload.size() > it->second.image.size() - op.wr.offset) {
     // Read-only exposure (the paper's defence for exporting kernel
     // memory), or bytes that would overrun the region: the write is
     // discarded and the region left untouched.
     op.c.status = WcStatus::ProtectionError;
   } else {
+    // The poster's bytes as they are now, not as they were at the post.
     MemoryRegion& mr = it->second;
-    if (!op.payload.empty()) {
-      std::memcpy(mr.image.data() + op.wr.offset, op.payload.data(),
-                  op.payload.size());
+    if (!op.wr.payload.empty()) {
+      std::memcpy(mr.image.data() + op.wr.offset, op.wr.payload.data(),
+                  op.wr.payload.size());
     }
     if (mr.on_dma) mr.on_dma(Verb::Write, mr.image);
   }
-  op.payload.reset();
   // Response back to the initiator — a READ's data, a WRITE's ack (may
   // die on a lossy return path, or find either host dead meanwhile).
   if (fabric_.fault_state(op.target).crashed ||
@@ -320,15 +321,17 @@ void Nic::fail_after_retries(OpSlot s) {
 
 void Nic::finish(OpSlot s) {
   Op& op = ops_[s];
+  const int target = op.target;
   Completion c = std::move(op.c);
   Done done = std::move(op.done);
   ops_.release(s);
   c.completed = fabric_.simu().now();
-  telemetry::fr_record_at(fr_, c.completed,
-                          kCompKind[static_cast<std::size_t>(c.verb)],
-                          static_cast<std::int64_t>(c.status),
-                          static_cast<std::int64_t>(c.wr_id),
-                          static_cast<double>((c.completed - c.posted).ns));
+  telemetry::fr_record_at(
+      fr_, c.completed,
+      kOpKind[static_cast<std::size_t>(c.verb)]
+             [static_cast<std::size_t>(c.status)],
+      target, static_cast<std::int64_t>(c.wr_id),
+      static_cast<double>((c.completed - c.posted).ns));
   done(std::move(c));
 }
 

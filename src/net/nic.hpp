@@ -83,11 +83,12 @@ class Nic {
   /// initiator with the completion. The op lives in this NIC's op table
   /// from post to completion; each of its events captures only the slot.
   /// A READ copies the region's image into a sim::ByteBlock at the DMA
-  /// instant; a WRITE lands `payload` (a block
-  /// copied at post time; wr.payload is ignored here) at wr.offset then,
-  /// and is rejected with ProtectionError when the region is not
-  /// remote_writable or the bytes would overrun it. wr.len alone sets the
-  /// wire and DMA time.
+  /// instant; a WRITE copies wr.payload to wr.offset then, and is
+  /// rejected with ProtectionError when the region is not
+  /// remote_writable or the bytes would overrun it. The payload is the
+  /// poster's bytes, not a copy: they must stay valid until `done` runs.
+  /// wr.len alone sets the wire and DMA time. The op leaves one record
+  /// in this NIC's flight ring, at completion.
   /// `ctx_id` names the posting QpContext for the context-cache model (0 =
   /// uncontexted, never charged); with a bounded cache configured, a
   /// QP-context miss delays the request by the fetch penalty, serialised
@@ -99,8 +100,8 @@ class Nic {
   /// before reaching the wire (and may be DROPPED at the tenant's queue
   /// cap, error-completing with RetryExceeded). With QoS disabled the
   /// tag is inert and the path is byte-identical to history.
-  void post(int target_node, const WorkRequest& wr, sim::ByteBlock payload,
-            Done done, std::uint64_t ctx_id = 0, TenantId tenant = 0);
+  void post(int target_node, const WorkRequest& wr, Done done,
+            std::uint64_t ctx_id = 0, TenantId tenant = 0);
 
   /// Allocates a NIC-unique QpContext identity (context-cache key space).
   std::uint64_t alloc_ctx_id() { return next_ctx_id_++; }
@@ -170,7 +171,6 @@ class Nic {
   struct Op {
     int target = -1;
     WorkRequest wr;
-    sim::ByteBlock payload;  ///< a WRITE's bytes, until the DMA instant
     Completion c;
     Done done;
     std::uint64_t ctx_id = 0;
@@ -184,16 +184,18 @@ class Nic {
   void start(OpSlot s);
   /// The request reaches the target NIC: queue on its DMA engine.
   void on_request(OpSlot s);
-  /// The DMA instant: copy the image out (READ) or the payload in
-  /// (WRITE), then the response leg.
+  /// The DMA instant: copy the image out (READ) or the poster's payload
+  /// in (WRITE), then the response leg.
   void on_dma(OpSlot s);
   /// Transport-level failure: the RC state machine retransmits until the
   /// retry budget is spent, then flushes the WR with RetryExceeded. The
   /// initiator always gets a completion — nothing hangs on a dead peer.
   void fail_after_retries(OpSlot s);
   /// The one completion point of every op: frees the op's slot, stamps
-  /// `completed`, records read.comp / write.comp, hands the completion to
-  /// `done` (which may post again).
+  /// `completed`, writes the op's one flight record (kind = verb and
+  /// status, e.g. read.ok or write.retry_exceeded; a = target node, b =
+  /// wr_id, x = post-to-completion ns), hands the completion to `done`
+  /// (which may post again).
   void finish(OpSlot s);
 
   /// Receive path entry (Fabric, on arrival): raises a NetRx interrupt;
@@ -226,8 +228,8 @@ class Nic {
   /// Publishes the counters above as gauges at snapshot time, so the
   /// hot packet paths need no extra bookkeeping.
   telemetry::ScopedCollector collector_;
-  /// Flight-recorder ring for this NIC's verbs posts/completions
-  /// ("net.<node>"); null when no registry is installed.
+  /// Flight-recorder ring for this NIC's one-sided ops, one record per
+  /// completed op ("net.<node>"); null when no registry is installed.
   telemetry::FlightRing* fr_ = nullptr;
   /// count_doorbell's instruments, resolved on the first doorbell; null
   /// when no registry is installed.

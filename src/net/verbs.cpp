@@ -106,13 +106,6 @@ void CompletionQueue::fire_notify() {
   wq_.notify_all();
 }
 
-const Completion* CompletionQueue::find(std::uint64_t wr_id) const {
-  for (std::size_t i = 0; i < q_.size(); ++i) {
-    if (q_[i].wr_id == wr_id) return &q_[i];
-  }
-  return nullptr;
-}
-
 bool CompletionQueue::try_pop(std::uint64_t wr_id, Completion& out) {
   for (std::size_t i = 0; i < q_.size(); ++i) {
     if (q_[i].wr_id == wr_id) {
@@ -173,11 +166,7 @@ QpContext::QpContext(Nic& local, int signal_every, std::size_t send_depth)
 
 void QpContext::post(int target_node, const WorkRequest& wr,
                      CompletionQueue& cq, bool force_signal) {
-  Pending p{target_node, wr, {}, &cq, force_signal};
-  if (wr.verb == Verb::Write) {
-    p.payload = sim::ByteBlock(wr.payload.data(), wr.payload.size());
-  }
-  p.wr.payload = {};
+  Pending p{target_node, wr, &cq, force_signal};
   if (send_depth_ > 0 && inflight_ >= send_depth_) {
     // Window full: the post waits in FIFO order for a completion to free
     // a slot — bounded send queues instead of unbounded NIC state.
@@ -211,20 +200,24 @@ void QpContext::launch(Pending p) {
     }
     cq->deliver(self->ctx_id_, seq, signaled, std::move(c));
   };
-  local_->post(p.target, p.wr, std::move(p.payload), std::move(done), ctx_id_,
-               tenant_);
+  local_->post(p.target, p.wr, std::move(done), ctx_id_, tenant_);
 }
 
 // --- QueuePair ----------------------------------------------------------------
 
 QueuePair::QueuePair(Nic& local, int remote_node, CompletionQueue& cq,
                      std::shared_ptr<QpContext> ctx)
+    : QueuePair(local, remote_node, std::move(ctx)) {
+  cq_ = &cq;
+}
+
+QueuePair::QueuePair(Nic& local, int remote_node,
+                     std::shared_ptr<QpContext> ctx)
     : remote_node_(remote_node),
-      cq_(&cq),
       ctx_(ctx ? std::move(ctx) : std::make_shared<QpContext>(local)) {}
 
 void QueuePair::post(const WorkRequest& wr, bool force_signal) {
-  ctx_->post(remote_node_, wr, *cq_, force_signal);
+  ctx_->post(remote_node_, wr, cq(), force_signal);
 }
 
 std::vector<std::shared_ptr<QpContext>> make_context_pool(

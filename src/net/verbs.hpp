@@ -30,6 +30,7 @@
 //    thrashing it (see net/qpcache.hpp).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -111,8 +112,11 @@ void bytes_of(const T&&) = delete;
 /// from QueuePair::post down to the NIC. `len` is what the op costs on
 /// the wire and at the DMA engine; it is not what is copied. A READ
 /// returns the region's image from `offset` on; a WRITE lands `payload`
-/// at `offset`. The payload is copied when the WR is posted, so the
-/// caller's bytes need to live only through the post.
+/// at `offset`. The payload is the caller's bytes, copied by the target
+/// NIC at the DMA instant, as an ibverbs WRITE without IBV_SEND_INLINE
+/// reads its local buffer: they must stay valid, and should stay
+/// unchanged, until the op completes, even when its wr_id is forgotten
+/// (the op still runs). A WRITE lands what they hold at the DMA instant.
 struct WorkRequest {
   Verb verb = Verb::Read;
   MrKey rkey;
@@ -177,7 +181,7 @@ struct Completion {
 /// notification) until a later signaled or error completion on the same
 /// context proves — by RC in-order execution — that it retired; then the
 /// shadowed data surfaces for the consumer in post order. Errors always
-/// surface immediately. Consumers are unaffected: find/try_pop/pop see
+/// surface immediately. Consumers are unaffected: try_pop/pop see
 /// surfaced completions only.
 class CompletionQueue {
  public:
@@ -205,11 +209,6 @@ class CompletionQueue {
   /// CQ-unique ids, so one drain loop can demux all consumers' completions
   /// by wr_id alone.
   std::uint64_t alloc_wr_id() { return next_wr_id_++; }
-
-  /// Non-destructive lookup: the queued completion with this wr_id, or
-  /// nullptr if it has not arrived. The pointer is valid until the queue
-  /// is next modified.
-  const Completion* find(std::uint64_t wr_id) const;
 
   /// Filtered pop: removes and returns the completion matching `wr_id`,
   /// leaving other consumers' completions queued. False if not arrived.
@@ -300,11 +299,11 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
                      std::size_t send_depth = 0);
 
   /// Posts `wr` through this context to `target_node`, completing into
-  /// `cq`. A WRITE's payload is copied now, so a post the window defers
-  /// still carries the bytes it was posted with. `force_signal`
-  /// overrides the every-k policy (chain closers, solitary posts a
-  /// consumer synchronously waits on). WRITEs are always signaled (the
-  /// publishers that use them are completion-driven).
+  /// `cq`. A WRITE's payload is read at its DMA instant, also when the
+  /// window defers the post. `force_signal` overrides the every-k policy
+  /// (chain closers, solitary posts a consumer synchronously waits on).
+  /// WRITEs are always signaled (the publishers that use them are
+  /// completion-driven).
   void post(int target_node, const WorkRequest& wr, CompletionQueue& cq,
             bool force_signal);
 
@@ -332,8 +331,7 @@ class QpContext : public std::enable_shared_from_this<QpContext> {
  private:
   struct Pending {
     int target = -1;
-    WorkRequest wr;  ///< payload emptied: the bytes are in `payload`
-    sim::ByteBlock payload;
+    WorkRequest wr;
     CompletionQueue* cq = nullptr;
     bool force_signal = true;
   };
@@ -366,6 +364,10 @@ class QueuePair {
  public:
   QueuePair(Nic& local, int remote_node, CompletionQueue& cq,
             std::shared_ptr<QpContext> ctx = nullptr);
+  /// An unbound QP: it holds its context (created now, so context ids
+  /// follow construction order) but posts nothing until bind_cq.
+  explicit QueuePair(Nic& local, int remote_node,
+                     std::shared_ptr<QpContext> ctx = nullptr);
 
   /// Posts a one-sided READ or WRITE against the remote region `wr.rkey`.
   /// The completion (a READ's with the sampled data) lands in the CQ.
@@ -375,8 +377,8 @@ class QueuePair {
   /// forced).
   void post(const WorkRequest& wr, bool force_signal = true);
 
-  /// Re-points this QP's completions at another CQ (e.g. an engine's
-  /// shared CQ). Must not be called with WRs in flight.
+  /// Points this QP's completions at `cq` (e.g. an engine's shared CQ).
+  /// Must not be called with WRs in flight.
   void bind_cq(CompletionQueue& cq) { cq_ = &cq; }
 
   /// Convenience: stamps this QP's context with a tenant identity (a
@@ -385,13 +387,16 @@ class QueuePair {
   void set_tenant(TenantId t) { ctx_->set_tenant(t); }
 
   int remote_node() const { return remote_node_; }
-  CompletionQueue& cq() { return *cq_; }
+  CompletionQueue& cq() {
+    assert(cq_ != nullptr && "QueuePair has no CQ: bind_cq first");
+    return *cq_;
+  }
   QpContext& context() { return *ctx_; }
   const QpContext& context() const { return *ctx_; }
 
  private:
   int remote_node_;
-  CompletionQueue* cq_;
+  CompletionQueue* cq_ = nullptr;  ///< null until bound
   std::shared_ptr<QpContext> ctx_;
 };
 
@@ -423,12 +428,13 @@ os::Program post_read_batch(os::SimThread& self,
 /// completion (matched by wr_id) arrives, storing it in `out`. The
 /// canonical front-end monitoring primitive for a READ; a WRITE to a
 /// read-only region completes with ProtectionError. A WRITE's payload is
-/// copied at the post, after the doorbell: it must outlive the doorbell
-/// (a named object in the awaiting coroutine does). With a finite
-/// `deadline` the wait gives up at that instant: the WR is abandoned via
+/// read at the DMA instant: a named object in the awaiting coroutine
+/// lives long enough without a deadline. With a finite `deadline` the
+/// wait gives up at that instant: the WR is abandoned via
 /// CompletionQueue::forget — the CQ drops its completion (the fabric
 /// always produces one, possibly RetryExceeded) whenever it lands — and
-/// `*timed_out` (when given) is set.
+/// `*timed_out` (when given) is set; a WRITE's payload must then outlive
+/// the abandoned op.
 os::Program rdma_sync(os::SimThread& self, QueuePair& qp, WorkRequest wr,
                       Completion& out, sim::TimePoint deadline = sim::kNever,
                       bool* timed_out = nullptr);

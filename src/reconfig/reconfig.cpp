@@ -122,7 +122,9 @@ os::Program ReconfigManager::manager_body(os::SimThread& self) {
         }
         if (pick >= 0) {
           // One-sided role flip: an RDMA WRITE into the back end's
-          // registered role word. No back-end thread is involved.
+          // registered role word. No back-end thread is involved. The
+          // NIC reads `word` at the DMA instant; rdma_sync has no
+          // deadline, so the frame holds it until the WRITE completes.
           net::QueuePair qp(
               fabric_->nic(frontend_->id),
               regions_[static_cast<std::size_t>(pick)]->node().id, cq_);

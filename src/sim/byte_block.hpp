@@ -1,8 +1,7 @@
 // A move-only run of bytes: what a one-sided READ copied out of a
-// registered region, or a WRITE's payload between its post and its DMA
-// instant. Up to kInline bytes are held in the block itself; a longer run
-// is one heap allocation, made when the bytes are copied in and freed when
-// the block is destroyed or reset.
+// registered region. Up to kInline bytes are held in the block itself; a
+// longer run is one heap allocation, made when the bytes are copied in and
+// freed when the block is destroyed.
 #pragma once
 
 #include <cstddef>
@@ -29,11 +28,6 @@ class ByteBlock {
   ByteBlock& operator=(ByteBlock&& o) noexcept {
     if (this != &o) take(o);
     return *this;
-  }
-
-  void reset() noexcept {
-    heap_.reset();
-    n_ = 0;
   }
 
   std::size_t size() const { return n_; }

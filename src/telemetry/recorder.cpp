@@ -17,7 +17,14 @@ void FlightRing::record(const char* kind, std::int64_t a, std::int64_t b,
 void FlightRing::record_at(sim::TimePoint at, const char* kind,
                            std::int64_t a, std::int64_t b, double x) {
   if (owner_ == nullptr || !owner_->enabled()) return;
-  if (buf_.empty()) buf_.resize(capacity_);
+  if (head_ == buf_.size() && buf_.size() < capacity_) {
+    // Not wrapped yet, and the buffer is full: double it (the events
+    // sit at [0, size_), so they keep their places).
+    const std::size_t n =
+        std::min(capacity_, std::max(kFirstBuffer, 2 * buf_.size()));
+    buf_.reserve(n);
+    buf_.resize(n);
+  }
   FlightEvent& e = buf_[head_];
   if (size_ == capacity_) {
     ++dropped_;  // overwriting the oldest surviving event

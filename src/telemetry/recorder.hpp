@@ -7,11 +7,15 @@
 //
 //  1. ZERO perturbation: recording never charges simulated CPU or touches
 //     the event queue.
-//  2. Memory paid per use, and no allocation on the hot path: a ring
-//     allocates its buffer of POD events once, on its first record, so a
-//     ring that never records (a NIC that is only a READ target) costs
-//     its header alone; `kind` is a static string literal (callers pass
-//     compile-time constants), so record() is then a handful of stores.
+//  2. Memory paid per use, and no allocation once a ring is full: a ring
+//     allocates a small buffer of POD events on its first record and
+//     doubles it as it fills, up to its capacity, so a ring that never
+//     records (a NIC that is only a READ target) costs its header alone
+//     and one that records a few hundred events holds no more than
+//     twice that; once it wraps it never allocates again. `kind` is a
+//     static string literal (callers pass compile-time constants), so
+//     record() is a handful of stores. A one-sided op is one record, at
+//     its completion.
 //  3. Bounded: each ring overwrites its oldest event when full and counts
 //     the overwrite, so a week-long run costs the same memory as a short
 //     one and the dump says how much history it lost.
@@ -50,15 +54,16 @@ class FlightRecorder;
 struct FlightEvent {
   sim::TimePoint at{};
   std::uint64_t seq = 0;    ///< global order tiebreak for same-instant events
-  const char* kind = "";    ///< static string literal, e.g. "read.post"
+  const char* kind = "";    ///< static string literal, e.g. "read.ok"
   std::int64_t a = 0;
   std::int64_t b = 0;
   double x = 0.0;
 };
 
 /// One subsystem's bounded ring. Obtained from FlightRecorder::ring() at
-/// wiring time; its first record allocates the buffer, later records
-/// never allocate.
+/// wiring time; its first record allocates a small buffer, which
+/// doubles each time it fills until it holds capacity() events; from
+/// then on the ring overwrites its oldest event and never allocates.
 class FlightRing {
  public:
   /// Records at the recorder's bound clock instant.
@@ -80,10 +85,14 @@ class FlightRing {
 
  private:
   friend class FlightRecorder;
+  /// Events the first record's buffer holds.
+  static constexpr std::size_t kFirstBuffer = 16;
+
   FlightRecorder* owner_ = nullptr;
   std::string name_;
   std::size_t capacity_ = 0;
-  std::vector<FlightEvent> buf_;  ///< empty until the first record
+  /// Empty until the first record; grows by doubling to capacity_.
+  std::vector<FlightEvent> buf_;
   std::size_t head_ = 0;  ///< next write position
   std::size_t size_ = 0;
   std::uint64_t recorded_ = 0;

@@ -70,13 +70,13 @@ TraceDump run_rubis(std::uint64_t seed, int frontends) {
 }
 
 /// The dump comparison is not vacuous: it holds the scatter engine's
-/// round records and the NICs' READ posts, not just a header. (With
+/// round records and the NICs' completed READs, not just a header. (With
 /// telemetry compiled out nothing is recorded, and the comparisons hold
 /// vacuously.)
 void expect_rich_dump(const std::string& flight) {
   if constexpr (!telemetry::kEnabled) return;
   EXPECT_NE(flight.find("\"kind\": \"round\""), std::string::npos);
-  EXPECT_NE(flight.find("\"kind\": \"read.post\""), std::string::npos);
+  EXPECT_NE(flight.find("\"kind\": \"read.ok\""), std::string::npos);
 }
 
 TEST(Determinism, SameSeedSameTelemetryAndSpans) {

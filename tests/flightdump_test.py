@@ -23,7 +23,8 @@ import sys
 # scenario change that stops exercising a ring fails here, not silently.
 REQUIRED = {"fetch.ok", "fetch.timeout", "attempt.ok", "attempt.timeout",
             "round", "health", "health.reset", "qos.admit", "qos.drop",
-            "alarm", "read.post", "write.post", "crash", "freeze",
+            "alarm", "read.ok", "write.ok", "read.retry_exceeded",
+            "write.retry_exceeded", "crash", "freeze",
             "link-degrade", "storm-start", "evict", "rejoin", "scan.fresh"}
 RAW = re.compile(r" a=-?\d+ b=-?\d+ x=")
 

@@ -7,6 +7,7 @@
 #include "alloc_counter.hpp"
 #include "lb/balancer.hpp"
 #include "monitor/accuracy.hpp"
+#include "monitor/inbox.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/scheme.hpp"
 #include "net/fabric.hpp"
@@ -353,6 +354,36 @@ TEST(Allocation, WarmPollRoundAllocatesOnlyItsReadBlocks) {
   EXPECT_EQ(allocation_count() - before, polled - polled_before);
   EXPECT_GE(rounds - rounds_before, 10u);
   EXPECT_EQ(polled - polled_before, 64 * (rounds - rounds_before));
+}
+
+TEST(Allocation, WarmPushPublisherAllocatesNothingPerPush) {
+  // A push is one WRITE whose source is the publisher's own slot image,
+  // read by the NIC at the DMA instant: once warm, pushing allocates
+  // nothing, whatever the 112-byte image holds.
+  Env env;
+  PushInbox inbox(env.fabric, env.frontend, 4);
+  PushPublisher pub(env.fabric, env.backend);
+  pub.target(env.frontend.id, inbox.mr_key(), 2);
+  pub.start();
+  // A load that swings every 20 ms, so most pushes are change-triggered.
+  env.backend.spawn("toggler", [](SimThread& self) -> Program {
+    for (;;) {
+      co_await Compute{msec(20)};
+      co_await SleepFor{msec(20)};
+    }
+    (void)self;
+  });
+  env.simu.run_for(seconds(1));  // warm-up
+  const std::uint64_t pushes_before = pub.pushes();
+  const std::uint64_t before = allocation_count();
+  env.simu.run_for(seconds(1));
+  EXPECT_EQ(allocation_count() - before, 0u);
+  EXPECT_GT(pub.pushes() - pushes_before, 20u);
+  EXPECT_GT(pub.pushes() - pub.heartbeats(), pub.heartbeats());
+  EXPECT_EQ(pub.errors(), 0u);
+  EXPECT_EQ(inbox.writes_applied(), pub.pushes());
+  MonitorSample s;
+  EXPECT_EQ(inbox.scan(2, s), PushInbox::ScanResult::Fresh);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "monitor/inbox.hpp"
 #include "os/procfs.hpp"
 #include "net/fabric.hpp"
 #include "net/nic.hpp"
@@ -377,6 +378,25 @@ TEST(Rdma, ForgetAfterDeliveryIsNotStale) {
   EXPECT_EQ(value, 2);
 }
 
+TEST(QueuePair, StartsUnboundAndPostsOnceBound) {
+  // A QP made without a CQ holds its context from construction, so
+  // context ids follow construction order, but posts nothing until a CQ
+  // is bound.
+  TwoNodes env;
+  int word = 5;
+  const MrKey key = env.fabric.nic(1).register_mr(bytes_of(word));
+  QueuePair unbound(env.fabric.nic(0), 1);
+  CompletionQueue cq;
+  QueuePair bound(env.fabric.nic(0), 1, cq);
+  EXPECT_LT(unbound.context().ctx_id(), bound.context().ctx_id());
+  unbound.bind_cq(cq);
+  unbound.post({.rkey = key, .len = 64, .wr_id = 3});
+  env.simu.run_for(msec(1));
+  Completion c;
+  ASSERT_TRUE(cq.try_pop(3, c));
+  EXPECT_EQ(c.data.as<int>(), 5);
+}
+
 TEST(Rdma, InvalidKeyCompletesWithError) {
   TwoNodes env;
   CompletionQueue cq;
@@ -389,10 +409,41 @@ TEST(Rdma, InvalidKeyCompletesWithError) {
   EXPECT_EQ(out.status, WcStatus::InvalidKey);
 }
 
+TEST(Rdma, WriteLandsTheSourceBytesHeldAtTheDmaInstant) {
+  // A WRITE's payload is the poster's buffer, read by the target NIC at
+  // the DMA instant (an ibverbs WRITE without IBV_SEND_INLINE): bytes
+  // changed between the post and the DMA land, bytes changed after it
+  // do not.
+  TwoNodes env;
+  int value = 1;
+  const MrKey key = env.fabric.nic(1).register_mr(bytes_of(value), nullptr,
+                                                  /*remote_writable=*/true);
+  CompletionQueue cq;
+  QueuePair qp(env.fabric.nic(0), 1, cq);
+  int source = 10;
+  const std::uint64_t wr = cq.alloc_wr_id();
+  qp.post({.verb = Verb::Write,
+           .rkey = key,
+           .len = 64,
+           .wr_id = wr,
+           .payload = bytes_of(source)});
+  source = 20;  // the request is still on the wire
+  env.simu.run_for(msec(1));
+  Completion out;
+  ASSERT_TRUE(cq.try_pop(wr, out));
+  EXPECT_EQ(out.status, WcStatus::Success);
+  EXPECT_EQ(value, 20);
+  source = 30;  // after the completion: the region keeps what landed
+  env.simu.run_for(msec(1));
+  EXPECT_EQ(value, 20);
+}
+
 TEST(Rdma, EveryCompletionPathRecordsOneCompEventAtItsInstant) {
-  // Nic::finish is the one completion point of both opcodes: whichever
-  // way an op ends, the initiator's ring gets exactly one read.comp or
-  // write.comp with a = the status, stamped at the completion instant.
+  // Nic::finish is the one completion point of both opcodes, and an op
+  // leaves exactly one record in the initiator's ring, written there:
+  // kind = verb and status, a = the target node, b = the wr_id, x = the
+  // post-to-completion time, stamped at the completion instant. A post
+  // records nothing.
   if constexpr (!telemetry::kEnabled) {
     GTEST_SKIP() << "flight recorder compiled out";
   }
@@ -426,33 +477,42 @@ TEST(Rdma, EveryCompletionPathRecordsOneCompEventAtItsInstant) {
       {Verb::Write, dead.id, rw, WcStatus::RetryExceeded},
   };
   std::vector<Completion> got;
+  const int payload = 7;  // every WRITE's source, alive until it completes
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const Case& k = cases[i];
-    const int payload = 7;
     fabric.nic(a.id).post(
-        k.target, {.verb = k.verb, .rkey = k.rkey, .len = 64, .wr_id = i},
-        sim::ByteBlock(&payload, sizeof(payload)),
+        k.target,
+        {.verb = k.verb,
+         .rkey = k.rkey,
+         .len = 64,
+         .wr_id = i,
+         .payload = bytes_of(payload)},
         [&got](Completion c) { got.push_back(std::move(c)); });
   }
+  const telemetry::FlightRing* ring = reg.recorder().ring("net.a");
+  EXPECT_EQ(ring->recorded(), 0u);  // posting records nothing
   simu.run_for(msec(10));
   ASSERT_EQ(got.size(), std::size(cases));
-  const std::vector<telemetry::FlightEvent> events =
-      reg.recorder().ring("net.a")->events();
+  EXPECT_EQ(ring->recorded(), std::size(cases));
+  const std::vector<telemetry::FlightEvent> events = ring->events();
+  constexpr std::string_view kStatus[] = {"ok", "protection_error",
+                                          "invalid_key", "retry_exceeded"};
   for (const Completion& c : got) {
     const Case& k = cases[c.wr_id];
     EXPECT_EQ(c.verb, k.verb) << "wr " << c.wr_id;
     EXPECT_EQ(c.status, k.want) << "wr " << c.wr_id;
-    const std::string_view comp =
-        k.verb == Verb::Read ? "read.comp" : "write.comp";
+    const std::string kind =
+        std::string(k.verb == Verb::Read ? "read." : "write.") +
+        std::string(kStatus[static_cast<std::size_t>(k.want)]);
     int records = 0;
     for (const telemetry::FlightEvent& e : events) {
-      if (std::string_view(e.kind) != comp ||
-          e.b != static_cast<std::int64_t>(c.wr_id)) {
-        continue;
-      }
+      if (e.b != static_cast<std::int64_t>(c.wr_id)) continue;
       ++records;
-      EXPECT_EQ(e.a, static_cast<std::int64_t>(c.status)) << "wr " << c.wr_id;
+      EXPECT_EQ(e.kind, kind) << "wr " << c.wr_id;
+      EXPECT_EQ(e.a, k.target) << "wr " << c.wr_id;
       EXPECT_EQ(e.at, c.completed) << "wr " << c.wr_id;
+      EXPECT_EQ(e.x, static_cast<double>((c.completed - c.posted).ns))
+          << "wr " << c.wr_id;
     }
     EXPECT_EQ(records, 1) << "wr " << c.wr_id;
   }
@@ -825,9 +885,10 @@ TEST(Nic, TxSerializesAtLinkBandwidth) {
 }
 
 /// One steady-state configuration of the one-sided path: READs and WRITEs
-/// of an `int` image (a ByteBlock holds it inline), optionally plus ops
-/// that end in InvalidKey and RetryExceeded, optionally through the QoS
-/// arbiter. Returns the heap allocations of the measured half.
+/// of an `int` image (a ByteBlock holds it inline), WRITEs of a 112-byte
+/// push-inbox slot into a region of its own, optionally plus ops that end
+/// in InvalidKey and RetryExceeded, optionally through the QoS arbiter.
+/// Returns the heap allocations of the measured half.
 std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
   FabricConfig fc;
   fc.qos.enabled = qos;
@@ -839,6 +900,10 @@ std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
       bytes_of(value), nullptr, /*remote_writable=*/true);
   const MrKey dead_key = env.fabric.nic(dead.id).register_mr(
       bytes_of(dead_value), nullptr, /*remote_writable=*/true);
+  monitor::InboxSlot inbox;
+  static_assert(sizeof(inbox) == 112, "the push plane's WRITE source");
+  const MrKey inbox_key = env.fabric.nic(env.b.id).register_mr(
+      bytes_of(inbox), nullptr, /*remote_writable=*/true);
   env.fabric.inject_crash(dead.id);
   CompletionQueue cq;
   QueuePair qp(env.fabric.nic(env.a.id), env.b.id, cq);
@@ -849,6 +914,7 @@ std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
   std::uint64_t before = 0, after = 0;
   env.a.spawn("rdma", [&](SimThread& self) -> Program {
     Completion out;
+    monitor::InboxSlot image;
     for (int round = 0; round < 2; ++round) {  // warm-up, then measured
       if (round == 1) before = allocation_count();
       for (int i = 0; i < kOps; ++i) {
@@ -863,6 +929,15 @@ std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
                             .len = 64,
                             .wr_id = cq.alloc_wr_id(),
                             .payload = bytes_of(i)},
+                           out);
+        ++by_status[static_cast<std::size_t>(out.status)];
+        image.seq = image.seq_check = static_cast<std::uint64_t>(i + 1);
+        co_await rdma_sync(self, qp,
+                           {.verb = Verb::Write,
+                            .rkey = inbox_key,
+                            .len = monitor::PushInbox::kSlotBytes,
+                            .wr_id = cq.alloc_wr_id(),
+                            .payload = bytes_of(image)},
                            out);
         ++by_status[static_cast<std::size_t>(out.status)];
         if (!errors) continue;
@@ -889,9 +964,11 @@ std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
     }
   });
   env.simu.run_for(seconds(5));
-  EXPECT_EQ(by_status[static_cast<std::size_t>(WcStatus::Success)], 4 * kOps);
+  EXPECT_EQ(by_status[static_cast<std::size_t>(WcStatus::Success)], 6 * kOps);
   EXPECT_EQ(reads_seen, 2 * kOps);
   EXPECT_EQ(value, kOps - 1);
+  EXPECT_EQ(inbox.seq, static_cast<std::uint64_t>(kOps));
+  EXPECT_EQ(inbox.seq_check, inbox.seq);
   EXPECT_EQ(by_status[static_cast<std::size_t>(WcStatus::InvalidKey)],
             errors ? 4 * kOps : 0);
   EXPECT_EQ(by_status[static_cast<std::size_t>(WcStatus::RetryExceeded)],
@@ -899,15 +976,16 @@ std::uint64_t one_sided_steady_state_allocs(bool qos, bool errors) {
   // Every exit path freed its op slot.
   EXPECT_EQ(env.fabric.nic(env.a.id).rdma_ops_in_flight(), 0u);
   EXPECT_EQ(env.fabric.nic(env.a.id).rdma_ops_posted(),
-            static_cast<std::uint64_t>((errors ? 12 : 4) * kOps));
+            static_cast<std::uint64_t>((errors ? 14 : 6) * kOps));
   return after - before;
 }
 
 TEST(Rdma, SteadyStateReadAndWriteDoNotAllocate) {
   // An op lives in its NIC's op table and each of its events captures
   // only {nic, slot}; the completion callback, an int's byte block and
-  // the coroutine frames are inline or pooled. Once warm, no exit path
-  // touches the heap.
+  // the coroutine frames are inline or pooled, and a WRITE of any size
+  // carries only a span of its source. Once warm, no exit path touches
+  // the heap.
   for (const bool qos : {false, true}) {
     for (const bool errors : {false, true}) {
       SCOPED_TRACE(testing::Message() << "qos=" << qos << " errors=" << errors);

@@ -66,10 +66,12 @@ TEST(CompletionQueue, TryPopFiltersByWrIdLeavingOthersQueued) {
   ASSERT_TRUE(cq.try_pop(2, c));
   EXPECT_EQ(c.wr_id, 2u);
   EXPECT_EQ(cq.size(), 2u);
-  EXPECT_NE(cq.find(1), nullptr);
-  EXPECT_NE(cq.find(3), nullptr);
-  EXPECT_EQ(cq.find(2), nullptr);
   EXPECT_FALSE(cq.try_pop(2, c));
+  ASSERT_TRUE(cq.try_pop(3, c));
+  EXPECT_EQ(c.wr_id, 3u);
+  ASSERT_TRUE(cq.try_pop(1, c));
+  EXPECT_EQ(c.wr_id, 1u);
+  EXPECT_TRUE(cq.empty());
 }
 
 TEST(CompletionQueue, ForgetDropsQueuedCompletionImmediately) {
@@ -137,9 +139,9 @@ TEST(PostReadBatch, OneQpChainCompletesEveryWr) {
   env.simu.run_for(msec(10));
   ASSERT_EQ(cq.size(), 4u);
   for (const net::ReadBatchEntry& e : batch) {
-    const net::Completion* c = cq.find(e.wr.wr_id);
-    ASSERT_NE(c, nullptr);
-    EXPECT_EQ(c->status, net::WcStatus::Success);
+    net::Completion c;
+    ASSERT_TRUE(cq.try_pop(e.wr.wr_id, c));
+    EXPECT_EQ(c.status, net::WcStatus::Success);
   }
 }
 
@@ -166,8 +168,9 @@ TEST(PostReadBatch, CrossQpBatchSharesOneCqAndOneDoorbell) {
   EXPECT_LT(issue_time.ns, 3 * net::kDoorbellCost.ns);
   ASSERT_EQ(cq.size(), 3u);
   for (const net::ReadBatchEntry& e : batch) {
-    ASSERT_NE(cq.find(e.wr.wr_id), nullptr);
-    EXPECT_EQ(cq.find(e.wr.wr_id)->status, net::WcStatus::Success);
+    net::Completion c;
+    ASSERT_TRUE(cq.try_pop(e.wr.wr_id, c));
+    EXPECT_EQ(c.status, net::WcStatus::Success);
   }
 }
 
@@ -545,6 +548,48 @@ TEST(DeadProbeCadence, DeadBackendIsProbedEveryNthRoundOnly) {
   // ~40 rounds fit the window at 10ms granularity; cadence 8 probes ~5x.
   EXPECT_GE(failures, 2u);
   EXPECT_LE(failures, 8u);
+}
+
+TEST(ScatterTelemetry, CqGaugesSumEveryEngineOfAFrontEnd) {
+  // Every engine of a front end adds its CQ's counts into the same
+  // scatter.cq.* gauges: a blocking fetch()'s one-target engine next to
+  // the balancer's polling engine hides neither engine's completions.
+  if constexpr (!telemetry::kEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  sim::Simulation simu;
+  telemetry::Registry reg;
+  reg.install(simu);
+  web::ClusterConfig cfg;
+  cfg.backends = 3;
+  cfg.lb_granularity = msec(10);
+  web::ClusterTestbed bed(simu, cfg);
+  monitor::MonitorChannel extra(bed.fabric(), bed.frontend(), bed.backend(0),
+                                fast_cfg(Scheme::RdmaSync));
+  MonitorSample probe;
+  bed.frontend().spawn("probe", [&](SimThread& self) -> Program {
+    co_await os::SleepFor{msec(500)};
+    co_await extra.frontend().fetch(self, probe);
+  });
+  // Past the last 10 ms tick: every round has completed its READs.
+  simu.run_for(seconds(1) + msec(5));
+  ASSERT_TRUE(probe.ok);
+  auto value = [&reg](const char* name, const std::string& labels) {
+    const telemetry::Snapshot snap = reg.snapshot();
+    const telemetry::SnapshotEntry* e = snap.find(name, labels);
+    EXPECT_NE(e, nullptr) << name;
+    return e != nullptr ? e->value : -1.0;
+  };
+  const std::string fe = "frontend=" + bed.frontend().name();
+  const double rounds = value("scatter.rounds", "");
+  EXPECT_GT(rounds, 50.0);
+  // The balancer's rounds READ all three back ends; the probe's one
+  // round READs one.
+  const double pushed = value("scatter.cq.pushed", fe);
+  EXPECT_EQ(pushed, 3.0 * (rounds - 1.0) + 1.0);
+  EXPECT_EQ(value("scatter.cq.signaled", fe), pushed);
+  // A later snapshot adds nothing twice.
+  EXPECT_EQ(value("scatter.cq.pushed", fe), pushed);
 }
 
 TEST(Determinism, ScatterClusterRunWithRandomFaultPlanReplaysExactly) {

@@ -189,7 +189,7 @@ TEST(RecordHelpers, DisabledPathDoesNotAllocate) {
                 "kEnabled must be a compile-time constant");
 }
 
-TEST(FlightRing, UntouchedRingHoldsNoEventsAndFirstRecordAllocatesOnce) {
+TEST(FlightRing, UntouchedRingHoldsNoEventsAndBufferDoublesUntilItWraps) {
   FlightRecorder rec;
   const std::uint64_t bytes0 = allocated_bytes();
   FlightRing* r = rec.ring("nic.be7", 512);
@@ -202,19 +202,35 @@ TEST(FlightRing, UntouchedRingHoldsNoEventsAndFirstRecordAllocatesOnce) {
   EXPECT_NE(doc.find("\"capacity\": 512"), std::string::npos);
   EXPECT_NE(doc.find("\"recorded\": 0"), std::string::npos);
 
+  // The first record allocates a buffer smaller than the full one.
   const std::uint64_t before = allocation_count();
   const std::uint64_t bytes1 = allocated_bytes();
-  r->record_at(sim::TimePoint{}, "first", 1);
+  r->record_at(sim::TimePoint{}, "fill", 1);
   EXPECT_EQ(allocation_count(), before + 1);
-  EXPECT_EQ(allocated_bytes() - bytes1, 512 * sizeof(FlightEvent));
+  EXPECT_LT(allocated_bytes() - bytes1, 512 * sizeof(FlightEvent));
+  // Filling the ring doubles the buffer: at most log2(512) = 9
+  // allocations in all, and the events keep their places.
+  for (int i = 2; i <= 512; ++i) r->record_at(sim::TimePoint{}, "fill", i);
+  const std::uint64_t filled = allocation_count();
+  EXPECT_GT(filled - before, 1u);
+  EXPECT_LE(filled - before, 9u);
+  EXPECT_EQ(r->size(), 512u);
+  EXPECT_EQ(r->dropped(), 0u);
+  const std::vector<FlightEvent> full = r->events();
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    EXPECT_EQ(full[i].a, static_cast<std::int64_t>(i + 1));
+  }
+  // Once it wraps, a record overwrites the oldest event in place.
+  const std::uint64_t wrapped = allocation_count();
   for (int i = 0; i < 2000; ++i) {  // wraps the ring several times
     r->record_at(sim::TimePoint{}, "later", i);
   }
-  EXPECT_EQ(allocation_count(), before + 1);
+  EXPECT_EQ(allocation_count(), wrapped);
   EXPECT_EQ(r->capacity(), 512u);
   EXPECT_EQ(r->size(), 512u);
-  EXPECT_EQ(r->recorded(), 2001u);
-  EXPECT_EQ(r->dropped(), 2001u - 512u);
+  EXPECT_EQ(r->recorded(), 2512u);
+  EXPECT_EQ(r->dropped(), 2000u);
+  EXPECT_EQ(r->events().back().a, 1999);
 }
 
 TEST(FlightRing, RecordsAtTheInstalledSimulationsClock) {
@@ -255,16 +271,18 @@ std::uint64_t steady_read_allocs(bool with_registry, int reads) {
     net::Completion c;
     EXPECT_TRUE(cq.try_pop(1, c));
   };
-  for (int i = 0; i < 16; ++i) read_once();
+  // Warm: past the NIC ring's 512 records (one per READ), so it has
+  // wrapped and stopped growing.
+  for (int i = 0; i < 640; ++i) read_once();
   const std::uint64_t before = allocation_count();
   for (int i = 0; i < reads; ++i) read_once();
   return allocation_count() - before;
 }
 
 TEST(RecordHelpers, RegistryAddsNoAllocationPerRead) {
-  // The verbs post/completion records are written into a preallocated
-  // ring at the NIC's one completion point, never through a wrapper
-  // callback built per op.
+  // A READ's one flight record is written into the NIC's ring at its
+  // one completion point, never through a wrapper callback built per
+  // op; a wrapped ring never allocates.
   EXPECT_EQ(steady_read_allocs(/*with_registry=*/true, 64),
             steady_read_allocs(/*with_registry=*/false, 64));
 }
@@ -625,8 +643,8 @@ TEST(Integration, VerbsFastPathCountersExportDeterministically) {
     out.qpc_hits = value("net.nic.qpc_hits", "node=fe");
     out.qpc_misses = value("net.nic.qpc_misses", "node=fe");
     out.unsignaled = value("net.verbs.unsignaled_posted", "node=fe");
-    out.coalesced = value("scatter.cq.coalesced_polls", "");
-    out.retired = value("scatter.cq.unsignaled_retired", "");
+    out.coalesced = value("scatter.cq.coalesced_polls", "frontend=fe");
+    out.retired = value("scatter.cq.unsignaled_retired", "frontend=fe");
     out.prom = to_prometheus(snap);
     std::ostringstream os;
     print_dashboard(os, snap);

@@ -20,6 +20,8 @@ import sys
 # AlarmState / BackendHealth enum orders mirror the C++ definitions.
 ALARM_STATES = {0: "ok", 1: "breach-warn", 2: "breach"}
 HEALTH_STATES = {0: "healthy", 1: "suspect", 2: "dead"}
+# net::WcStatus, as the NIC ring's kinds spell it (<verb>.<status>).
+WC_STATUSES = ["ok", "protection_error", "invalid_key", "retry_exceeded"]
 
 
 def us(ns):
@@ -30,6 +32,12 @@ def ms(ns):
     return f"{ns / 1e6:.3f}ms"
 
 
+def rdma_op(verb, status):
+    outcome = "ok" if status == "ok" else status.replace("_", " ").upper()
+    return lambda a, b, x: (f"RDMA {verb} -> node{a} wr={b} {outcome} "
+                            f"after {us(x)}")
+
+
 def health(a, b, x, note=""):
     return (f"backend{a} {HEALTH_STATES.get(int(x), x)} -> "
             f"{HEALTH_STATES.get(b, b)}{note}")
@@ -38,11 +46,8 @@ def health(a, b, x, note=""):
 # kind -> callable(a, b, x) -> human string. a/b are ints, x is a float;
 # all default to 0 (the dump omits zero fields to stay small).
 DECODERS = {
-    # net ring (per-NIC one-sided verbs)
-    "read.post": lambda a, b, x: f"RDMA READ posted -> node{a} wr={b} len={int(x)}B",
-    "read.comp": lambda a, b, x: f"RDMA READ completion status={a} wr={b} rtt={us(x)}",
-    "write.post": lambda a, b, x: f"RDMA WRITE posted -> node{a} wr={b} len={int(x)}B",
-    "write.comp": lambda a, b, x: f"RDMA WRITE completion status={a} wr={b} rtt={us(x)}",
+    # net ring (per-NIC one-sided verbs): one <verb>.<status> record per
+    # op at its completion, added below the table
     # qos ring (per-NIC tenant arbiter decisions; b = submission seq)
     "qos.admit": lambda a, b, x: f"tenant{a} op#{b} admitted ({int(x)}B)",
     "qos.drop": lambda a, b, x: f"tenant{a} op#{b} DROPPED at queue cap ({int(x)}B)",
@@ -81,6 +86,9 @@ DECODERS = {
     "evict": lambda a, b, x: f"peer{a} evicted ({'stale view' if b else 'unreachable'})",
     "stale-mark": lambda a, b, x: f"backend{a} staleness strike (unmonitored past bound)",
 }
+# net ring: a = target node, b = wr_id, x = post-to-completion ns.
+DECODERS.update({f"{verb.lower()}.{status}": rdma_op(verb, status)
+                 for verb in ("READ", "WRITE") for status in WC_STATUSES})
 
 
 def render(doc, only_ring=None, last=None, out=sys.stdout):
