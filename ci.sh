@@ -116,7 +116,7 @@ EOF
 elif [[ "${1:-}" == "slo" ]]; then
   # Freshness-plane smoke: the staleness SLO / flight recorder / alarm-MR
   # surface (ctest LABELS slo) plus the information-age bench. Fast enough
-  # to run on every edit of src/telemetry/ or src/monitor/publisher.hpp.
+  # to run on every edit of src/telemetry/.
   cmake -B build -S .
   cmake --build build -j "$jobs" --target test_slo bench_freshness
   mkdir -p build/flight-dumps bench-results

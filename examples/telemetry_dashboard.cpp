@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "fault/fault.hpp"
-#include "monitor/publisher.hpp"
+#include "net/nic.hpp"
 #include "net/verbs.hpp"
 #include "os/node.hpp"
 #include "sim/simulation.hpp"
@@ -41,11 +41,14 @@ int main() {
   ccfg.think = sim::msec(8);
   bed.add_clients(2, web::make_rubis_generator(), ccfg);
 
-  // Self-monitoring: the front end publishes an image of its own snapshot
-  // into a registered MR, refreshed every 50 ms (RDMA-Async applied to
-  // the monitor itself).
-  monitor::MrPublisher<telemetry::SnapshotImage> meta(
-      bed.fabric(), bed.frontend(), monitor::snapshot_producer(reg));
+  // Self-monitoring: the front end registers an image of its own
+  // snapshot as a memory region whose DMA hook rebuilds it at each READ's
+  // DMA instant (RDMA-Sync applied to the monitor itself).
+  telemetry::SnapshotImage meta;
+  const net::MrKey meta_key = bed.fabric().nic(bed.frontend().id).register_mr(
+      net::bytes_of(meta), [&](net::Verb, std::span<std::byte>&) {
+        meta = telemetry::SnapshotImage(reg.snapshot());
+      });
 
   // Crash backend0 for the middle of the run so health transitions and
   // fault events show up in the dumps.
@@ -55,7 +58,7 @@ int main() {
   fault::FaultInjector inj(bed.fabric());
   inj.arm(plan);
 
-  // A reader node samples the front end's published snapshot one-sided.
+  // A reader node reads the front end's snapshot one-sided.
   os::Node reader(simu, {.name = "reader"});
   bed.fabric().attach(reader);
   telemetry::Snapshot remote;
@@ -64,10 +67,11 @@ int main() {
   reader.spawn("meta-reader", [&](os::SimThread& self) -> os::Program {
     co_await os::SleepFor{sim::msec(900)};
     net::CompletionQueue cq;
-    net::QueuePair qp{bed.fabric().nic(reader.id), meta.node_id(), cq};
+    net::QueuePair qp{bed.fabric().nic(reader.id), bed.frontend().id, cq};
     net::Completion c;
     co_await net::rdma_sync(
-        self, qp, {.rkey = meta.mr_key(), .len = meta.config().slot_bytes}, c);
+        self, qp,
+        {.rkey = meta_key, .len = sizeof(telemetry::SnapshotImage)}, c);
     if (c.status == net::WcStatus::Success) {
       const auto image = c.data.as<telemetry::SnapshotImage>();
       remote = image.snapshot();
@@ -103,18 +107,16 @@ int main() {
   std::cout << "\n--- self-monitoring: front-end snapshot via RDMA READ ---\n";
   if (remote_ok) {
     std::cout << "read a " << remote.entries.size()
-              << "-metric snapshot published at t=" << remote.at.ns
-              << "ns (publisher refreshes: " << meta.published() << ")\n";
+              << "-metric snapshot taken at t=" << remote.at.ns << "ns\n";
     if (const auto* e = remote.find("lb.alive_backends")) {
-      std::cout << "  lb.alive_backends at publish time: " << e->value
-                << '\n';
+      std::cout << "  lb.alive_backends at read time: " << e->value << '\n';
     }
   } else {
     std::cout << "remote read failed\n";
   }
   if (remote_dropped != 0) {
     std::cerr << remote_dropped
-              << " metrics did not fit the published snapshot image\n";
+              << " metrics did not fit the snapshot image\n";
     return 1;
   }
   return 0;

@@ -167,10 +167,6 @@ void FrontendPlane::wire(sim::Duration granularity) {
           .set(static_cast<double>(plane_->membership().epoch()));
     });
     fr_ = reg_->recorder().ring("gossip." + node_->name(), 256);
-    slo_ = reg_->slo();
-    if (slo_ != nullptr) {
-      s_peer_age_ = slo_->find("cluster.peer_view_age");
-    }
   }
 
   lb_.start(*node_, granularity);
@@ -284,13 +280,7 @@ os::Program FrontendPlane::gossip_body(os::SimThread& self) {
         // A crashed host fails the READ outright; a host whose poller
         // stalled keeps DMA-serving a view whose published_at no
         // longer advances.
-        const sim::Duration view_age = simu.now() - v.published_at;
-        fresh = view_age.ns <= cfg.staleness_bound.ns;
-        // Lineage: the peer view's age at the gossip consume instant —
-        // the SLO stream the "gossip peer-view age" target watches.
-        if (slo_ != nullptr && s_peer_age_ != nullptr) {
-          slo_->observe(s_peer_age_, static_cast<double>(view_age.ns));
-        }
+        fresh = (simu.now() - v.published_at).ns <= cfg.staleness_bound.ns;
         if (wants_membership_ && !mem.is_member(id_)) {
           // We were evicted (crash, freeze, or partition) but can read
           // members again: rejoin and take our shard back.

@@ -54,7 +54,6 @@
 #include "os/node.hpp"
 #include "reconfig/membership.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/slo.hpp"
 
 namespace rdmamon::cluster {
 
@@ -230,10 +229,7 @@ class FrontendPlane {
   telemetry::Counter* m_stale_ = nullptr;
   telemetry::Counter* m_evict_ = nullptr;
   telemetry::ScopedCollector collector_;
-  /// Freshness SLO stream for gossiped peer views (fed when the operator
-  /// declared "cluster.peer_view_age"), and the membership flight ring.
-  telemetry::SloEngine* slo_ = nullptr;
-  telemetry::SloEngine::Stream* s_peer_age_ = nullptr;
+  /// The membership flight ring.
   telemetry::FlightRing* fr_ = nullptr;
 };
 

@@ -52,10 +52,8 @@ void LoadBalancer::add_backend(
 
 LoadBalancer::~LoadBalancer() {
   // The SloEngine outlives the balancer by contract (installed before
-  // wiring, like the registry); the probes capture `this` and must go.
-  if (slo_ != nullptr) {
-    for (std::uint64_t id : slo_probes_) slo_->remove_probe(id);
-  }
+  // wiring, like the registry); its probe captures `this` and must go.
+  if (slo_probe_ != 0) slo_->remove_probe(slo_probe_);
 }
 
 const char* LoadBalancer::source_label(std::size_t i, ViewSource src) const {
@@ -369,7 +367,7 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
         // Worst current view age across our shard — a gauge-style probe,
         // so the SLO keeps degrading while a frozen publisher says
         // nothing (the silence IS the signal).
-        slo_probes_.push_back(slo_->add_probe(s_view_age_, [this] {
+        slo_probe_ = slo_->add_probe(s_view_age_, [this] {
           double worst = 0.0;
           for (std::size_t i = 0; i < channels_.size(); ++i) {
             if (poll_filter_ && !poll_filter_(i)) continue;
@@ -377,23 +375,7 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
             if (a.ns > 0) worst = std::max(worst, static_cast<double>(a.ns));
           }
           return worst;
-        }));
-      }
-      if (telemetry::SloEngine::Stream* silence =
-              slo_->find("lb.scan_silence");
-          silence != nullptr && push_inbox_ != nullptr) {
-        slo_probes_.push_back(slo_->add_probe(silence, [this] {
-          double worst = 0.0;
-          const sim::TimePoint now = simu_->now();
-          for (std::size_t i = 0; i < channels_.size(); ++i) {
-            if (poll_filter_ && !poll_filter_(i)) continue;
-            if (fetch_mode(i) != monitor::FetchMode::Push) continue;
-            const sim::Duration d =
-                now - push_inbox_->last_fresh(static_cast<int>(i));
-            worst = std::max(worst, static_cast<double>(d.ns));
-          }
-          return worst;
-        }));
+        });
       }
     }
   }

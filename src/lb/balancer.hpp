@@ -391,14 +391,14 @@ class LoadBalancer {
   // Information-age lineage (tentpole of the freshness plane): per-
   // source age histograms, the dispatch ring, and the SLO streams fed
   // from pick(). The SloEngine (when one is installed on the registry)
-  // must outlive this balancer — probes are removed in the destructor.
+  // must outlive this balancer — its probe is removed in the destructor.
   sim::Simulation* simu_ = nullptr;  ///< bound at start(); the view clock
   std::array<LineageCell, kLineageCells> lineage_{};
   std::deque<DispatchRecord> dispatch_log_;
   std::size_t dispatch_log_cap_ = 256;
   telemetry::SloEngine* slo_ = nullptr;
   telemetry::SloEngine::Stream* s_view_age_ = nullptr;
-  std::vector<std::uint64_t> slo_probes_;
+  std::uint64_t slo_probe_ = 0;  ///< the view-age probe's id (0 = none)
   telemetry::FlightRing* fr_ = nullptr;  ///< "lb" ring: health + mode edges
   // Telemetry instruments, resolved in start() (null when disabled / no
   // registry installed on the front end's simulation).

@@ -22,14 +22,13 @@ double change_delta(const os::LoadSnapshot& a, const os::LoadSnapshot& b) {
 
 PushInbox::PushInbox(net::Fabric& fabric, os::Node& frontend, int slots)
     : frontend_(&frontend),
-      nic_(&fabric.nic(frontend.id)),
       slots_(static_cast<std::size_t>(slots)),
       consumed_(static_cast<std::size_t>(slots), 0),
       last_fresh_(static_cast<std::size_t>(slots),
                   fabric.simu().now()) {
   // One region for all N slots; a WRITE overwrites the addressed slot
   // blindly (raw-memory WRITE semantics — no validation at the target).
-  key_ = nic_->register_mr(
+  key_ = fabric.nic(frontend.id).register_mr(
       std::as_writable_bytes(std::span(slots_)),
       [this](net::Verb verb, std::span<std::byte>&) {
         if (verb == net::Verb::Write) ++writes_applied_;
@@ -95,12 +94,6 @@ PushInbox::ScanResult PushInbox::scan(int i, MonitorSample& out,
   return ScanResult::Fresh;
 }
 
-void PushInbox::deregister() {
-  if (deregistered_) return;
-  nic_->deregister_mr(key_);
-  deregistered_ = true;
-}
-
 // --- PushPublisher ------------------------------------------------------------
 
 PushPublisher::PushPublisher(net::Fabric& fabric, os::Node& backend)
@@ -112,7 +105,6 @@ void PushPublisher::target(int frontend_node, net::MrKey inbox_key,
       slot == slot_) {
     return;  // same target: keep the baseline, no gratuitous re-push
   }
-  if (target_node_ >= 0) ++retargets_;
   target_node_ = frontend_node;
   inbox_key_ = inbox_key;
   slot_ = slot;

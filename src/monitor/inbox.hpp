@@ -101,12 +101,6 @@ class PushInbox {
   /// to a verification READ before advancing the health ladder.
   sim::TimePoint last_fresh(int i) const { return last_fresh_[static_cast<std::size_t>(i)]; }
 
-  /// Tears down the MR (front-end shutdown / shard handoff). WRITEs
-  /// already in flight complete at the writer with InvalidKey — the
-  /// dereg-vs-late-completion path net_test pins down.
-  void deregister();
-  bool deregistered() const { return deregistered_; }
-
   // --- introspection --------------------------------------------------------
   std::uint64_t writes_applied() const { return writes_applied_; }
   std::uint64_t fresh() const { return fresh_; }
@@ -120,9 +114,7 @@ class PushInbox {
 
  private:
   os::Node* frontend_;
-  net::Nic* nic_;
   net::MrKey key_{};
-  bool deregistered_ = false;
   std::vector<InboxSlot> slots_;
   std::vector<std::uint64_t> consumed_;   ///< last consumed seq per slot
   std::vector<sim::TimePoint> last_fresh_;
@@ -198,7 +190,6 @@ class PushPublisher {
   std::uint64_t heartbeats() const { return heartbeats_; }
   std::uint64_t errors() const { return errors_; }
   std::uint64_t invalid_key() const { return invalid_key_; }
-  std::uint64_t retargets() const { return retargets_; }
 
  private:
   os::Program body(os::SimThread& self);
@@ -224,7 +215,6 @@ class PushPublisher {
   std::uint64_t heartbeats_ = 0;
   std::uint64_t errors_ = 0;
   std::uint64_t invalid_key_ = 0;
-  std::uint64_t retargets_ = 0;
 };
 
 }  // namespace rdmamon::monitor

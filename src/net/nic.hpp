@@ -120,7 +120,6 @@ class Nic {
   std::uint64_t tx_packets() const { return tx_packets_; }
   std::uint64_t rx_packets() const { return rx_packets_; }
   std::uint64_t rx_deferred() const { return rx_deferred_; }
-  std::uint64_t rdma_ops_served() const { return rdma_served_; }
   std::uint64_t rdma_ops_posted() const { return rdma_posted_; }
   /// One-sided ops this NIC initiated that have not completed yet.
   std::size_t rdma_ops_in_flight() const { return ops_.live(); }

@@ -38,18 +38,6 @@ void ReconfigManager::add_backend(RoleRegion& region) {
   fail_streak_.push_back(0);
 }
 
-bool ReconfigManager::believed_dead(int i) const {
-  return fail_streak_[static_cast<std::size_t>(i)] >= lb::kDeadAfter;
-}
-
-int ReconfigManager::dead_nodes() const {
-  int n = 0;
-  for (std::size_t i = 0; i < fail_streak_.size(); ++i) {
-    if (believed_dead(static_cast<int>(i))) ++n;
-  }
-  return n;
-}
-
 void ReconfigManager::start() {
   for (auto& ch : channels_) scatter_.add(ch->frontend());
   frontend_->spawn("reconfig-mgr",
@@ -93,7 +81,6 @@ os::Program ReconfigManager::manager_body(os::SimThread& self) {
         samples_[i] = s;
         fail_streak_[i] = 0;
       } else {
-        ++fetch_failures_;
         ++fail_streak_[i];
         if (fail_streak_[i] >= lb::kDeadAfter) samples_[i].ok = false;
       }

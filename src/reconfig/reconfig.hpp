@@ -82,15 +82,6 @@ class ReconfigManager {
   std::uint64_t reconfigurations() const { return reconfigs_; }
   double pool_load(Role r) const;
 
-  /// Failure visibility: monitoring fetches that came back failed, and
-  /// how many back ends the manager currently believes dead — those that
-  /// failed lb::kDeadAfter fetches in a row, as the balancer's detector
-  /// counts: their last-known load stops counting toward pool loads and
-  /// they are never picked for a role flip (failover).
-  std::uint64_t fetch_failures() const { return fetch_failures_; }
-  bool believed_dead(int i) const;
-  int dead_nodes() const;
-
  private:
   os::Program manager_body(os::SimThread& self);
 
@@ -108,7 +99,6 @@ class ReconfigManager {
   /// wr_id-demuxed monitoring completions.
   net::CompletionQueue cq_;
   std::uint64_t reconfigs_ = 0;
-  std::uint64_t fetch_failures_ = 0;
   sim::TimePoint last_reconfig_{};
 };
 

@@ -136,10 +136,11 @@ struct Snapshot {
                             std::string_view labels = "") const;
 };
 
-/// A Snapshot as a fixed-capacity, trivially copyable image: what the
-/// monitor's self-publisher puts in its registered region (monitor::
-/// snapshot_producer). Names and labels live in one text arena. Entries
-/// past either capacity are left out and counted in `dropped`.
+/// A Snapshot as a fixed-capacity, trivially copyable image: what a node
+/// serves its own registry through, as a registered region whose DMA
+/// hook rebuilds it from snapshot() at each READ. Names and labels live
+/// in one text arena. Entries past either capacity are left out and
+/// counted in `dropped`.
 struct SnapshotImage {
   static constexpr std::size_t kMaxEntries = 256;
   static constexpr std::size_t kTextBytes = 16 * 1024;

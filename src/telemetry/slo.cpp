@@ -46,9 +46,12 @@ SloEngine::~SloEngine() {
 
 void SloEngine::install(Registry& reg) {
   reg_ = &reg;
-  now_ = [r = &reg] { return r->now(); };
   fr_ = reg.recorder().ring("slo", 256);
   reg.set_slo(this);
+}
+
+sim::TimePoint SloEngine::now() const {
+  return reg_ != nullptr ? reg_->now() : sim::TimePoint{};
 }
 
 SloEngine::Stream* SloEngine::add(SloSpec spec) {
@@ -192,10 +195,9 @@ void SloEngine::remove_on_edge(std::uint64_t id) {
                   edge_cbs_.end());
 }
 
-AlarmView SloEngine::view() {
+AlarmView SloEngine::view() const {
   AlarmView v;
   v.published_at = now();
-  v.version = ++view_version_;
   for (const auto& s : streams_) {
     if (static_cast<int>(s->state) > static_cast<int>(v.worst)) {
       v.worst = s->state;

@@ -2,10 +2,10 @@
 // per-metric freshness targets with sliding-window error-budget
 // accounting and edge-triggered Ok -> BreachWarn -> Breach alarms.
 //
-// Model: an SLO owns a *stream* of (instant, value) observations — view
-// ages at dispatch, scan-silence durations, gossip peer-view ages. An
-// observation VIOLATES when its value exceeds `target`. Over a sliding
-// `window`, the violating fraction is compared against `error_budget`:
+// Model: an SLO owns a *stream* of (instant, value) observations, e.g.
+// view ages at dispatch. An observation VIOLATES when its value exceeds
+// `target`. Over a sliding `window`, the violating fraction is compared
+// against `error_budget`:
 //
 //   consumed = (violations / observations) / error_budget
 //   consumed >= 1.0            -> Breach
@@ -29,10 +29,11 @@
 // *probes* (e.g. "current worst view age") are polled at every
 // evaluate(). Evaluation is explicit or timer-driven via arm_timer().
 //
-// Alarm state is summarised into an AlarmView — a flat value a
-// monitor::AlarmMonitor publishes into a registered MR so peers can
-// one-sided RDMA-READ "is that front end's view stale?" with zero
-// target-CPU cost: the paper's own mechanism, aimed at the monitor.
+// Alarm state is summarised into an AlarmView, a flat image. Its owner
+// registers one with Nic::register_mr and rebuilds it from view() in the
+// region's DMA hook, so a peer's one-sided READ of "is that front end's
+// view stale?" sees the engine's state at the DMA instant with zero
+// target-CPU cost: the paper's RDMA-Sync scheme, aimed at the monitor.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +76,8 @@ struct AlarmRecord {
   double consumed = 0.0;  ///< budget consumed fraction at the edge
 };
 
-/// Flat alarm summary for MR publication: a fixed-capacity, trivially
-/// copyable image, copied whole into the registered region.
+/// Flat alarm summary for a registered region: a fixed-capacity,
+/// trivially copyable image, read whole.
 struct AlarmEntry {
   static constexpr std::size_t kNameBytes = 48;
   char name[kNameBytes] = {};  ///< SloSpec::name, cut to fit, NUL-ended
@@ -87,8 +88,7 @@ struct AlarmEntry {
 };
 struct AlarmView {
   static constexpr std::size_t kMaxEntries = 16;
-  sim::TimePoint published_at{};
-  std::uint64_t version = 0;    ///< bumped every build (readers detect motion)
+  sim::TimePoint published_at{};  ///< the instant view() built it
   /// Worst state over every stream, those past kMaxEntries included.
   AlarmState worst = AlarmState::Ok;
   std::uint32_t count = 0;    ///< entries in use
@@ -109,12 +109,8 @@ class SloEngine {
   SloEngine& operator=(const SloEngine&) = delete;
   ~SloEngine();
 
-  /// Binds the clock (standalone use; install() does this for you).
-  void bind_clock(std::function<sim::TimePoint()> now) {
-    now_ = std::move(now);
-  }
-
-  /// Attaches this engine to `reg`: clock from the registry, alarm edges
+  /// Attaches this engine to `reg`: clock from the registry (an engine
+  /// with none reads TimePoint{}; pass instants explicitly), alarm edges
   /// mirrored to the registry's flight recorder + an "slo.edges" counter,
   /// Breach edges trigger recorder post-mortems, and components wired
   /// afterwards find the engine via Registry::slo().
@@ -155,16 +151,15 @@ class SloEngine {
   std::uint64_t on_edge(std::function<void(const AlarmRecord&)> fn);
   void remove_on_edge(std::uint64_t id);
 
-  /// Builds the flat MR-publishable summary (bumps `version`).
-  AlarmView view();
+  /// Builds the flat summary a registered region serves.
+  AlarmView view() const;
 
  private:
-  sim::TimePoint now() const { return now_ ? now_() : sim::TimePoint{}; }
+  sim::TimePoint now() const;
   void slide(Stream& s, sim::TimePoint at);
   void transition(Stream& s, sim::TimePoint at);
   void tick(sim::Simulation& simu, sim::Duration period);
 
-  std::function<sim::TimePoint()> now_;
   Registry* reg_ = nullptr;
   FlightRing* fr_ = nullptr;
   std::vector<std::unique_ptr<Stream>> streams_;
@@ -179,7 +174,6 @@ class SloEngine {
   std::vector<std::pair<std::uint64_t, std::function<void(const AlarmRecord&)>>>
       edge_cbs_;
   std::uint64_t next_cb_id_ = 1;
-  std::uint64_t view_version_ = 0;
   bool timer_armed_ = false;
 };
 

@@ -5,8 +5,10 @@ Runs the flight_scenario binary to write flight-recorder dumps into a
 fresh directory, then runs the tool on every dump. Fails when the
 scenario writes nothing, when the tool exits non-zero, when any event
 prints through the tool's raw `kind a= b= x=` fallback (a kind with no
-decoder), or when an event kind the scenario is built to produce is
-missing from the dumps. Usage:
+decoder), when an event kind the scenario is built to produce is
+missing from the dumps, or when the tool, writing into a pipe its reader
+closes unread (as `| head` does), exits non-zero or prints a traceback.
+Usage:
 
     flightdump_test.py <flight_scenario> <flightdump.py> <out-dir>
 """
@@ -57,6 +59,24 @@ def main(argv):
         if raw:
             print(f"{path}: {len(raw)} events without a decoder, e.g.\n"
                   + "\n".join(raw[:5]), file=sys.stderr)
+            ok = False
+    # The scenario's own dump renders past the 64 KB pipe buffer, so a
+    # write into the closed pipe fails whatever the timing.
+    own = glob.glob(os.path.join(out_dir, "flight_scenario_*.json"))
+    if not own:
+        print(f"no flight_scenario_*.json written to {out_dir}",
+              file=sys.stderr)
+        ok = False
+    for path in own:
+        proc = subprocess.Popen([sys.executable, tool, path],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        if proc.wait() != 0 or "Traceback" in err:
+            print(f"{tool} {path} into a closed pipe exited "
+                  f"{proc.returncode}:\n{err}", file=sys.stderr)
             ok = False
     missing = REQUIRED - kinds
     if missing:

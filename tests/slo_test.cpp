@@ -3,8 +3,8 @@
 // Covers the freshness plane end to end: bounded flight rings and their
 // merged time-ordered dumps, edge-triggered alarm semantics (one record
 // per transition, deterministic budget refill on the simulated clock,
-// byte-identical logs), probe polling, the timer, MR-published alarms
-// — and the acceptance scenario: kill a push publisher's
+// byte-identical logs), probe polling, the timer, alarms served from a
+// registered region — and the acceptance scenario: kill a push publisher's
 // node, watch "lb.view_age" breach within one window, read the alarm
 // from another node with a one-sided RDMA READ, and validate the
 // post-mortem flight dump it left behind.
@@ -21,10 +21,10 @@
 #include "alloc_counter.hpp"
 #include "fault/fault.hpp"
 #include "lb/balancer.hpp"
-#include "monitor/publisher.hpp"
 #include "monitor/inbox.hpp"
 #include "monitor/monitor.hpp"
 #include "net/fabric.hpp"
+#include "net/nic.hpp"
 #include "net/verbs.hpp"
 #include "os/node.hpp"
 #include "sim/simulation.hpp"
@@ -36,9 +36,7 @@ namespace rdmamon {
 namespace {
 
 using sim::msec;
-using sim::seconds;
 using telemetry::AlarmEntry;
-using telemetry::AlarmRecord;
 using telemetry::AlarmState;
 using telemetry::AlarmView;
 using telemetry::FlightRecorder;
@@ -300,8 +298,6 @@ TEST(SloEngine, ViewSummarisesWorstStateInSpecOrder) {
   EXPECT_STREQ(v.entries[1].name, "age2");
   EXPECT_EQ(v.entries[1].state, AlarmState::Breach);
   EXPECT_EQ(v.entries[1].edges, 1u);
-  const std::uint64_t ver = v.version;
-  EXPECT_EQ(eng.view().version, ver + 1);  // readers can detect motion
   EXPECT_EQ(eng.spec(ok).name, "age");
 }
 
@@ -352,7 +348,7 @@ TEST(SloEngine, TimerEvaluatesOnSimulatedClock) {
   eng.disarm_timer();
 }
 
-// --- AlarmMonitor: the MR-published alarm (monitor::MrPublisher) ----------
+// --- AlarmMonitor: the alarm view, built at each READ's DMA instant ------
 
 TEST(AlarmMonitor, AlarmReadableViaOneSidedRead) {
   sim::Simulation simu;
@@ -370,22 +366,20 @@ TEST(AlarmMonitor, AlarmReadableViaOneSidedRead) {
   os::Node fe(simu, {.name = "frontend"}), reader(simu, {.name = "reader"});
   fabric.attach(fe);
   fabric.attach(reader);
-  monitor::PublisherConfig acfg = monitor::kAlarmPublish;
-  acfg.period = msec(10);
-  monitor::MrPublisher<AlarmView> alarms(fabric, fe,
-                                         [&eng] { return eng.view(); }, acfg);
-  eng.on_edge([&alarms](const AlarmRecord&) { alarms.publish_now(); });
+  AlarmView image;
+  const net::MrKey key = fabric.nic(fe.id).register_mr(
+      net::bytes_of(image),
+      [&](net::Verb, std::span<std::byte>&) { image = eng.view(); });
 
   bool got = false;
   AlarmView remote;
   reader.spawn("alarm-reader", [&](os::SimThread& self) -> os::Program {
     co_await os::SleepFor{msec(60)};
     net::CompletionQueue cq;
-    net::QueuePair qp{fabric.nic(reader.id), alarms.node_id(), cq};
+    net::QueuePair qp{fabric.nic(reader.id), fe.id, cq};
     net::Completion c;
-    co_await net::rdma_sync(
-        self, qp,
-        {.rkey = alarms.mr_key(), .len = alarms.config().slot_bytes}, c);
+    co_await net::rdma_sync(self, qp,
+                            {.rkey = key, .len = sizeof(AlarmView)}, c);
     if (c.status == net::WcStatus::Success) {
       remote = c.data.as<AlarmView>();
       got = true;
@@ -393,16 +387,18 @@ TEST(AlarmMonitor, AlarmReadableViaOneSidedRead) {
   });
   simu.run_for(msec(120));
 
-  EXPECT_GE(alarms.published(), 3u);
   ASSERT_TRUE(got);
   EXPECT_EQ(remote.worst, AlarmState::Breach);
   ASSERT_EQ(remote.count, 1u);
   EXPECT_STREQ(remote.entries[0].name, "lb.view_age");
   EXPECT_EQ(remote.entries[0].state, AlarmState::Breach);
-  EXPECT_GT(remote.version, 0u);
+  // Built at the READ's DMA instant, after the reader woke.
+  EXPECT_GE(remote.published_at, tp(60));
 }
 
-TEST(AlarmMonitor, EdgeRepublishesWithoutWaitingForPeriod) {
+TEST(AlarmMonitor, ReadPostedAtTheEdgeInstantSeesTheEdge) {
+  // No publisher and no edge hook: a READ posted at the edge's instant
+  // already sees the edge, because the region is built at its DMA instant.
   sim::Simulation simu;
   telemetry::Registry reg;
   reg.install(simu);
@@ -412,23 +408,31 @@ TEST(AlarmMonitor, EdgeRepublishesWithoutWaitingForPeriod) {
   SloEngine::Stream* s = eng.add(spec);
 
   net::Fabric fabric(simu, {});
-  os::Node fe(simu, {.name = "frontend"});
+  os::Node fe(simu, {.name = "frontend"}), reader(simu, {.name = "reader"});
   fabric.attach(fe);
-  monitor::PublisherConfig acfg = monitor::kAlarmPublish;
-  acfg.period = seconds(10);  // heartbeat far beyond the run: only the
-                              // edge hook can refresh the slot in time
-  monitor::MrPublisher<AlarmView> alarms(fabric, fe,
-                                         [&eng] { return eng.view(); }, acfg);
-  eng.on_edge([&alarms](const AlarmRecord&) { alarms.publish_now(); });
+  fabric.attach(reader);
+  AlarmView image;
+  const net::MrKey key = fabric.nic(fe.id).register_mr(
+      net::bytes_of(image),
+      [&](net::Verb, std::span<std::byte>&) { image = eng.view(); });
+  net::CompletionQueue cq;
+  net::QueuePair qp{fabric.nic(reader.id), fe.id, cq};
+  const std::uint64_t wr = cq.alloc_wr_id();
 
   simu.at(tp(50), [&] {
     eng.observe(s, 500.0, simu.now());
     eng.observe(s, 500.0, simu.now());
     eng.evaluate(simu.now());
+    qp.post({.rkey = key, .len = sizeof(AlarmView), .wr_id = wr});
   });
   simu.run_for(msec(100));
-  EXPECT_EQ(alarms.latest().worst, AlarmState::Breach);
-  EXPECT_GE(alarms.published(), 2u);  // initial heartbeat + the edge
+  net::Completion c;
+  ASSERT_TRUE(cq.try_pop(wr, c));
+  ASSERT_EQ(c.status, net::WcStatus::Success);
+  const AlarmView remote = c.data.as<AlarmView>();
+  EXPECT_EQ(remote.worst, AlarmState::Breach);
+  EXPECT_EQ(remote.entries[0].since, tp(50));
+  EXPECT_EQ(remote.entries[0].edges, 1u);
 }
 
 // --- acceptance: frozen publisher -> breach -> remote read -> post-mortem ----
@@ -490,9 +494,10 @@ TEST(FreshnessAlarm, DeadPublisherBreachesSloAndLeavesFlightDump) {
     pubs.back()->start();
   }
   lb.start(fe, msec(50));
-  monitor::MrPublisher<AlarmView> alarms(
-      fabric, fe, [&slo] { return slo.view(); }, monitor::kAlarmPublish);
-  slo.on_edge([&alarms](const AlarmRecord&) { alarms.publish_now(); });
+  AlarmView alarms;
+  const net::MrKey alarms_key = fabric.nic(fe.id).register_mr(
+      net::bytes_of(alarms),
+      [&](net::Verb, std::span<std::byte>&) { alarms = slo.view(); });
 
   // The breach instant, captured at the edge.
   sim::TimePoint breach_at{-1};
@@ -516,11 +521,10 @@ TEST(FreshnessAlarm, DeadPublisherBreachesSloAndLeavesFlightDump) {
   reader.spawn("operator", [&](os::SimThread& self) -> os::Program {
     co_await os::SleepFor{msec(2200)};
     net::CompletionQueue cq;
-    net::QueuePair qp{fabric.nic(reader.id), alarms.node_id(), cq};
+    net::QueuePair qp{fabric.nic(reader.id), fe.id, cq};
     net::Completion c;
-    co_await net::rdma_sync(
-        self, qp,
-        {.rkey = alarms.mr_key(), .len = alarms.config().slot_bytes}, c);
+    co_await net::rdma_sync(self, qp,
+                            {.rkey = alarms_key, .len = sizeof(AlarmView)}, c);
     if (c.status == net::WcStatus::Success) {
       remote = c.data.as<AlarmView>();
       got = true;

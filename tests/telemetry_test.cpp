@@ -7,9 +7,9 @@
 
 #include "alloc_counter.hpp"
 #include "monitor/monitor.hpp"
-#include "monitor/publisher.hpp"
 #include "monitor/scatter.hpp"
 #include "net/fabric.hpp"
+#include "net/nic.hpp"
 #include "net/verbs.hpp"
 #include "os/node.hpp"
 #include "sim/simulation.hpp"
@@ -723,58 +723,40 @@ TEST(Meta, SelfMonitorServesSnapshotThroughOneSidedRead) {
   fabric.attach(reader);
 
   reg.counter("monitor.fetch.retries").inc(5);  // something to observe
-  monitor::PublisherConfig scfg;
-  scfg.period = sim::msec(10);
-  monitor::MrPublisher<SnapshotImage> meta(
-      fabric, fe, monitor::snapshot_producer(reg), scfg);
+  // The front end serves its registry through its own image, rebuilt at
+  // each READ's DMA instant.
+  SnapshotImage image;
+  const net::MrKey key = fabric.nic(fe.id).register_mr(
+      net::bytes_of(image), [&](net::Verb, std::span<std::byte>&) {
+        image = SnapshotImage(reg.snapshot());
+      });
 
   bool got = false;
   Snapshot remote;
   std::uint32_t dropped = 0;
   reader.spawn("meta-reader", [&](os::SimThread& self) -> os::Program {
-    co_await os::SleepFor{sim::msec(35)};  // a few publish periods
+    co_await os::SleepFor{sim::msec(35)};
     net::CompletionQueue cq;
-    net::QueuePair qp{fabric.nic(reader.id), meta.node_id(), cq};
+    net::QueuePair qp{fabric.nic(reader.id), fe.id, cq};
     net::Completion c;
-    co_await net::rdma_sync(
-        self, qp, {.rkey = meta.mr_key(), .len = meta.config().slot_bytes}, c);
+    co_await net::rdma_sync(self, qp,
+                            {.rkey = key, .len = sizeof(SnapshotImage)}, c);
     if (c.status == net::WcStatus::Success) {
-      const SnapshotImage image = c.data.as<SnapshotImage>();
-      remote = image.snapshot();
-      dropped = image.dropped;
+      const SnapshotImage read = c.data.as<SnapshotImage>();
+      remote = read.snapshot();
+      dropped = read.dropped;
       got = true;
     }
   });
   simu.run_for(sim::msec(100));
 
-  EXPECT_GE(meta.published(), 3u);
   ASSERT_TRUE(got);
   EXPECT_EQ(dropped, 0u);
   const SnapshotEntry* e = remote.find("monitor.fetch.retries");
   ASSERT_NE(e, nullptr);
   EXPECT_DOUBLE_EQ(e->value, 5.0);
-  // The publisher also counts its own refreshes through the registry.
-  EXPECT_NE(remote.find("meta.published"), nullptr);
-}
-
-TEST(Meta, StopFreezesPublishedSnapshot) {
-  sim::Simulation simu;
-  Registry reg;
-  reg.install(simu);
-  net::Fabric fabric(simu, {});
-  os::Node fe(simu, {.name = "frontend"});
-  fabric.attach(fe);
-  monitor::PublisherConfig scfg;
-  scfg.period = sim::msec(10);
-  monitor::MrPublisher<SnapshotImage> meta(
-      fabric, fe, monitor::snapshot_producer(reg), scfg);
-  simu.run_for(sim::msec(45));
-  const std::uint64_t before = meta.published();
-  EXPECT_GE(before, 3u);
-  meta.stop();
-  simu.run_for(sim::msec(50));
-  EXPECT_EQ(meta.published(), before);  // frozen-host regime: region keeps
-                                        // serving its last contents
+  // Taken at the READ's DMA instant, after the reader woke.
+  EXPECT_GE(remote.at, sim::TimePoint{} + sim::msec(35));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@ breaks the tool — it just reads less nicely until a decoder is added.
 
 import argparse
 import json
+import os
 import sys
 
 # AlarmState / BackendHealth enum orders mirror the C++ definitions.
@@ -124,16 +125,22 @@ def main(argv=None):
     p.add_argument("--last", type=int,
                    help="show only the last N events (after --ring filter)")
     args = p.parse_args(argv)
-    for i, path in enumerate(args.files):
-        if i:
-            print()
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"{path}: {err}", file=sys.stderr)
-            return 1
-        render(doc, only_ring=args.ring, last=args.last)
+    try:
+        for i, path in enumerate(args.files):
+            if i:
+                print()
+            try:
+                with open(path) as f:
+                    doc = json.load(f)
+            except (OSError, json.JSONDecodeError) as err:
+                print(f"{path}: {err}", file=sys.stderr)
+                return 1
+            render(doc, only_ring=args.ring, last=args.last)
+    except BrokenPipeError:
+        # The reader stopped reading (`| head`): that is not an error. The
+        # interpreter flushes stdout once more on exit, so point it at
+        # /dev/null first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
