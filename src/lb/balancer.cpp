@@ -478,18 +478,17 @@ int LoadBalancer::pick() {
   // Lineage at the decision point: how old was the information this
   // dispatch was actually made on, and through which path did it arrive.
   if (simu_ != nullptr) {
-    DispatchRecord rec;
-    rec.at = simu_->now();
-    rec.backend = winner;
-    rec.weight = winner_w;
+    const sim::TimePoint now = simu_->now();
     const BackendView& v = views_[wi];
+    DispatchRecord rec;
+    rec.backend = winner;
+    rec.via = v.source;
     if (v.sample.ok) {
-      rec.view_age = rec.at - v.sample.info.computed_at;
-      rec.via = source_label(wi, v.source);
+      rec.view_age = now - v.sample.info.computed_at;
       telemetry::observe(lineage_of(wi, v.source).dispatch, rec.view_age);
       if (slo_ != nullptr && s_view_age_ != nullptr) {
         slo_->observe(s_view_age_, static_cast<double>(rec.view_age.ns),
-                      rec.at);
+                      now);
       }
     }
     dispatch_log_.push_back(rec);

@@ -131,19 +131,19 @@ struct PushPollConfig {
   monitor::MonitorStrategy strategy = monitor::MonitorStrategy::Pull;
 };
 
-/// One dispatch decision, kept in a bounded ring for post-mortems: who
-/// was picked, on a view of what age, refreshed via which path, and why.
-/// `via` and `reason` are static string literals — the ring never
-/// allocates per pick.
+/// One dispatch decision, kept in a bounded log: who was picked, on a
+/// view of what age, refreshed via which path. 16 bytes, so one 512-byte
+/// deque block holds 32 decisions.
 struct DispatchRecord {
-  sim::TimePoint at{};
-  int backend = -1;
   /// now - the view's /proc sampling instant (the information age the
   /// decision was actually made on); -1ns when the winner had no view yet.
   sim::Duration view_age{-1};
-  const char* via = "none";  ///< "pull" / "push" / "gossip" / "none"
-  double weight = 0.0;       ///< winner's smooth-WRR weight
+  std::int32_t backend = -1;
+  /// The winner's BackendView::source (a pull view's scheme is its back
+  /// end's channel's); meaningless while view_age is negative.
+  ViewSource via = ViewSource::Pull;
 };
+static_assert(sizeof(DispatchRecord) == 16);
 
 /// Tracks the latest monitoring sample per back end and picks the least
 /// loaded. A poller thread on the front-end node refreshes the samples

@@ -348,22 +348,29 @@ TimePoint EventQueue::next_time() {
 }
 
 TimePoint EventQueue::pop_and_run() {
-  const bool found = peek_ready();
-  assert(found);
-  (void)found;
-  const Key k = ready_[head_++];
-  Node& n = node(k.idx);
-  const TimePoint when = n.when;
-  InlineFn fn = std::move(n.fn);
+  TimePoint when{};
+  const bool ran = pop_until(kNever, when);
+  assert(ran);
+  (void)ran;
+  return when;
+}
+
+bool EventQueue::pop_until(TimePoint deadline, TimePoint& clock) {
+  if (live_ == 0 || !peek_ready()) return false;
+  const std::uint32_t idx = ready_[head_].idx;
+  if (node(idx).when > deadline) return false;
+  clock = node(idx).when;
+  ++head_;
+  InlineFn fn = std::move(node(idx).fn);
   // Free before invoking: the slot's generation advances, so the fired
   // event's handles go inert even while its callback runs (and the slot
   // is immediately reusable by events the callback schedules).
-  free_node(k.idx);
+  free_node(idx);
   --live_;
   ++executed_;
   purge_dead();
   fn();
-  return when;
+  return true;
 }
 
 }  // namespace rdmamon::sim

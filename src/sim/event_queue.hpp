@@ -84,6 +84,13 @@ class EventQueue {
   /// Precondition: !empty().
   TimePoint pop_and_run();
 
+  /// The run loop's one entry per event: if the earliest live event is
+  /// due by `deadline`, sets `clock` to its timestamp (so the callback
+  /// observes it), pops and runs it and returns true; otherwise runs
+  /// nothing, leaves `clock` alone and returns false. It finds the head
+  /// once, where next_time() then pop_and_run() find it twice.
+  bool pop_until(TimePoint deadline, TimePoint& clock);
+
   /// Number of live events currently queued (cancelled events leave this
   /// count immediately, even while their tombstone awaits the lazy sweep).
   std::size_t size() const { return live_; }

@@ -2,22 +2,19 @@
 
 namespace rdmamon::sim {
 
+// Both loops enter the queue once per event: pop_until advances the clock
+// BEFORE running the callback, so event bodies observe now() == their own
+// timestamp.
+
 void Simulation::run() {
   stop_requested_ = false;
-  while (!queue_.empty() && !stop_requested_) {
-    // Advance the clock BEFORE running the callback so that event bodies
-    // observe now() == their own timestamp.
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
+  while (!stop_requested_ && queue_.pop_until(kNever, now_)) {
   }
 }
 
 void Simulation::run_until(TimePoint deadline) {
   stop_requested_ = false;
-  while (!queue_.empty() && !stop_requested_ &&
-         queue_.next_time() <= deadline) {
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
+  while (!stop_requested_ && queue_.pop_until(deadline, now_)) {
   }
   if (!stop_requested_ && now_ < deadline) now_ = deadline;
 }

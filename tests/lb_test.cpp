@@ -125,6 +125,80 @@ TEST(LoadBalancer, ERdmaSyncPenalisesIrqPressure) {
   EXPECT_GT(load_index(stormy, w), 0.5);
 }
 
+/// Picks once and checks the one record pick() appended against the
+/// winner's view: its index, its age and the path that refreshed it.
+DispatchRecord pick_and_check(LoadBalancer& lb) {
+  const std::size_t before = lb.dispatch_log().size();
+  const int winner = lb.pick();
+  EXPECT_EQ(lb.dispatch_log().size(), before + 1);
+  const DispatchRecord r = lb.dispatch_log().back();
+  EXPECT_EQ(r.backend, winner);
+  EXPECT_EQ(r.view_age, lb.view_age(static_cast<std::size_t>(winner)));
+  EXPECT_EQ(r.via, lb.view(winner).source);
+  return r;
+}
+
+TEST(DispatchLog, EachPickLogsTheWinnersViewAgeAndSource) {
+  {  // Before any sample, then after poll rounds.
+    LbEnv env(2);
+    LoadBalancer& lb = *env.lb;
+    (void)lb.pick();  // no clock bound yet: nothing is logged
+    EXPECT_TRUE(lb.dispatch_log().empty());
+    lb.start(env.frontend, msec(20));
+    for (int k = 0; k < 2; ++k) {
+      const DispatchRecord r = pick_and_check(lb);
+      EXPECT_EQ(r.view_age, sim::nsec(-1));
+    }
+    env.simu.run_for(msec(100));
+    for (int k = 0; k < 2; ++k) {
+      const DispatchRecord r = pick_and_check(lb);
+      EXPECT_GE(r.view_age.ns, 0);
+      EXPECT_EQ(r.via, ViewSource::Pull);
+    }
+  }
+  {  // A gossiped record: back end 1 is a peer's shard.
+    LbEnv env(2);
+    LoadBalancer& lb = *env.lb;
+    lb.set_poll_filter([](std::size_t i) { return i == 0; });
+    lb.start(env.frontend, msec(20));
+    env.simu.run_for(msec(100));
+    os::LoadSnapshot info;
+    info.computed_at = env.simu.now() - msec(3);
+    lb.ingest_peer(PeerRecord{1, true, info, env.simu.now(), env.simu.now()});
+    int gossiped = 0;
+    for (int k = 0; k < 4; ++k) {
+      const DispatchRecord r = pick_and_check(lb);
+      if (r.backend != 1) continue;
+      ++gossiped;
+      EXPECT_EQ(r.via, ViewSource::Gossip);
+      EXPECT_EQ(r.view_age, msec(3));
+    }
+    EXPECT_GT(gossiped, 0);
+  }
+  {  // A scanned inbox slot: back end 1's image is planted in its slot.
+    LbEnv env(2);
+    LoadBalancer& lb = *env.lb;
+    monitor::PushInbox inbox(env.fabric, env.frontend, 2);
+    lb.enable_push(inbox, {monitor::MonitorStrategy::Push});
+    lb.start(env.frontend, msec(20));
+    env.simu.run_for(msec(10));
+    monitor::InboxSlot slot;
+    slot.seq = slot.seq_check = 1;
+    slot.info.computed_at = env.simu.now();
+    inbox.poke(1, slot);
+    env.simu.run_for(msec(20));  // the scanner consumes it
+    int pushed = 0;
+    for (int k = 0; k < 4; ++k) {
+      const DispatchRecord r = pick_and_check(lb);
+      if (r.backend != 1) continue;
+      ++pushed;
+      EXPECT_EQ(r.via, ViewSource::Push);
+      EXPECT_EQ(r.view_age, msec(20));
+    }
+    EXPECT_GT(pushed, 0);
+  }
+}
+
 TEST(Admission, ThresholdSeparatesAdmitReject) {
   AdmissionController adm(0.5);
   EXPECT_TRUE(adm.admit(0.2));

@@ -118,6 +118,62 @@ TEST(Simulation, StopInsideCallback) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(EventQueue, PopUntilRunsOnlyWhatIsDueAndSetsTheClockFirst) {
+  EventQueue q;
+  TimePoint clock{};
+  std::vector<std::pair<int, std::int64_t>> seen;  // (event, clock inside)
+  const TimePoint due = TimePoint{} + usec(7);
+  q.schedule(due, [&] { seen.emplace_back(1, clock.ns); });
+  q.schedule(due + nsec(1), [&] { seen.emplace_back(3, clock.ns); });
+  q.schedule(due, [&] { seen.emplace_back(2, clock.ns); });
+  // Exactly at the deadline: both run, in (time, seq) order.
+  EXPECT_TRUE(q.pop_until(due, clock));
+  EXPECT_TRUE(q.pop_until(due, clock));
+  // One ns past it: stays queued, and the clock stays where it was.
+  EXPECT_FALSE(q.pop_until(due, clock));
+  EXPECT_EQ(clock, due);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_TRUE(q.pop_until(kNever, clock));
+  EXPECT_FALSE(q.pop_until(kNever, clock));  // drained
+  const std::vector<std::pair<int, std::int64_t>> want = {
+      {1, 7'000}, {2, 7'000}, {3, 7'001}};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(q.executed(), 3u);
+}
+
+TEST(Simulation, RunUntilRunsAnEventAtTheDeadlineButNotOneJustPastIt) {
+  Simulation s;
+  const TimePoint deadline = TimePoint{} + msec(10);
+  std::vector<std::int64_t> at;
+  s.at(deadline, [&] { at.push_back(s.now().ns); });
+  s.at(deadline + nsec(1), [&] { at.push_back(s.now().ns); });
+  s.run_until(deadline);
+  EXPECT_EQ(at, std::vector<std::int64_t>{deadline.ns});
+  EXPECT_EQ(s.now(), deadline);
+  EXPECT_EQ(s.events_pending(), 1u);
+  s.run_until(deadline + nsec(1));
+  EXPECT_EQ(at, (std::vector<std::int64_t>{deadline.ns, deadline.ns + 1}));
+  EXPECT_EQ(s.events_pending(), 0u);
+}
+
+TEST(Simulation, StopInsideCallbackEndsRunUntilAtTheStoppingEvent) {
+  Simulation s;
+  std::vector<int> order;
+  s.after(msec(1), [&] {
+    order.push_back(1);
+    s.stop();
+  });
+  s.after(msec(1), [&] { order.push_back(2); });  // same instant, later seq
+  s.after(msec(2), [&] { order.push_back(3); });
+  s.run_until(TimePoint{} + msec(5));
+  EXPECT_EQ(order, std::vector<int>{1});
+  // A stopped run leaves the clock at the stopping event, not the deadline.
+  EXPECT_EQ(s.now().ns, msec(1).ns);
+  s.run_until(TimePoint{} + msec(5));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(s.now().ns, msec(5).ns);
+}
+
 TEST(Simulation, NestedSchedulingFromCallbacks) {
   Simulation s;
   std::vector<std::int64_t> times;
