@@ -228,23 +228,11 @@ StrategyCell run_strategy(monitor::MonitorStrategy strat, int n,
     for (int i = 0; i < n; ++i) {
       pubs.push_back(std::make_unique<monitor::PushPublisher>(
           fabric, *backends[static_cast<std::size_t>(i)]));
-      pubs.back()->target(frontend.id, inbox->mr_key(), i);
+      pubs.back()->target(*inbox, i);
     }
-    lb.on_mode_change([&pubs](std::size_t b, monitor::FetchMode m) {
-      if (m == monitor::FetchMode::Pull) {
-        pubs[b]->pause();
-      } else {
-        pubs[b]->resume();
-      }
-    });
     for (auto& p : pubs) p->start();
   }
   lb.start(frontend, sim::msec(50));
-  // Sync publisher pause state with the initial per-backend mode (the
-  // mode-change callback only fires on SWITCHES; adaptive starts in Pull).
-  for (std::size_t b = 0; b < pubs.size(); ++b) {
-    if (lb.fetch_mode(b) == monitor::FetchMode::Pull) pubs[b]->pause();
-  }
 
   // Steady-state measurement: the first second (publisher ramp-up,
   // adaptive convergence) is excluded from both error and byte totals.

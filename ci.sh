@@ -57,7 +57,7 @@ elif [[ "${1:-}" == "bench" ]]; then
   python3 tools/check_bench.py bench-results fig3_latency scale_frontends \
     scale_poll verbs qos freshness
   # Golden-trace replays (ctest LABELS slow): quick fig3/fig5/scale_poll/
-  # verbs/qos/fault_resilience pinned against tests/golden/*.json.
+  # verbs/qos/fault_resilience/freshness pinned against tests/golden/*.json.
   ctest --test-dir build -L slow --output-on-failure -j "$jobs"
   # The repo benchmark's checks (BENCHMARK.json), short: builds perfbench
   # against this tree and exits 1 on a request/fetch conservation failure,

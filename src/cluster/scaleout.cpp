@@ -102,7 +102,6 @@ void FrontendPlane::wire(sim::Duration granularity) {
         std::move(ctx)));
   }
   lb_.set_verbs_tuning(plane_->config().verbs);
-  lb_.set_telemetry_instance(node_->name());
   lb_.set_poll_filter([this](std::size_t b) {
     return plane_->membership().owner_of(static_cast<int>(b)) == id_;
   });
@@ -112,9 +111,6 @@ void FrontendPlane::wire(sim::Duration granularity) {
     // without re-registration, only publisher retargeting.
     inbox_ = std::make_unique<monitor::PushInbox>(plane_->fabric(), *node_, n);
     lb_.enable_push(*inbox_, plane_->config().push);
-    lb_.on_mode_change([this](std::size_t b, monitor::FetchMode m) {
-      plane_->on_owner_mode(static_cast<int>(b), id_, m);
-    });
   }
   lb_.on_round([this](const std::vector<std::size_t>&) { on_round(); });
 
@@ -368,31 +364,11 @@ void ScaleOutPlane::start(sim::Duration granularity) {
   }
 }
 
-void ScaleOutPlane::on_owner_mode(int b, int frontend_id,
-                                  monitor::FetchMode m) {
-  if (static_cast<std::size_t>(b) >= publishers_.size()) return;
-  if (membership_.owner_of(b) != frontend_id) return;  // not the owner: stale
-  if (m == monitor::FetchMode::Pull) {
-    publishers_[static_cast<std::size_t>(b)]->pause();
-  } else {
-    publishers_[static_cast<std::size_t>(b)]->resume();
-  }
-}
-
 void ScaleOutPlane::retarget_publishers() {
   for (std::size_t b = 0; b < publishers_.size(); ++b) {
     const int owner = membership_.owner_of(static_cast<int>(b));
     if (owner < 0) continue;  // empty ring: publishers keep the old aim
-    FrontendPlane& fp = frontend(owner);
-    if (fp.inbox_ == nullptr) continue;
-    publishers_[b]->target(fp.node().id, fp.inbox_->mr_key(),
-                           static_cast<int>(b));
-    // The new owner's current mode decides whether the publisher runs.
-    if (fp.lb_.fetch_mode(b) == monitor::FetchMode::Pull) {
-      publishers_[b]->pause();
-    } else {
-      publishers_[b]->resume();
-    }
+    publishers_[b]->target(*frontend(owner).inbox_, static_cast<int>(b));
   }
 }
 

@@ -112,7 +112,8 @@ struct ScaleOutConfig {
   /// plane on classic polling — no inboxes, no publishers, behaviour
   /// byte-identical to before push existed. Push/Adaptive gives every
   /// front end an N-slot inbox and every back end one publisher aimed at
-  /// its CURRENT ring owner's inbox (slot index = back-end index).
+  /// its CURRENT ring owner's inbox (slot index = back-end index), quiet
+  /// while that owner's pulled bit for it is set.
   lb::PushPollConfig push;
 };
 
@@ -286,12 +287,9 @@ class ScaleOutPlane {
  private:
   friend class FrontendPlane;
 
-  /// Adaptive mode switch observed by `frontend`'s balancer for back end
-  /// `b`: pause the publisher while the owner pulls, resume when it goes
-  /// back to push. Ignored unless `frontend` currently owns `b`.
-  void on_owner_mode(int b, int frontend, monitor::FetchMode m);
-
-  /// Re-aims every publisher at its back end's current ring owner.
+  /// Re-aims every publisher at its back end's slot in the current ring
+  /// owner's inbox, whose pulled bit the owner's balancer keeps, so the
+  /// publisher follows that owner's mode switches on its own.
   /// Runs inside the membership change hook — omniscient wiring (the
   /// real protocol would gossip the new owner's inbox rkey to the back
   /// ends; the plane already knows it), same simplification as the

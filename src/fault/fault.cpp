@@ -170,7 +170,6 @@ void FaultInjector::apply(const FaultEvent& e) {
       break;
   }
   ++injected_;
-  log_.push_back(e);
   telemetry::Registry* reg = telemetry::Registry::of(fabric_->simu());
   if (reg != nullptr) {
     const bool is_storm =

@@ -109,20 +109,17 @@ class FaultInjector {
   /// Installs the dispatcher for StormStart/StormStop events (the fault
   /// plane knows nothing of workload generators; workload::drive_storms
   /// installs a hook that routes by FaultEvent::storm). Storm events
-  /// applied with no hook installed are logged but otherwise inert.
+  /// applied with no hook installed are counted but otherwise inert.
   void set_storm_hook(std::function<void(const FaultEvent&)> hook) {
     storm_hook_ = std::move(hook);
   }
 
   /// Events applied so far.
   std::uint64_t injected() const { return injected_; }
-  /// Applied events in application order (the run's fault trace).
-  const std::vector<FaultEvent>& log() const { return log_; }
 
  private:
   net::Fabric* fabric_;
   std::uint64_t injected_ = 0;
-  std::vector<FaultEvent> log_;
   std::function<void(const FaultEvent&)> storm_hook_;
 };
 

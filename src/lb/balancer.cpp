@@ -182,16 +182,16 @@ void LoadBalancer::enable_push(monitor::PushInbox& inbox,
          "inbox needs one slot per registered back end");
   push_inbox_ = &inbox;
   strategy_ = cfg.strategy;
+  for (int i = 0; i < inbox.slots(); ++i) {
+    inbox.set_pulled(i, strategy_ != monitor::MonitorStrategy::Push);
+  }
 }
 
 monitor::FetchMode LoadBalancer::fetch_mode(std::size_t i) const {
-  if (push_inbox_ == nullptr || strategy_ == monitor::MonitorStrategy::Pull) {
-    return monitor::FetchMode::Pull;
-  }
-  if (strategy_ == monitor::MonitorStrategy::Push) {
-    return monitor::FetchMode::Push;
-  }
-  return adaptive_ ? adaptive_->mode(i) : monitor::FetchMode::Pull;
+  return push_inbox_ != nullptr &&
+                 !push_inbox_->pulled(static_cast<int>(i))
+             ? monitor::FetchMode::Push
+             : monitor::FetchMode::Pull;
 }
 
 std::size_t LoadBalancer::push_prepass(std::vector<std::size_t>& targets,
@@ -288,10 +288,12 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
     // balancer's own poll cadence.
     adaptive_ = std::make_unique<monitor::AdaptiveController>(granularity,
                                                               backends());
-    for (auto& cb : mode_cbs_) adaptive_->on_switch(cb);
-    // Flight-record every mode switch (fr_ is resolved below, before the
+    // A switch rewrites the back end's pulled bit, which its publisher
+    // reads, and is flight-recorded (fr_ is resolved below, before the
     // simulation runs; the callback reads it at fire time).
     adaptive_->on_switch([this](std::size_t i, monitor::FetchMode m) {
+      push_inbox_->set_pulled(static_cast<int>(i),
+                              m == monitor::FetchMode::Pull);
       telemetry::fr_record(fr_, "mode", static_cast<std::int64_t>(i),
                            m == monitor::FetchMode::Push ? 1 : 0);
     });
@@ -300,22 +302,15 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
   for (BackendView& v : views_) v.evidence_at = simu_->now();
   reg_ = telemetry::Registry::of(frontend.simu());
   if (reg_ != nullptr) {
-    // When several balancers share one registry (scale-out plane), each
-    // labels its instruments with its front-end name; the single-balancer
-    // default keeps the historical unlabelled series byte-identical.
-    auto labelled = [this](telemetry::Labels base) {
-      if (!telemetry_instance_.empty()) {
-        base.add("frontend", telemetry_instance_);
-      }
-      return base;
-    };
+    const std::string& fe = frontend.name();
+    const telemetry::Labels by_fe{{"frontend", fe}};
     m_pick_.resize(channels_.size(), nullptr);
     for (std::size_t i = 0; i < channels_.size(); ++i) {
       m_pick_[i] = &reg_->counter(
-          "lb.pick",
-          labelled({{"backend", channels_[i]->backend().node().name()}}));
+          "lb.pick", {{"backend", channels_[i]->backend().node().name()},
+                      {"frontend", fe}});
     }
-    m_pick_weight_ = &reg_->histogram("lb.pick.weight", labelled({}));
+    m_pick_weight_ = &reg_->histogram("lb.pick.weight", by_fe);
     // Lineage: one histogram pair per source label this balancer can
     // produce — each channel's pull scheme, "push" when it scans an
     // inbox, "gossip" when it polls a shard and learns the rest from
@@ -323,7 +318,8 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
     auto lineage = [&](std::size_t i, ViewSource src) {
       LineageCell& cell = lineage_of(i, src);
       if (cell.consume != nullptr) return;
-      const telemetry::Labels l = labelled({{"scheme", source_label(i, src)}});
+      const telemetry::Labels l{{"scheme", source_label(i, src)},
+                                {"frontend", fe}};
       cell.consume = &reg_->histogram("lb.age_at_consume_ns", l);
       cell.dispatch = &reg_->histogram("lb.age_at_dispatch_ns", l);
     };
@@ -336,24 +332,24 @@ void LoadBalancer::start(os::Node& frontend, sim::Duration granularity) {
     }
     if (poll_filter_) lineage(0, ViewSource::Gossip);
     auto transition = [&](const char* to) -> telemetry::Counter& {
-      return reg_->counter("lb.health.transitions", labelled({{"to", to}}));
+      return reg_->counter("lb.health.transitions",
+                           {{"to", to}, {"frontend", fe}});
     };
     m_to_healthy_ = &transition("healthy");
     m_to_suspect_ = &transition("suspect");
     m_to_dead_ = &transition("dead");
     if (push_inbox_ != nullptr) {
-      m_push_fresh_ = &reg_->counter("lb.push.fresh", labelled({}));
-      m_push_verify_ = &reg_->counter("lb.push.verifications", labelled({}));
-      m_push_staleness_ =
-          &reg_->histogram("lb.push.staleness_ns", labelled({}));
+      m_push_fresh_ = &reg_->counter("lb.push.fresh", by_fe);
+      m_push_verify_ = &reg_->counter("lb.push.verifications", by_fe);
+      m_push_staleness_ = &reg_->histogram("lb.push.staleness_ns", by_fe);
     }
-    collector_.bind(frontend.simu(), [this, labelled](telemetry::Registry& reg) {
-      reg.gauge("lb.alive_backends", labelled({}))
+    collector_.bind(frontend.simu(), [this, by_fe](telemetry::Registry& reg) {
+      reg.gauge("lb.alive_backends", by_fe)
           .set(static_cast<double>(alive_backends()));
-      reg.gauge("lb.fetch_failures", labelled({}))
+      reg.gauge("lb.fetch_failures", by_fe)
           .set(static_cast<double>(fetch_failures_));
       if (adaptive_) {
-        reg.gauge("lb.adaptive.switches", labelled({}))
+        reg.gauge("lb.adaptive.switches", by_fe)
             .set(static_cast<double>(adaptive_->total_switches()));
       }
     });

@@ -180,22 +180,14 @@ class LoadBalancer {
   /// refreshed by scanning their slot; a slot silent beyond
   /// kPushSilenceBound falls back to a verification READ through the
   /// back end's normal channel, and only that fetch's outcome drives the
-  /// health ladder. Strategy Adaptive instantiates the per-backend
-  /// controller at start(). Call after add_backend, before start();
-  /// `inbox` must outlive the balancer.
+  /// health ladder. The inbox's pulled bits hold each back end's mode:
+  /// set here for Pull and Adaptive (which starts in Pull), clear for
+  /// Push, and rewritten at every adaptive switch, so the publishers
+  /// aimed at this inbox follow them with no further wiring. Strategy
+  /// Adaptive instantiates the per-backend controller at start(). Call
+  /// after add_backend, before start(); `inbox` must outlive the
+  /// balancer.
   void enable_push(monitor::PushInbox& inbox, PushPollConfig cfg);
-
-  /// Refresh mode of back end `i` this round (Pull when push is disabled
-  /// or the adaptive controller says so).
-  monitor::FetchMode fetch_mode(std::size_t i) const;
-
-  /// Observer of adaptive mode switches (strategy Adaptive only; runs
-  /// inside the poller). The wiring layer uses this to pause a back
-  /// end's publisher while it is pull-mode and resume it on the way
-  /// back. Call before start().
-  void on_mode_change(std::function<void(std::size_t, monitor::FetchMode)> cb) {
-    mode_cbs_.push_back(std::move(cb));
-  }
 
   /// The adaptive controller (null unless strategy == Adaptive and
   /// start() has run).
@@ -244,14 +236,9 @@ class LoadBalancer {
   /// dead-probe cadence cannot throttle its first polls.
   void reset_health(std::size_t i);
 
-  /// Labels this balancer's telemetry instruments with {frontend=<name>}
-  /// so M balancers sharing one registry stay distinguishable. Empty
-  /// (default) keeps the historical unlabelled names. Call before start().
-  void set_telemetry_instance(std::string name) {
-    telemetry_instance_ = std::move(name);
-  }
-
   /// Spawns the front-end poller thread. Call once after add_backend.
+  /// Telemetry instruments carry {frontend=<the node's name>}, so
+  /// balancers sharing one registry stay apart.
   void start(os::Node& frontend, sim::Duration granularity);
 
   /// Kills the poller and the inbox scanner in place: a hung monitoring
@@ -328,6 +315,9 @@ class LoadBalancer {
   /// The lineage cell of a sample of back end `i` from `src`.
   LineageCell& lineage_of(std::size_t i, ViewSource src);
   const char* source_label(std::size_t i, ViewSource src) const;
+  /// Refresh mode of back end `i`: its inbox slot's pulled bit (Pull
+  /// when push is disabled).
+  monitor::FetchMode fetch_mode(std::size_t i) const;
 
   os::Program poller_body(os::SimThread& self, sim::Duration granularity);
   /// Push-strategy pre-pass of one round: scans the inbox slots of
@@ -364,7 +354,6 @@ class LoadBalancer {
   std::function<bool(std::size_t)> poll_filter_;  ///< shard ownership
   std::vector<std::function<void(const std::vector<std::size_t>&)>>
       round_cbs_;
-  std::string telemetry_instance_;  ///< "" = unlabelled instruments
   os::SimThread* poller_thread_ = nullptr;
   os::SimThread* scanner_thread_ = nullptr;
   std::vector<std::unique_ptr<monitor::MonitorChannel>> channels_;
@@ -386,7 +375,6 @@ class LoadBalancer {
   monitor::PushInbox* push_inbox_ = nullptr;  ///< not owned
   monitor::MonitorStrategy strategy_ = monitor::MonitorStrategy::Pull;
   std::unique_ptr<monitor::AdaptiveController> adaptive_;
-  std::vector<std::function<void(std::size_t, monitor::FetchMode)>> mode_cbs_;
   std::uint64_t push_verifications_ = 0;
   // Information-age lineage (tentpole of the freshness plane): per-
   // source age histograms, the dispatch ring, and the SLO streams fed

@@ -1,6 +1,7 @@
 #include "lb/dispatcher.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace rdmamon::lb {
 
@@ -10,13 +11,10 @@ constexpr sim::Duration kDispatchCpu = sim::usec(15);
 }  // namespace
 
 Dispatcher::Dispatcher(net::Fabric& fabric, os::Node& frontend,
-                       LoadBalancer& lb, DispatcherConfig cfg)
-    : fabric_(&fabric), frontend_(&frontend), lb_(&lb), cfg_(cfg) {
+                       LoadBalancer& lb)
+    : fabric_(&fabric), frontend_(&frontend), lb_(&lb) {
   collector_.bind(frontend.simu(), [this](telemetry::Registry& reg) {
-    telemetry::Labels l;
-    if (!cfg_.telemetry_instance.empty()) {
-      l.add("frontend", cfg_.telemetry_instance);
-    }
+    const telemetry::Labels l{{"frontend", frontend_->name()}};
     reg.gauge("lb.dispatch.forwarded", l).set(static_cast<double>(forwarded_));
     reg.gauge("lb.dispatch.rejected", l).set(static_cast<double>(rejected_));
     reg.gauge("lb.dispatch.failed_over", l)

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "lb/admission.hpp"
@@ -17,18 +16,11 @@
 
 namespace rdmamon::lb {
 
-struct DispatcherConfig {
-  /// When non-empty, the exported lb.dispatch.* gauges carry a
-  /// {frontend=<name>} label, keeping M dispatchers on one registry
-  /// apart (scale-out plane). Empty keeps the historical unlabelled
-  /// series.
-  std::string telemetry_instance;
-};
-
 class Dispatcher {
  public:
-  Dispatcher(net::Fabric& fabric, os::Node& frontend, LoadBalancer& lb,
-             DispatcherConfig cfg = {});
+  /// The exported lb.dispatch.* gauges carry {frontend=<the node's
+  /// name>}, so dispatchers sharing one registry stay apart.
+  Dispatcher(net::Fabric& fabric, os::Node& frontend, LoadBalancer& lb);
 
   /// Connects the dispatcher to a back-end web server (also makes the
   /// server listen on the new connection).
@@ -82,7 +74,6 @@ class Dispatcher {
   net::Fabric* fabric_;
   os::Node* frontend_;
   LoadBalancer* lb_;
-  DispatcherConfig cfg_;
   AdmissionController* admission_ = nullptr;
 
   std::vector<net::Socket*> backend_socks_;

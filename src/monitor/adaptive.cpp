@@ -85,7 +85,7 @@ void AdaptiveController::decide(std::size_t i, sim::TimePoint now,
       s.last_switch = now;
       ++s.switches;
       s.candidate_epochs = 0;
-      for (const auto& cb : switch_cbs_) cb(i, desired);
+      if (on_switch_) on_switch_(i, desired);
     }
   } else {
     s.candidate = s.mode;

@@ -66,10 +66,11 @@ class AdaptiveController {
 
   FetchMode mode(std::size_t i) const { return st_[i].mode; }
 
-  /// Observer of committed mode switches (runs inside tick()). The
-  /// balancer forwards these so publishers can be paused/resumed.
+  /// Sets the one observer of committed mode switches (runs inside
+  /// tick()). The balancer's observer writes each switch into the back
+  /// end's inbox pulled bit, which its publisher reads.
   void on_switch(std::function<void(std::size_t, FetchMode)> cb) {
-    switch_cbs_.push_back(std::move(cb));
+    on_switch_ = std::move(cb);
   }
 
   // --- event feed (called by the balancer's poller) -------------------------
@@ -111,7 +112,7 @@ class AdaptiveController {
 
   sim::Duration pull_period_;
   std::vector<State> st_;
-  std::vector<std::function<void(std::size_t, FetchMode)>> switch_cbs_;
+  std::function<void(std::size_t, FetchMode)> on_switch_;
   bool epoch_armed_ = false;
   sim::TimePoint epoch_start_{};
 };

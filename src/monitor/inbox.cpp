@@ -25,7 +25,8 @@ PushInbox::PushInbox(net::Fabric& fabric, os::Node& frontend, int slots)
       slots_(static_cast<std::size_t>(slots)),
       consumed_(static_cast<std::size_t>(slots), 0),
       last_fresh_(static_cast<std::size_t>(slots),
-                  fabric.simu().now()) {
+                  fabric.simu().now()),
+      pulled_(static_cast<std::size_t>(slots), false) {
   // One region for all N slots; a WRITE overwrites the addressed slot
   // blindly (raw-memory WRITE semantics — no validation at the target).
   key_ = fabric.nic(frontend.id).register_mr(
@@ -38,17 +39,6 @@ PushInbox::PushInbox(net::Fabric& fabric, os::Node& frontend, int slots)
           telemetry::Registry::of(fabric.simu())) {
     fr_ = reg->recorder().ring("inbox." + frontend.name());
   }
-}
-
-const char* PushInbox::to_string(ScanResult r) {
-  switch (r) {
-    case ScanResult::Empty: return "empty";
-    case ScanResult::Unchanged: return "unchanged";
-    case ScanResult::Fresh: return "fresh";
-    case ScanResult::Torn: return "torn";
-    case ScanResult::Regressed: return "regressed";
-  }
-  return "?";
 }
 
 PushInbox::ScanResult PushInbox::scan(int i, MonitorSample& out,
@@ -99,20 +89,18 @@ PushInbox::ScanResult PushInbox::scan(int i, MonitorSample& out,
 PushPublisher::PushPublisher(net::Fabric& fabric, os::Node& backend)
     : fabric_(&fabric), backend_(&backend) {}
 
-void PushPublisher::target(int frontend_node, net::MrKey inbox_key,
-                           int slot) {
-  if (frontend_node == target_node_ && inbox_key.key == inbox_key_.key &&
-      slot == slot_) {
+void PushPublisher::target(PushInbox& inbox, int slot) {
+  if (&inbox == inbox_ && slot == slot_) {
     return;  // same target: keep the baseline, no gratuitous re-push
   }
-  target_node_ = frontend_node;
-  inbox_key_ = inbox_key;
+  inbox_ = &inbox;
   slot_ = slot;
   // A new owner starts from an empty slot: drop the baseline so the next
   // decision pushes unconditionally instead of waiting for a change or
   // the heartbeat. A WRITE still in flight to the old owner completes
   // into the same CQ and is reaped normally.
   has_baseline_ = false;
+  const int frontend_node = inbox.node().id;
   if (!qp_ || qp_->remote_node() != frontend_node) {
     qp_.emplace(fabric_->nic(backend_->id), frontend_node, cq_);
   }
@@ -129,12 +117,6 @@ void PushPublisher::start() {
   thread_ = backend_->spawn(
       "push-pub", [this](os::SimThread& t) { return body(t); },
       {.kernel_thread = true});
-}
-
-void PushPublisher::stop() {
-  if (thread_ == nullptr) return;
-  backend_->sched().kill(thread_);
-  thread_ = nullptr;
 }
 
 os::Program PushPublisher::body(os::SimThread& self) {
@@ -154,7 +136,14 @@ os::Program PushPublisher::body(os::SimThread& self) {
         has_baseline_ = false;
       }
     }
-    if (target_node_ < 0 || in_flight_ || paused_) continue;
+    if (inbox_ == nullptr) continue;
+    // Quiet while the owner pulls this back end. When it goes back to
+    // push, this check pushes unconditionally, so data flows at once
+    // instead of after the next change or heartbeat.
+    const bool pulled = inbox_->pulled(slot_);
+    if (saw_pulled_ && !pulled) has_baseline_ = false;
+    saw_pulled_ = pulled;
+    if (pulled || in_flight_) continue;
     // Collecting the snapshot walks the same task lists the /proc read
     // does; running in-kernel skips the trap but not the walk, so the
     // full read cost is charged (as kernel time).
@@ -178,7 +167,7 @@ os::Program PushPublisher::body(os::SimThread& self) {
     image_.seq_check = seq_;
     co_await os::Compute{net::kDoorbellCost};
     qp_->post({.verb = net::Verb::Write,
-               .rkey = inbox_key_,
+               .rkey = inbox_->mr_key(),
                .len = PushInbox::kSlotBytes,
                .wr_id = cq_.alloc_wr_id(),
                .offset = static_cast<std::size_t>(slot_) * sizeof(InboxSlot),

@@ -16,6 +16,11 @@
 // head, `seq_check` at the tail of the slot image. A reader accepts a slot
 // only when both match (untorn) AND the sequence advanced past the last
 // consumed one (no time travel from reordered or replayed writes).
+//
+// Refresh mode: the inbox also keeps one "pulled" bit per slot, beside
+// the registered slot images so no WRITE can reach it. The balancer that
+// owns the inbox writes it (set while it pulls that back end) and the
+// slot's publisher reads it at every check, staying quiet while it is set.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +88,6 @@ class PushInbox {
     Torn,       ///< seq != seq_check: write raced the scan; discarded
     Regressed,  ///< sequence went backwards (reordered/replayed write)
   };
-  static const char* to_string(ScanResult r);
 
   /// Scans slot `i`. On Fresh, `out` is a successful MonitorSample whose
   /// retrieved_at is now (the scan instant) — staleness then measures the
@@ -100,6 +104,17 @@ class PushInbox {
   /// the publisher's heartbeat bound — is the balancer's cue to fall back
   /// to a verification READ before advancing the health ladder.
   sim::TimePoint last_fresh(int i) const { return last_fresh_[static_cast<std::size_t>(i)]; }
+
+  /// Whether slot `i`'s back end is refreshed by pulling, so its
+  /// publisher must not push (clear at construction). Only the owning
+  /// balancer writes it: LoadBalancer::enable_push and its adaptive
+  /// mode switches. The publisher reads it in place, the same omniscient
+  /// wiring as PushPublisher::target (a real back end would be told by a
+  /// control message, which is not modelled).
+  bool pulled(int i) const { return pulled_[static_cast<std::size_t>(i)]; }
+  void set_pulled(int i, bool pulled) {
+    pulled_[static_cast<std::size_t>(i)] = pulled;
+  }
 
   // --- introspection --------------------------------------------------------
   std::uint64_t writes_applied() const { return writes_applied_; }
@@ -118,6 +133,7 @@ class PushInbox {
   std::vector<InboxSlot> slots_;
   std::vector<std::uint64_t> consumed_;   ///< last consumed seq per slot
   std::vector<sim::TimePoint> last_fresh_;
+  std::vector<bool> pulled_;  ///< not registered: no WRITE reaches it
   std::uint64_t writes_applied_ = 0;
   std::uint64_t fresh_ = 0;
   std::uint64_t torn_ = 0;
@@ -158,32 +174,18 @@ class PushPublisher {
 
   PushPublisher(net::Fabric& fabric, os::Node& backend);
 
-  /// Points this publisher at `slot` of the inbox keyed `inbox_key` on
-  /// `frontend_node`. May be called again later (shard migration): the
-  /// next decision pushes to the new owner unconditionally.
-  void target(int frontend_node, net::MrKey inbox_key, int slot);
+  /// Points this publisher at `slot` of `inbox`, which must outlive the
+  /// daemon. May be called again later (shard migration): the next
+  /// decision pushes to the new owner unconditionally.
+  ///
+  /// At each check the daemon reads the slot's pulled bit and pushes
+  /// nothing while it is set (it keeps reaping completions). Seeing the
+  /// bit clear after having seen it set drops the change baseline, so
+  /// data flows again at that very check.
+  void target(PushInbox& inbox, int slot);
 
   /// Spawns the publisher daemon (idempotent).
   void start();
-  /// Kills the daemon (tear-down).
-  void stop();
-
-  /// Quiesces pushing without killing the daemon — the adaptive
-  /// controller's "this back end is in pull mode now" signal (delivered
-  /// by the same omniscient wiring as target(); a real cluster would
-  /// carry it in a control message). The daemon keeps reaping
-  /// completions; resume() drops the baseline so data flows again on the
-  /// very next check.
-  void pause() { paused_ = true; }
-  void resume() {
-    if (!paused_) return;
-    paused_ = false;
-    has_baseline_ = false;
-  }
-  bool paused() const { return paused_; }
-
-  os::Node& node() { return *backend_; }
-  int slot() const { return slot_; }
 
   // --- introspection --------------------------------------------------------
   std::uint64_t pushes() const { return pushes_; }
@@ -198,12 +200,11 @@ class PushPublisher {
   os::Node* backend_;
   net::CompletionQueue cq_;
   std::optional<net::QueuePair> qp_;
-  int target_node_ = -1;
-  net::MrKey inbox_key_{};
+  PushInbox* inbox_ = nullptr;  ///< not owned
   int slot_ = -1;
   os::SimThread* thread_ = nullptr;
   std::uint64_t seq_ = 0;
-  bool paused_ = false;
+  bool saw_pulled_ = false;  ///< the pulled bit at the last check
   bool in_flight_ = false;
   bool has_baseline_ = false;
   bool has_pushed_ = false;

@@ -73,10 +73,6 @@ class Scheduler {
   void request_irq(CpuId cpu, sim::Duration cost, IrqBody body);
 
   // --- introspection -------------------------------------------------------
-  bool cpu_idle(CpuId cpu) const;
-  bool cpu_in_irq(CpuId cpu) const;
-  SimThread* running_on(CpuId cpu) const;
-  int ready_count() const;
   int num_cpus() const { return static_cast<int>(cpus_.size()); }
   const NodeConfig& config() const { return cfg_; }
   Node& node() { return node_; }

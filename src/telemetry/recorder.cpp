@@ -141,13 +141,4 @@ std::string FlightRecorder::postmortem(std::string_view reason) {
   return os ? path : "";
 }
 
-void FlightRecorder::clear() {
-  for (auto& [name, ring] : rings_) {
-    ring->head_ = 0;
-    ring->size_ = 0;
-    ring->recorded_ = 0;
-    ring->dropped_ = 0;
-  }
-}
-
 }  // namespace rdmamon::telemetry

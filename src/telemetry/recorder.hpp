@@ -141,9 +141,6 @@ class FlightRecorder {
   /// configured or the write failed.
   std::string postmortem(std::string_view reason);
 
-  /// Drops all events (not the rings) — test isolation.
-  void clear();
-
  private:
   friend class FlightRing;
   sim::TimePoint now() const;

@@ -72,8 +72,6 @@ SloEngine::Stream* SloEngine::find(std::string_view name) {
 
 const SloSpec& SloEngine::spec(const Stream* s) const { return s->spec; }
 
-void SloEngine::observe(Stream* s, double value) { observe(s, value, now()); }
-
 void SloEngine::observe(Stream* s, double value, sim::TimePoint at) {
   if (s == nullptr) return;
   const bool violating = value > s->spec.target;
@@ -135,7 +133,7 @@ void SloEngine::transition(Stream& s, sim::TimePoint at) {
   }
   fr_record_at(fr_, at, "alarm", s.index, static_cast<std::int64_t>(next),
                s.consumed);
-  for (auto& [id, fn] : edge_cbs_) fn(rec);
+  for (auto& fn : edge_cbs_) fn(rec);
   if (next == AlarmState::Breach && reg_ != nullptr) {
     // The post-mortem is the alarm's payload: dump history at the edge,
     // while the ring still holds the lead-up.
@@ -181,18 +179,6 @@ util::JsonValue SloEngine::log_json() const {
     arr.push_back(std::move(e));
   }
   return arr;
-}
-
-std::uint64_t SloEngine::on_edge(std::function<void(const AlarmRecord&)> fn) {
-  const std::uint64_t id = next_cb_id_++;
-  edge_cbs_.emplace_back(id, std::move(fn));
-  return id;
-}
-
-void SloEngine::remove_on_edge(std::uint64_t id) {
-  edge_cbs_.erase(std::remove_if(edge_cbs_.begin(), edge_cbs_.end(),
-                                 [id](const auto& p) { return p.first == id; }),
-                  edge_cbs_.end());
 }
 
 AlarmView SloEngine::view() const {

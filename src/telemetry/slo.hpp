@@ -120,8 +120,7 @@ class SloEngine {
   Stream* find(std::string_view name);
   const SloSpec& spec(const Stream* s) const;
 
-  /// Feeds one observation (explicit-time overload for tests).
-  void observe(Stream* s, double value);
+  /// Feeds one observation made at `at`.
   void observe(Stream* s, double value, sim::TimePoint at);
 
   /// Registers a gauge-style probe polled at every evaluate(); returns an
@@ -148,8 +147,9 @@ class SloEngine {
   util::JsonValue log_json() const;
 
   /// Edge callbacks (fired once per transition, after the log append).
-  std::uint64_t on_edge(std::function<void(const AlarmRecord&)> fn);
-  void remove_on_edge(std::uint64_t id);
+  void on_edge(std::function<void(const AlarmRecord&)> fn) {
+    edge_cbs_.push_back(std::move(fn));
+  }
 
   /// Builds the flat summary a registered region serves.
   AlarmView view() const;
@@ -171,9 +171,7 @@ class SloEngine {
   std::vector<Probe> probes_;
   std::uint64_t next_probe_id_ = 1;
   std::vector<AlarmRecord> log_;
-  std::vector<std::pair<std::uint64_t, std::function<void(const AlarmRecord&)>>>
-      edge_cbs_;
-  std::uint64_t next_cb_id_ = 1;
+  std::vector<std::function<void(const AlarmRecord&)>> edge_cbs_;
   bool timer_armed_ = false;
 };
 

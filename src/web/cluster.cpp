@@ -52,10 +52,8 @@ ClusterTestbed::ClusterTestbed(sim::Simulation& simu, ClusterConfig cfg)
       fabric_->attach(fe);
       cluster::FrontendPlane& fp = plane_->add_frontend(
           fe, lb::WeightConfig::for_scheme(cfg_.scheme));
-      lb::DispatcherConfig dcfg;
-      dcfg.telemetry_instance = fe.name();
       dispatchers_.push_back(
-          std::make_unique<lb::Dispatcher>(*fabric_, fe, fp.balancer(), dcfg));
+          std::make_unique<lb::Dispatcher>(*fabric_, fe, fp.balancer()));
       dispatchers_.back()->enable_failover();
     }
     for (int i = 0; i < cfg_.backends; ++i) {
@@ -114,20 +112,6 @@ RequestGenerator make_rubis_generator() {
     const auto inst = wl->sample_instance(rng);
     Request r;
     r.query_class = static_cast<int>(inst.query);
-    r.demand.cpu_php = inst.php_cpu;
-    r.demand.cpu_db = inst.db_cpu;
-    r.demand.io_wait = inst.db_io;
-    r.demand.reply_bytes = inst.reply_bytes;
-    return r;
-  };
-}
-
-RequestGenerator make_rubis_generator(workload::RubisQuery q) {
-  auto wl = std::make_shared<workload::RubisWorkload>();
-  return [wl, q](sim::Rng& rng) {
-    const auto inst = wl->instance_of(q, rng);
-    Request r;
-    r.query_class = static_cast<int>(q);
     r.demand.cpu_php = inst.php_cpu;
     r.demand.cpu_db = inst.db_cpu;
     r.demand.io_wait = inst.db_io;

@@ -116,9 +116,6 @@ class ClusterTestbed {
 /// Generator for the RUBiS browsing mix (all eight query classes).
 RequestGenerator make_rubis_generator();
 
-/// Generator for a single RUBiS query class (per-class latency probes).
-RequestGenerator make_rubis_generator(workload::RubisQuery q);
-
 /// Generator for Zipf static content (shares the trace across clients).
 RequestGenerator make_zipf_generator(
     std::shared_ptr<const workload::ZipfTrace> trace);

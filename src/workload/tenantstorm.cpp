@@ -11,26 +11,6 @@ namespace {
 constexpr std::size_t kMrPool = 64;
 }  // namespace
 
-const char* to_string(StormKind k) {
-  switch (k) {
-    case StormKind::ReadStorm: return "read-storm";
-    case StormKind::BandwidthHog: return "bandwidth-hog";
-    case StormKind::CqFlood: return "cq-flood";
-    case StormKind::MrThrash: return "mr-thrash";
-  }
-  return "?";
-}
-
-TenantStormConfig TenantStormConfig::read_storm() {
-  TenantStormConfig c;
-  c.kind = StormKind::ReadStorm;
-  c.contexts = 8;
-  c.op_bytes = 32 * 1024;
-  c.max_outstanding = 256;
-  c.post_period = sim::usec(5);
-  return c;
-}
-
 TenantStormConfig TenantStormConfig::bandwidth_hog() {
   TenantStormConfig c;
   c.kind = StormKind::BandwidthHog;
@@ -39,17 +19,6 @@ TenantStormConfig TenantStormConfig::bandwidth_hog() {
   c.max_outstanding = 512;
   c.post_period = sim::usec(2);
   c.burst = 64;
-  return c;
-}
-
-TenantStormConfig TenantStormConfig::cq_flood() {
-  TenantStormConfig c;
-  c.kind = StormKind::CqFlood;
-  c.contexts = 8;
-  c.op_bytes = 16;
-  c.max_outstanding = 1024;
-  c.post_period = sim::nsec(500);
-  c.burst = 32;
   return c;
 }
 

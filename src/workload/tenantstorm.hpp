@@ -2,14 +2,12 @@
 // storm is a family of poster threads on a home node hammering one-sided
 // ops at a set of target MRs, with every WR stamped with the storm's
 // TenantId so fabric QoS can arbitrate it and cache evictions can be
-// attributed to it. Four presets cover the classic attack surfaces:
+// attributed to it. Three kinds cover the classic attack surfaces:
 //
-//  - ReadStorm:     many mid-size READs; queues work on the victims'
-//                   DMA engines and the shared links.
+//  - ReadStorm:     many mid-size READs (the default config); queues
+//                   work on the victims' DMA engines and the shared links.
 //  - BandwidthHog:  few huge READs; saturates bandwidth and builds
 //                   standing DMA queues that bury a monitor's tiny READs.
-//  - CqFlood:       max-rate tiny signaled READs; pure op-rate/CQE
-//                   pressure (per-op DMA base cost dominates).
 //  - MrThrash:      register/deregister churn over a pool of regions
 //                   while READing them round-robin — displaces victims'
 //                   QP/MR entries from the bounded NIC context cache.
@@ -39,8 +37,7 @@
 
 namespace rdmamon::workload {
 
-enum class StormKind { ReadStorm, BandwidthHog, CqFlood, MrThrash };
-const char* to_string(StormKind k);
+enum class StormKind { ReadStorm, BandwidthHog, MrThrash };
 
 /// One target of a storm: a registered MR on some node's NIC.
 struct StormTarget {
@@ -66,9 +63,7 @@ struct TenantStormConfig {
   int burst = 16;
 
   // Characteristic presets (tenant/targets still the caller's choice).
-  static TenantStormConfig read_storm();
   static TenantStormConfig bandwidth_hog();
-  static TenantStormConfig cq_flood();
   static TenantStormConfig mr_thrash();
 };
 

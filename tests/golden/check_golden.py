@@ -3,10 +3,12 @@
 the checked-in golden under tests/golden/.
 
 The quick-mode figure benches are fully deterministic at their default
-seed (the sim clock is virtual; no wall time leaks into the JSON), so
-the pinned values catch any behavioural drift in the monitoring
-schemes: scheme latencies (fig3), load-accuracy deviation (fig5), and
-the bounded fetch's timeout/retry/backoff timing (fault_resilience).
+seed (the sim clock is virtual; the few wall-clock fields are listed in
+VOLATILE), so the pinned values catch any behavioural drift in the
+monitoring schemes: scheme latencies (fig3), load-accuracy deviation
+(fig5), the bounded fetch's timeout/retry/backoff timing
+(fault_resilience) and the view age at dispatch of each refresh
+strategy (freshness).
 Floats are compared with a tiny relative tolerance so a compiler that
 reorders an fp sum does not page someone, while real regressions --
 which move these numbers by percents -- always fail.
@@ -24,8 +26,11 @@ import math
 import sys
 
 # Keys that may legitimately differ run-to-run (wall-clock measurements
-# and the report-level provenance stamps added at write() time).
-VOLATILE = {"wall_ms", "generated_unix_ms"}
+# and the report-level provenance stamps added at write() time; the
+# freshness bench's recorder-overhead timings).
+VOLATILE = {"wall_ms", "generated_unix_ms", "wall_ms_no_registry",
+            "wall_ms_recorder_off", "wall_ms_recorder_on",
+            "recorder_delta_pct", "telemetry_plane_delta_pct"}
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12

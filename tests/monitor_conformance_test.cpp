@@ -28,7 +28,6 @@
 namespace rdmamon {
 namespace {
 
-using monitor::FetchMode;
 using monitor::MonitorStrategy;
 using monitor::Scheme;
 using sim::msec;
@@ -90,21 +89,11 @@ struct ConformanceEnv {
       for (int i = 0; i < n; ++i) {
         pubs.push_back(std::make_unique<monitor::PushPublisher>(
             fabric, *backends[static_cast<std::size_t>(i)]));
-        pubs.back()->target(frontend.id, inbox->mr_key(), i);
+        pubs.back()->target(*inbox, i);
       }
-      lb.on_mode_change([this](std::size_t b, FetchMode m) {
-        if (m == FetchMode::Pull) {
-          pubs[b]->pause();
-        } else {
-          pubs[b]->resume();
-        }
-      });
       for (auto& p : pubs) p->start();
     }
     lb.start(frontend, msec(50));
-    for (std::size_t b = 0; b < pubs.size(); ++b) {
-      if (lb.fetch_mode(b) == FetchMode::Pull) pubs[b]->pause();
-    }
   }
 
   double truth_index(int i) const {

@@ -363,7 +363,7 @@ TEST(Allocation, WarmPushPublisherAllocatesNothingPerPush) {
   Env env;
   PushInbox inbox(env.fabric, env.frontend, 4);
   PushPublisher pub(env.fabric, env.backend);
-  pub.target(env.frontend.id, inbox.mr_key(), 2);
+  pub.target(inbox, 2);
   pub.start();
   // A load that swings every 20 ms, so most pushes are change-triggered.
   env.backend.spawn("toggler", [](SimThread& self) -> Program {
@@ -384,6 +384,39 @@ TEST(Allocation, WarmPushPublisherAllocatesNothingPerPush) {
   EXPECT_EQ(inbox.writes_applied(), pub.pushes());
   MonitorSample s;
   EXPECT_EQ(inbox.scan(2, s), PushInbox::ScanResult::Fresh);
+}
+
+TEST(PushPublisher, PulledBitSilencesItAndClearingItPushesAtTheNextCheck) {
+  // The slot's pulled bit is the publisher's only mode signal. While it
+  // is set nothing is written. Clearing it drops the change baseline,
+  // so the next check pushes although the idle back end's load is flat
+  // and no heartbeat is due.
+  Env env;
+  PushInbox inbox(env.fabric, env.frontend, 4);
+  inbox.set_pulled(2, true);
+  PushPublisher pub(env.fabric, env.backend);
+  pub.target(inbox, 2);
+  pub.start();
+  env.simu.run_for(msec(200));
+  EXPECT_EQ(pub.pushes(), 0u);
+  EXPECT_EQ(inbox.writes_applied(), 0u);
+
+  inbox.set_pulled(2, false);
+  env.simu.run_for(PushPublisher::kCheckPeriod + msec(2));
+  ASSERT_EQ(pub.pushes(), 1u);
+  env.simu.run_for(msec(30));
+  ASSERT_EQ(pub.pushes(), 1u) << "the idle back end's load moved";
+
+  // Pulled again for 20 ms, then back: about 60 ms after the last push,
+  // short of the 100 ms heartbeat, the next check pushes a change image.
+  inbox.set_pulled(2, true);
+  env.simu.run_for(msec(20));
+  EXPECT_EQ(pub.pushes(), 1u);
+  inbox.set_pulled(2, false);
+  env.simu.run_for(PushPublisher::kCheckPeriod + msec(2));
+  EXPECT_EQ(pub.pushes(), 2u);
+  EXPECT_EQ(pub.heartbeats(), 0u);
+  EXPECT_EQ(inbox.writes_applied(), 2u);
 }
 
 }  // namespace

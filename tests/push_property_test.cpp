@@ -116,10 +116,8 @@ TEST(SeqlockProperty, RandomInterleavingsNeverTearOrTimeTravel) {
           } else {
             want = PushInbox::ScanResult::Fresh;
           }
-          ASSERT_EQ(got, want)
-              << "step " << step << " seed " << trace_seed << ": expected "
-              << PushInbox::to_string(want) << " got "
-              << PushInbox::to_string(got);
+          // gtest prints both results (as the enum's values) on failure.
+          ASSERT_EQ(got, want) << "step " << step << " seed " << trace_seed;
           if (got == PushInbox::ScanResult::Fresh) {
             ASSERT_TRUE(out.ok);
             const auto value = static_cast<std::uint64_t>(out.info.nr_running);
@@ -337,7 +335,7 @@ TEST(AdaptiveProperty, CostModelPricesOpsAsTheNicCharges) {
   // The publisher's first push lands one check period after start.
   PushInbox inbox(fabric, fe, 1);
   monitor::PushPublisher pub(fabric, be);
-  pub.target(fe.id, inbox.mr_key(), 0);
+  pub.target(inbox, 0);
   pub.start();
   simu.run_for(monitor::PushPublisher::kCheckPeriod + msec(2));
   ASSERT_EQ(pub.pushes(), 1u);

@@ -441,6 +441,77 @@ TEST(ScaleOut, ShardGrownBetweenPostAndDmaIsCutAtTheChargedLength) {
 
 // --- the fault-free contract under every refresh strategy --------------------
 
+TEST(ScaleOut, PublisherStaysQuietWhileItsOwnerPullsIt) {
+  // A publisher reads its current owner's pulled bit at every check, so
+  // between two samples at which its owner was the same and held the bit
+  // set it made no push: through adaptive switches, a front end's crash
+  // at 1 s, its eviction and the takeovers. Back ends 0-7 flip their
+  // load every 4 ms, which their owners' controllers keep switching
+  // between pull and push at the dwell bound; the idle rest go to push.
+  constexpr int kBackends = 16;
+  sim::Simulation simu;
+  web::ClusterConfig cfg = scale_cfg(4, kBackends);
+  cfg.scaleout.push.strategy = monitor::MonitorStrategy::Adaptive;
+  web::ClusterTestbed bed(simu, cfg);
+  cluster::ScaleOutPlane& plane = *bed.plane();
+  for (int b = 0; b < kBackends / 2; ++b) {
+    bed.backend(b).spawn("toggler", [](os::SimThread&) -> os::Program {
+      for (;;) {
+        co_await os::Compute{msec(4)};
+        co_await os::SleepFor{msec(4)};
+      }
+    });
+  }
+  simu.at(sim::TimePoint{seconds(1).ns},
+          [&] { bed.fabric().inject_crash(plane.frontend(0).node().id); });
+
+  struct Sample {
+    int owner = -1;
+    bool pulled = false;
+    std::uint64_t pushes = 0;
+  };
+  auto sample = [&](int b) {
+    const int owner = plane.owner_of(b);
+    return Sample{owner,
+                  owner >= 0 && plane.frontend(owner).inbox()->pulled(b),
+                  plane.publisher(b).pushes()};
+  };
+  std::vector<Sample> prev(kBackends);
+  for (int b = 0; b < kBackends; ++b) {
+    prev[static_cast<std::size_t>(b)] = sample(b);
+  }
+  // Samples sit half a scheduler tick after the 1 ms ticks the checks
+  // and switches run on, so a check that read the bit before a sample
+  // also posted its WRITE before it.
+  simu.run_for(sim::usec(500));
+  int quiet = 0, quiet_after_crash = 0, pushing = 0;
+  for (int k = 1; k <= 250; ++k) {
+    simu.run_for(msec(10));
+    for (int b = 0; b < kBackends; ++b) {
+      const Sample now = sample(b);
+      Sample& was = prev[static_cast<std::size_t>(b)];
+      if (now.owner == was.owner && was.pulled && now.pulled) {
+        ++quiet;
+        if (k > 100) ++quiet_after_crash;
+        EXPECT_EQ(now.pushes, was.pushes)
+            << "backend " << b << ", owner " << now.owner << ", sample " << k;
+      } else if (now.pushes != was.pushes) {
+        ++pushing;
+      }
+      was = now;
+    }
+  }
+  EXPECT_FALSE(plane.membership().is_member(0));
+  std::uint64_t switches = 0;
+  for (int m = 1; m < plane.frontend_count(); ++m) {
+    switches += plane.frontend(m).balancer().adaptive()->total_switches();
+  }
+  EXPECT_GT(switches, 40u);
+  EXPECT_GT(quiet, 1000);
+  EXPECT_GT(quiet_after_crash, 500);
+  EXPECT_GT(pushing, 1000);
+}
+
 class ScaleOutP : public ::testing::TestWithParam<monitor::MonitorStrategy> {};
 
 TEST_P(ScaleOutP, FaultFreeRunMarksNothingAndKeepsPeerViewsFresh) {

@@ -490,7 +490,7 @@ TEST(FreshnessAlarm, DeadPublisherBreachesSloAndLeavesFlightDump) {
   for (int i = 0; i < n; ++i) {
     pubs.push_back(std::make_unique<monitor::PushPublisher>(
         fabric, *backends[static_cast<std::size_t>(i)]));
-    pubs.back()->target(fe.id, inbox.mr_key(), i);
+    pubs.back()->target(inbox, i);
     pubs.back()->start();
   }
   lb.start(fe, msec(50));
