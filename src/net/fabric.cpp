@@ -35,9 +35,22 @@ Connection& Fabric::connect(os::Node& a, os::Node& b) {
   if (a.id < 0 || b.id < 0) {
     throw std::logic_error("Fabric::connect: attach both nodes first");
   }
-  conns_.push_back(std::make_unique<Connection>(
-      *this, a, b, static_cast<std::uint64_t>(conns_.size())));
-  return *conns_.back();
+  Connection* c;
+  if (closed_.empty()) {
+    conns_.push_back(std::make_unique<Connection>(
+        *this, static_cast<std::uint32_t>(conns_.size())));
+    c = conns_.back().get();
+  } else {
+    c = closed_.back();
+    closed_.pop_back();
+  }
+  c->open(a, b);
+  return *c;
+}
+
+void Fabric::close(Connection& c) {
+  c.close();
+  closed_.push_back(&c);
 }
 
 void Fabric::ship(PacketSlot p) {
@@ -128,7 +141,11 @@ bool Fabric::sample_link_drop(int src, int dst) {
 
 void Fabric::deliver_to_socket(PacketSlot p) {
   const Message& msg = packets_[p];
-  Connection& c = *conns_.at(static_cast<std::size_t>(msg.conn));
+  Connection& c = *conns_.at(static_cast<std::uint32_t>(msg.conn));  // index
+  if (c.id() != msg.conn) {  // closed after the message was sent
+    packets_.release(p);
+    return;
+  }
   c.endpoint(msg.dst_side).deliver(p);
 }
 

@@ -82,9 +82,9 @@ struct NodeFaultState {
 /// receiving socket hands it to a reader: TX serialisation, the wire, a
 /// frozen host's ingress port, the receiver's IRQ/softirq path and the
 /// socket's receive queue all carry only the slot. It is freed where it
-/// is read (Socket::recv, recv_ready), flushed
-/// (Socket::drain_rx) or dropped (crashed end, lossy link, crash of a
-/// frozen host holding it).
+/// is read (Socket::recv, recv_ready), flushed (Socket::drain_rx, close)
+/// or dropped (crashed end, lossy link, crash of a frozen host holding
+/// it, closed connection).
 class Fabric {
  public:
   Fabric(sim::Simulation& simu, FabricConfig cfg);
@@ -100,10 +100,26 @@ class Fabric {
   os::Node& node(int node_id);
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
-  /// Establishes a socket connection between two attached nodes.
-  /// Setup handshake latency is not modelled (connections are created
-  /// during experiment wiring); both nodes' connection counters bump.
+  /// Establishes a socket connection between two attached nodes; both
+  /// nodes' connection counters bump. Setup handshake latency is not
+  /// modelled: most connections are made during experiment wiring, and
+  /// those made mid-run (a disturbance stage's) open at once. Reuses a
+  /// closed connection's object when there is one.
   Connection& connect(os::Node& a, os::Node& b);
+
+  /// Ends `c`'s life: both nodes' connection counters fall, the messages
+  /// queued at either end are freed, and those still on their way are
+  /// dropped where they would reach a socket (deliver_to_socket), so none
+  /// reaches a later user of the object. Kill the threads reading `c`
+  /// first; the fabric keeps the object for the next connect().
+  void close(Connection& c);
+
+  /// Connections open now, and Connection objects held (open ones plus
+  /// closed ones kept for the next connect()).
+  std::size_t connections_open() const {
+    return conns_.size() - closed_.size();
+  }
+  std::size_t connection_objects() const { return conns_.size(); }
 
   /// Parks an outgoing message (Nic::tx) and returns its slot.
   PacketSlot park(const Message& msg) { return packets_.put(msg); }
@@ -123,7 +139,8 @@ class Fabric {
 
   /// Queues a parked message at its connection endpoint; the slot stays
   /// parked until the socket is read (called by the destination NIC once
-  /// protocol processing has been paid).
+  /// protocol processing has been paid). A message sent on a connection
+  /// closed since is dropped here.
   void deliver_to_socket(PacketSlot p);
 
   sim::Simulation& simu() { return simu_; }
@@ -163,7 +180,8 @@ class Fabric {
   FabricConfig cfg_;
   std::vector<os::Node*> nodes_;
   std::vector<std::unique_ptr<Nic>> nics_;
-  std::vector<std::unique_ptr<Connection>> conns_;
+  std::vector<std::unique_ptr<Connection>> conns_;  ///< index = id's low bits
+  std::vector<Connection*> closed_;  ///< for the next connect(), LIFO
   std::vector<NodeFaultState> faults_;
   sim::SlotTable<Message> packets_;  ///< socket messages not yet read
   std::vector<std::vector<PacketSlot>> frozen_rx_;  ///< held while frozen

@@ -96,27 +96,44 @@ void Socket::deliver(PacketSlot p) {
   }
 }
 
-Connection::Connection(Fabric& fabric, os::Node& a, os::Node& b,
-                       std::uint64_t id)
-    : id_(id) {
-  a_.local_ = &a;
-  a_.fabric_ = &fabric;
-  a_.remote_node_ = b.id;
-  a_.conn_ = id;
-  a_.remote_side_ = 1;
-  b_.local_ = &b;
-  b_.fabric_ = &fabric;
-  b_.remote_node_ = a.id;
-  b_.conn_ = id;
-  b_.remote_side_ = 0;
-  a.stats().on_connection_opened();
-  b.stats().on_connection_opened();
+void Socket::open(os::Node& local, int remote_node, std::uint64_t conn) {
+  // Instruments are per node: a socket reopened on its last node keeps
+  // them.
+  if (local_ != &local) metrics_resolved_ = false;
+  local_ = &local;
+  remote_node_ = remote_node;
+  conn_ = conn;
+  local.stats().on_connection_opened();
 }
 
-// Connections live exactly as long as the fabric (there is no mid-run
-// disconnect), and the endpoint nodes are caller-owned — they may already
-// be destroyed when the fabric tears down, so the destructor must not
-// touch them to decrement connection counters.
+void Socket::close() {
+  assert(rx_wq_.empty() && "kill a closed socket's readers first");
+  drain_rx();
+  rx_watchers_.clear();
+  local_->stats().on_connection_closed();
+}
+
+Connection::Connection(Fabric& fabric, std::uint32_t index) : id_(index) {
+  a_.fabric_ = &fabric;
+  a_.remote_side_ = 1;
+  b_.fabric_ = &fabric;
+  b_.remote_side_ = 0;
+}
+
+void Connection::open(os::Node& a, os::Node& b) {
+  a_.open(a, b.id, id_);
+  b_.open(b, a.id, id_);
+}
+
+void Connection::close() {
+  a_.close();
+  b_.close();
+  id_ += kLife;
+}
+
+// A connection still open when the fabric tears down keeps its counts:
+// the endpoint nodes are caller-owned and may already be destroyed, so
+// the destructor must not touch them.
 Connection::~Connection() = default;
 
 }  // namespace rdmamon::net

@@ -69,6 +69,10 @@ class Socket {
  private:
   friend class Connection;
 
+  /// Connection::open/close: binds this end to `local` (counting the
+  /// connection there), or flushes it and uncounts it.
+  void open(os::Node& local, int remote_node, std::uint64_t conn);
+  void close();
   /// Caches per-node instrument pointers on first traffic (no-ops forever
   /// when no registry is installed at that point — install before traffic).
   void resolve_metrics();
@@ -94,17 +98,33 @@ class Socket {
 };
 
 /// A bidirectional connection between two nodes; owns its two endpoints.
+/// Fabric::connect opens it and Fabric::close ends its life; the fabric
+/// keeps the object, and the next connect() between any two nodes opens
+/// it again with its receive queues' capacity intact.
 class Connection {
  public:
-  Connection(Fabric& fabric, os::Node& a, os::Node& b, std::uint64_t id);
+  Connection(Fabric& fabric, std::uint32_t index);
   ~Connection();
 
   Socket& end_a() { return a_; }
   Socket& end_b() { return b_; }
   Socket& endpoint(int side) { return side == 0 ? a_ : b_; }
+  /// The low 32 bits are the object's index in the fabric; each close()
+  /// moves the rest on, so a message stamped with an id from an earlier
+  /// life matches no open connection.
   std::uint64_t id() const { return id_; }
 
  private:
+  friend class Fabric;
+  static constexpr std::uint64_t kLife = std::uint64_t{1} << 32;
+
+  /// Binds end_a to `a` and end_b to `b`; both nodes count a connection.
+  void open(os::Node& a, os::Node& b);
+  /// Frees both receive queues' messages, drops their watchers, uncounts
+  /// the connection on both nodes and moves the id to the next life.
+  /// Every reader must be gone (killed) first.
+  void close();
+
   std::uint64_t id_;
   Socket a_, b_;
 };

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -90,8 +91,18 @@ class KernelStats {
   double net_rate(sim::TimePoint t) const;
 
   // --- connections -------------------------------------------------------
-  void on_connection_opened() { ++connections_; }
-  int connections() const { return connections_; }
+  /// The connection ledger: sockets opened and closed here so far.
+  void on_connection_opened() { ++connections_opened_; }
+  void on_connection_closed() {
+    ++connections_closed_;
+    assert(connections_closed_ <= connections_opened_);
+  }
+  std::uint64_t connections_opened() const { return connections_opened_; }
+  std::uint64_t connections_closed() const { return connections_closed_; }
+  /// Open sockets: what LoadSnapshot::connections reports.
+  int connections() const {
+    return static_cast<int>(connections_opened_ - connections_closed_);
+  }
 
  private:
   std::vector<CpuAccounting> cpus_;
@@ -108,7 +119,8 @@ class KernelStats {
   double net_rate_ema_ = 0.0;  // bytes/sec as of net_last_
   sim::TimePoint net_last_{};
 
-  int connections_ = 0;
+  std::uint64_t connections_opened_ = 0;
+  std::uint64_t connections_closed_ = 0;
 };
 
 }  // namespace rdmamon::os

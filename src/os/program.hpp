@@ -55,6 +55,9 @@ struct ProgramPromise {
   /// The thread whose frame stack this coroutine runs on; set when the
   /// program is attached (root) or awaited (child).
   SimThread* thread = nullptr;
+  /// The frame that awaits this one (null for a root): the thread's frame
+  /// stack is this chain, innermost first.
+  std::coroutine_handle<ProgramPromise> parent;
 
   /// Set when the coroutine suspends on an Action.
   Action pending{YieldCpu{}};

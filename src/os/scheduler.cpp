@@ -1,6 +1,7 @@
 #include "os/scheduler.hpp"
 
 #include <cassert>
+#include <utility>
 
 #include "os/wait.hpp"
 
@@ -31,8 +32,8 @@ Scheduler::~Scheduler() = default;
 
 SimThread* Scheduler::spawn(std::string name, ProgramFactory factory,
                             SpawnOptions opts) {
-  auto owned = std::make_unique<SimThread>(next_tid_++, std::move(name),
-                                           opts.priority, node_, *this);
+  std::unique_ptr<SimThread> owned(new (simu_.frame_pool()) SimThread(
+      next_tid_++, std::move(name), opts.priority, node_, *this));
   SimThread* t = owned.get();
   t->set_kernel_thread(opts.kernel_thread);
   t->affinity = opts.affinity;
@@ -99,6 +100,17 @@ void Scheduler::kill(SimThread* t) {
       stats_.on_thread_exited(t->kernel_thread());
       return;
   }
+}
+
+void Scheduler::reap(SimThread* t) {
+  assert(t->state == ThreadState::Finished && "reap a killed thread");
+  for (auto& owned : threads_) {
+    if (owned.get() != t) continue;
+    std::swap(owned, threads_.back());
+    threads_.pop_back();  // frames and object go back to the frame pool
+    return;
+  }
+  assert(false && "thread not spawned by this scheduler");
 }
 
 // --- ready queue -------------------------------------------------------------

@@ -64,8 +64,16 @@ class Scheduler {
   /// No-op if the thread is already runnable or finished.
   void wake(SimThread* t);
 
-  /// Terminates a thread wherever it is (test/teardown helper).
+  /// Terminates a thread wherever it is. The thread object stays (its
+  /// pointer remains valid) until reap().
   void kill(SimThread* t);
+
+  /// Ends a killed or exited thread's life: its frames and its SimThread
+  /// go back to the Simulation's frame pool, where the next spawn() on
+  /// any node builds a new thread (fresh tid, state and accounting).
+  /// `t` dangles afterwards. An owner that never reaps keeps its killed
+  /// threads until the scheduler is destroyed.
+  void reap(SimThread* t);
 
   /// Steals `cost` of CPU time on `cpu` for a hardware interrupt, then
   /// runs `body` in handler context. Nested requests queue FIFO — the
@@ -81,6 +89,10 @@ class Scheduler {
 
   /// Total context switches performed (micro-benchmark metric).
   std::uint64_t context_switches() const { return ctx_switches_; }
+
+  /// SimThread objects this scheduler owns: live threads, and killed or
+  /// exited ones not reaped yet.
+  std::size_t threads_held() const { return threads_.size(); }
 
  private:
   struct IrqJob {

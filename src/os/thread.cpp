@@ -21,20 +21,20 @@ void SimThread::attach_factory(std::function<Program(SimThread&)> factory) {
   factory_ = std::move(factory);
   root_ = factory_(*this);
   root_.promise().thread = this;
-  stack_.push_back(root_.handle());
+  top_ = root_.handle();
 }
 
 Action SimThread::advance() {
   // Guard against runaway zero-time loops in thread bodies.
   for (int hops = 0; hops < 1'000'000; ++hops) {
-    if (stack_.empty()) return ExitThread{};
-    Program::Handle top = stack_.back();
+    if (!top_) return ExitThread{};
+    Program::Handle top = top_;
     top.resume();
     if (top.done()) {
       // Subprogram (or root) finished. Pop it; its frame is destroyed by
       // the parent awaiter when the parent resumes (or by root_'s dtor).
-      stack_.pop_back();
-      if (stack_.empty()) return ExitThread{};
+      top_ = top.promise().parent;
+      if (!top_) return ExitThread{};
       continue;  // resume the parent next iteration
     }
     auto& p = top.promise();
@@ -44,7 +44,7 @@ Action SimThread::advance() {
     }
     // No action pending: the coroutine suspended to push a child program;
     // the child is now on top of the stack. Loop to resume it.
-    assert(stack_.back() != top);
+    assert(top_ != top);
   }
   assert(false && "thread body made no progress (infinite subprogram loop?)");
   return ExitThread{};

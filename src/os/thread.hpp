@@ -4,11 +4,11 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "os/program.hpp"
 #include "os/types.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
@@ -18,10 +18,24 @@ class Scheduler;
 class Node;
 class WaitQueue;
 
+/// Lives in its Simulation's sim::FramePool, as its frames do
+/// (Scheduler::spawn places it there): a thread its owner reaps
+/// (Scheduler::reap) gives the block back, and the next spawn on any node
+/// of the simulation builds a new thread in it.
 class SimThread {
  public:
   SimThread(ThreadId tid, std::string name, Priority prio, Node& node,
             Scheduler& sched);
+
+  static void* operator new(std::size_t n, sim::FramePool& pool) {
+    return pool.allocate(n);
+  }
+  static void operator delete(void* p) noexcept {
+    sim::FramePool::release(p);
+  }
+  static void operator delete(void* p, sim::FramePool&) noexcept {
+    sim::FramePool::release(p);
+  }
 
   // Not movable/copyable: coroutine promises hold stable pointers to it.
   SimThread(const SimThread&) = delete;
@@ -39,7 +53,10 @@ class SimThread {
   Action advance();
 
   /// Pushes a nested program frame (called from Program's awaiter).
-  void push_frame(Program::Handle h) { stack_.push_back(h); }
+  void push_frame(Program::Handle h) {
+    h.promise().parent = top_;
+    top_ = h;
+  }
 
   // --- identity & config -------------------------------------------------
   ThreadId tid() const { return tid_; }
@@ -103,7 +120,7 @@ class SimThread {
 
   std::function<Program(SimThread&)> factory_;  // owns the body's closure
   Program root_;
-  std::vector<Program::Handle> stack_;  // non-owning; frames owned by awaiters
+  Program::Handle top_;  // innermost frame; frames are owned by awaiters
 };
 
 }  // namespace rdmamon::os

@@ -2,7 +2,8 @@
 // allocated here (ProgramPromise's operator new reaches the pool of the
 // thread's Simulation), so a send, a recv or a completion reap that runs
 // a nested coroutine per message recycles a frame instead of calling
-// malloc. One pool per Simulation: two simulations in one process never
+// malloc. The os::SimThread objects live here too, so a reaped thread's
+// block serves the next spawn on any node. One pool per Simulation: two simulations in one process never
 // share blocks, so each replays its allocation count exactly.
 //
 // Each block carries a 16-byte header naming its pool and size class, so

@@ -1,5 +1,7 @@
 #include "workload/synthetic.hpp"
 
+#include <cassert>
+
 namespace rdmamon::workload {
 
 namespace {
@@ -48,27 +50,41 @@ os::Program fp_app_body(os::SimThread& self, sim::Duration batch,
 
 }  // namespace
 
+BackgroundLoad::BackgroundLoad(net::Fabric& fabric, BackgroundLoadConfig cfg)
+    : fabric_(&fabric), cfg_(cfg) {}
+
 BackgroundLoad::BackgroundLoad(net::Fabric& fabric, os::Node& node,
                                os::Node& peer, BackgroundLoadConfig cfg)
-    : cfg_(cfg), node_(&node), peer_(&peer) {
+    : BackgroundLoad(fabric, cfg) {
+  start(node, peer);
+}
+
+void BackgroundLoad::start(os::Node& node, os::Node& peer) {
+  assert(workers_.empty() && "start() needs a stopped load");
+  node_ = &node;
+  peer_ = &peer;
+  // The thread bodies copy the config into their frames at spawn, so a
+  // closure holds a pointer or two and fits std::function's inline
+  // buffer.
   for (int i = 0; i < cfg_.threads; ++i) {
     if (cfg_.burst <= 0) {
       // Pure compute hog: no connection, no echo thread.
       workers_.push_back(node.spawn(
-          "bg" + std::to_string(i), [cfg](os::SimThread& t) {
-            return bg_worker_body(t, nullptr, cfg);
+          "bg" + std::to_string(i), [this](os::SimThread& t) {
+            return bg_worker_body(t, nullptr, cfg_);
           }));
       continue;
     }
-    net::Connection& conn = fabric.connect(node, peer);
+    net::Connection& conn = fabric_->connect(node, peer);
+    conns_.push_back(&conn);
     workers_.push_back(node.spawn(
         "bg" + std::to_string(i),
-        [sock = &conn.end_a(), cfg](os::SimThread& t) {
-          return bg_worker_body(t, sock, cfg);
+        [this, sock = &conn.end_a()](os::SimThread& t) {
+          return bg_worker_body(t, sock, cfg_);
         }));
     echoes_.push_back(peer.spawn(
         "bg-echo" + std::to_string(i),
-        [sock = &conn.end_b(), bytes = cfg.message_bytes](os::SimThread& t) {
+        [sock = &conn.end_b(), bytes = cfg_.message_bytes](os::SimThread& t) {
           return bg_echo_body(t, sock, bytes);
         }));
   }
@@ -77,8 +93,12 @@ BackgroundLoad::BackgroundLoad(net::Fabric& fabric, os::Node& node,
 void BackgroundLoad::stop() {
   for (auto* t : workers_) node_->sched().kill(t);
   for (auto* t : echoes_) peer_->sched().kill(t);
+  for (auto* t : workers_) node_->sched().reap(t);
+  for (auto* t : echoes_) peer_->sched().reap(t);
+  for (auto* c : conns_) fabric_->close(*c);
   workers_.clear();
   echoes_.clear();
+  conns_.clear();
 }
 
 DisturbanceGenerator::DisturbanceGenerator(net::Fabric& fabric,
@@ -88,14 +108,17 @@ DisturbanceGenerator::DisturbanceGenerator(net::Fabric& fabric,
                                            sim::Rng rng)
     : fabric_(&fabric), targets_(std::move(targets)), echo_peer_(&echo_peer),
       cfg_(cfg), rng_(rng) {
+  for (int i = 0; i < kDisturbanceStages; ++i) {
+    stages_.push_back(
+        std::make_unique<BackgroundLoad>(fabric, kDisturbanceStage));
+  }
   schedule_next();
 }
 
 DisturbanceGenerator::~DisturbanceGenerator() { stop_all(); }
 
 void DisturbanceGenerator::stop_all() {
-  for (auto& load : active_) load->stop();
-  active_.clear();
+  for (auto& stage : stages_) stage->stop();
 }
 
 void DisturbanceGenerator::schedule_next() {
@@ -113,10 +136,9 @@ void DisturbanceGenerator::fire() {
   ++events_;
   // The co-hosted job ramps up in stages of compute+comm threads.
   for (int stage = 0; stage < kDisturbanceStages; ++stage) {
-    fabric_->simu().after(kStageInterval * stage, [this, gen, victim] {
+    fabric_->simu().after(kStageInterval * stage, [this, gen, victim, stage] {
       if (generation_ != gen) return;
-      active_.push_back(std::make_unique<BackgroundLoad>(
-          *fabric_, *victim, *echo_peer_, kDisturbanceStage));
+      stages_[static_cast<std::size_t>(stage)]->start(*victim, *echo_peer_);
     });
   }
   fabric_->simu().after(cfg_.duration, [this, gen] {

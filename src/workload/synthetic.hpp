@@ -29,22 +29,36 @@ struct BackgroundLoadConfig {
 
 class BackgroundLoad {
  public:
-  /// Spawns cfg.threads worker threads on `node`, each with a dedicated
-  /// connection to an echo thread on `peer`.
+  /// An idle load; start() runs it.
+  BackgroundLoad(net::Fabric& fabric, BackgroundLoadConfig cfg);
+  /// A load started at once on `node`, as start(node, peer).
   BackgroundLoad(net::Fabric& fabric, os::Node& node, os::Node& peer,
                  BackgroundLoadConfig cfg);
 
-  /// Kills all generator and echo threads.
+  // Its threads' bodies are built from `this` (start()).
+  BackgroundLoad(const BackgroundLoad&) = delete;
+  BackgroundLoad& operator=(const BackgroundLoad&) = delete;
+
+  /// Spawns cfg.threads worker threads on `node`, each with a dedicated
+  /// connection to an echo thread on `peer`. The load must be idle.
+  void start(os::Node& node, os::Node& peer);
+
+  /// Kills the worker and echo threads, reaps them (Scheduler::reap) and
+  /// closes their connections (Fabric::close): both nodes' thread and
+  /// connection counts fall back, and what the load used is left for
+  /// the next spawn and connect, on any node. start() may run it again.
   void stop();
 
   int threads() const { return cfg_.threads; }
 
  private:
+  net::Fabric* fabric_;
   BackgroundLoadConfig cfg_;
+  os::Node* node_ = nullptr;
+  os::Node* peer_ = nullptr;
   std::vector<os::SimThread*> workers_;
   std::vector<os::SimThread*> echoes_;
-  os::Node* node_;
-  os::Node* peer_;
+  std::vector<net::Connection*> conns_;
 };
 
 /// Shared-environment disturbances: at random intervals, a random target
@@ -64,10 +78,13 @@ struct DisturbanceConfig {
 /// kDisturbanceStage load of compute+communication threads a stage
 /// interval after the last (batch jobs spin up gradually) — fresh
 /// monitors can evacuate the victim before the ramp peaks, stale ones
-/// cannot. The threads block on their own traffic frequently, so like
-/// real 2.4-era interactive tasks they are never preemptable by woken web
-/// workers or monitor threads: everything on the victim waits its FIFO
-/// turn behind them (the Fig 3 mechanism, applied app-side).
+/// cannot. All stages stop together: their threads end and their
+/// connections close, so the victim's load, its connection count
+/// included, falls back. The threads block on their own traffic
+/// frequently, so like real 2.4-era interactive tasks they are never
+/// preemptable by woken web workers or monitor threads: everything on the
+/// victim waits its FIFO turn behind them (the Fig 3 mechanism, applied
+/// app-side).
 inline constexpr int kDisturbanceStages = 5;
 inline constexpr BackgroundLoadConfig kDisturbanceStage{
     .threads = 2,
@@ -83,6 +100,9 @@ class DisturbanceGenerator {
   /// of each burst's traffic (e.g. a storage/backup node) — an otherwise
   /// idle node, so echo replies come back fast and concentrated, loading
   /// the victim's receive path the way Fig 3's background load does.
+  /// Every disturbance restarts the same kDisturbanceStages stage loads:
+  /// after one full ramp, a stage's threads and connections come back
+  /// from the simulation's frame pool and the fabric, not the heap.
   DisturbanceGenerator(net::Fabric& fabric, std::vector<os::Node*> targets,
                        os::Node& echo_peer, DisturbanceConfig cfg,
                        sim::Rng rng);
@@ -101,7 +121,8 @@ class DisturbanceGenerator {
   os::Node* echo_peer_;
   DisturbanceConfig cfg_;
   sim::Rng rng_;
-  std::vector<std::unique_ptr<BackgroundLoad>> active_;
+  /// kDisturbanceStages loads, restarted by every disturbance.
+  std::vector<std::unique_ptr<BackgroundLoad>> stages_;
   std::uint64_t generation_ = 0;  ///< guards stale stage/stop events
   std::uint64_t events_ = 0;
 };

@@ -6,11 +6,11 @@ set -euo pipefail
 cd "$(dirname "$0")/../.."
 build="${1:-build}"
 
-cmake --build "$build" --target bench_fig3_latency bench_fig5_accuracy \
-  bench_scale_poll bench_verbs bench_qos bench_fault_resilience \
-  bench_freshness
-for b in fig3_latency fig5_accuracy scale_poll verbs qos fault_resilience \
-         freshness; do
+benches=(fig3_latency fig4_granularity fig5_accuracy fig6_interrupts
+         fig7_zipf fig8_ganglia fig9_finegrain table1_rubis ablation
+         scale_frontends scale_poll verbs qos fault_resilience freshness)
+cmake --build "$build" --target "${benches[@]/#/bench_}"
+for b in "${benches[@]}"; do
   RDMAMON_BENCH_DIR=tests/golden "./$build/bench/bench_$b" --quick >/dev/null
   echo "regenerated tests/golden/BENCH_$b.json"
 done

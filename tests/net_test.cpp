@@ -1134,6 +1134,53 @@ TEST(Fabric, PacketSlotsAreFreedOnEveryExitPath) {
   EXPECT_EQ(f.packets_in_flight(), 0u);
 }
 
+TEST(Fabric, ClosedConnectionDropsItsMessagesAndComesBackClean) {
+  // close() frees what is queued at either end and drops what is still
+  // on its way where it would reach a socket; the object comes back at
+  // the next connect(), here with its ends swapped across the nodes, and
+  // no message of its earlier life reaches the new one.
+  TwoNodes env;
+  Fabric& f = env.fabric;
+  Connection& conn = f.connect(env.a, env.b);
+  const std::uint64_t first_id = conn.id();
+  conn.end_a().inject_tx(64, 1);
+  env.simu.run_for(msec(1));
+  ASSERT_EQ(conn.end_b().rx_backlog(), 1u);
+  conn.end_a().inject_tx(64, 2);  // on the wire when the connection closes
+  EXPECT_EQ(f.packets_in_flight(), 2u);
+
+  f.close(conn);
+  EXPECT_EQ(f.packets_in_flight(), 1u);  // the queued one is freed
+  EXPECT_EQ(env.a.stats().connections(), 0);
+  EXPECT_EQ(env.b.stats().connections(), 0);
+  EXPECT_EQ(f.connections_open(), 0u);
+
+  Connection& again = f.connect(env.b, env.a);
+  EXPECT_EQ(&again, &conn);
+  EXPECT_NE(again.id(), first_id);
+  EXPECT_EQ(f.connection_objects(), 1u);
+  env.simu.run_for(msec(1));
+  EXPECT_EQ(f.packets_in_flight(), 0u);  // dropped at b, its slot freed
+  EXPECT_FALSE(again.end_a().has_data());
+  EXPECT_FALSE(again.end_b().has_data());
+
+  // The new life carries its own traffic.
+  again.end_a().inject_tx(64, 3);
+  env.simu.run_for(msec(1));
+  ASSERT_EQ(again.end_b().rx_backlog(), 1u);
+  int got = -1;
+  env.a.spawn("reader", [&](SimThread& self) -> Program {
+    Message m;
+    co_await again.end_b().recv(self, m);
+    got = m.payload.as<int>();
+  });
+  env.simu.run_for(msec(1));
+  EXPECT_EQ(got, 3);
+  EXPECT_EQ(env.a.stats().connections_opened(), 2u);
+  EXPECT_EQ(env.a.stats().connections_closed(), 1u);
+  EXPECT_EQ(env.b.stats().connections(), 1);
+}
+
 TEST(CompletionQueue, WarmInFlightForgetDoesNotAllocate) {
   // Attempts abandoned while their READ is on the wire: the CQ remembers
   // each id until its completion lands and is dropped, in a list that

@@ -262,6 +262,65 @@ TEST(Scheduler, KillStopsThreadEverywhere) {
   EXPECT_EQ(progress, at_kill);
 }
 
+TEST(Scheduler, ReapedThreadComesBackOnAnotherNodeAsANewThread) {
+  // reap() gives a killed thread's frames and object back to the
+  // simulation's frame pool; the next spawn, here on another node, builds
+  // a new thread in the same block: its own node's next tid, no time or
+  // run-queue samples carried over, and its body run from the start.
+  NodeConfig cfg = test_config();
+  cfg.cpus = 1;
+  sim::Simulation s;
+  Node a(s, cfg);
+  Node b(s, cfg);
+  SimThread* hog = b.spawn("hog", [](SimThread&) -> Program {
+    for (;;) co_await Compute{msec(5)};
+  });
+  int old_rounds = 0;
+  SimThread* old = a.spawn("old", [&](SimThread&) -> Program {
+    for (;;) {
+      co_await Compute{msec(1)};
+      co_await SleepFor{msec(1)};
+      ++old_rounds;
+    }
+  });
+  s.run_for(msec(20));
+  ASSERT_GT(old->user_time.ns, 0);
+  ASSERT_GT(old->runqueue_wait_ns.count(), 1u);
+  const ThreadId old_tid = old->tid();
+  const std::size_t held = a.sched().threads_held();
+  a.sched().kill(old);
+  a.sched().reap(old);
+  EXPECT_EQ(a.stats().nr_threads(), 0);
+  EXPECT_EQ(a.sched().threads_held(), held - 1);
+
+  int new_starts = 0, new_rounds = 0;
+  SimThread* t = b.spawn("new", [&](SimThread&) -> Program {
+    ++new_starts;
+    for (;;) {
+      co_await Compute{msec(1)};
+      ++new_rounds;
+    }
+  });
+  EXPECT_EQ(t, old);  // the reaped block, rebuilt
+  EXPECT_EQ(&t->node(), &b);
+  EXPECT_EQ(t->name(), "new");
+  EXPECT_NE(t->tid(), old_tid);
+  EXPECT_EQ(t->tid(), hog->tid() + 1);  // b's next tid
+  EXPECT_EQ(t->state, ThreadState::Ready);  // queued behind the hog
+  EXPECT_EQ(t->user_time.ns, 0);
+  EXPECT_EQ(t->system_time.ns, 0);
+  EXPECT_EQ(t->runqueue_wait_ns.count(), 0u);
+  EXPECT_EQ(a.stats().nr_threads(), 0);
+  EXPECT_EQ(b.stats().nr_threads(), 2);
+
+  const int old_rounds_at_reap = old_rounds;
+  s.run_for(msec(50));
+  EXPECT_EQ(new_starts, 1);
+  EXPECT_GT(new_rounds, 0);
+  EXPECT_EQ(old_rounds, old_rounds_at_reap);
+  EXPECT_GT(t->user_time.ns, 0);
+}
+
 TEST(KernelStats, NrRunningTracksRunnableUserThreads) {
   NodeConfig cfg = test_config();
   cfg.cpus = 1;
